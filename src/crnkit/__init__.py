@@ -4,16 +4,17 @@ equilibrium certificates, and Gillespie stochastic simulation."""
 
 from .errors import (
     BoxMismatch,
+    BudgetExceeded,
     CrnError,
     DimensionMismatch,
     EmptySector,
+    InvalidValue,
     NegativeConcentration,
     NegativeState,
     NoConvergence,
     PopulationExplosion,
     StepSizeUnderflow,
     SymmetryOverflow,
-    TimeStepTooLarge,
 )
 from .network import (
     ComplexGraph,

@@ -129,10 +129,7 @@ def _cmd_master(args) -> int:
         psi0 = pure_state(box, args.n0)
     else:
         psi0, _ = coherent_state(args.c, box)
-    h_op = hamiltonian(net, box)
-    diag_peak = float(np.abs(h_op.diagonal()).max(initial=0.0))
-    dt = args.dt if args.dt is not None else (0.25 / diag_peak if diag_peak > 0 else args.t_end / 10)
-    psi = evolve_master(h_op, psi0, args.t_end, dt)
+    psi = evolve_master(hamiltonian(net, box), psi0, args.t_end)
     _write(psi.to_csv(net.species), args.out)
     return 0
 
@@ -243,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_floats, default=None, help="coherent initial means")
     p.add_argument("--caps", type=_ints, default=None)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=None)
 
     p = add("ack", _cmd_ack, "complex-balance check plus coherent-state residual certificate")
     p.add_argument("--c", type=_floats, required=True)

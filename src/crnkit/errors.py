@@ -42,10 +42,16 @@ class NoConvergence(CrnError):
     code = "E_NOCONV"
 
 
-class TimeStepTooLarge(CrnError):
-    """Master-equation step exceeds the stability guard 0.5/max|H_nn|."""
+class InvalidValue(CrnError):
+    """A numeric input is NaN, infinite or outside its domain."""
 
-    code = "E_DT"
+    code = "E_VALUE"
+
+
+class BudgetExceeded(CrnError):
+    """A computation would exceed its fixed size budget."""
+
+    code = "E_BUDGET"
 
 
 class BoxMismatch(CrnError):

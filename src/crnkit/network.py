@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidValue, NegativeConcentration
 
 __all__ = [
     "CountVector",
@@ -27,6 +27,7 @@ __all__ = [
     "ComplexGraph",
     "PetriBipartite",
     "SelfLoopWarning",
+    "validate_classical",
 ]
 
 
@@ -233,3 +234,15 @@ class Network:
                 if mult:
                     output_edges.append((j, i, mult))
         return PetriBipartite(self.species, labels, tuple(input_edges), tuple(output_edges))
+
+
+def validate_classical(c, k: int) -> np.ndarray:
+    """A classical state as a float array of shape (k,), finite and nonnegative."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (k,):
+        raise DimensionMismatch(f"classical state has shape {c.shape}, expected ({k},)")
+    if not np.isfinite(c).all():
+        raise InvalidValue("classical state entries must be finite")
+    if (c < 0).any():
+        raise NegativeConcentration("classical state entries must be nonnegative")
+    return c

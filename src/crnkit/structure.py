@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeConcentration
-from .network import ComplexGraph, CountVector, Network
+from .network import ComplexGraph, CountVector, Network, validate_classical
 
 __all__ = [
     "linkage_classes",
@@ -303,13 +302,7 @@ def complex_balance_report(net: Network, c, tol: float = 1e-9) -> BalanceReport:
     producing it.  The verdict is relative: balanced iff every
     |consumption - production| <= tol * (1 + max complex throughput).
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (net.num_species,):
-        raise DimensionMismatch(
-            f"state has shape {c.shape}, expected ({net.num_species},)"
-        )
-    if (c < 0).any():
-        raise NegativeConcentration("classical state entries must be nonnegative")
+    c = validate_classical(c, net.num_species)
     if not tol > 0:
         raise ValueError("tol must be positive")
     flux = [tr.rate * _monomial(c, tr.input) for tr in net.transitions]

@@ -89,6 +89,12 @@ class TestAckCommand:
         code, doc = run_json(["ack", bd_file, "--c", "3", "--caps", "40"], capsys)
         assert code == 0 and doc["caps"] == [40]
 
+    @pytest.mark.parametrize("c", ["inf,1", "nan,1"])
+    @pytest.mark.parametrize("caps", [[], ["--caps", "10,10"]])
+    def test_non_finite_means_are_typed_errors(self, dia_file, capsys, c, caps):
+        assert run(["ack", dia_file, "--c", c, *caps]) == 1
+        assert "error[E_VALUE]" in capsys.readouterr().err
+
 
 class TestRateAndEquilibrium:
     def test_rate_csv(self, bd_file, capsys):
@@ -121,6 +127,20 @@ class TestMasterCommand:
     def test_requires_exactly_one_start(self, bd_file, capsys):
         assert run(["master", bd_file, "--caps", "10"]) == 1
         assert run(["master", bd_file, "--n0", "0", "--c", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            (["--n0", "0", "--caps", "15", "--t-end", "inf"], "E_VALUE"),
+            (["--n0", "0", "--caps", "15", "--t-end", "nan"], "E_VALUE"),
+            (["--n0", "0", "--caps", "15", "--t-end", "-1"], "E_VALUE"),
+            (["--n0", "0", "--caps", "15", "--t-end", "1e12"], "E_BUDGET"),
+            (["--c", "inf"], "E_VALUE"),
+        ],
+    )
+    def test_bad_numbers_are_typed_errors(self, bd_file, capsys, extra, code):
+        assert run(["master", bd_file, *extra]) == 1
+        assert f"error[{code}]" in capsys.readouterr().err
 
 
 class TestSsaCommand:
