@@ -60,7 +60,6 @@ from .fock import (
     commutator,
     creation,
     default_box,
-    dense_hamiltonian,
     evolve_master,
     hamiltonian,
     interior_mask,

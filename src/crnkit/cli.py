@@ -69,7 +69,7 @@ def _emit_json(doc: dict, out: str | None):
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     full.update(doc)
-    _write(json.dumps(full, indent=2) + "\n", out)
+    _write(json.dumps(full, indent=2, allow_nan=False) + "\n", out)
 
 
 def _box_from_args(args, net, c=None) -> TruncationBox:

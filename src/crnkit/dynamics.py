@@ -8,7 +8,8 @@ available through :func:`scipy.integrate.solve_ivp`.
 
 Trajectories must stay in the nonnegative orthant: entries in
 [-1e-12, 0) are treated as roundoff and clamped to zero, anything lower
-aborts with ``E_NEG`` (the step was too large).
+aborts with ``E_NEG`` (the step was too large).  A state that stops being
+finite (finite-time blow-up) aborts with ``E_EXPLODE``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionMismatch,
-    NegativeConcentration,
     NegativeState,
     NoConvergence,
+    PopulationExplosion,
     StepSizeUnderflow,
 )
-from .network import Network
+from .network import Network, validate_classical
 
 __all__ = [
     "rate_vector_field",
@@ -37,31 +38,12 @@ __all__ = [
 _CLAMP = 1e-12
 
 
-def _compiled_field(net: Network):
-    """Vectorized evaluator of the mass-action field for repeated calls."""
-    k = net.num_species
-    n_tr = net.num_transitions
-    exponents = np.zeros((n_tr, k), dtype=np.int64)
-    change = np.zeros((n_tr, k), dtype=float)
-    rates = np.zeros(n_tr)
-    for j, tr in enumerate(net.transitions):
-        exponents[j] = tr.input
-        change[j] = np.array(tr.output) - np.array(tr.input)
-        rates[j] = tr.rate
-
-    def field(x: np.ndarray) -> np.ndarray:
-        monomials = np.prod(x ** exponents, axis=1)
-        return (rates * monomials) @ change
-
-    return field
-
-
 def rate_vector_field(net: Network, x) -> np.ndarray:
     """Net production rate of each species at the classical state ``x``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.num_species,):
         raise DimensionMismatch(f"state has shape {x.shape}, expected ({net.num_species},)")
-    return _compiled_field(net)(x)
+    return net.mass_action.field(x)
 
 
 @dataclass(frozen=True)
@@ -114,33 +96,23 @@ def _rk4_step(field, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _fd_jacobian(field, x: np.ndarray) -> np.ndarray:
-    k = x.size
-    f0 = field(x)
-    jac = np.zeros((k, k))
-    for j in range(k):
-        h = 1e-7 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        jac[:, j] = (field(xp) - f0) / h
-    return jac
-
-
-def _default_step(field, x0: np.ndarray) -> float:
+def _default_step(kernel, x0: np.ndarray) -> float:
     # crude Lipschitz estimate: infinity norm of the Jacobian at x0
-    lipschitz = float(np.abs(_fd_jacobian(field, x0)).sum(axis=1).max(initial=0.0))
+    lipschitz = float(np.abs(kernel.jacobian(x0)).sum(axis=1).max(initial=0.0))
+    if not np.isfinite(lipschitz):
+        raise PopulationExplosion("the rate field overflows at the initial state")
     if lipschitz <= 0:
         return 0.01
     return min(0.01, 0.1 / lipschitz)
 
 
-def _validate_state(net: Network, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (net.num_species,):
-        raise DimensionMismatch(f"state has shape {x0.shape}, expected ({net.num_species},)")
-    if (x0 < 0).any():
-        raise NegativeConcentration("initial state entries must be nonnegative")
-    return x0
+def _finite_trajectory(times: np.ndarray, states: np.ndarray) -> Trajectory:
+    blown = ~np.isfinite(states).all(axis=1)
+    if blown.any():
+        raise PopulationExplosion(
+            f"the rate equation left the finite range by t={times[blown.argmax()]:.6g}"
+        )
+    return Trajectory(times, states)
 
 
 def integrate_rate(
@@ -158,37 +130,38 @@ def integrate_rate(
     min(0.01, 0.1/L) with L a Jacobian-based Lipschitz estimate at x0) or
     ``"rk45"`` (adaptive, scipy, controlled by rtol/atol).
     """
-    x0 = _validate_state(net, x0)
+    x0 = validate_classical(x0, net.num_species)
     if not t_end > 0:
         raise ValueError("t_end must be positive")
-    field = _compiled_field(net)
-    if method == "rk4":
-        h = float(step) if step is not None else _default_step(field, x0)
-        if not h > 0:
-            raise ValueError("step must be positive")
-        n_full = int(t_end / h)
-        remainder = t_end - n_full * h
-        times = [0.0]
-        states = [x0]
-        x = x0
-        for i in range(n_full):
-            x = _clamp_state(_rk4_step(field, x, h))
-            times.append((i + 1) * h)
-            states.append(x)
-        if remainder > 1e-12 * max(1.0, t_end):
-            x = _clamp_state(_rk4_step(field, x, remainder))
-            times.append(t_end)
-            states.append(x)
-        return Trajectory(np.array(times), np.array(states))
-    if method == "rk45":
-        sol = solve_ivp(
-            lambda _t, y: field(y), (0.0, t_end), x0,
-            method="RK45", rtol=rtol, atol=atol,
-        )
-        if not sol.success:
-            raise StepSizeUnderflow(sol.message)
-        states = np.array([_clamp_state(row) for row in sol.y.T])
-        return Trajectory(sol.t, states)
+    kernel = net.mass_action
+    field = kernel.field
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "rk4":
+            h = float(step) if step is not None else _default_step(kernel, x0)
+            if not h > 0:
+                raise ValueError("step must be positive")
+            n_full = int(t_end / h)
+            remainder = t_end - n_full * h
+            times = [0.0]
+            states = [x0]
+            x = x0
+            for i in range(n_full):
+                x = _clamp_state(_rk4_step(field, x, h))
+                times.append((i + 1) * h)
+                states.append(x)
+            if remainder > 1e-12 * max(1.0, t_end):
+                x = _clamp_state(_rk4_step(field, x, remainder))
+                times.append(t_end)
+                states.append(x)
+            return _finite_trajectory(np.array(times), np.array(states))
+        if method == "rk45":
+            sol = solve_ivp(
+                lambda _t, y: field(y), (0.0, t_end), x0,
+                method="RK45", rtol=rtol, atol=atol,
+            )
+            if not sol.success:
+                raise StepSizeUnderflow(sol.message)
+            return _finite_trajectory(sol.t, np.array([_clamp_state(row) for row in sol.y.T]))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -204,59 +177,64 @@ def find_equilibrium(
 
     Integrates until the field's infinity norm drops below
     tol * (1 + max|x|), then runs damped Newton restricted to the affine
-    subspace x0 + span(stoichiometric columns), with a finite-difference
-    Jacobian and backtracking that keeps the state nonnegative.  Raises
-    ``E_NOCONV`` if the relaxation phase exhausts ``max_time``.
+    subspace x0 + span(stoichiometric columns), with the exact Jacobian
+    and backtracking that keeps the state nonnegative.  Raises ``E_NOCONV``
+    if the relaxation phase exhausts ``max_time`` and ``E_EXPLODE`` if the
+    state or the field stops being finite.
     """
-    x = _validate_state(net, x0).copy()
+    x = validate_classical(x0, net.num_species).copy()
     if not tol > 0:
         raise ValueError("tol must be positive")
     if net.num_transitions == 0:
         return x
-    field = _compiled_field(net)
-
-    def slack(y):
-        return tol * (1.0 + np.abs(y).max(initial=0.0))
-
+    kernel = net.mass_action
+    field = kernel.field
     elapsed = 0.0
-    h = _default_step(field, x)
-    while np.abs(field(x)).max() > slack(x):
-        if elapsed >= max_time:
-            raise NoConvergence(
-                f"field norm {np.abs(field(x)).max():.3e} still above tolerance "
-                f"after t={elapsed}"
-            )
-        steps = max(1, int(round(chunk / h)))
-        for _ in range(steps):
-            x = _clamp_state(_rk4_step(field, x, h))
-        elapsed += steps * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _default_step(kernel, x)
+        while True:
+            norm = np.abs(field(x)).max()
+            if not (np.isfinite(norm) and np.isfinite(x).all()):
+                raise PopulationExplosion(
+                    f"the rate equation left the finite range by t={elapsed:.6g}"
+                )
+            if norm <= tol * (1.0 + np.abs(x).max(initial=0.0)):
+                break
+            if elapsed >= max_time:
+                raise NoConvergence(
+                    f"field norm {norm:.3e} still above tolerance after t={elapsed}"
+                )
+            steps = max(1, int(round(chunk / h)))
+            for _ in range(steps):
+                x = _clamp_state(_rk4_step(field, x, h))
+            elapsed += steps * h
 
-    # Newton polish inside the reachable affine subspace
-    gamma = net.stoichiometric_matrix().astype(float)
-    u_mat, sing, _ = np.linalg.svd(gamma, full_matrices=False)
-    rank = int((sing > (sing.max(initial=0.0) * 1e-12)).sum())
-    if rank == 0:
-        return x
-    basis = u_mat[:, :rank]
-    for _ in range(max_newton):
-        fx = field(x)
-        norm0 = np.abs(fx).max()
-        if norm0 <= 1e-14 * (1.0 + np.abs(x).max()):
-            break
-        jac = _fd_jacobian(field, x)
-        coeffs, *_ = np.linalg.lstsq(jac @ basis, -fx, rcond=None)
-        direction = basis @ coeffs
-        lam = 1.0
-        improved = False
-        while lam >= 2.0 ** -30:
-            candidate = x + lam * direction
-            if candidate.min() >= -_CLAMP:
-                candidate = np.where(candidate < 0, 0.0, candidate)
-                if np.abs(field(candidate)).max() < norm0:
-                    x = candidate
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            break
+        # Newton polish inside the reachable affine subspace
+        gamma = net.stoichiometric_matrix().astype(float)
+        u_mat, sing, _ = np.linalg.svd(gamma, full_matrices=False)
+        rank = int((sing > (sing.max(initial=0.0) * 1e-12)).sum())
+        if rank == 0:
+            return x
+        basis = u_mat[:, :rank]
+        for _ in range(max_newton):
+            fx = field(x)
+            norm0 = np.abs(fx).max()
+            if norm0 <= 1e-14 * (1.0 + np.abs(x).max()):
+                break
+            jac = kernel.jacobian(x)
+            coeffs, *_ = np.linalg.lstsq(jac @ basis, -fx, rcond=None)
+            direction = basis @ coeffs
+            lam = 1.0
+            improved = False
+            while lam >= 2.0 ** -30:
+                candidate = x + lam * direction
+                if candidate.min() >= -_CLAMP:
+                    candidate = np.where(candidate < 0, 0.0, candidate)
+                    if np.abs(field(candidate)).max() < norm0:
+                        x = candidate
+                        improved = True
+                        break
+                lam *= 0.5
+            if not improved:
+                break
     return x

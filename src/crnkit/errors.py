@@ -73,6 +73,10 @@ class SymmetryOverflow(CrnError):
 
 
 class PopulationExplosion(CrnError):
-    """A stochastic trajectory exceeded its per-species safety cap."""
+    """A population grew without bound.
+
+    A stochastic trajectory exceeded its per-species safety cap, or the
+    rate equation's state or field stopped being finite (blow-up).
+    """
 
     code = "E_EXPLODE"

@@ -50,7 +50,6 @@ __all__ = [
     "linear_observable",
     "commutator",
     "hamiltonian",
-    "dense_hamiltonian",
     "coherent_state",
     "evolve_master",
     "network_margin",
@@ -285,15 +284,6 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 # ---------------------------------------------------------------------------
 # generator assembly
 
-def _falling_factorial(states: np.ndarray, exponents) -> np.ndarray:
-    """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) per state row; 0 when n_i < s_i."""
-    values = np.ones(states.shape[0])
-    for i, s_i in enumerate(exponents):
-        for j in range(int(s_i)):
-            values = values * (states[:, i] - j)
-    return values
-
-
 def hamiltonian(net: Network, box: TruncationBox, policy: str = "truncate-pair") -> SparseOperator:
     """Master-equation generator on the box under the truncate-pair policy.
 
@@ -310,21 +300,20 @@ def hamiltonian(net: Network, box: TruncationBox, policy: str = "truncate-pair")
         )
     states = box.states()
     caps = np.asarray(box.caps, dtype=np.int64)
+    kernel = net.mass_action
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for tr in net.transitions:
-        s = np.asarray(tr.input, dtype=np.int64)
-        t = np.asarray(tr.output, dtype=np.int64)
-        fall = _falling_factorial(states, s)
+    for j in range(net.num_transitions):
+        fall = kernel.falling(states, j)
         active = np.flatnonzero(fall > 0)
-        targets = states[active] + (t - s)
+        targets = states[active] + (kernel.outputs[j] - kernel.inputs[j])
         inside = np.all((targets >= 0) & (targets <= caps), axis=1)
         src = active[inside]
         if src.size == 0:
             continue
         tgt = np.ravel_multi_index(targets[inside].T, box.shape)
-        flux = tr.rate * fall[src]
+        flux = kernel.rates[j] * fall[src]
         rows.extend((tgt, src))
         cols.extend((src, src))
         vals.extend((flux, -flux))
@@ -336,51 +325,6 @@ def hamiltonian(net: Network, box: TruncationBox, policy: str = "truncate-pair")
     else:
         mat = sp.coo_matrix((box.size, box.size))
     return SparseOperator.wrap(box, mat)
-
-
-def dense_hamiltonian(net: Network, box: TruncationBox) -> np.ndarray:
-    """Generator assembled by composing dense ladder matrices; small boxes only.
-
-    Independent route for cross-checking :func:`hamiltonian`: per transition
-    the gain block is the composition (creation^output) @ (annihilation^input)
-    of dense single-species matrices built state by state, and the diagonal
-    loss is the column sum of that block, which is exactly the truncate-pair
-    boundary rule.
-    """
-    if box.size > 4096:
-        raise ValueError("dense route is limited to 4096 states")
-    if box.k != net.num_species:
-        raise DimensionMismatch(f"box has {box.k} species, network has {net.num_species}")
-    size = box.size
-    states = box.states()
-    lower = []
-    raise_ = []
-    for i in range(box.k):
-        a_mat = np.zeros((size, size))
-        c_mat = np.zeros((size, size))
-        for idx in range(size):
-            n = states[idx]
-            if n[i] > 0:
-                m = n.copy()
-                m[i] -= 1
-                a_mat[box.index_of(m), idx] = n[i]
-            if n[i] < box.caps[i]:
-                m = n.copy()
-                m[i] += 1
-                c_mat[box.index_of(m), idx] = 1.0
-        lower.append(a_mat)
-        raise_.append(c_mat)
-    out = np.zeros((size, size))
-    for tr in net.transitions:
-        gain = np.eye(size)
-        for i, s_i in enumerate(tr.input):
-            for _ in range(s_i):
-                gain = lower[i] @ gain
-        for i, t_i in enumerate(tr.output):
-            for _ in range(t_i):
-                gain = raise_[i] @ gain
-        out += tr.rate * (gain - np.diag(gain.sum(axis=0)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +349,8 @@ def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
 
 def network_margin(net: Network) -> int:
     """Width of the boundary layer: largest input/output coefficient of any transition."""
-    margin = 0
-    for tr in net.transitions:
-        margin = max(margin, max(tr.input, default=0), max(tr.output, default=0))
-    return margin
+    kernel = net.mass_action
+    return int(max(kernel.inputs.max(initial=0), kernel.outputs.max(initial=0)))
 
 
 def interior_mask(box: TruncationBox, margin: int) -> np.ndarray:
@@ -491,12 +433,15 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
 
     Returns the renormalized state together with the predicted means
     c_i * exp(s * w_i); the state equals the coherent state of those means
-    on the box, up to the renormalization constant.
+    on the box, up to the renormalization constant.  A non-finite ``s``
+    raises ``E_VALUE``.
     """
     c = validate_classical(c, box.k)
     w = np.asarray(w, dtype=np.int64)
     if w.shape != (box.k,):
         raise DimensionMismatch(f"weight vector shape {w.shape}, expected ({box.k},)")
+    if not np.isfinite(s):
+        raise InvalidValue(f"s must be finite, got {s}")
     sector_values = box.states() @ w
     peak = float(np.abs(sector_values).max(initial=0.0)) * abs(float(s))
     if peak > _LOG_DBL_MAX:

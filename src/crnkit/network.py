@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "Network",
     "ComplexGraph",
     "PetriBipartite",
+    "MassAction",
     "SelfLoopWarning",
     "validate_classical",
 ]
@@ -203,19 +205,18 @@ class Network:
         )
         return ComplexGraph(vertices, edges)
 
+    @cached_property
+    def mass_action(self) -> "MassAction":
+        """The compiled mass-action kernel, built once per network."""
+        return MassAction(self)
+
     def input_matrix(self) -> np.ndarray:
         """Input counts i(j, tau) as a (species x transitions) integer matrix."""
-        mat = np.zeros((self.num_species, self.num_transitions), dtype=np.int64)
-        for j, tr in enumerate(self.transitions):
-            mat[:, j] = tr.input
-        return mat
+        return self.mass_action.inputs.T.copy()
 
     def output_matrix(self) -> np.ndarray:
         """Output counts o(j, tau) as a (species x transitions) integer matrix."""
-        mat = np.zeros((self.num_species, self.num_transitions), dtype=np.int64)
-        for j, tr in enumerate(self.transitions):
-            mat[:, j] = tr.output
-        return mat
+        return self.mass_action.outputs.T.copy()
 
     def stoichiometric_matrix(self) -> np.ndarray:
         """Net-change matrix: column j equals output minus input of transition j."""
@@ -234,6 +235,55 @@ class Network:
                 if mult:
                     output_edges.append((j, i, mult))
         return PetriBipartite(self.species, labels, tuple(input_edges), tuple(output_edges))
+
+
+class MassAction:
+    """Mass-action kernel: the transitions as (transitions x species) arrays.
+
+    ``inputs`` s and ``outputs`` t hold the complexes, ``change`` is t - s as
+    floats and ``rates`` the rate constants r.  The rate equation is
+    sum_tau r(tau) (t - s) x^s and the master-equation generator is
+    sum_tau r(tau) (a+^t - a+^s) a^s, where a^s on a pure state n gives the
+    falling factorial of n; both are read from these arrays.  The monomial
+    uses 0**0 == 1, so the empty complex contributes r(tau).
+    """
+
+    def __init__(self, net: Network):
+        shape = (net.num_transitions, net.num_species)
+        self.inputs = np.array([tr.input for tr in net.transitions], dtype=np.int64).reshape(shape)
+        self.outputs = np.array([tr.output for tr in net.transitions], dtype=np.int64).reshape(shape)
+        self.change = (self.outputs - self.inputs).astype(float)
+        self.rates = np.array([tr.rate for tr in net.transitions], dtype=float)
+        for array in (self.inputs, self.outputs, self.change, self.rates):
+            array.setflags(write=False)
+
+    def flux(self, x: np.ndarray) -> np.ndarray:
+        """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
+        return self.rates * np.prod(x ** self.inputs, axis=1)
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """Rate-equation vector field sum_tau r(tau) (t - s) x^s."""
+        return self.flux(x) @ self.change
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Exact derivative of :meth:`field`, using d(x^s)/dx_i = s_i x^(s - e_i)."""
+        k = x.size
+        # factors[tau, i, l] is x_l^s_l, except d/dx_i of it on the diagonal l == i
+        factors = np.repeat((x ** self.inputs)[:, None, :], k, axis=1)
+        diag = np.arange(k)
+        factors[:, diag, diag] = self.inputs * x ** np.maximum(self.inputs - 1, 0)
+        return self.change.T @ (self.rates[:, None] * factors.prod(axis=2))
+
+    def falling(self, states: np.ndarray, j: int) -> np.ndarray:
+        """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j per state row.
+
+        Zero whenever some n_i < s_i, since the product then passes through 0.
+        """
+        values = np.ones(states.shape[0])
+        for i, need in enumerate(self.inputs[j].tolist()):
+            for m in range(need):
+                values = values * (states[:, i] - m)
+        return values
 
 
 def validate_classical(c, k: int) -> np.ndarray:

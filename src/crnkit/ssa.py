@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import poisson
 
-from .errors import DimensionMismatch, NegativeConcentration, PopulationExplosion
-from .network import CountVector, Network
+from .errors import DimensionMismatch, PopulationExplosion
+from .network import CountVector, Network, validate_classical
 
 __all__ = [
     "propensity",
@@ -40,25 +40,22 @@ def propensity(net: Network, n, tau_index: int) -> float:
     rate * prod_i n_i (n_i - 1) ... (n_i - s_i + 1); zero whenever some
     species count falls short of the input requirement.
     """
-    tr = net.transitions[tau_index]
     n = CountVector(n)
     if len(n) != net.num_species:
         raise DimensionMismatch(f"state has length {len(n)}, expected {net.num_species}")
-    value = tr.rate
-    for count, need in zip(n, tr.input):
-        for j in range(need):
-            value *= count - j
+    kernel = net.mass_action
+    value = kernel.rates[tau_index] * kernel.falling(np.array([n], dtype=float), tau_index)[0]
     return float(max(value, 0.0))
 
 
 def _prepare(net: Network):
     """Per-transition (rate, [(species, need)...], delta) for the inner loop."""
-    compiled = []
-    for tr in net.transitions:
-        pairs = tuple((i, s) for i, s in enumerate(tr.input) if s > 0)
-        delta = tuple(int(t) - int(s) for s, t in zip(tr.input, tr.output))
-        compiled.append((tr.rate, pairs, delta))
-    return compiled
+    kernel = net.mass_action
+    deltas = (kernel.outputs - kernel.inputs).tolist()
+    return [
+        (rate, tuple((i, s) for i, s in enumerate(need) if s > 0), tuple(delta))
+        for rate, need, delta in zip(kernel.rates.tolist(), kernel.inputs.tolist(), deltas)
+    ]
 
 
 def _propensities(compiled, state):
@@ -263,11 +260,7 @@ def compare_to_poisson(hist: Histogram, c) -> PoissonComparison:
     per-species means.
     """
     k = len(hist.caps)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (k,):
-        raise DimensionMismatch(f"means have shape {c.shape}, expected ({k},)")
-    if (c < 0).any():
-        raise NegativeConcentration("Poisson means must be nonnegative")
+    c = validate_classical(c, k)
     shape = tuple(cap + 1 for cap in hist.caps)
     states = np.indices(shape).reshape(k, -1).T
     log_pois = poisson.logpmf(states, c).sum(axis=1)

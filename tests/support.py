@@ -103,3 +103,18 @@ def dense_ladders(box):
         lowers.append(a)
         raisers.append(c)
     return lowers, raisers
+
+
+def dense_hamiltonian(net, box):
+    """Generator composed from the dense ladders: per transition, rate times
+    the gain block (creation^output)(annihilation^input) minus its column
+    sums on the diagonal, which is exactly the truncate-pair boundary rule."""
+    lowers, raisers = dense_ladders(box)
+    out = np.zeros((box.size, box.size))
+    for tr in net.transitions:
+        gain = np.eye(box.size)
+        for ladders, counts in ((lowers, tr.input), (raisers, tr.output)):
+            for ladder, count in zip(ladders, counts):
+                gain = np.linalg.matrix_power(ladder, count) @ gain
+        out += tr.rate * (gain - np.diag(gain.sum(axis=0)))
+    return out

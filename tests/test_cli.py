@@ -6,6 +6,7 @@ from crnkit.cli import run
 
 DIATOMIC = "X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
 BD = "species: A\n0 -> A @ 3\nA -> 0 @ 1\n"
+AUTOCATALYSIS = "2 A -> 3 A @ 1\n"
 
 
 @pytest.fixture
@@ -183,6 +184,28 @@ class TestNoetherCommand:
         assert code == 0
         assert doc["conserved_basis"] == []
         assert "symmetry" not in doc
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "text, args, code",
+        [
+            (BD, ["rate", "--x0", "nan"], "E_VALUE"),
+            (BD, ["rate", "--x0", "inf"], "E_VALUE"),
+            (BD, ["equilibrium", "--x0", "nan"], "E_VALUE"),
+            (BD, ["equilibrium", "--x0", "inf"], "E_VALUE"),
+            (AUTOCATALYSIS, ["rate", "--x0", "1"], "E_EXPLODE"),
+            (AUTOCATALYSIS, ["equilibrium", "--x0", "1"], "E_EXPLODE"),
+            (DIATOMIC, ["noether", "--c", "0.5,1", "--s", "nan"], "E_VALUE"),
+        ],
+    )
+    def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, text, args, code):
+        path = tmp_path / "net.crn"
+        path.write_text(text)
+        assert run([args[0], str(path), *args[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error[{code}]" in captured.err
 
 
 class TestUsageErrors:

@@ -19,7 +19,7 @@ from crnkit import (
     rate_vector_field,
 )
 
-from support import balanced_reversible_network
+from support import balanced_reversible_network, random_network
 
 
 def bd_closed_form(times, kappa=3.0, gamma=1.0):
@@ -43,6 +43,24 @@ class TestRateVectorField:
     def test_dimension_check(self, net_bd):
         with pytest.raises(DimensionMismatch):
             rate_vector_field(net_bd, [1.0, 2.0])
+
+    def test_kernel_jacobian_matches_central_differences(self, net_catalyst):
+        # zero coordinates hit x^0 and x^(1-1); the catalyst has the empty complex
+        rng = random.Random(17)
+        for net in [net_catalyst] + [random_network(rng) for _ in range(30)]:
+            kernel = net.mass_action
+            for _ in range(3):
+                x = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in net.species])
+                jac = kernel.jacobian(x)
+                central = np.empty_like(jac)
+                for i in range(x.size):
+                    step = np.zeros(x.size)
+                    step[i] = 1e-5 * max(1.0, x[i])
+                    diff = kernel.field(x + step) - kernel.field(x - step)
+                    central[:, i] = diff / (2 * step[i])
+                # size of the field's terms, for entries whose exact value is 0
+                scale = (np.abs(kernel.change).T @ kernel.flux(x + 1.0)).max(initial=0.0)
+                np.testing.assert_allclose(jac, central, rtol=1e-6, atol=1e-6 * scale)
 
     def test_zero_at_balanced_states(self):
         rng = random.Random(71)

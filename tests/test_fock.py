@@ -22,7 +22,6 @@ from crnkit import (
     conserved_quantities,
     creation,
     default_box,
-    dense_hamiltonian,
     evolve_master,
     hamiltonian,
     interior_mask,
@@ -35,7 +34,7 @@ from crnkit import (
     pure_state,
 )
 
-from support import dense_ladders, ordered_selection_count, random_network
+from support import dense_hamiltonian, dense_ladders, ordered_selection_count, random_network
 
 
 @pytest.fixture

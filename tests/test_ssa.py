@@ -8,6 +8,7 @@ from scipy.stats import poisson
 from crnkit import (
     DimensionMismatch,
     Histogram,
+    InvalidValue,
     Network,
     PopulationExplosion,
     TruncationBox,
@@ -152,6 +153,12 @@ class TestCompareToPoisson:
         hist = Histogram({(0,): 1}, 1, (0,))
         with pytest.raises(DimensionMismatch):
             compare_to_poisson(hist, [1.0, 2.0])
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_means_are_typed_errors(self, mean):
+        hist = Histogram({(0,): 1}, 1, (0,))
+        with pytest.raises(InvalidValue):
+            compare_to_poisson(hist, [mean])
 
 
 class TestSectorEquilibrium:

@@ -178,6 +178,21 @@ class TestComplexBalance:
         with pytest.raises(DimensionMismatch):
             complex_balance_report(net_bd, [1.0, 2.0])
 
+    def test_rows_match_per_complex_scan(self):
+        # brute force: scan every transition for every complex, in order
+        rng = random.Random(29)
+        for _ in range(40):
+            net = random_network(rng)
+            c = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in net.species])
+            flux = [tr.rate * float(np.prod(c ** np.array(tr.input))) for tr in net.transitions]
+            expected = []
+            for kappa in net.complexes():
+                out = sum(f for f, tr in zip(flux, net.transitions) if tr.input == kappa)
+                into = sum(f for f, tr in zip(flux, net.transitions) if tr.output == kappa)
+                expected.append((kappa, into, out, out - into))
+            rows = complex_balance_report(net, c).rows
+            assert [(r.complex, r.production, r.consumption, r.residual) for r in rows] == expected
+
     def test_balance_implies_rate_equilibrium(self):
         # engineered balanced instances keep the implication non-vacuous
         rng = random.Random(61)
