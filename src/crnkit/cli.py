@@ -36,7 +36,7 @@ from .fock import (
     pure_state,
 )
 from .parser import format_network, parse_network
-from .ssa import compare_to_poisson, simulate, stationary_histogram
+from .ssa import simulate, stationary_histogram
 from .structure import complex_balance_report, conserved_quantities, structure_report
 
 __all__ = ["run", "main"]

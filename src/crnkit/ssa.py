@@ -12,13 +12,18 @@ reproducible given (network, initial state, horizon, seed).
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, chain
+from operator import add
 
 import numpy as np
 from scipy.stats import poisson
 
-from .errors import DimensionMismatch, PopulationExplosion
+from .errors import DimensionMismatch, InvalidValue, PopulationExplosion
 from .network import CountVector, Network, validate_classical
 
 __all__ = [
@@ -32,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_COUNT = 10**6
+_MEMO_STATES = 2**16
 
 
 def propensity(net: Network, n, tau_index: int) -> float:
@@ -48,41 +54,53 @@ def propensity(net: Network, n, tau_index: int) -> float:
     return float(max(value, 0.0))
 
 
-def _prepare(net: Network):
-    """Per-transition (rate, [(species, need)...], delta) for the inner loop."""
+def _chain(net: Network, max_count: int):
+    """The jump chain memoised per visited state, plus its one-jump step.
+
+    ``memo(state)`` maps a state tuple to (total propensity, cumulative
+    propensities, successor slots), LRU-bounded at ``_MEMO_STATES`` states.
+    Cumulative sums add in transition order, so bisection capped at the
+    last transition picks what a linear scan picks.  ``step`` fills a
+    successor slot, checking ``max_count``, the first time it fires.
+    """
     kernel = net.mass_action
-    deltas = (kernel.outputs - kernel.inputs).tolist()
-    return [
-        (rate, tuple((i, s) for i, s in enumerate(need) if s > 0), tuple(delta))
-        for rate, need, delta in zip(kernel.rates.tolist(), kernel.inputs.tolist(), deltas)
+    compiled = [
+        (rate, tuple((i, s) for i, s in enumerate(need) if s > 0))
+        for rate, need in zip(kernel.rates.tolist(), kernel.inputs.tolist())
     ]
+    deltas = [tuple(delta) for delta in (kernel.outputs - kernel.inputs).tolist()]
+    last = len(compiled) - 1
 
+    @lru_cache(maxsize=_MEMO_STATES)
+    def memo(state):
+        values = []
+        for rate, pairs in compiled:
+            value = rate
+            for i, need in pairs:
+                count = state[i]
+                if count < need:
+                    value = 0.0
+                    break
+                for j in range(need):
+                    value *= count - j
+            values.append(value)
+        cumulative = list(accumulate(values))
+        return (cumulative[-1] if values else 0.0), cumulative, [None] * len(values)
 
-def _propensities(compiled, state):
-    values = []
-    total = 0.0
-    for rate, pairs, _ in compiled:
-        value = rate
-        for i, need in pairs:
-            count = state[i]
-            if count < need:
-                value = 0.0
-                break
-            for j in range(need):
-                value *= count - j
-        values.append(value)
-        total += value
-    return values, total
+    def step(state, cumulative, slots, target, t):
+        chosen = bisect_right(cumulative, target, 0, last)
+        successor = slots[chosen]
+        if successor is None:
+            successor = tuple(map(add, state, deltas[chosen]))
+            for name, count in zip(net.species, successor):
+                if count > max_count:
+                    raise PopulationExplosion(
+                        f"species {name} exceeded {max_count} at t={t:.6g}"
+                    )
+            slots[chosen] = successor
+        return successor
 
-
-def _pick(values, total, u):
-    acc = 0.0
-    target = u * total
-    for j, v in enumerate(values):
-        acc += v
-        if target < acc:
-            return j
-    return len(values) - 1
+    return memo, step
 
 
 @dataclass(frozen=True)
@@ -113,10 +131,10 @@ class JumpTrajectory:
         return (holds @ self.states[:-1]) / holds.sum()
 
     def to_csv(self, species) -> str:
-        lines = ["t," + ",".join(species)]
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join([repr(float(t))] + [str(int(v)) for v in row]))
-        return "\n".join(lines) + "\n"
+        # floats one at a time: a times.tolist() would hold them all at once
+        columns = (map(str, column) for column in self.states.T.tolist())
+        rows = map(",".join, zip(map(repr, map(float, self.times)), *columns))
+        return "\n".join(["t," + ",".join(species), *rows, ""])
 
 
 def simulate(
@@ -133,35 +151,32 @@ def simulate(
     crossing ``max_count`` aborts with ``E_EXPLODE`` (open networks can
     grow without bound).
     """
+    if not math.isfinite(t_end):
+        raise InvalidValue(f"t_end must be finite, got {t_end}")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
-    state = list(CountVector(n0))
+    state = tuple(CountVector(n0))
     if len(state) != net.num_species:
         raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
-    compiled = _prepare(net)
+    memo, step = _chain(net, max_count)
     rng = random.Random(seed)
+    expovariate, rand = rng.expovariate, rng.random
     t = 0.0
     times = [0.0]
-    flat = list(state)
+    path = [state]
     while True:
-        values, total = _propensities(compiled, state)
+        total, cumulative, slots = memo(state)
         if total <= 0.0:
             break
-        wait = rng.expovariate(total)
+        wait = expovariate(total)
         if t + wait > t_end:
             break
         t += wait
-        chosen = _pick(values, total, rng.random())
-        delta = compiled[chosen][2]
-        for i, d in enumerate(delta):
-            state[i] += d
-            if state[i] > max_count:
-                raise PopulationExplosion(
-                    f"species {net.species[i]} exceeded {max_count} at t={t:.6g}"
-                )
+        state = step(state, cumulative, slots, rand() * total, t)
         times.append(t)
-        flat.extend(state)
-    states = np.array(flat, dtype=np.int64).reshape(-1, net.num_species)
+        path.append(state)
+    k = net.num_species
+    states = np.fromiter(chain.from_iterable(path), np.int64, len(path) * k).reshape(-1, k)
     return JumpTrajectory(np.array(times), states, seed)
 
 
@@ -209,38 +224,31 @@ def stationary_histogram(
     ``sample_count`` samples.  If the chain absorbs, the absorbed state
     fills the remaining snapshots.
     """
+    if not (math.isfinite(burn_in) and math.isfinite(sample_interval)):
+        raise InvalidValue("burn_in and sample_interval must be finite")
     if burn_in < 0 or not sample_interval > 0 or sample_count < 1:
         raise ValueError("burn_in must be >= 0, sample_interval and sample_count positive")
-    state = list(CountVector(n0))
+    state = tuple(CountVector(n0))
     if len(state) != net.num_species:
         raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
-    compiled = _prepare(net)
+    memo, step = _chain(net, max_count)
     rng = random.Random(seed)
+    expovariate, rand = rng.expovariate, rng.random
     counts: dict[tuple[int, ...], int] = {}
     t = 0.0
     next_sample = float(burn_in)
     taken = 0
     while taken < sample_count:
-        values, total = _propensities(compiled, state)
+        total, cumulative, slots = memo(state)
         if total <= 0.0:
-            key = tuple(state)
-            counts[key] = counts.get(key, 0) + (sample_count - taken)
-            taken = sample_count
+            counts[state] = counts.get(state, 0) + (sample_count - taken)
             break
-        t_jump = t + rng.expovariate(total)
+        t_jump = t + expovariate(total)
         while taken < sample_count and next_sample < t_jump:
-            key = tuple(state)
-            counts[key] = counts.get(key, 0) + 1
+            counts[state] = counts.get(state, 0) + 1
             taken += 1
             next_sample += sample_interval
-        chosen = _pick(values, total, rng.random())
-        delta = compiled[chosen][2]
-        for i, d in enumerate(delta):
-            state[i] += d
-            if state[i] > max_count:
-                raise PopulationExplosion(
-                    f"species {net.species[i]} exceeded {max_count} at t={t_jump:.6g}"
-                )
+        state = step(state, cumulative, slots, rand() * total, t_jump)
         t = t_jump
     caps = tuple(max(s[i] for s in counts) for i in range(net.num_species))
     return Histogram(counts, sample_count, caps)

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from crnkit import CountVector, Network, SelfLoopWarning, Transition
+from crnkit import CountVector, Network, PopulationExplosion, SelfLoopWarning, Transition
 
 _NAME_START = string.ascii_letters + "_"
 _NAME_REST = string.ascii_letters + string.digits + "_"
@@ -118,3 +118,98 @@ def dense_hamiltonian(net, box):
                 gain = np.linalg.matrix_power(ladder, count) @ gain
         out += tr.rate * (gain - np.diag(gain.sum(axis=0)))
     return out
+
+
+def _direct_prepare(net):
+    kernel = net.mass_action
+    deltas = (kernel.outputs - kernel.inputs).tolist()
+    return [
+        (rate, tuple((i, s) for i, s in enumerate(need) if s > 0), tuple(delta))
+        for rate, need, delta in zip(kernel.rates.tolist(), kernel.inputs.tolist(), deltas)
+    ]
+
+
+def _direct_propensities(compiled, state):
+    values = []
+    total = 0.0
+    for rate, pairs, _ in compiled:
+        value = rate
+        for i, need in pairs:
+            count = state[i]
+            if count < need:
+                value = 0.0
+                break
+            for j in range(need):
+                value *= count - j
+        values.append(value)
+        total += value
+    return values, total
+
+
+def _direct_pick(values, total, u):
+    acc = 0.0
+    target = u * total
+    for j, v in enumerate(values):
+        acc += v
+        if target < acc:
+            return j
+    return len(values) - 1
+
+
+def _direct_jump(net, compiled, state, values, total, u, t, max_count):
+    delta = compiled[_direct_pick(values, total, u)][2]
+    for i, d in enumerate(delta):
+        state[i] += d
+        if state[i] > max_count:
+            raise PopulationExplosion(
+                f"species {net.species[i]} exceeded {max_count} at t={t:.6g}"
+            )
+
+
+def direct_simulate(net, n0, t_end, seed, max_count, max_jumps=None):
+    """Gillespie's direct method, propensities recomputed and scanned
+    linearly at every jump; returns (times, states) as lists.  Stops
+    after ``max_jumps`` jumps when that is given."""
+    compiled = _direct_prepare(net)
+    rng = random.Random(seed)
+    state = list(n0)
+    t = 0.0
+    times, states = [0.0], [tuple(state)]
+    while max_jumps is None or len(times) <= max_jumps:
+        values, total = _direct_propensities(compiled, state)
+        if total <= 0.0:
+            break
+        wait = rng.expovariate(total)
+        if t + wait > t_end:
+            break
+        t += wait
+        _direct_jump(net, compiled, state, values, total, rng.random(), t, max_count)
+        times.append(t)
+        states.append(tuple(state))
+    return times, states
+
+
+def direct_histogram(net, n0, burn_in, sample_count, sample_interval, seed, max_count):
+    """Fixed-interval snapshot counts of the direct method's chain."""
+    compiled = _direct_prepare(net)
+    rng = random.Random(seed)
+    state = list(n0)
+    counts = {}
+    t = 0.0
+    next_sample = float(burn_in)
+    taken = 0
+    while taken < sample_count:
+        values, total = _direct_propensities(compiled, state)
+        if total <= 0.0:
+            key = tuple(state)
+            counts[key] = counts.get(key, 0) + (sample_count - taken)
+            break
+        t_jump = t + rng.expovariate(total)
+        while taken < sample_count and next_sample < t_jump:
+            key = tuple(state)
+            counts[key] = counts.get(key, 0) + 1
+            taken += 1
+            next_sample += sample_interval
+        _direct_jump(net, compiled, state, values, total, rng.random(), t_jump, max_count)
+        t = t_jump
+    return counts

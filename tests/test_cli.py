@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -169,6 +170,28 @@ class TestSsaCommand:
         run(["ssa", bd_file, "--n0", "0", "--t-end", "3", "--seed", "11"])
         assert capsys.readouterr().out == first
 
+    # SHA-256 of stdout recorded with the direct-method SSA (a linear scan
+    # over propensities recomputed at every jump); for a seed, the draws
+    # and hence the output bytes must never change.
+    @pytest.mark.parametrize(
+        "text, args, digest",
+        [
+            (DIATOMIC, ["--n0", "10,0", "--t-end", "20", "--seed", "7"],
+             "3e05a7d177f49546596c213261eaf1868cac96e2b5ca102e7a0a344a15021341"),
+            (BD, ["--n0", "0", "--histogram", "--burn-in", "5", "--samples", "2000",
+                  "--interval", "0.5", "--seed", "3"],
+             "de4ad03a431e79f7450c7e5bd24e881a3bce1c6c812b9db51c475e47fe32a0d8"),
+            (DIATOMIC, ["--n0", "3,0", "--histogram", "--burn-in", "5", "--samples", "2000",
+                        "--interval", "0.5", "--seed", "21"],
+             "463c99ce383bcda1384c061b68b9ffea973ceb2dcee4761b8545c19e6b83d3b2"),
+        ],
+    )
+    def test_golden_output_bytes(self, tmp_path, capsys, text, args, digest):
+        path = tmp_path / "net.crn"
+        path.write_text(text)
+        assert run(["ssa", str(path), *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestNoetherCommand:
     def test_diatomic_report(self, dia_file, capsys):
@@ -197,6 +220,12 @@ class TestTypedErrors:
             (AUTOCATALYSIS, ["rate", "--x0", "1"], "E_EXPLODE"),
             (AUTOCATALYSIS, ["equilibrium", "--x0", "1"], "E_EXPLODE"),
             (DIATOMIC, ["noether", "--c", "0.5,1", "--s", "nan"], "E_VALUE"),
+            # non-finite SSA horizons used to loop forever on a closed network
+            (DIATOMIC, ["ssa", "--n0", "1,0", "--t-end", "inf"], "E_VALUE"),
+            (DIATOMIC, ["ssa", "--n0", "1,0", "--t-end", "nan"], "E_VALUE"),
+            (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--burn-in", "inf"], "E_VALUE"),
+            (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--burn-in", "nan"], "E_VALUE"),
+            (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--interval", "inf"], "E_VALUE"),
         ],
     )
     def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, text, args, code):

@@ -34,7 +34,7 @@ from crnkit import (
     pure_state,
 )
 
-from support import dense_hamiltonian, dense_ladders, ordered_selection_count, random_network
+from support import dense_hamiltonian, ordered_selection_count, random_network
 
 
 @pytest.fixture

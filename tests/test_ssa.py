@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from crnkit import ssa
 from crnkit import (
     DimensionMismatch,
     Histogram,
@@ -22,7 +25,13 @@ from crnkit import (
     stationary_histogram,
 )
 
-from support import ordered_selection_count
+from support import (
+    balanced_reversible_network,
+    direct_histogram,
+    direct_simulate,
+    ordered_selection_count,
+    random_network,
+)
 
 
 class TestPropensity:
@@ -174,3 +183,79 @@ class TestSectorEquilibrium:
             abs(hist.frequency(states[i]) - projected.weights[i]) for i in sector
         )
         assert tv <= 0.05
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except PopulationExplosion as exc:
+        return str(exc)
+
+
+class TestMatchesDirectMethod:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        net_seed=st.integers(0, 2**32 - 1),
+        reversible=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        max_count=st.integers(2, 40),
+        jumps=st.integers(1, 300),
+        fraction=st.just(1.0) | st.floats(0.5, 1.0),
+        burn_in=st.floats(0.0, 1.0),
+        samples=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_same_draws_same_outputs(
+        self, net_seed, reversible, seed, max_count, jumps, fraction, burn_in, samples, data
+    ):
+        # random networks mostly absorb or explode within a few jumps;
+        # reversible ones keep long chains going
+        rng = random.Random(net_seed)
+        net = balanced_reversible_network(rng)[0] if reversible else random_network(rng)
+        k = net.num_species
+        n0 = data.draw(st.lists(st.integers(0, max_count + 1), min_size=k, max_size=k))
+        # Horizons come from the oracle's own chain, so no run makes more
+        # than `jumps` jumps whatever the rates: `span` is the time of the
+        # last jump (fraction 1.0 puts t_end exactly on it), or a far
+        # horizon when the chain explodes before it.
+        try:
+            times, _ = direct_simulate(net, n0, 1e300, seed, max_count, max_jumps=jumps)
+            span = times[-1] or 1.0
+        except PopulationExplosion:
+            span = 1e300
+        t_end = fraction * span
+
+        def path():
+            traj = simulate(net, n0, t_end, seed=seed, max_count=max_count)
+            return traj.times.tolist(), [tuple(row) for row in traj.states.tolist()]
+
+        assert _outcome(path) == _outcome(
+            lambda: direct_simulate(net, n0, t_end, seed, max_count)
+        )
+        args = (net, n0, burn_in * span / 2, samples, span / (2 * samples), seed, max_count)
+        assert _outcome(lambda: stationary_histogram(*args).counts) == _outcome(
+            lambda: direct_histogram(*args)
+        )
+
+    def test_memo_eviction_does_not_change_results(self, net_bd, monkeypatch):
+        traj = simulate(net_bd, (0,), 40.0, seed=31)
+        hist = stationary_histogram(net_bd, (0,), 5.0, 500, 0.5, seed=32)
+        visited = {tuple(row) for row in traj.states.tolist()}
+        assert len(visited) > 2
+        chains = []
+
+        def recording(net, max_count):
+            chain, step = real_chain(net, max_count)
+            chains.append(chain)
+            return chain, step
+
+        real_chain = ssa._chain
+        monkeypatch.setattr(ssa, "_chain", recording)
+        monkeypatch.setattr(ssa, "_MEMO_STATES", 2)
+        small = simulate(net_bd, (0,), 40.0, seed=31)
+        assert np.array_equal(small.times, traj.times)
+        assert np.array_equal(small.states, traj.states)
+        assert stationary_histogram(net_bd, (0,), 5.0, 500, 0.5, seed=32).counts == hist.counts
+        # a bound of 2 really evicted: states were recomputed after eviction
+        info = chains[0].cache_info()
+        assert info.maxsize == 2 and info.misses > len(visited)
