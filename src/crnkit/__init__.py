@@ -66,7 +66,9 @@ from .fock import (
     linear_observable,
     master_residual,
     network_margin,
+    noether_report,
     number_operator,
+    poisson_logpmf,
     project_onto,
     pure_state,
 )

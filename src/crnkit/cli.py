@@ -22,22 +22,17 @@ from .errors import CrnError
 from .fock import (
     TruncationBox,
     ack_residual,
-    apply_symmetry,
     coherent_state,
-    commutator,
     default_box,
     evolve_master,
     hamiltonian,
-    interior_mask,
-    linear_observable,
-    master_residual,
     network_margin,
-    project_onto,
+    noether_report,
     pure_state,
 )
 from .parser import format_network, parse_network
 from .ssa import simulate, stationary_histogram
-from .structure import complex_balance_report, conserved_quantities, structure_report
+from .structure import complex_balance_report, structure_report
 
 __all__ = ["run", "main"]
 
@@ -167,41 +162,9 @@ def _cmd_ssa(args) -> int:
 
 def _cmd_noether(args) -> int:
     net = _read_network(args.input)
-    basis = conserved_quantities(net)
     box = _box_from_args(args, net, c=args.c)
-    h_op = hamiltonian(net, box)
-    doc = {
-        "c": list(args.c),
-        "caps": list(box.caps),
-        "conserved_basis": [list(w) for w in basis],
-        "commutator_max_abs": [
-            commutator(h_op, linear_observable(w, box)).max_abs() for w in basis
-        ],
-    }
-    if basis:
-        w = basis[0]
-        psi_sym, predicted = apply_symmetry(args.c, w, args.s, box)
-        reference, _ = coherent_state(predicted, box)
-        inside = interior_mask(box, network_margin(net))
-        ref = reference.weights[inside]
-        got = psi_sym.weights[inside]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
-        lam = args.lam if args.lam is not None else int(round(float(np.dot(w, args.c))))
-        psi_c, _ = coherent_state(args.c, box)
-        projected = project_onto(psi_c, w, lam)
-        proj_report = master_residual(net, projected)
-        doc["symmetry"] = {
-            "w": list(w),
-            "s": args.s,
-            "predicted_c": [float(v) for v in predicted],
-            "max_rel_err_interior": float(rel.max(initial=0.0)),
-        }
-        doc["projection"] = {
-            "w": list(w),
-            "lam": lam,
-            "interior_residual_l1": proj_report.interior_l1,
-        }
+    doc = {"c": list(args.c), "caps": list(box.caps)}
+    doc.update(noether_report(net, args.c, box, args.s, args.lam))
     _emit_json(doc, args.out)
     return 0
 

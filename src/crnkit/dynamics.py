@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionMismatch,
@@ -155,6 +154,8 @@ def integrate_rate(
                 states.append(x)
             return _finite_trajectory(np.array(times), np.array(states))
         if method == "rk45":
+            from scipy.integrate import solve_ivp  # slow to import; rk4 runs without it
+
             sol = solve_ivp(
                 lambda _t, y: field(y), (0.0, t_end), x0,
                 method="RK45", rtol=rtol, atol=atol,

@@ -13,6 +13,11 @@ dynamics in a boundary layer whose width is the largest stoichiometric
 coefficient.  Certification therefore reads residuals on interior states
 only, at least that margin away from every cap.
 
+The box is a product of per-species ranges, and the engine builds from
+that structure instead of a states x species array: a transition moves the
+flat index by a constant offset from a sub-box of sources, and per-state
+tables (coherent weights, w . n, the interior) are outer sums of 1-D ones.
+
 Coherent states carry the untruncated product-Poisson weights (computed
 through log-gamma, no factorial overflow) without renormalization; the
 lost tail mass is reported alongside.
@@ -23,11 +28,13 @@ stochastic matrix I + H/max|H_nn|, nonnegative and mass-conserving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import (
     BoxMismatch,
@@ -38,6 +45,7 @@ from .errors import (
     SymmetryOverflow,
 )
 from .network import Network, validate_classical
+from .structure import conserved_quantities
 
 __all__ = [
     "TruncationBox",
@@ -60,6 +68,8 @@ __all__ = [
     "master_residual",
     "project_onto",
     "apply_symmetry",
+    "noether_report",
+    "poisson_logpmf",
 ]
 
 _LOG_DBL_MAX = 709.0
@@ -263,15 +273,12 @@ def creation(i: int, box: TruncationBox) -> SparseOperator:
 
 def number_operator(i: int, box: TruncationBox) -> SparseOperator:
     """Diagonal count of species i (eigenvalue n_i on basis(n))."""
-    return SparseOperator.wrap(box, sp.diags(box.states()[:, i].astype(float)))
+    return linear_observable(np.eye(box.k, dtype=np.int64)[i], box)
 
 
 def linear_observable(w, box: TruncationBox) -> SparseOperator:
     """Diagonal observable sum_i w_i N_i (eigenvalue w . n on basis(n))."""
-    w = np.asarray(w, dtype=np.int64)
-    if w.shape != (box.k,):
-        raise DimensionMismatch(f"weight vector shape {w.shape}, expected ({box.k},)")
-    return SparseOperator.wrap(box, sp.diags((box.states() @ w).astype(float)))
+    return SparseOperator.wrap(box, sp.diags(_sector_values(w, box).astype(float)))
 
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
@@ -291,6 +298,13 @@ def hamiltonian(net: Network, box: TruncationBox, policy: str = "truncate-pair")
     the firing adds rate*f at (target, n) and subtracts it at (n, n); when
     the target lies outside the box both contributions are dropped, so all
     column sums vanish.
+
+    A firing moves the flat index by the constant (t - s) . strides, and
+    its sources inside the box form the sub-box s_i <= n_i <= cap_i -
+    max(t_i - s_i, 0), so the CSR arrays are laid out directly: one slot
+    per row for each distinct offset, in column order, the diagonal at
+    offset 0.  Fluxes sharing a slot add in transition order; self-loops
+    cancel exactly and are skipped.
     """
     if policy != "truncate-pair":
         raise ValueError(f"unknown boundary policy {policy!r}")
@@ -298,41 +312,74 @@ def hamiltonian(net: Network, box: TruncationBox, policy: str = "truncate-pair")
         raise DimensionMismatch(
             f"box has {box.k} species, network has {net.num_species}"
         )
-    states = box.states()
-    caps = np.asarray(box.caps, dtype=np.int64)
     kernel = net.mass_action
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    strides = [math.prod(box.shape[i + 1 :]) for i in range(box.k)]
+    firing = []  # (transition, flat offset, source sub-box, target sub-box)
     for j in range(net.num_transitions):
-        fall = kernel.falling(states, j)
-        active = np.flatnonzero(fall > 0)
-        targets = states[active] + (kernel.outputs[j] - kernel.inputs[j])
-        inside = np.all((targets >= 0) & (targets <= caps), axis=1)
-        src = active[inside]
-        if src.size == 0:
+        need = kernel.inputs[j].tolist()
+        delta = (kernel.outputs[j] - kernel.inputs[j]).tolist()
+        tops = [cap - max(d, 0) for cap, d in zip(box.caps, delta)]
+        offset = sum(d * stride for d, stride in zip(delta, strides))
+        if offset == 0 or any(s > top for s, top in zip(need, tops)):
             continue
-        tgt = np.ravel_multi_index(targets[inside].T, box.shape)
-        flux = kernel.rates[j] * fall[src]
-        rows.extend((tgt, src))
-        cols.extend((src, src))
-        vals.extend((flux, -flux))
-    if rows:
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(box.size, box.size),
-        )
-    else:
-        mat = sp.coo_matrix((box.size, box.size))
-    return SparseOperator.wrap(box, mat)
+        sources = tuple(slice(s, top + 1) for s, top in zip(need, tops))
+        targets = tuple(slice(s + d, top + 1 + d) for s, top, d in zip(need, tops, delta))
+        firing.append((j, offset, sources, targets))
+    offsets = sorted({0, *(f[1] for f in firing)}, reverse=True)
+    slots = np.zeros((box.size, len(offsets)))  # the CSR rows, zeros included
+    diagonal = slots[:, offsets.index(0)].reshape(box.shape)
+    for j, offset, sources, targets in firing:
+        grid = np.ix_(*(np.arange(s.start, s.stop) for s in sources))
+        flux = kernel.rates[j] * kernel.falling(grid, j)
+        # reshaping a column splits one axis, so it is a view into slots
+        slots[:, offsets.index(offset)].reshape(box.shape)[targets] += flux
+        diagonal[sources] -= flux
+    index = np.int32 if slots.size < 2**31 else np.int64
+    columns = np.empty(slots.shape, dtype=index)
+    for q, offset in enumerate(offsets):
+        np.subtract(np.arange(box.size, dtype=index), offset, out=columns[:, q])
+    stored = slots != 0
+    indptr = np.zeros(box.size + 1, dtype=index)
+    indptr[1:] = np.cumsum(stored.ravel(), dtype=index)[len(offsets) - 1 :: len(offsets)]
+    mat = sp.csr_matrix(
+        (slots[stored], columns[stored], indptr), shape=(box.size, box.size)
+    )
+    return SparseOperator(box, mat)
+
+
+# ---------------------------------------------------------------------------
+# product structure of the box
+
+def _outer_sum(tables) -> np.ndarray:
+    """tables[0][n_0] + tables[1][n_1] + ... per box state, flat, added in species order."""
+    return reduce(np.add.outer, tables).ravel()
+
+
+def _sector_values(w, box: TruncationBox) -> np.ndarray:
+    """w . n per box state for an integer weight vector ``w``."""
+    w = np.asarray(w, dtype=np.int64)
+    if w.shape != (box.k,):
+        raise DimensionMismatch(f"weight vector shape {w.shape}, expected ({box.k},)")
+    return _outer_sum([wi * np.arange(cap + 1) for wi, cap in zip(w.tolist(), box.caps)])
 
 
 # ---------------------------------------------------------------------------
 # coherent states and residual certification
 
+def poisson_logpmf(k, mu):
+    """log Pois(k; mu) = k log mu - log k! - mu, with 0 log 0 = 0.
+
+    The formula of ``scipy.stats.poisson``, so values agree bit for bit,
+    without importing ``scipy.stats``.
+    """
+    return xlogy(k, mu) - gammaln(k + 1) - mu
+
+
 def _log_poisson_weights(c: np.ndarray, box: TruncationBox) -> np.ndarray:
-    """log of the product-Poisson weight per box state (log-gamma based)."""
-    return poisson.logpmf(box.states(), c).sum(axis=1)
+    """log of the product-Poisson weight per box state: an outer sum of 1-D tables."""
+    return _outer_sum(
+        [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(box.caps, c)]
+    )
 
 
 def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
@@ -355,8 +402,9 @@ def network_margin(net: Network) -> int:
 
 def interior_mask(box: TruncationBox, margin: int) -> np.ndarray:
     """Boolean mask of states at least ``margin`` below every cap."""
-    caps = np.asarray(box.caps, dtype=np.int64)
-    return np.all(box.states() <= caps - int(margin), axis=1)
+    mask = np.zeros(box.shape, dtype=bool)
+    mask[tuple(slice(0, max(cap + 1 - int(margin), 0)) for cap in box.caps)] = True
+    return mask.ravel()
 
 
 def default_box(c, margin: int, nsigma: float = 10.0, floor: int = 8) -> TruncationBox:
@@ -385,9 +433,11 @@ class AckReport:
 
 def master_residual(net: Network, psi: MixedState) -> AckReport:
     """Residual H*psi of an arbitrary mixed state under the network's generator."""
-    h_op = hamiltonian(net, psi.box)
+    return _residual(hamiltonian(net, psi.box), psi, network_margin(net))
+
+
+def _residual(h_op: SparseOperator, psi: MixedState, margin: int) -> AckReport:
     residual = np.abs(h_op.apply(psi.weights))
-    margin = network_margin(net)
     inside = interior_mask(psi.box, margin)
     return AckReport(
         interior_l1=float(residual[inside].sum()),
@@ -418,10 +468,7 @@ def ack_residual(net: Network, c, box: TruncationBox | None = None) -> AckReport
 
 def project_onto(psi: MixedState, w, lam: int) -> MixedState:
     """Condition ``psi`` on the sector w . n == lam and renormalize to 1."""
-    w = np.asarray(w, dtype=np.int64)
-    if w.shape != (psi.box.k,):
-        raise DimensionMismatch(f"weight vector shape {w.shape}, expected ({psi.box.k},)")
-    sector = (psi.box.states() @ w) == int(lam)
+    sector = _sector_values(w, psi.box) == int(lam)
     mass = float(psi.weights[sector].sum())
     if not sector.any() or mass <= 0.0:
         raise EmptySector(f"no probability mass in the sector w.n == {lam}")
@@ -438,11 +485,9 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
     """
     c = validate_classical(c, box.k)
     w = np.asarray(w, dtype=np.int64)
-    if w.shape != (box.k,):
-        raise DimensionMismatch(f"weight vector shape {w.shape}, expected ({box.k},)")
+    sector_values = _sector_values(w, box)
     if not np.isfinite(s):
         raise InvalidValue(f"s must be finite, got {s}")
-    sector_values = box.states() @ w
     peak = float(np.abs(sector_values).max(initial=0.0)) * abs(float(s))
     if peak > _LOG_DBL_MAX:
         raise SymmetryOverflow(
@@ -456,8 +501,68 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
     return MixedState(box, weights), predicted
 
 
+def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | None = None) -> dict:
+    """The Noether checks of ``crn noether`` as a JSON-ready dict, from one H assembly.
+
+    ``commutator_max_abs`` holds max|[H, O_w]| for every vector w of the
+    conserved basis.  With a nonempty basis, its first w also gives the
+    symmetry demo (exp(s O_w) applied to the coherent state of ``c``
+    against the coherent state of the predicted means: the largest
+    relative error on the interior) and the projection demo (the interior
+    residual of the coherent state of ``c`` conditioned on w . n == ``lam``,
+    by default round(w . c)).
+    """
+    c = validate_classical(c, box.k)
+    basis = conserved_quantities(net)
+    h_op = hamiltonian(net, box)
+    doc = {
+        "conserved_basis": [list(w) for w in basis],
+        "commutator_max_abs": [
+            commutator(h_op, linear_observable(w, box)).max_abs() for w in basis
+        ],
+    }
+    if not basis:
+        return doc
+    w = basis[0]
+    psi_sym, predicted = apply_symmetry(c, w, s, box)
+    reference, _ = coherent_state(predicted, box)
+    margin = network_margin(net)
+    inside = interior_mask(box, margin)
+    ref = reference.weights[inside]
+    got = psi_sym.weights[inside]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
+    if lam is None:
+        lam = int(round(float(np.dot(w, c))))
+    projected = project_onto(coherent_state(c, box)[0], w, lam)
+    doc["symmetry"] = {
+        "w": list(w),
+        "s": s,
+        "predicted_c": [float(v) for v in predicted],
+        "max_rel_err_interior": float(rel.max(initial=0.0)),
+    }
+    doc["projection"] = {
+        "w": list(w),
+        "lam": lam,
+        "interior_residual_l1": _residual(h_op, projected, margin).interior_l1,
+    }
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # time evolution
+
+def _poisson_isf(q: float, mu: float) -> float:
+    """Smallest K with P(N > K) <= q for N ~ Pois(mu), by scipy.stats' own route.
+
+    ceil of the inverse CDF at 1 - q, stepped down once when the CDF one
+    below already reaches 1 - q; NaN when ``mu`` is out of range.
+    """
+    p = 1.0 - q
+    above = np.ceil(pdtrik(p, mu))
+    below = np.maximum(above - 1, 0)
+    return float(below if pdtr(below, mu) >= p else above)
+
 
 def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     """exp(t H) psi0 by uniformization: sum_{k<=K} Pois(k; L t) P^k psi0.
@@ -477,10 +582,10 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     if t == 0 or lam == 0:
         return psi0
     mean = lam * t
-    terms = poisson.isf(_POISSON_TAIL, mean)  # NaN when the mean is out of scipy's range
+    terms = _poisson_isf(_POISSON_TAIL, mean)  # NaN when the mean is out of range
     if not terms <= _MAX_MATVECS:
         raise BudgetExceeded(f"Lambda*t = {mean:.4g} needs over {_MAX_MATVECS} mat-vecs")
-    weights = poisson.pmf(np.arange(int(terms) + 1), mean)
+    weights = np.exp(poisson_logpmf(np.arange(int(terms) + 1), mean))
     weights /= weights.sum()
     step = H.matrix / lam + sp.identity(H.box.size, format="csr")
     vec = psi0.weights

@@ -274,15 +274,18 @@ class MassAction:
         factors[:, diag, diag] = self.inputs * x ** np.maximum(self.inputs - 1, 0)
         return self.change.T @ (self.rates[:, None] * factors.prod(axis=2))
 
-    def falling(self, states: np.ndarray, j: int) -> np.ndarray:
-        """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j per state row.
+    def falling(self, counts, j: int):
+        """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
 
-        Zero whenever some n_i < s_i, since the product then passes through 0.
+        ``counts[i]`` holds the counts of species i: a column of a state
+        array, a scalar, or one axis of an open grid (``np.ix_``), since the
+        factors broadcast.  Zero whenever some n_i < s_i, since the product
+        then passes through 0; 1.0 for the empty complex.
         """
-        values = np.ones(states.shape[0])
+        values = 1.0
         for i, need in enumerate(self.inputs[j].tolist()):
             for m in range(need):
-                values = values * (states[:, i] - m)
+                values = values * (counts[i] - m)
         return values
 
 

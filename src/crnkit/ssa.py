@@ -21,9 +21,9 @@ from itertools import accumulate, chain
 from operator import add
 
 import numpy as np
-from scipy.stats import poisson
 
 from .errors import DimensionMismatch, InvalidValue, PopulationExplosion
+from .fock import poisson_logpmf
 from .network import CountVector, Network, validate_classical
 
 __all__ = [
@@ -50,8 +50,19 @@ def propensity(net: Network, n, tau_index: int) -> float:
     if len(n) != net.num_species:
         raise DimensionMismatch(f"state has length {len(n)}, expected {net.num_species}")
     kernel = net.mass_action
-    value = kernel.rates[tau_index] * kernel.falling(np.array([n], dtype=float), tau_index)[0]
+    value = kernel.rates[tau_index] * kernel.falling(np.array(n, dtype=float), tau_index)
     return float(max(value, 0.0))
+
+
+def _start_state(net: Network, n0) -> tuple[int, ...]:
+    """``n0`` as a state tuple; a negative or fractional count raises ``E_VALUE``."""
+    try:
+        state = tuple(CountVector(n0))
+    except ValueError as exc:
+        raise InvalidValue(str(exc)) from None
+    if len(state) != net.num_species:
+        raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
+    return state
 
 
 def _chain(net: Network, max_count: int):
@@ -149,15 +160,12 @@ def simulate(
     Waiting times are exponential with the total propensity as rate; the
     jump is chosen proportionally to individual propensities.  Any species
     crossing ``max_count`` aborts with ``E_EXPLODE`` (open networks can
-    grow without bound).
+    grow without bound); a ``t_end`` that is not finite and positive, or a
+    negative or fractional count in ``n0``, raises ``E_VALUE``.
     """
-    if not math.isfinite(t_end):
-        raise InvalidValue(f"t_end must be finite, got {t_end}")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    state = tuple(CountVector(n0))
-    if len(state) != net.num_species:
-        raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
+    if not 0 < t_end < math.inf:
+        raise InvalidValue(f"t_end must be finite and positive, got {t_end}")
+    state = _start_state(net, n0)
     memo, step = _chain(net, max_count)
     rng = random.Random(seed)
     expovariate, rand = rng.expovariate, rng.random
@@ -222,15 +230,14 @@ def stationary_histogram(
 
     Records the state at burn_in, burn_in + interval, ... for
     ``sample_count`` samples.  If the chain absorbs, the absorbed state
-    fills the remaining snapshots.
+    fills the remaining snapshots.  Out-of-domain arguments raise ``E_VALUE``.
     """
-    if not (math.isfinite(burn_in) and math.isfinite(sample_interval)):
-        raise InvalidValue("burn_in and sample_interval must be finite")
-    if burn_in < 0 or not sample_interval > 0 or sample_count < 1:
-        raise ValueError("burn_in must be >= 0, sample_interval and sample_count positive")
-    state = tuple(CountVector(n0))
-    if len(state) != net.num_species:
-        raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
+    if not (0 <= burn_in < math.inf and 0 < sample_interval < math.inf and sample_count >= 1):
+        raise InvalidValue(
+            "burn_in must be finite and >= 0, sample_interval finite and positive, "
+            "sample_count positive"
+        )
+    state = _start_state(net, n0)
     memo, step = _chain(net, max_count)
     rng = random.Random(seed)
     expovariate, rand = rng.expovariate, rng.random
@@ -271,7 +278,7 @@ def compare_to_poisson(hist: Histogram, c) -> PoissonComparison:
     c = validate_classical(c, k)
     shape = tuple(cap + 1 for cap in hist.caps)
     states = np.indices(shape).reshape(k, -1).T
-    log_pois = poisson.logpmf(states, c).sum(axis=1)
+    log_pois = poisson_logpmf(states, c).sum(axis=1)
     reference = np.exp(log_pois)
     reference /= reference.sum()
     empirical = np.zeros(states.shape[0])

@@ -120,6 +120,29 @@ def dense_hamiltonian(net, box):
     return out
 
 
+def coo_hamiltonian(net, box):
+    """The generator as unsummed COO triplets, assembled from the full state
+    array: per transition, +flux at (target, source) and -flux at (source,
+    source) for every source whose falling factorial is positive, both
+    dropped when the target leaves the box.  Returns (rows, cols, vals)."""
+    states = box.states()
+    caps = np.asarray(box.caps, dtype=np.int64)
+    kernel = net.mass_action
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for j in range(net.num_transitions):
+        fall = np.broadcast_to(kernel.falling(states.T, j), states.shape[:1])
+        active = np.flatnonzero(fall > 0)
+        targets = states[active] + (kernel.outputs[j] - kernel.inputs[j])
+        inside = np.all((targets >= 0) & (targets <= caps), axis=1)
+        src = active[inside]
+        tgt = np.ravel_multi_index(targets[inside].T, box.shape)
+        flux = kernel.rates[j] * fall[src]
+        rows.extend((tgt, src))
+        cols.extend((src, src))
+        vals.extend((flux, -flux))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def _direct_prepare(net):
     kernel = net.mass_action
     deltas = (kernel.outputs - kernel.inputs).tolist()

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import crnkit
+from crnkit import cli, fock
 from crnkit.cli import run
 
 DIATOMIC = "X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
@@ -34,6 +39,50 @@ def strip_timestamp(text: str) -> str:
     return "\n".join(
         line for line in text.splitlines() if '"generated_at"' not in line
     )
+
+
+# SHA-256 of strip_timestamp(stdout), recorded with the
+# generator assembled as COO triplets from the full state array and the
+# coherent weights from scipy.stats.poisson over it; the box's product
+# structure must not move a byte.
+@pytest.mark.parametrize(
+    "text, args, digest",
+    [
+        (DIATOMIC, ["ack", "--c", "0.5,1"],
+         "ef1d1ec365f2c62998b2768f87db221cba9ec313c83ee97d016f42de6d68e9f1"),
+        (DIATOMIC, ["ack", "--c", "1,1"],
+         "57cea05b053bdd382ba6544e1f267f307f8a0b22447387e590e83264a4671418"),
+        (BD, ["ack", "--c", "3"],
+         "2ce64b0f25785d71299ef20b0abdcc3b569239435e75125f2fe24a7620669d44"),
+        (DIATOMIC, ["noether", "--c", "0.5,1"],
+         "7a9372755987735d81222a127bdb953b12271bdc5bbad33bab2100278b427572"),
+        (DIATOMIC, ["master", "--c", "0.5,1", "--caps", "8,8", "--t-end", "1"],
+         "dc9663ee8522e5e123e36b58bc8144b14188891ea0ef8d9389cceb2baf55d5fe"),
+    ],
+)
+def test_golden_fock_output_bytes(tmp_path, capsys, text, args, digest):
+    path = tmp_path / "net.crn"
+    path.write_text(text)
+    run([args[0], str(path), *args[1:]])
+    out = strip_timestamp(capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    code = (
+        "import sys, crnkit; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(crnkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestParseCommand:
@@ -137,6 +186,7 @@ class TestMasterCommand:
             (["--n0", "0", "--caps", "15", "--t-end", "nan"], "E_VALUE"),
             (["--n0", "0", "--caps", "15", "--t-end", "-1"], "E_VALUE"),
             (["--n0", "0", "--caps", "15", "--t-end", "1e12"], "E_BUDGET"),
+            (["--n0", "0", "--caps", "15", "--t-end", "1e308"], "E_BUDGET"),  # Lambda*t = inf
             (["--c", "inf"], "E_VALUE"),
         ],
     )
@@ -202,6 +252,19 @@ class TestNoetherCommand:
         assert doc["symmetry"]["predicted_c"] == [2.0, 2.0]
         assert doc["projection"]["interior_residual_l1"] <= 1e-8
 
+    def test_generator_assembled_once(self, dia_file, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = fock.hamiltonian
+        monkeypatch.setattr(fock, "hamiltonian", counting)
+        monkeypatch.setattr(cli, "hamiltonian", counting)
+        assert run(["noether", dia_file, "--c", "0.5,1"]) == 0
+        assert len(calls) == 1
+
     def test_no_conserved_basis(self, bd_file, capsys):
         code, doc = run_json(["noether", bd_file, "--c", "3"], capsys)
         assert code == 0
@@ -220,12 +283,17 @@ class TestTypedErrors:
             (AUTOCATALYSIS, ["rate", "--x0", "1"], "E_EXPLODE"),
             (AUTOCATALYSIS, ["equilibrium", "--x0", "1"], "E_EXPLODE"),
             (DIATOMIC, ["noether", "--c", "0.5,1", "--s", "nan"], "E_VALUE"),
+            # no conserved quantity, so nothing used the means before
+            (BD, ["noether", "--c", "nan", "--caps", "10"], "E_VALUE"),
             # non-finite SSA horizons used to loop forever on a closed network
             (DIATOMIC, ["ssa", "--n0", "1,0", "--t-end", "inf"], "E_VALUE"),
             (DIATOMIC, ["ssa", "--n0", "1,0", "--t-end", "nan"], "E_VALUE"),
             (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--burn-in", "inf"], "E_VALUE"),
             (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--burn-in", "nan"], "E_VALUE"),
             (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--interval", "inf"], "E_VALUE"),
+            # finite out-of-domain SSA inputs
+            (DIATOMIC, ["ssa", "--n0=-1,0"], "E_VALUE"),
+            (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--samples", "0"], "E_VALUE"),
         ],
     )
     def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, text, args, code):

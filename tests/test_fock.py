@@ -3,16 +3,24 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 from scipy.stats import poisson
 
+from crnkit import fock
 from crnkit import (
     BoxMismatch,
     DimensionMismatch,
     EmptySector,
     MixedState,
     NegativeConcentration,
+    Network,
+    SelfLoopWarning,
+    SparseOperator,
     SymmetryOverflow,
+    Transition,
     TruncationBox,
     ack_residual,
     annihilation,
@@ -30,11 +38,17 @@ from crnkit import (
     network_margin,
     number_operator,
     parse_network,
+    poisson_logpmf,
     project_onto,
     pure_state,
 )
 
-from support import dense_hamiltonian, ordered_selection_count, random_network
+from support import (
+    coo_hamiltonian,
+    dense_hamiltonian,
+    ordered_selection_count,
+    random_network,
+)
 
 
 @pytest.fixture
@@ -168,6 +182,17 @@ class TestHamiltonian:
                     assert h[target, col] == expected
                     assert h[col, col] == -expected
 
+    def test_self_loops_change_nothing(self, net_diatomic):
+        with pytest.warns(SelfLoopWarning):
+            looped = Network(
+                net_diatomic.species,
+                (*net_diatomic.transitions, Transition((1, 1), (1, 1), 1e7)),
+            )
+        box = TruncationBox((6, 6))
+        plain, with_loop = hamiltonian(net_diatomic, box).matrix, hamiltonian(looped, box).matrix
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(with_loop, name), getattr(plain, name))
+
     def test_rejects_unknown_policy(self, net_bd):
         with pytest.raises(ValueError):
             hamiltonian(net_bd, TruncationBox((3,)), policy="reflect")
@@ -175,6 +200,81 @@ class TestHamiltonian:
     def test_dimension_check(self, net_diatomic):
         with pytest.raises(DimensionMismatch):
             hamiltonian(net_diatomic, TruncationBox((3,)))
+
+
+class TestMatchesCooAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), crowded=st.booleans(), data=st.data())
+    def test_same_csr_arrays(self, net_seed, crowded, data):
+        # Self-loops are left out of the oracle's network: its +f - f on the
+        # diagonal can round a small total to 0, which the generator skips.
+        # Crowded networks give some rows more than 16 triplets, which
+        # scipy's sort no longer keeps in transition order before adding.
+        rng = random.Random(net_seed)
+        if crowded:
+            net = random_network(rng, max_species=3, max_transitions=12, max_coeff=2)
+        else:
+            net = random_network(rng)
+        plain = Network(net.species, tuple(t for t in net.transitions if t.input != t.output))
+        k = net.num_species
+        box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))))
+        rows, cols, vals = coo_hamiltonian(plain, box)
+        shape = (box.size, box.size)
+        oracle = SparseOperator.wrap(box, sp.coo_matrix((vals, (rows, cols)), shape=shape)).matrix
+        terms = sp.csr_matrix((np.ones(vals.size), (rows, cols)), shape=shape)
+        terms.sort_indices()
+        got = hamiltonian(net, box).matrix
+        assert np.array_equal(got.indptr, oracle.indptr)
+        assert np.array_equal(got.indices, oracle.indices)
+        assert np.array_equal(terms.indices, oracle.indices)
+        # One or two terms add the same in any order.  m terms of one sign
+        # added in two orders differ by at most (m - 1) eps |sum|: 4 ulp at 5.
+        few = terms.data <= 2
+        assert np.array_equal(got.data[few], oracle.data[few])
+        bound = (terms.data[~few] - 1) * np.finfo(float).eps * np.abs(oracle.data[~few])
+        assert (np.abs(got.data[~few] - oracle.data[~few]) <= bound).all()
+
+
+class TestBoxProductStructure:
+    @pytest.mark.parametrize("caps", [(7,), (3, 5), (2, 3, 4), (1, 2, 1, 3)])
+    def test_coherent_weights_match_state_array_route(self, caps):
+        box = TruncationBox(caps)
+        c = np.array([0.7, 3.0, 0.0, 12.5][: box.k])
+        psi, _ = coherent_state(c, box)
+        expected = np.exp(poisson.logpmf(box.states(), c).sum(axis=1))
+        assert np.array_equal(psi.weights, expected)
+
+    @pytest.mark.parametrize("caps", [(2, 5, 3), (5, 5)])
+    @pytest.mark.parametrize("margin", [-1, 0, 1, 2, 3, 6, 7])
+    def test_interior_mask_matches_state_array_route(self, caps, margin):
+        box = TruncationBox(caps)
+        expected = np.all(box.states() <= np.array(box.caps) - margin, axis=1)
+        assert np.array_equal(interior_mask(box, margin), expected)
+
+    def test_sector_values_match_state_array_route(self):
+        box = TruncationBox((3, 4, 2))
+        w = (2, -1, 3)
+        obs = linear_observable(w, box).to_dense().diagonal()
+        assert np.array_equal(obs, (box.states() @ np.array(w)).astype(float))
+
+
+class TestPoissonHelpers:
+    MEANS = [0.0, 1e-3, 3.0, 3120.0, 5000.0]
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_logpmf_and_pmf_match_scipy_stats_exactly(self, mean):
+        k = np.arange(int(mean + 20 * math.sqrt(mean)) + 30)
+        assert np.array_equal(poisson_logpmf(k, mean), poisson.logpmf(k, mean))
+        assert np.array_equal(np.exp(poisson_logpmf(k, mean)), poisson.pmf(k, mean))
+
+    @pytest.mark.parametrize("mean", MEANS)
+    @pytest.mark.parametrize("q", [1e-14, 1e-6, 0.5])
+    def test_isf_matches_scipy_stats_exactly(self, mean, q):
+        assert fock._poisson_isf(q, mean) == poisson.isf(q, mean)
+
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_isf_is_nan_out_of_range(self, mean):
+        assert math.isnan(fock._poisson_isf(1e-14, mean))
 
 
 class TestCoherentState:
