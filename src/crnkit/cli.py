@@ -194,9 +194,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
     p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance for rk45")
 
-    p = add("equilibrium", _cmd_equilibrium, "relax and polish an equilibrium to JSON")
+    p = add("equilibrium", _cmd_equilibrium, "pseudo-transient continuation to an equilibrium; JSON")
     p.add_argument("--x0", type=_floats, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="accept |f| <= tol*(1+max|x|) once |f| stops falling")
 
     p = add("master", _cmd_master, "evolve the master equation; distribution CSV")
     p.add_argument("--n0", type=_ints, default=None, help="pure initial state, comma separated")

@@ -4,7 +4,8 @@ The rate vector field is the sum over transitions of
 rate * (output - input) * x^input, with the 0**0 == 1 convention so the
 empty complex contributes a constant source term.  Integration defaults
 to classic fixed-step RK4 for reproducibility; an adaptive RK45 is
-available through :func:`scipy.integrate.solve_ivp`.
+available through :func:`scipy.integrate.solve_ivp`.  Equilibria come
+from pseudo-transient continuation, which ends as Newton's method.
 
 Trajectories must stay in the nonnegative orthant: entries in
 [-1e-12, 0) are treated as roundoff and clamped to zero, anything lower
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 _CLAMP = 1e-12
+_RK45_ATOL = 1e-10
+_MAX_STEPS = 200  # step budget of find_equilibrium; converging networks tried took <= 54
 
 
 def rate_vector_field(net: Network, x) -> np.ndarray:
@@ -121,13 +124,13 @@ def integrate_rate(
     method: str = "rk4",
     step: float | None = None,
     rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> Trajectory:
     """Integrate the rate equation from ``x0`` over [0, t_end].
 
     ``method`` is ``"rk4"`` (fixed step; ``step`` defaults to
     min(0.01, 0.1/L) with L a Jacobian-based Lipschitz estimate at x0) or
-    ``"rk45"`` (adaptive, scipy, controlled by rtol/atol).
+    ``"rk45"`` (adaptive, scipy, controlled by ``rtol`` and an absolute
+    tolerance of 1e-10).
     """
     x0 = validate_classical(x0, net.num_species)
     if not t_end > 0:
@@ -158,7 +161,7 @@ def integrate_rate(
 
             sol = solve_ivp(
                 lambda _t, y: field(y), (0.0, t_end), x0,
-                method="RK45", rtol=rtol, atol=atol,
+                method="RK45", rtol=rtol, atol=_RK45_ATOL,
             )
             if not sol.success:
                 raise StepSizeUnderflow(sol.message)
@@ -166,76 +169,62 @@ def integrate_rate(
     raise ValueError(f"unknown method {method!r}")
 
 
-def find_equilibrium(
-    net: Network,
-    x0,
-    tol: float = 1e-9,
-    max_time: float = 1000.0,
-    chunk: float = 1.0,
-    max_newton: int = 50,
-) -> np.ndarray:
-    """Relax toward an equilibrium of the rate equation, then polish it.
+def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
+    """Equilibrium of the rate equation in x0's stoichiometric class.
 
-    Integrates until the field's infinity norm drops below
-    tol * (1 + max|x|), then runs damped Newton restricted to the affine
-    subspace x0 + span(stoichiometric columns), with the exact Jacobian
-    and backtracking that keeps the state nonnegative.  Raises ``E_NOCONV``
-    if the relaxation phase exhausts ``max_time`` and ``E_EXPLODE`` if the
-    state or the field stops being finite.
+    Pseudo-transient continuation (Kelley & Keyes 1998): backward-Euler
+    steps (I/dt - B^T J B) y = B^T f(x), x += B y, with J the exact
+    Jacobian and B an orthonormal basis of range(Gamma), halved with dt
+    until x >= -1e-12.  dt starts at the default RK4 step and grows by
+    switched evolution relaxation, dt *= |f_old|/|f_new|, at least doubling
+    while |f| falls, so the loop ends as Newton's method.  While B^T J B has
+    an eigenvalue of real part g > 0, dt doubles even as |f| rises, up to
+    1/(2g): beyond 1/g a step would head for the unstable point instead.
+
+    Returns the limit of this pseudo-time flow from x0, the only positive
+    equilibrium of x0's class for a deficiency-zero network, once |f|_inf
+    <= 1e-14 (1 + max|x|) or once |f| stops falling while <= tol (1 +
+    max|x|).  After ``_MAX_STEPS`` steps or at a singular step it raises
+    ``E_EXPLODE`` if |f| grew and ``E_NOCONV`` if not; non-finite values
+    raise ``E_EXPLODE``.
     """
     x = validate_classical(x0, net.num_species).copy()
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if net.num_transitions == 0:
-        return x
     kernel = net.mass_action
-    field = kernel.field
-    elapsed = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _default_step(kernel, x)
-        while True:
-            norm = np.abs(field(x)).max()
+    u_mat, sing, _ = np.linalg.svd(net.stoichiometric_matrix().astype(float), full_matrices=False)
+    basis = u_mat[:, : int((sing > sing.max(initial=0.0) * 1e-12).sum())]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dt = _default_step(kernel, x)
+        fx = kernel.field(x)
+        norm = start = np.abs(fx).max(initial=0.0)
+        for _ in range(_MAX_STEPS):
             if not (np.isfinite(norm) and np.isfinite(x).all()):
-                raise PopulationExplosion(
-                    f"the rate equation left the finite range by t={elapsed:.6g}"
-                )
-            if norm <= tol * (1.0 + np.abs(x).max(initial=0.0)):
+                raise PopulationExplosion("the rate field left the finite range")
+            scale = 1.0 + np.abs(x).max(initial=0.0)
+            if norm <= 1e-14 * scale:
+                return x
+            jac = basis.T @ kernel.jacobian(x) @ basis
+            growth = np.linalg.eigvals(jac).real.max(initial=0.0)
+            if growth > 0:
+                dt = min(dt, 0.5 / growth)
+            try:
+                step = basis @ np.linalg.solve(np.eye(len(jac)) / dt - jac, basis.T @ fx)
+            except np.linalg.LinAlgError:
                 break
-            if elapsed >= max_time:
-                raise NoConvergence(
-                    f"field norm {norm:.3e} still above tolerance after t={elapsed}"
-                )
-            steps = max(1, int(round(chunk / h)))
-            for _ in range(steps):
-                x = _clamp_state(_rk4_step(field, x, h))
-            elapsed += steps * h
-
-        # Newton polish inside the reachable affine subspace
-        gamma = net.stoichiometric_matrix().astype(float)
-        u_mat, sing, _ = np.linalg.svd(gamma, full_matrices=False)
-        rank = int((sing > (sing.max(initial=0.0) * 1e-12)).sum())
-        if rank == 0:
-            return x
-        basis = u_mat[:, :rank]
-        for _ in range(max_newton):
-            fx = field(x)
-            norm0 = np.abs(fx).max()
-            if norm0 <= 1e-14 * (1.0 + np.abs(x).max()):
+            if not np.isfinite(step).all():
                 break
-            jac = kernel.jacobian(x)
-            coeffs, *_ = np.linalg.lstsq(jac @ basis, -fx, rcond=None)
-            direction = basis @ coeffs
-            lam = 1.0
-            improved = False
-            while lam >= 2.0 ** -30:
-                candidate = x + lam * direction
-                if candidate.min() >= -_CLAMP:
-                    candidate = np.where(candidate < 0, 0.0, candidate)
-                    if np.abs(field(candidate)).max() < norm0:
-                        x = candidate
-                        improved = True
-                        break
-                lam *= 0.5
-            if not improved:
-                break
-    return x
+            while (x + step).min() < -_CLAMP:
+                step *= 0.5
+                dt *= 0.5
+            candidate = _clamp_state(x + step)
+            f_new = kernel.field(candidate)
+            norm_new = np.abs(f_new).max()
+            if not norm_new < norm and norm <= tol * scale:
+                return x
+            ratio = norm / norm_new
+            dt *= max(ratio, 2.0) if ratio > 1 or growth > 0 else ratio
+            x, fx, norm = candidate, f_new, norm_new
+    if not norm <= start:
+        raise PopulationExplosion(f"field norm grew from {start:.3e} to {norm:.3e}")
+    raise NoConvergence(f"field norm {norm:.3e} still above tolerance")

@@ -17,12 +17,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import add
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidValue, PopulationExplosion
+from .errors import BudgetExceeded, DimensionMismatch, InvalidValue, PopulationExplosion
 from .fock import poisson_logpmf
 from .network import CountVector, Network, validate_classical
 
@@ -38,6 +38,7 @@ __all__ = [
 
 DEFAULT_MAX_COUNT = 10**6
 _MEMO_STATES = 2**16
+_MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 360 MB
 
 
 def propensity(net: Network, n, tau_index: int) -> float:
@@ -161,7 +162,8 @@ def simulate(
     jump is chosen proportionally to individual propensities.  Any species
     crossing ``max_count`` aborts with ``E_EXPLODE`` (open networks can
     grow without bound); a ``t_end`` that is not finite and positive, or a
-    negative or fractional count in ``n0``, raises ``E_VALUE``.
+    negative or fractional count in ``n0``, raises ``E_VALUE``.  A path
+    that reaches ``_MAX_JUMPS`` jumps before ``t_end`` raises ``E_BUDGET``.
     """
     if not 0 < t_end < math.inf:
         raise InvalidValue(f"t_end must be finite and positive, got {t_end}")
@@ -172,7 +174,7 @@ def simulate(
     t = 0.0
     times = [0.0]
     path = [state]
-    while True:
+    for _ in repeat(None, _MAX_JUMPS):
         total, cumulative, slots = memo(state)
         if total <= 0.0:
             break
@@ -183,6 +185,8 @@ def simulate(
         state = step(state, cumulative, slots, rand() * total, t)
         times.append(t)
         path.append(state)
+    else:
+        raise BudgetExceeded(f"the path reached {_MAX_JUMPS} jumps before t={t_end:.6g}")
     k = net.num_species
     states = np.fromiter(chain.from_iterable(path), np.int64, len(path) * k).reshape(-1, k)
     return JumpTrajectory(np.array(times), states, seed)

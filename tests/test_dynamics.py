@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from crnkit import (
     NegativeState,
     Network,
     NoConvergence,
+    PopulationExplosion,
     StepSizeUnderflow,
+    complex_balance_report,
     conserved_quantities,
     find_equilibrium,
     integrate_rate,
@@ -147,8 +150,47 @@ class TestFindEquilibrium:
     def test_no_convergence_on_pure_growth(self):
         net = parse_network("0 -> A @ 1")
         with pytest.raises(NoConvergence):
-            find_equilibrium(net, [0.0], tol=1e-9, max_time=5.0)
+            find_equilibrium(net, [0.0], tol=1e-9)
 
     def test_polished_residual_is_tiny(self, net_diatomic):
         c = find_equilibrium(net_diatomic, [0.2, 1.4], tol=1e-6)
         assert np.abs(rate_vector_field(net_diatomic, c)).max() <= 1e-12
+
+    def test_balanced_fixtures_end_on_the_balanced_point_of_their_class(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            net, c = balanced_reversible_network(rng)
+            x0 = c * np.array([rng.uniform(0.3, 3.0) for _ in c])
+            x = find_equilibrium(net, x0)
+            assert (x >= 0).all()
+            assert complex_balance_report(net, x, 1e-8).balanced
+            for w in conserved_quantities(net):
+                w = np.array(w, dtype=float)
+                assert abs(w @ x - w @ x0) <= 1e-12 * (np.abs(w) @ x0)
+            assert np.abs(rate_vector_field(net, x)).max() <= 1e-12 * (1.0 + np.abs(x).max())
+
+    @pytest.mark.parametrize(
+        "text, x0, expected, atol",
+        [
+            # the field vanishes like x^2 at the equilibrium 0: Newton only halves x
+            ("2 C -> 0 @ 1", [1.0], [0.0], 1e-7),
+            # relaxation rates about 2000 and 1.5
+            ("A <-> B @ 1000, 1000\nB <-> C @ 1, 1", [1.0, 1.0, 0.0], [2 / 3] * 3, 1e-12),
+            # logistic growth from 1e-3: |f| rises a thousandfold before it falls
+            ("A -> 2 A @ 1\n2 A -> A @ 1", [1e-3], [1.0], 1e-12),
+        ],
+    )
+    def test_slow_stiff_and_growing_flows_converge_fast(self, text, x0, expected, atol):
+        net = parse_network(text)
+        start = time.process_time()
+        x = find_equilibrium(net, x0, tol=1e-9)
+        assert time.process_time() - start < 0.1
+        assert np.abs(x - expected).max() <= atol
+        assert np.abs(rate_vector_field(net, x)).max() <= 1e-9 * (1.0 + np.abs(x).max())
+
+    def test_unbounded_growth_ends_fast_in_e_explode(self):
+        net = parse_network("A -> 2 A @ 0.5")
+        start = time.process_time()
+        with pytest.raises(PopulationExplosion):
+            find_equilibrium(net, [1.0])
+        assert time.process_time() - start < 0.1

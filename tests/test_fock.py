@@ -193,10 +193,6 @@ class TestHamiltonian:
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(with_loop, name), getattr(plain, name))
 
-    def test_rejects_unknown_policy(self, net_bd):
-        with pytest.raises(ValueError):
-            hamiltonian(net_bd, TruncationBox((3,)), policy="reflect")
-
     def test_dimension_check(self, net_diatomic):
         with pytest.raises(DimensionMismatch):
             hamiltonian(net_diatomic, TruncationBox((3,)))
@@ -441,6 +437,22 @@ class TestCommutators:
         h = hamiltonian(net_catalyst, box)
         for w in conserved_quantities(net_catalyst):
             assert commutator(h, linear_observable(w, box)).max_abs() <= 1e-14
+
+    def test_observable_commutator_matches_product_route(self, net_catalyst):
+        # any integer w, conserved or not; the product route rounds H_mn o_n and
+        # o_m H_mn separately, the one-pass route rounds H_mn (o_n - o_m) once
+        rng = random.Random(29)
+        nets = [net_catalyst] + [random_network(rng, max_species=3) for _ in range(20)]
+        for net in nets:
+            box = TruncationBox(tuple(rng.randint(1, 4) for _ in net.species))
+            h = hamiltonian(net, box)
+            for w in [*conserved_quantities(net), *([rng.randint(-3, 3) for _ in net.species]
+                                                    for _ in range(3))]:
+                obs = linear_observable(w, box)
+                expected = commutator(h, obs).max_abs()
+                got = fock._observable_commutator_max_abs(h, w)
+                bound = 4 * np.finfo(float).eps * h.max_abs() * obs.max_abs()
+                assert abs(got - expected) <= bound, (net, w)
 
     def test_diagonal_operators_commute(self):
         box = TruncationBox((4, 4))

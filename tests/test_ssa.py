@@ -9,6 +9,7 @@ from scipy.stats import poisson
 
 from crnkit import ssa
 from crnkit import (
+    BudgetExceeded,
     DimensionMismatch,
     Histogram,
     InvalidValue,
@@ -88,6 +89,16 @@ class TestSimulate:
         net = parse_network("0 -> A @ 1000")
         with pytest.raises(PopulationExplosion):
             simulate(net, (0,), 1e9, seed=2, max_count=50)
+
+    def test_jump_budget(self, net_bd, monkeypatch):
+        traj = simulate(net_bd, (0,), 40.0, seed=31)
+        monkeypatch.setattr(ssa, "_MAX_JUMPS", traj.num_jumps + 1)
+        same = simulate(net_bd, (0,), 40.0, seed=31)
+        assert np.array_equal(same.times, traj.times)
+        assert np.array_equal(same.states, traj.states)
+        monkeypatch.setattr(ssa, "_MAX_JUMPS", traj.num_jumps)
+        with pytest.raises(BudgetExceeded):
+            simulate(net_bd, (0,), 40.0, seed=31)
 
     def test_time_averaged_mean_over_1e6_jumps(self, net_bd):
         # stationary law is Poisson(kappa/gamma) with mean 3
