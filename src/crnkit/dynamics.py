@@ -184,9 +184,10 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
     Returns the limit of this pseudo-time flow from x0, the only positive
     equilibrium of x0's class for a deficiency-zero network, once |f|_inf
     <= 1e-14 (1 + max|x|) or once |f| stops falling while <= tol (1 +
-    max|x|).  After ``_MAX_STEPS`` steps or at a singular step it raises
-    ``E_EXPLODE`` if |f| grew and ``E_NOCONV`` if not; non-finite values
-    raise ``E_EXPLODE``.
+    max|x|) and B^T J B has no growing mode, so a slow flow's start point
+    does not pass for its equilibrium.  After ``_MAX_STEPS`` steps or at a
+    singular step it raises ``E_EXPLODE`` if |f| grew and ``E_NOCONV`` if
+    not; non-finite values raise ``E_EXPLODE``.
     """
     x = validate_classical(x0, net.num_species).copy()
     if not tol > 0:
@@ -220,7 +221,7 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
             candidate = _clamp_state(x + step)
             f_new = kernel.field(candidate)
             norm_new = np.abs(f_new).max()
-            if not norm_new < norm and norm <= tol * scale:
+            if not norm_new < norm and norm <= tol * scale and growth <= 0:
                 return x
             ratio = norm / norm_new
             dt *= max(ratio, 2.0) if ratio > 1 or growth > 0 else ratio

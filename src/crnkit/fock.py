@@ -75,6 +75,7 @@ __all__ = [
 _LOG_DBL_MAX = 709.0
 _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
+_MAX_STATES = 2**24  # largest box; every box-sized array is allocated after this check
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ class TruncationBox:
     """Rectangular state box: per-species caps, inclusive, each >= 1.
 
     Flat indices are row-major over species order, so the last species
-    varies fastest and the zero state maps to index 0.
+    varies fastest and the zero state maps to index 0.  A box of more than
+    ``_MAX_STATES`` states raises ``E_BUDGET`` before anything is allocated.
     """
 
     caps: tuple[int, ...]
@@ -93,6 +95,8 @@ class TruncationBox:
             raise ValueError("a truncation box needs at least one species")
         if any(c < 1 for c in caps):
             raise ValueError("caps must be at least 1")
+        if math.prod(c + 1 for c in caps) > _MAX_STATES:
+            raise BudgetExceeded(f"a box with caps {caps} exceeds {_MAX_STATES} states")
         object.__setattr__(self, "caps", caps)
 
     @property
@@ -461,12 +465,9 @@ def ack_residual(net: Network, c, box: TruncationBox | None = None) -> AckReport
     truncation tail and roundoff; an unbalanced one leaves a finite
     residual.  The box defaults to :func:`default_box` sizing.
     """
-    margin = network_margin(net)
     if box is None:
-        box = default_box(c, margin)
-    psi, tail = coherent_state(c, box)
-    report = master_residual(net, psi)
-    return AckReport(report.interior_l1, report.full_l1, report.margin, tail, box)
+        box = default_box(c, network_margin(net))
+    return master_residual(net, coherent_state(c, box)[0])
 
 
 # ---------------------------------------------------------------------------

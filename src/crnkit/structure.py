@@ -2,16 +2,15 @@
 
 Linkage classes, weak reversibility, deficiency, integer conservation laws
 and the complex-balance test.  Deficiency and conservation laws are
-integer-valued certificates, so rank and null-space computations run over
-exact rational arithmetic (:class:`fractions.Fraction`); floats only enter
-the balance test, which is a numerical statement about a given state.
+integer-valued certificates, so rank and null space come from one exact
+integer elimination over Python ints; floats only enter the balance test,
+which is a numerical statement about a given state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,53 +33,55 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact rational elimination
+# exact integer elimination
 
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column indices."""
-    pivots = []
-    if not rows:
-        return pivots
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+def _rank_and_laws(net: Network) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Stoichiometric rank and canonical conservation-law basis, from one
+    fraction-free Gauss-Jordan elimination over Python ints (Bareiss 1968).
+
+    The rows are the transitions' nonzero net changes.  Clearing column c of
+    a row with entry b against the pivot row with entry a replaces it by
+    a*row - b*pivot_row divided by its gcd, so every entry stays an integer.
+    Reduced pivot row j reads p_j x[c_j] + sum_f row_j[f] x[f] = 0, so free
+    column f gives the null vector with L = lcm|p_j| at f and
+    -row_j[f] * L / p_j at c_j, both exact.  That vector is made coprime with
+    its first nonzero entry positive; RREF is unique, so the sorted basis is
+    the one a rational RREF gives.
+    """
+    rows = [row for row in net.stoichiometric_matrix().T.tolist() if any(row)]
+    pivots: list[int] = []
+    for c in range(net.num_species):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        rows[r], rows[found] = rows[found], rows[r]
+        pivot = rows[r]
+        a = pivot[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if b and i != r:
+                new = [a * x - b * y for x, y in zip(row, pivot)]
+                g = math.gcd(*new) or 1
+                rows[i] = [x // g for x in new]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _fraction_rows(mat: np.ndarray) -> list[list[Fraction]]:
-    return [[Fraction(int(v)) for v in row] for row in mat]
+    scale = math.lcm(*(rows[j][c] for j, c in enumerate(pivots)))
+    basis = []
+    for free in sorted(set(range(net.num_species)) - set(pivots)):
+        vec = [0] * net.num_species
+        vec[free] = scale
+        for j, c in enumerate(pivots):
+            vec[c] = -rows[j][free] * (scale // rows[j][c])
+        g = math.gcd(*vec)
+        if next(v for v in vec if v) < 0:
+            g = -g
+        basis.append(tuple(v // g for v in vec))
+    return len(pivots), tuple(sorted(basis))
 
 
 def stoichiometric_rank(net: Network) -> int:
     """Rank of the stoichiometric matrix over the rationals (exact)."""
-    rows = _fraction_rows(net.stoichiometric_matrix().T)
-    return len(_rref(rows))
-
-
-def _canonical_int_vector(vec: list[Fraction]) -> tuple[int, ...]:
-    scale = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * scale) for f in vec]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    first = next((v for v in ints if v != 0), 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    return _rank_and_laws(net)[0]
 
 
 def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
@@ -90,20 +91,7 @@ def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
     transition.  Vectors are coprime, their first nonzero entry is positive,
     and the basis is sorted lexicographically.
     """
-    k = net.num_species
-    rows = _fraction_rows(net.stoichiometric_matrix().T)  # transitions x species
-    pivots = _rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(k):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * k
-        vec[free] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rows[row_idx][free]
-        basis.append(_canonical_int_vector(vec))
-    return tuple(sorted(basis))
+    return _rank_and_laws(net)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +181,12 @@ def strongly_connected_components(graph: ComplexGraph) -> tuple[tuple[int, ...],
 
 
 def is_weakly_reversible(graph: ComplexGraph) -> bool:
-    """True iff every connected component is strongly connected."""
-    scc_of = {}
-    for sid, comp in enumerate(strongly_connected_components(graph)):
-        for v in comp:
-            scc_of[v] = sid
-    return all(
-        len({scc_of[v] for v in component}) == 1 for component in linkage_classes(graph)
-    )
+    """True iff every connected component is strongly connected.
+
+    Each strong component lies inside one linkage class, so the counts are
+    equal exactly when no linkage class splits into several.
+    """
+    return len(strongly_connected_components(graph)) == len(linkage_classes(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +216,14 @@ def structure_report(net: Network) -> StructureReport:
     """Full structural summary: complexes, linkage classes, rank, deficiency, laws."""
     graph = net.complex_graph()
     classes = linkage_classes(graph)
-    rank = stoichiometric_rank(net)
+    rank, basis = _rank_and_laws(net)
     defect = len(graph.vertices) - len(classes) - rank
     assert defect >= 0, "deficiency must be nonnegative"
-    basis = conserved_quantities(net)
     assert len(basis) == net.num_species - rank
     return StructureReport(
         num_complexes=len(graph.vertices),
         linkage_classes=classes,
-        weakly_reversible=is_weakly_reversible(graph),
+        weakly_reversible=len(strongly_connected_components(graph)) == len(classes),
         stoich_rank=rank,
         deficiency=defect,
         conserved_basis=basis,

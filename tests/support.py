@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: random generators and tiny oracles."""
 
 import itertools
+import math
 import random
 import string
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +49,71 @@ def random_network(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SelfLoopWarning)
         return Network(species, tuple(transitions))
+
+
+def sparse_network(rng: random.Random, k: int, m: int, max_coeff: int = 3) -> Network:
+    """k species S0..S{k-1} and m transitions between distinct complexes of
+    one to three species with coefficients 1..max_coeff, the shape of the
+    benchmark's scan networks."""
+    species = tuple(f"S{i}" for i in range(k))
+
+    def cx():
+        v = [0] * k
+        for i in rng.sample(range(k), rng.randint(1, min(3, k))):
+            v[i] = rng.randint(1, max_coeff)
+        return CountVector(v)
+
+    transitions = []
+    for _ in range(m):
+        a, b = cx(), cx()
+        while b == a:
+            b = cx()
+        transitions.append(Transition(a, b, random_rate(rng)))
+    return Network(species, tuple(transitions))
+
+
+def _fraction_rref(rows: list[list[Fraction]]) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot column indices."""
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def fraction_rank_and_laws(net: Network) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Oracle for the stoichiometric rank and the canonical conservation-law
+    basis: a Fraction RREF of the transitions x species matrix, each free
+    column's null vector cleared of denominators, made coprime with its first
+    nonzero entry positive, and the basis sorted."""
+    k = net.num_species
+    rows = [[Fraction(int(v)) for v in row] for row in net.stoichiometric_matrix().T]
+    pivots = _fraction_rref(rows)
+    basis = []
+    for free in sorted(set(range(k)) - set(pivots)):
+        vec = [Fraction(0)] * k
+        vec[free] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -rows[row_idx][free]
+        scale = math.lcm(*(f.denominator for f in vec))
+        ints = [int(f * scale) for f in vec]
+        g = math.gcd(*ints)
+        sign = -1 if next(v for v in ints if v != 0) < 0 else 1
+        basis.append(tuple(sign * v // g for v in ints))
+    return len(pivots), tuple(sorted(basis))
 
 
 def balanced_reversible_network(rng: random.Random) -> tuple[Network, np.ndarray]:

@@ -1,18 +1,22 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import crnkit
-from crnkit import cli, fock
+from crnkit import cli, fock, format_network
 from crnkit.cli import run
+
+from support import sparse_network
 
 DIATOMIC = "X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
 BD = "species: A\n0 -> A @ 3\nA -> 0 @ 1\n"
 AUTOCATALYSIS = "2 A -> 3 A @ 1\n"
+CATALYST = "species: A B C AC\n0 -> A @ 1\nB -> 0 @ 2\nA + C -> AC @ 0.5\nAC -> 2 B + C @ 1.25\n"
 
 
 @pytest.fixture
@@ -64,6 +68,33 @@ def test_golden_fock_output_bytes(tmp_path, capsys, text, args, digest):
     path = tmp_path / "net.crn"
     path.write_text(text)
     run([args[0], str(path), *args[1:]])
+    out = strip_timestamp(capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _sparse_text(seed, k, m):
+    return format_network(sparse_network(random.Random(seed), k, m)) + "\n"
+
+
+# SHA-256 of strip_timestamp(stdout), recorded with the rank and the
+# conservation laws taken from two Fraction RREFs; the integer elimination
+# must not move a byte.  The 14x10 and 18x14 networks have four laws each.
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (DIATOMIC, "eab6069a422e0ef1d95ac576b8173a75e4e8d5660ff033c4adaf98beaaef1e7b"),
+        (BD, "71d8bf6462a19f749996c9bfc55bc49e89be9ef53087b3c5efa56d590f52e4df"),
+        (AUTOCATALYSIS, "3230322437f11837166cbcbd899dc08e6ce1c87f713b8ac06419ae5bc127e92e"),
+        (CATALYST, "4d866c73fe6cca2fcc55d9eabdcd7f3811801a3b47c293dc76b9ac7c119a4cbe"),
+        (_sparse_text(1, 14, 10), "50caaca40f0aea2082a61b0f0323eb84b7f431194cf768a507b50b57d7339ff4"),
+        (_sparse_text(2, 18, 14), "e8ae2659994613fca169aa6d6da0c38e67becfcc1a25fe3e0c7cba00c734eca3"),
+        (_sparse_text(3, 22, 50), "64b9e6067b00e60b975eac555478d69dd165df486f4c759c7afd361fd7cecf8b"),
+    ],
+)
+def test_golden_analyze_output_bytes(tmp_path, capsys, text, digest):
+    path = tmp_path / "net.crn"
+    path.write_text(text)
+    assert run(["analyze", str(path)]) == 0
     out = strip_timestamp(capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -294,6 +325,9 @@ class TestTypedErrors:
             # finite out-of-domain SSA inputs
             (DIATOMIC, ["ssa", "--n0=-1,0"], "E_VALUE"),
             (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--samples", "0"], "E_VALUE"),
+            # default boxes of about 1e14 and 1e9 states, refused before allocation
+            (DIATOMIC, ["ack", "--c", "1e7,1e7"], "E_BUDGET"),
+            (DIATOMIC, ["ack", "--c", "3e4,3e4"], "E_BUDGET"),
         ],
     )
     def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, text, args, code):

@@ -178,6 +178,8 @@ class TestFindEquilibrium:
             ("A <-> B @ 1000, 1000\nB <-> C @ 1, 1", [1.0, 1.0, 0.0], [2 / 3] * 3, 1e-12),
             # logistic growth from 1e-3: |f| rises a thousandfold before it falls
             ("A -> 2 A @ 1\n2 A -> A @ 1", [1e-3], [1.0], 1e-12),
+            # the same, slow: |f| = 1e-9 at x0 already passes tol, yet x0 grows
+            ("A -> 2 A @ 1e-6\n2 A -> A @ 1e-12", [1e-3], [1e6], 1e-6),
         ],
     )
     def test_slow_stiff_and_growing_flows_converge_fast(self, text, x0, expected, atol):

@@ -23,7 +23,12 @@ from crnkit import (
 )
 from crnkit import Network
 
-from support import balanced_reversible_network, random_network
+from support import (
+    balanced_reversible_network,
+    fraction_rank_and_laws,
+    random_network,
+    sparse_network,
+)
 
 
 def isolated_graph(n):
@@ -141,6 +146,15 @@ class TestConservedQuantities:
                 )
                 stacked = ours.col_join(theirs)
                 assert stacked.rank() == len(basis)
+
+    def test_rank_and_basis_match_fraction_rref_oracle(self):
+        rng = random.Random(59)
+        nets = [sparse_network(rng, rng.randint(1, 12), rng.randint(0, 24)) for _ in range(150)]
+        nets += [random_network(rng, 8, 14) for _ in range(100)]
+        sizes = ((14, 10), (18, 14), (22, 18), (14, 30), (18, 40), (22, 50))
+        nets += [sparse_network(rng, k, m) for k, m in sizes for _ in range(3)]
+        for net in nets:
+            assert (stoichiometric_rank(net), conserved_quantities(net)) == fraction_rank_and_laws(net)
 
     def test_transition_free_network_conserves_everything(self):
         net = Network(("A", "B"))
