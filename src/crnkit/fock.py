@@ -76,6 +76,7 @@ _LOG_DBL_MAX = 709.0
 _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
 _MAX_STATES = 2**24  # largest box; every box-sized array is allocated after this check
+_MAX_SLOTS = 2**26  # generator slots, box states x offsets; certify's largest is about 2.9M
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,8 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
     max(t_i - s_i, 0), so the CSR arrays are laid out directly: one slot
     per row for each distinct offset, in column order, the diagonal at
     offset 0.  Fluxes sharing a slot add in transition order; self-loops
-    cancel exactly and are skipped.
+    cancel exactly and are skipped.  More than ``_MAX_SLOTS`` slots raise
+    ``E_BUDGET`` before any is allocated.
     """
     if box.k != net.num_species:
         raise DimensionMismatch(
@@ -336,6 +338,8 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
         targets = tuple(slice(s + d, top + 1 + d) for s, top, d in zip(need, tops, delta))
         firing.append((j, offset, sources, targets))
     offsets = sorted({0, *(f[1] for f in firing)}, reverse=True)
+    if box.size * len(offsets) > _MAX_SLOTS:
+        raise BudgetExceeded(f"{box.size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
     slots = np.zeros((box.size, len(offsets)))  # the CSR rows, zeros included
     diagonal = slots[:, offsets.index(0)].reshape(box.shape)
     for j, offset, sources, targets in firing:

@@ -16,7 +16,6 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add
 
@@ -39,6 +38,8 @@ __all__ = [
 DEFAULT_MAX_COUNT = 10**6
 _MEMO_STATES = 2**16
 _MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 360 MB
+# samples, and jumps, per histogram: over 100x the ~6e5 jumps of 1e5 birth-death samples
+_MAX_HIST_JUMPS = 2**26
 
 
 def propensity(net: Network, n, tau_index: int) -> float:
@@ -56,37 +57,45 @@ def propensity(net: Network, n, tau_index: int) -> float:
 
 
 def _start_state(net: Network, n0) -> tuple[int, ...]:
-    """``n0`` as a state tuple; a negative or fractional count raises ``E_VALUE``."""
+    """``n0`` as a state tuple; a negative, fractional or huge count raises ``E_VALUE``."""
     try:
         state = tuple(CountVector(n0))
     except ValueError as exc:
         raise InvalidValue(str(exc)) from None
     if len(state) != net.num_species:
         raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
+    if max(state, default=0) >= 2**1024:  # propensities are floats
+        raise InvalidValue("start counts must be below 2**1024, the float range")
     return state
 
 
-def _chain(net: Network, max_count: int):
-    """The jump chain memoised per visited state, plus its one-jump step.
+class _Records(dict):
+    """The jump chain: ``table[state]`` is the record (total propensity,
+    cumulative propensities in transition order, successor slots, state).
 
-    ``memo(state)`` maps a state tuple to (total propensity, cumulative
-    propensities, successor slots), LRU-bounded at ``_MEMO_STATES`` states.
-    Cumulative sums add in transition order, so bisection capped at the
-    last transition picks what a linear scan picks.  ``step`` fills a
-    successor slot, checking ``max_count``, the first time it fires.
+    A slot holds the successor's record, so a jump follows it without
+    hashing; ``link`` fills it, checking ``max_count``, on its first firing.
+    Past ``_MEMO_STATES`` records every slot is unlinked, then the table
+    cleared, so evicted records are not kept alive by their neighbours.
     """
-    kernel = net.mass_action
-    compiled = [
-        (rate, tuple((i, s) for i, s in enumerate(need) if s > 0))
-        for rate, need in zip(kernel.rates.tolist(), kernel.inputs.tolist())
-    ]
-    deltas = [tuple(delta) for delta in (kernel.outputs - kernel.inputs).tolist()]
-    last = len(compiled) - 1
 
-    @lru_cache(maxsize=_MEMO_STATES)
-    def memo(state):
+    def __init__(self, net: Network, max_count: int):
+        kernel = net.mass_action
+        self.compiled = [
+            (rate, tuple((i, s) for i, s in enumerate(need) if s > 0))
+            for rate, need in zip(kernel.rates.tolist(), kernel.inputs.tolist())
+        ]
+        self.deltas = [tuple(delta) for delta in (kernel.outputs - kernel.inputs).tolist()]
+        self.last = len(self.compiled) - 1
+        self.species, self.max_count = net.species, max_count
+
+    def __missing__(self, state):
+        if len(self) >= _MEMO_STATES:
+            for record in self.values():
+                record[2][:] = repeat(None, len(record[2]))
+            self.clear()
         values = []
-        for rate, pairs in compiled:
+        for rate, pairs in self.compiled:
             value = rate
             for i, need in pairs:
                 count = state[i]
@@ -97,22 +106,17 @@ def _chain(net: Network, max_count: int):
                     value *= count - j
             values.append(value)
         cumulative = list(accumulate(values))
-        return (cumulative[-1] if values else 0.0), cumulative, [None] * len(values)
+        total = cumulative[-1] if values else 0.0
+        self[state] = record = total, cumulative, [None] * len(values), state
+        return record
 
-    def step(state, cumulative, slots, target, t):
-        chosen = bisect_right(cumulative, target, 0, last)
-        successor = slots[chosen]
-        if successor is None:
-            successor = tuple(map(add, state, deltas[chosen]))
-            for name, count in zip(net.species, successor):
-                if count > max_count:
-                    raise PopulationExplosion(
-                        f"species {name} exceeded {max_count} at t={t:.6g}"
-                    )
-            slots[chosen] = successor
-        return successor
-
-    return memo, step
+    def link(self, record, chosen: int, t: float):
+        successor = tuple(map(add, record[3], self.deltas[chosen]))
+        for name, count in zip(self.species, successor):
+            if count > self.max_count:
+                raise PopulationExplosion(f"species {name} exceeded {self.max_count} at t={t:.6g}")
+        record[2][chosen] = found = self[successor]
+        return found
 
 
 @dataclass(frozen=True)
@@ -162,29 +166,28 @@ def simulate(
     jump is chosen proportionally to individual propensities.  Any species
     crossing ``max_count`` aborts with ``E_EXPLODE`` (open networks can
     grow without bound); a ``t_end`` that is not finite and positive, or a
-    negative or fractional count in ``n0``, raises ``E_VALUE``.  A path
+    negative, fractional or huge count in ``n0``, raises ``E_VALUE``.  A path
     that reaches ``_MAX_JUMPS`` jumps before ``t_end`` raises ``E_BUDGET``.
     """
     if not 0 < t_end < math.inf:
         raise InvalidValue(f"t_end must be finite and positive, got {t_end}")
-    state = _start_state(net, n0)
-    memo, step = _chain(net, max_count)
-    rng = random.Random(seed)
-    expovariate, rand = rng.expovariate, rng.random
+    table = _Records(net, max_count)
+    record = table[_start_state(net, n0)]
+    log, rand, last = math.log, random.Random(seed).random, table.last
     t = 0.0
     times = [0.0]
-    path = [state]
+    path = []
     for _ in repeat(None, _MAX_JUMPS):
-        total, cumulative, slots = memo(state)
+        total, cumulative, slots, state = record
+        path.append(state)
         if total <= 0.0:
             break
-        wait = expovariate(total)
-        if t + wait > t_end:
+        t += -log(1.0 - rand()) / total  # random.expovariate(total), inlined
+        if t > t_end:
             break
-        t += wait
-        state = step(state, cumulative, slots, rand() * total, t)
         times.append(t)
-        path.append(state)
+        chosen = bisect_right(cumulative, rand() * total, 0, last)
+        record = slots[chosen] or table.link(record, chosen, t)
     else:
         raise BudgetExceeded(f"the path reached {_MAX_JUMPS} jumps before t={t_end:.6g}")
     k = net.num_species
@@ -234,33 +237,39 @@ def stationary_histogram(
 
     Records the state at burn_in, burn_in + interval, ... for
     ``sample_count`` samples.  If the chain absorbs, the absorbed state
-    fills the remaining snapshots.  Out-of-domain arguments raise ``E_VALUE``.
+    fills the remaining snapshots.  Out-of-domain arguments raise ``E_VALUE``;
+    more than ``_MAX_HIST_JUMPS`` samples, or jumps, raise ``E_BUDGET``.
     """
     if not (0 <= burn_in < math.inf and 0 < sample_interval < math.inf and sample_count >= 1):
         raise InvalidValue(
             "burn_in must be finite and >= 0, sample_interval finite and positive, "
             "sample_count positive"
         )
-    state = _start_state(net, n0)
-    memo, step = _chain(net, max_count)
-    rng = random.Random(seed)
-    expovariate, rand = rng.expovariate, rng.random
+    if sample_count > _MAX_HIST_JUMPS:
+        raise BudgetExceeded(f"{sample_count} samples exceed the budget of {_MAX_HIST_JUMPS}")
+    table = _Records(net, max_count)
+    record = table[_start_state(net, n0)]
+    log, rand, last = math.log, random.Random(seed).random, table.last
     counts: dict[tuple[int, ...], int] = {}
     t = 0.0
     next_sample = float(burn_in)
     taken = 0
-    while taken < sample_count:
-        total, cumulative, slots = memo(state)
+    for _ in repeat(None, _MAX_HIST_JUMPS):
+        total, cumulative, slots, state = record
         if total <= 0.0:
             counts[state] = counts.get(state, 0) + (sample_count - taken)
             break
-        t_jump = t + expovariate(total)
-        while taken < sample_count and next_sample < t_jump:
+        t += -log(1.0 - rand()) / total
+        while next_sample < t and taken < sample_count:
             counts[state] = counts.get(state, 0) + 1
             taken += 1
             next_sample += sample_interval
-        state = step(state, cumulative, slots, rand() * total, t_jump)
-        t = t_jump
+        chosen = bisect_right(cumulative, rand() * total, 0, last)
+        record = slots[chosen] or table.link(record, chosen, t)
+        if taken >= sample_count:
+            break
+    else:
+        raise BudgetExceeded(f"the histogram reached {_MAX_HIST_JUMPS} jumps, {taken} samples")
     caps = tuple(max(s[i] for s in counts) for i in range(net.num_species))
     return Histogram(counts, sample_count, caps)
 

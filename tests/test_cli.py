@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -6,9 +8,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crnkit
-from crnkit import cli, fock, format_network
+from crnkit import cli, fock, format_network, ssa
 from crnkit.cli import run
 
 from support import sparse_network
@@ -325,18 +329,77 @@ class TestTypedErrors:
             # finite out-of-domain SSA inputs
             (DIATOMIC, ["ssa", "--n0=-1,0"], "E_VALUE"),
             (DIATOMIC, ["ssa", "--n0", "1,0", "--histogram", "--samples", "0"], "E_VALUE"),
+            # start counts beyond the float range of the propensities
+            (BD, ["ssa", "--n0", str(2**1024)], "E_VALUE"),
+            (BD, ["ssa", "--n0", str(2**1024), "--histogram"], "E_VALUE"),
+            # histograms that never finish: the sample count is refused up front,
+            # the other two stop at the jump budget
+            (BD, ["ssa", "--n0", "0", "--histogram", "--samples", "1000000000000"], "E_BUDGET"),
+            (BD, ["ssa", "--n0", "0", "--histogram", "--burn-in", "1e300"], "E_BUDGET"),
+            (BD, ["ssa", "--n0", "0", "--histogram", "--interval", "1e12", "--samples", "10"],
+             "E_BUDGET"),
             # default boxes of about 1e14 and 1e9 states, refused before allocation
             (DIATOMIC, ["ack", "--c", "1e7,1e7"], "E_BUDGET"),
             (DIATOMIC, ["ack", "--c", "3e4,3e4"], "E_BUDGET"),
         ],
     )
-    def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, text, args, code):
+    def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, monkeypatch, text, args, code):
+        # at the real 2**26 jumps a budget-bound histogram runs for tens of seconds
+        monkeypatch.setattr(ssa, "_MAX_HIST_JUMPS", 10**5)
         path = tmp_path / "net.crn"
         path.write_text(text)
         assert run([args[0], str(path), *args[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error[{code}]" in captured.err
+
+
+_COUNTS = st.integers(0, 60) | st.sampled_from([-1, 10**6, 10**6 + 1, 2**63, 2**1024, 10**400])
+_REALS = st.floats(0.0, 50.0).map(repr) | st.floats().map(repr) | st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "-0.0", "5e-324", "1e-300", "1e300"]
+)
+_SSA_OPTIONS = {
+    "--t-end": _REALS,
+    "--burn-in": _REALS,
+    "--interval": _REALS,
+    # "nan" and "1.5" are not integers, so argparse ends those with exit 2
+    "--samples": st.integers(-3, 3000) | st.sampled_from([10**12, 10**400, "nan", "1.5"]),
+    "--seed": st.integers(-(2**70), 2**70),
+}
+
+
+@pytest.fixture(scope="module")
+def ssa_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("ssa")
+    (folder / "bd.crn").write_text(BD)
+    (folder / "dia.crn").write_text(DIATOMIC)
+    return {1: str(folder / "bd.crn"), 2: str(folder / "dia.crn")}
+
+
+class TestSsaFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        species=st.sampled_from([1, 2]),
+        n0=st.lists(_COUNTS, min_size=3, max_size=3),
+        length=st.sampled_from([None, None, None, 1, 2, 3]),
+        histogram=st.booleans(),
+        options=st.fixed_dictionaries({}, optional=_SSA_OPTIONS),
+    )
+    def test_exit_codes_and_typed_errors(self, ssa_files, species, n0, length, histogram, options):
+        # mostly a start state of the right length, sometimes a wrong one
+        n0 = n0[: length or species]
+        args = ["ssa", ssa_files[species], "--n0=" + ",".join(map(str, n0))]
+        args += ["--histogram"] * histogram + [f"{flag}={value}" for flag, value in options.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            # small budgets keep every example to milliseconds
+            patch.setattr(ssa, "_MAX_JUMPS", 2000)
+            patch.setattr(ssa, "_MAX_HIST_JUMPS", 4000)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(args)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error[E_"), err.getvalue()
 
 
 class TestUsageErrors:

@@ -12,6 +12,7 @@ from scipy.stats import poisson
 from crnkit import fock
 from crnkit import (
     BoxMismatch,
+    BudgetExceeded,
     DimensionMismatch,
     EmptySector,
     MixedState,
@@ -196,6 +197,15 @@ class TestHamiltonian:
     def test_dimension_check(self, net_diatomic):
         with pytest.raises(DimensionMismatch):
             hamiltonian(net_diatomic, TruncationBox((3,)))
+
+    def test_slot_budget(self, net_diatomic, monkeypatch):
+        # 6 x 6 states, three offsets: the diagonal and one per transition
+        box = TruncationBox((5, 5))
+        monkeypatch.setattr(fock, "_MAX_SLOTS", 108)
+        assert hamiltonian(net_diatomic, box).nnz > 0
+        monkeypatch.setattr(fock, "_MAX_SLOTS", 107)
+        with pytest.raises(BudgetExceeded):
+            hamiltonian(net_diatomic, box)
 
 
 class TestMatchesCooAssembly:

@@ -132,6 +132,21 @@ class TestStationaryHistogram:
         assert result.tv_distance <= 0.05
         assert result.per_species_means[0] == pytest.approx(3.0, abs=0.1)
 
+    def test_jump_budget(self, net_bd, monkeypatch):
+        hist = stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33)
+        # both draw the same numbers, so the histogram's last jump is the
+        # first one after its last sample, at 5.0 + 199 * 0.5
+        jumps = simulate(net_bd, (0,), 104.5, seed=33).num_jumps + 1
+        monkeypatch.setattr(ssa, "_MAX_HIST_JUMPS", jumps)
+        assert stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33).counts == hist.counts
+        monkeypatch.setattr(ssa, "_MAX_HIST_JUMPS", jumps - 1)
+        with pytest.raises(BudgetExceeded):
+            stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33)
+        # more samples than the budget are refused before the first jump
+        monkeypatch.setattr(ssa, "_MAX_HIST_JUMPS", 199)
+        with pytest.raises(BudgetExceeded):
+            stationary_histogram(Network(("A",)), (2,), 1.0, 200, 0.5, seed=6)
+
     def test_counts_sum_validated(self):
         with pytest.raises(ValueError):
             Histogram({(0,): 3}, 4, (1,))
@@ -253,20 +268,31 @@ class TestMatchesDirectMethod:
         hist = stationary_histogram(net_bd, (0,), 5.0, 500, 0.5, seed=32)
         visited = {tuple(row) for row in traj.states.tolist()}
         assert len(visited) > 2
-        chains = []
+        tables = []
 
-        def recording(net, max_count):
-            chain, step = real_chain(net, max_count)
-            chains.append(chain)
-            return chain, step
+        class Recording(ssa._Records):
+            computed = 0
 
-        real_chain = ssa._chain
-        monkeypatch.setattr(ssa, "_chain", recording)
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+            def __missing__(self, state):
+                self.computed += 1
+                return super().__missing__(state)
+
+            def clear(self):
+                # a full table unlinks every record before it lets go of them
+                assert len(self) <= 2
+                assert all(slot is None for record in self.values() for slot in record[2])
+                super().clear()
+
+        monkeypatch.setattr(ssa, "_Records", Recording)
         monkeypatch.setattr(ssa, "_MEMO_STATES", 2)
         small = simulate(net_bd, (0,), 40.0, seed=31)
         assert np.array_equal(small.times, traj.times)
         assert np.array_equal(small.states, traj.states)
         assert stationary_histogram(net_bd, (0,), 5.0, 500, 0.5, seed=32).counts == hist.counts
-        # a bound of 2 really evicted: states were recomputed after eviction
-        info = chains[0].cache_info()
-        assert info.maxsize == 2 and info.misses > len(visited)
+        # a bound of 2 really evicted: more records were computed than states visited
+        assert tables[0].computed > len(visited)
+        assert all(len(table) <= 2 for table in tables)
