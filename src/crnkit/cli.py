@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain errors (and a failed balance check),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -169,6 +170,7 @@ def _cmd_noether(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crn",

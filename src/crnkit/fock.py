@@ -14,9 +14,11 @@ coefficient.  Certification therefore reads residuals on interior states
 only, at least that margin away from every cap.
 
 The box is a product of per-species ranges, and the engine builds from
-that structure instead of a states x species array: a transition moves the
-flat index by a constant offset from a sub-box of sources, and per-state
-tables (coherent weights, w . n, the interior) are outer sums of 1-D ones.
+that structure instead of a states x species array.  Each ladder operator
+shifts the flat index by one stride, so every operator is banded: it is
+stored as one array per diagonal (scipy's DIA layout) and converted to
+CSR once.  Per-state tables (coherent weights, w . n, the interior) are
+outer sums of 1-D ones.
 
 Coherent states carry the untruncated product-Poisson weights (computed
 through log-gamma, no factorial overflow) without renormalization; the
@@ -112,12 +114,17 @@ class TruncationBox:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Flat-index step of one more of each species."""
+        return tuple(math.prod(self.shape[i + 1 :]) for i in range(self.k))
+
     def states(self) -> np.ndarray:
         """All box states as a (size, k) int array in flat-index order."""
         cached = self.__dict__.get("_states")
         if cached is None:
-            grids = np.indices(self.shape).reshape(self.k, -1).T
-            cached = np.ascontiguousarray(grids, dtype=np.int64)
+            grids = np.unravel_index(np.arange(self.size), self.shape)
+            cached = np.column_stack(grids).astype(np.int64, copy=False)
             cached.setflags(write=False)
             object.__setattr__(self, "_states", cached)
         return cached
@@ -235,10 +242,10 @@ class MixedState:
     def to_csv(self, species, threshold: float = 1e-15) -> str:
         """CSV dump '<species...>,probability', skipping weights <= threshold."""
         lines = [",".join(species) + ",probability"]
-        states = self.box.states()
-        for idx in np.flatnonzero(self.weights > threshold):
-            coords = ",".join(str(int(v)) for v in states[idx])
-            lines.append(f"{coords},{float(self.weights[idx])!r}")
+        printed = np.flatnonzero(self.weights > threshold)
+        coords = np.column_stack(np.unravel_index(printed, self.box.shape)).tolist()
+        for state, weight in zip(coords, self.weights[printed].tolist()):
+            lines.append(f"{','.join(map(str, state))},{weight!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -252,38 +259,38 @@ def pure_state(box: TruncationBox, n) -> MixedState:
 # ---------------------------------------------------------------------------
 # elementary operators
 
+def _diagonals(box: TruncationBox, data, offsets) -> SparseOperator:
+    """The box operator with ``data[q][col]`` on the diagonal col - row = ``offsets[q]``.
+
+    scipy's DIA-to-CSR conversion drops the zero entries and sorts each row.
+    """
+    shape = (box.size, box.size)
+    return SparseOperator(box, sp.dia_matrix((data, offsets), shape, dtype=float).tocsr())
+
+
+def _counts(i: int, box: TruncationBox) -> np.ndarray:
+    """n_i per box state."""
+    return _sector_values(np.eye(box.k, dtype=np.int64)[i], box)
+
+
 def annihilation(i: int, box: TruncationBox) -> SparseOperator:
     """Remove one of species i: basis(n) -> n_i * basis(n - e_i)."""
-    states = box.states()
-    src = np.flatnonzero(states[:, i] > 0)
-    targets = states[src].copy()
-    targets[:, i] -= 1
-    rows = np.ravel_multi_index(targets.T, box.shape)
-    mat = sp.coo_matrix(
-        (states[src, i].astype(float), (rows, src)), shape=(box.size, box.size)
-    )
-    return SparseOperator.wrap(box, mat)
+    return _diagonals(box, [_counts(i, box)], [box.strides[i]])
 
 
 def creation(i: int, box: TruncationBox) -> SparseOperator:
     """Add one of species i: basis(n) -> basis(n + e_i); cap rows flow out and are dropped."""
-    states = box.states()
-    src = np.flatnonzero(states[:, i] < box.caps[i])
-    targets = states[src].copy()
-    targets[:, i] += 1
-    rows = np.ravel_multi_index(targets.T, box.shape)
-    mat = sp.coo_matrix((np.ones(src.size), (rows, src)), shape=(box.size, box.size))
-    return SparseOperator.wrap(box, mat)
+    return _diagonals(box, [_counts(i, box) < box.caps[i]], [-box.strides[i]])
 
 
 def number_operator(i: int, box: TruncationBox) -> SparseOperator:
     """Diagonal count of species i (eigenvalue n_i on basis(n))."""
-    return linear_observable(np.eye(box.k, dtype=np.int64)[i], box)
+    return _diagonals(box, [_counts(i, box)], [0])
 
 
 def linear_observable(w, box: TruncationBox) -> SparseOperator:
     """Diagonal observable sum_i w_i N_i (eigenvalue w . n on basis(n))."""
-    return SparseOperator.wrap(box, sp.diags(_sector_values(w, box).astype(float)))
+    return _diagonals(box, [_sector_values(w, box)], [0])
 
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
@@ -314,51 +321,38 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
 
     A firing moves the flat index by the constant (t - s) . strides, and
     its sources inside the box form the sub-box s_i <= n_i <= cap_i -
-    max(t_i - s_i, 0), so the CSR arrays are laid out directly: one slot
-    per row for each distinct offset, in column order, the diagonal at
-    offset 0.  Fluxes sharing a slot add in transition order; self-loops
-    cancel exactly and are skipped.  More than ``_MAX_SLOTS`` slots raise
-    ``E_BUDGET`` before any is allocated.
+    max(t_i - s_i, 0), so each transition fills that sub-box of one
+    diagonal, -(t - s) . strides, indexed by source, and drains the same
+    sub-box of the main diagonal.  Fluxes sharing an entry add in
+    transition order; self-loops cancel exactly and are skipped.  More
+    than ``_MAX_SLOTS`` diagonal entries (box states x distinct offsets)
+    raise ``E_BUDGET`` before any is allocated.
     """
     if box.k != net.num_species:
         raise DimensionMismatch(
             f"box has {box.k} species, network has {net.num_species}"
         )
-    kernel = net.mass_action
-    strides = [math.prod(box.shape[i + 1 :]) for i in range(box.k)]
-    firing = []  # (transition, flat offset, source sub-box, target sub-box)
+    kernel, strides = net.mass_action, box.strides
+    firing = []  # (transition, diagonal offset, source sub-box)
     for j in range(net.num_transitions):
         need = kernel.inputs[j].tolist()
         delta = (kernel.outputs[j] - kernel.inputs[j]).tolist()
         tops = [cap - max(d, 0) for cap, d in zip(box.caps, delta)]
-        offset = sum(d * stride for d, stride in zip(delta, strides))
+        offset = -sum(d * stride for d, stride in zip(delta, strides))
         if offset == 0 or any(s > top for s, top in zip(need, tops)):
             continue
-        sources = tuple(slice(s, top + 1) for s, top in zip(need, tops))
-        targets = tuple(slice(s + d, top + 1 + d) for s, top, d in zip(need, tops, delta))
-        firing.append((j, offset, sources, targets))
-    offsets = sorted({0, *(f[1] for f in firing)}, reverse=True)
+        firing.append((j, offset, tuple(slice(s, top + 1) for s, top in zip(need, tops))))
+    offsets = list(dict.fromkeys([0, *(f[1] for f in firing)]))
     if box.size * len(offsets) > _MAX_SLOTS:
         raise BudgetExceeded(f"{box.size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
-    slots = np.zeros((box.size, len(offsets)))  # the CSR rows, zeros included
-    diagonal = slots[:, offsets.index(0)].reshape(box.shape)
-    for j, offset, sources, targets in firing:
+    data = np.zeros((len(offsets), box.size))
+    diagonal = data[0].reshape(box.shape)
+    for j, offset, sources in firing:
         grid = np.ix_(*(np.arange(s.start, s.stop) for s in sources))
         flux = kernel.rates[j] * kernel.falling(grid, j)
-        # reshaping a column splits one axis, so it is a view into slots
-        slots[:, offsets.index(offset)].reshape(box.shape)[targets] += flux
+        data[offsets.index(offset)].reshape(box.shape)[sources] += flux
         diagonal[sources] -= flux
-    index = np.int32 if slots.size < 2**31 else np.int64
-    columns = np.empty(slots.shape, dtype=index)
-    for q, offset in enumerate(offsets):
-        np.subtract(np.arange(box.size, dtype=index), offset, out=columns[:, q])
-    stored = slots != 0
-    indptr = np.zeros(box.size + 1, dtype=index)
-    indptr[1:] = np.cumsum(stored.ravel(), dtype=index)[len(offsets) - 1 :: len(offsets)]
-    mat = sp.csr_matrix(
-        (slots[stored], columns[stored], indptr), shape=(box.size, box.size)
-    )
-    return SparseOperator(box, mat)
+    return _diagonals(box, data, offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from operator import add
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidValue, PopulationExplosion
-from .fock import poisson_logpmf
+from .fock import _outer_sum, poisson_logpmf
 from .network import CountVector, Network, validate_classical
 
 __all__ = [
@@ -237,8 +237,9 @@ def stationary_histogram(
 
     Records the state at burn_in, burn_in + interval, ... for
     ``sample_count`` samples.  If the chain absorbs, the absorbed state
-    fills the remaining snapshots.  Out-of-domain arguments raise ``E_VALUE``;
-    more than ``_MAX_HIST_JUMPS`` samples, or jumps, raise ``E_BUDGET``.
+    fills the remaining snapshots.  Out-of-domain arguments, and an interval
+    below the float spacing of the last sample time, raise ``E_VALUE``; more
+    than ``_MAX_HIST_JUMPS`` samples, or jumps, raise ``E_BUDGET``.
     """
     if not (0 <= burn_in < math.inf and 0 < sample_interval < math.inf and sample_count >= 1):
         raise InvalidValue(
@@ -247,6 +248,8 @@ def stationary_histogram(
         )
     if sample_count > _MAX_HIST_JUMPS:
         raise BudgetExceeded(f"{sample_count} samples exceed the budget of {_MAX_HIST_JUMPS}")
+    if sample_interval < math.ulp(burn_in + sample_count * sample_interval):
+        raise InvalidValue(f"sample_interval {sample_interval!r} is below the sample-time spacing")
     table = _Records(net, max_count)
     record = table[_start_state(net, n0)]
     log, rand, last = math.log, random.Random(seed).random, table.last
@@ -289,17 +292,13 @@ def compare_to_poisson(hist: Histogram, c) -> PoissonComparison:
     """
     k = len(hist.caps)
     c = validate_classical(c, k)
-    shape = tuple(cap + 1 for cap in hist.caps)
-    states = np.indices(shape).reshape(k, -1).T
-    log_pois = poisson_logpmf(states, c).sum(axis=1)
-    reference = np.exp(log_pois)
+    tables = [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(hist.caps, c)]
+    reference = np.exp(_outer_sum(tables))
     reference /= reference.sum()
-    empirical = np.zeros(states.shape[0])
-    for state, count in hist.counts.items():
-        empirical[int(np.ravel_multi_index(state, shape))] = count / hist.total
+    states = np.array(list(hist.counts), dtype=np.int64).reshape(-1, k)
+    counts = np.array(list(hist.counts.values()))
+    empirical = np.zeros(reference.size)
+    empirical[np.ravel_multi_index(states.T, [len(t) for t in tables])] = counts / hist.total
     tv = 0.5 * float(np.abs(empirical - reference).sum())
-    means = np.zeros(k)
-    for state, count in hist.counts.items():
-        means += np.asarray(state, dtype=float) * count
-    means /= hist.total
+    means = (states * counts[:, None]).sum(axis=0) / hist.total
     return PoissonComparison(tv, means)

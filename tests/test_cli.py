@@ -335,7 +335,14 @@ class TestTypedErrors:
             # histograms that never finish: the sample count is refused up front,
             # the other two stop at the jump budget
             (BD, ["ssa", "--n0", "0", "--histogram", "--samples", "1000000000000"], "E_BUDGET"),
-            (BD, ["ssa", "--n0", "0", "--histogram", "--burn-in", "1e300"], "E_BUDGET"),
+            (BD, ["ssa", "--n0", "0", "--histogram", "--burn-in", "1e12"], "E_BUDGET"),
+            # intervals below the float spacing of the sample times would stamp
+            # every sample at one instant; at t = 1e300 that spacing exceeds 1
+            (BD, ["ssa", "--n0", "0", "--histogram", "--burn-in", "1e300"], "E_VALUE"),
+            (BD, ["ssa", "--n0", "3", "--histogram", "--interval", "1e-300", "--samples", "1000"],
+             "E_VALUE"),
+            (BD, ["ssa", "--n0", "3", "--histogram", "--interval", "5e-324", "--samples", "1000"],
+             "E_VALUE"),
             (BD, ["ssa", "--n0", "0", "--histogram", "--interval", "1e12", "--samples", "10"],
              "E_BUDGET"),
             # default boxes of about 1e14 and 1e9 states, refused before allocation
@@ -411,3 +418,31 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert run([]) == 2
+
+    def test_one_parser_serves_alternating_calls(self, dia_file, bd_file, capsys):
+        # the parser is built once per process; no call may leak into the next
+        path = ["ssa", bd_file, "--n0", "0", "--t-end", "3", "--seed", "11"]
+        hist = ["ssa", bd_file, "--n0", "0", "--histogram", "--burn-in", "5", "--samples", "50"]
+        calls = [
+            (["analyze", dia_file], 0),
+            (["ack", dia_file], 2),
+            (hist, 0),
+            (path, 0),
+            (["frobnicate", dia_file], 2),
+            (["analyze", dia_file], 0),
+            (path, 0),
+        ]
+        seen = []
+        for args, code in calls:
+            assert run(args) == code
+            seen.append(capsys.readouterr())
+        analyze, ack, histogram, trajectory, unknown, analyze_again, trajectory_again = seen
+        assert json.loads(analyze.out)["species"] == ["X1", "X2"]
+        assert strip_timestamp(analyze_again.out) == strip_timestamp(analyze.out)
+        assert ack.out == "" and "usage: crn ack" in ack.err and "--c" in ack.err
+        assert histogram.out.startswith("A,count,frequency\n")
+        assert trajectory.out.startswith("t,A\n")  # --histogram did not stick
+        assert trajectory_again.out == trajectory.out
+        assert unknown.out == "" and "invalid choice: 'frobnicate'" in unknown.err
+        assert all(call.err == "" for call in (analyze, histogram, trajectory, analyze_again))
+        assert cli._build_parser() is cli._build_parser()

@@ -47,6 +47,7 @@ from crnkit import (
 from support import (
     coo_hamiltonian,
     dense_hamiltonian,
+    dense_ladders,
     ordered_selection_count,
     random_network,
 )
@@ -206,6 +207,29 @@ class TestHamiltonian:
         monkeypatch.setattr(fock, "_MAX_SLOTS", 107)
         with pytest.raises(BudgetExceeded):
             hamiltonian(net_diatomic, box)
+
+
+class TestMatchesDenseLadders:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        caps=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        w=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    )
+    def test_every_species_and_observable(self, caps, w):
+        # beyond one species the strides exceed 1, so ladders are off-by-stride diagonals
+        box = TruncationBox(tuple(caps))
+        lowers, raisers = dense_ladders(box)
+        w = w[: box.k]
+        ops = [(annihilation(i, box), lowers[i]) for i in range(box.k)]
+        ops += [(creation(i, box), raisers[i]) for i in range(box.k)]
+        ops.append((linear_observable(w, box), np.diag((box.states() @ np.array(w)).astype(float))))
+        for op, dense in ops:
+            mat = op.matrix
+            assert np.array_equal(mat.toarray(), dense)
+            assert mat.nnz == np.count_nonzero(dense)  # no stored zeros
+            assert (mat.data != 0).all()
+            for start, stop in zip(mat.indptr[:-1], mat.indptr[1:]):
+                assert (np.diff(mat.indices[start:stop]) > 0).all()
 
 
 class TestMatchesCooAssembly:

@@ -195,6 +195,33 @@ class TestCompareToPoisson:
         with pytest.raises(InvalidValue):
             compare_to_poisson(hist, [mean])
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+    def test_matches_state_array_route(self, seed, k):
+        # the reference law and the empirical mass from the full state array
+        rng = random.Random(seed)
+        caps = tuple(rng.randint(0, 6) for _ in range(k))
+        counts: dict[tuple[int, ...], int] = {}
+        for _ in range(rng.randint(1, 30)):
+            state = tuple(rng.randint(0, cap) for cap in caps)
+            counts[state] = counts.get(state, 0) + rng.randint(1, 10**6)
+        hist = Histogram(counts, sum(counts.values()), caps)
+        c = [rng.choice((0.0, rng.uniform(0.0, 8.0))) for _ in range(k)]
+        shape = tuple(cap + 1 for cap in caps)
+        states = np.indices(shape).reshape(k, -1).T
+        reference = np.exp(poisson.logpmf(states, c).sum(axis=1))
+        reference /= reference.sum()
+        empirical = np.zeros(states.shape[0])
+        for state, count in counts.items():
+            empirical[int(np.ravel_multi_index(state, shape))] = count / hist.total
+        means = np.zeros(k)
+        for state, count in counts.items():
+            means += np.asarray(state, dtype=float) * count
+        means /= hist.total
+        result = compare_to_poisson(hist, c)
+        assert result.tv_distance == 0.5 * float(np.abs(empirical - reference).sum())
+        assert np.array_equal(result.per_species_means, means)
+
 
 class TestSectorEquilibrium:
     def test_histogram_matches_projected_coherent_state(self, net_diatomic):
