@@ -130,7 +130,13 @@ class TruncationBox:
         return cached
 
     def index_of(self, n) -> int:
-        return int(np.ravel_multi_index(tuple(int(v) for v in n), self.shape))
+        """Flat index of the state ``n``; ``E_DIM`` for a wrong length, ``E_VALUE`` outside the box."""
+        n = tuple(int(v) for v in n)
+        if len(n) != self.k:
+            raise DimensionMismatch(f"state has length {len(n)}, expected {self.k}")
+        if not self.contains(n):
+            raise InvalidValue(f"state {n} lies outside the box with caps {self.caps}")
+        return int(np.ravel_multi_index(n, self.shape))
 
     def state_at(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in np.unravel_index(int(index), self.shape))

@@ -9,11 +9,12 @@ One construct per line::
     0 -> A @ 1e-3           # '0' is the empty complex
 
 Species names match ``[A-Za-z_][A-Za-z0-9_]*``.  Coefficients are positive
-integers and default to 1.  Rates are positive decimals; scientific
-notation is allowed.  Without a ``species:`` header the species order is
-first appearance; with one, any undeclared name is an error.  Repeated
-species inside a complex accumulate (``A + A`` equals ``2 A``), and
-duplicate reaction lines are kept as distinct transitions.
+integers below 2**63 and default to 1.  Rates are positive decimals;
+scientific notation is allowed.  Without a ``species:`` header the species
+order is first appearance; with one, any undeclared name is an error.
+Repeated species inside a complex accumulate (``A + A`` equals ``2 A``),
+to a count below 2**63 as well, and duplicate reaction lines are kept as
+distinct transitions.
 
 :func:`parse_network` raises :class:`ParseError` on the first pass over
 the whole file, collecting one diagnostic per offending line;
@@ -50,6 +51,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<sym>[@,:+\-])"
+    r"|(?P<bad>.)"
 )
 
 
@@ -81,193 +83,120 @@ class ParseError(CrnError):
         super().__init__("; ".join(str(d) for d in errors))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    column: int
-
-
 class _LineError(Exception):
-    """Internal: abort parsing of the current line after recording a diagnostic."""
+    """Internal: the current line is wrong at ``column``; parsing goes on at the next line."""
+
+    def __init__(self, column: int, message: str, code: str = "E_SYNTAX"):
+        super().__init__(column, message, code)
 
 
-class _Cursor:
-    def __init__(self, tokens, lineno, line_length, diagnostics):
-        self.tokens = tokens
-        self.pos = 0
-        self.lineno = lineno
-        self.end_column = line_length + 1
-        self.diagnostics = diagnostics
-
-    def peek(self, ahead=0):
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def at_end(self):
-        return self.pos >= len(self.tokens)
-
-    def column(self):
-        tok = self.peek()
-        return tok.column if tok is not None else self.end_column
-
-    def fail(self, message, code="E_SYNTAX", column=None):
-        self.diagnostics.append(
-            Diagnostic(self.lineno, column if column is not None else self.column(),
-                       code, message, "error")
-        )
-        raise _LineError()
-
-
-def _tokenize(line, lineno, diagnostics):
+def _tokenize(line):
+    """``(kind, text, column)`` per token, closed by an ``end`` token one past the line."""
     tokens = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            diagnostics.append(
-                Diagnostic(lineno, pos + 1, "E_SYNTAX",
-                           f"unexpected character {line[pos]!r}", "error")
-            )
-            return None
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), m.start() + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _LineError(m.start() + 1, f"unexpected character {m.group()!r}")
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start() + 1))
+    tokens.append(("end", "", len(line) + 1))
     return tokens
 
 
-def _parse_complex(cur, env):
-    """Parse COMPLEX; returns {name: count} ({} for the empty complex '0')."""
-    tok = cur.peek()
-    if tok is None:
-        cur.fail("complex expected")
-    if tok.kind == "number" and tok.text == "0":
-        nxt = cur.peek(1)
-        if nxt is not None and nxt.kind == "name":
-            cur.fail("complex coefficient must be a positive integer", column=tok.column)
-        if nxt is not None and nxt.text == "+":
-            cur.fail("'0' denotes the empty complex and cannot be combined with terms",
-                     column=nxt.column)
-        cur.take()
-        return {}
+def _parse_complex(tokens, i, species, fixed):
+    """COMPLEX from ``tokens[i]``: ``({name: count}, next index)``, ``{}`` for '0'.
+
+    A name not yet in ``species`` is appended to it, or refused when the
+    species header has ``fixed`` the list.
+    """
+    kind, text, column = tokens[i]
+    if kind == "end":
+        raise _LineError(column, "complex expected")
+    if kind == "number" and text == "0":
+        after = tokens[i + 1]
+        if after[0] == "name":
+            raise _LineError(column, "complex coefficient must be a positive integer")
+        if after[1] == "+":
+            raise _LineError(after[2], "'0' denotes the empty complex and cannot be combined with terms")
+        return {}, i + 1
     counts: dict[str, int] = {}
     while True:
+        kind, text, column = tokens[i]
         coeff = 1
-        tok = cur.peek()
-        if tok is not None and tok.kind == "number":
-            if not tok.text.isdigit() or int(tok.text) <= 0:
-                cur.fail("complex coefficient must be a positive integer", column=tok.column)
-            coeff = int(tok.text)
-            cur.take()
-            tok = cur.peek()
-        if tok is None or tok.kind != "name":
-            cur.fail("species name expected")
-        env.use(cur, tok)
-        counts[tok.text] = counts.get(tok.text, 0) + coeff
-        cur.take()
-        tok = cur.peek()
-        if tok is not None and tok.text == "+" and tok.kind == "sym":
-            cur.take()
-            continue
-        return counts
+        if kind == "number":
+            if not text.isdigit() or int(text) <= 0:
+                raise _LineError(column, "complex coefficient must be a positive integer")
+            coeff = int(text)
+            i += 1
+        name_kind, name, name_column = tokens[i]
+        if name_kind != "name":
+            raise _LineError(name_column, "species name expected")
+        if name not in species:
+            if fixed:
+                raise _LineError(name_column, f"species {name!r} not declared in the species header",
+                                 "E_UNKNOWN_SPECIES")
+            species[name] = None
+        counts[name] = counts.get(name, 0) + coeff
+        if counts[name] >= 2**63:  # the kernels hold complexes as int64
+            raise _LineError(column, "complex coefficient must be below 2**63")
+        if tokens[i + 1][1] != "+":
+            return counts, i + 1
+        i += 2
 
 
-def _parse_rate(cur):
-    start = cur.peek()
-    sign = 1.0
-    if start is not None and start.kind == "sym" and start.text in "+-":
-        sign = -1.0 if start.text == "-" else 1.0
-        cur.take()
-    tok = cur.peek()
-    if tok is None or tok.kind != "number":
-        cur.fail("rate constant expected")
-    cur.take()
-    value = sign * float(tok.text)
+def _parse_rate(tokens, i):
+    """RATE from ``tokens[i]``, an optionally signed number: ``(value, next index)``."""
+    _, sign, column = tokens[i]
+    if sign in ("+", "-"):
+        i += 1
+    kind, text, number_column = tokens[i]
+    if kind != "number":
+        raise _LineError(number_column, "rate constant expected")
+    value = -float(text) if sign == "-" else float(text)
     if not (math.isfinite(value) and value > 0):
-        cur.fail("rate constant must be a positive finite number", code="E_RATE",
-                 column=start.column)
-    return value
+        raise _LineError(column, "rate constant must be a positive finite number", "E_RATE")
+    return value, i + 1
 
 
-class _SpeciesEnv:
-    def __init__(self):
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
-        self.fixed = False
-
-    def declare(self, names):
-        self.names = list(names)
-        self.index = {n: i for i, n in enumerate(names)}
-        self.fixed = True
-
-    def use(self, cur, tok):
-        if tok.text in self.index:
-            return
-        if self.fixed:
-            cur.fail(f"species {tok.text!r} not declared in the species header",
-                     code="E_UNKNOWN_SPECIES", column=tok.column)
-        self.index[tok.text] = len(self.names)
-        self.names.append(tok.text)
-
-
-def _parse_header(cur, env, saw_reaction):
-    cur.take()  # 'species'
-    cur.take()  # ':'
-    if env.fixed:
-        cur.fail("duplicate species header")
+def _parse_header(tokens, fixed, saw_reaction):
+    """The names of a ``species:`` line, in order, as a dict."""
+    if fixed:
+        raise _LineError(tokens[2][2], "duplicate species header")
     if saw_reaction:
-        cur.fail("species header must precede all reactions")
-    names = []
-    while not cur.at_end():
-        tok = cur.peek()
-        if tok.kind != "name":
-            cur.fail("species name expected in header")
-        if tok.text in names:
-            cur.fail(f"duplicate species {tok.text!r} in header", column=tok.column)
-        names.append(tok.text)
-        cur.take()
+        raise _LineError(tokens[2][2], "species header must precede all reactions")
+    names: dict[str, None] = {}
+    for kind, text, column in tokens[2:-1]:
+        if kind != "name":
+            raise _LineError(column, "species name expected in header")
+        if text in names:
+            raise _LineError(column, f"duplicate species {text!r} in header")
+        names[text] = None
     if not names:
-        cur.fail("at least one species name expected after 'species:'")
-    env.declare(names)
+        raise _LineError(tokens[-1][2], "at least one species name expected after 'species:'")
+    return names
 
 
-def _parse_reaction(cur, env, lineno, diagnostics):
-    lhs = _parse_complex(cur, env)
-    arrow = cur.peek()
-    if arrow is None or arrow.kind != "arrow":
-        cur.fail("'->' or '<->' expected")
-    cur.take()
-    rhs = _parse_complex(cur, env)
-    at = cur.peek()
-    if at is None or at.text != "@":
-        cur.fail("'@' and a rate constant expected")
-    cur.take()
-    first = _parse_rate(cur)
-    second = None
-    if not cur.at_end() and cur.peek().text == ",":
-        cur.take()
-        second = _parse_rate(cur)
-    if not cur.at_end():
-        cur.fail("unexpected trailing tokens")
-    if arrow.text == "->" and second is not None:
-        cur.fail("'->' takes exactly one rate", column=arrow.column)
-    if arrow.text == "<->" and second is None:
-        cur.fail("'<->' takes exactly two rates (forward, backward)", column=arrow.column)
-    if lhs == rhs:
-        diagnostics.append(
-            Diagnostic(lineno, 1, "E_SELF_LOOP",
-                       "self-loop reaction contributes nothing to the dynamics", "warning")
-        )
-    out = [(lhs, rhs, first)]
-    if second is not None:
-        out.append((rhs, lhs, second))
-    return out
+def _parse_reaction(tokens, species, fixed):
+    """A reaction line: ``(lhs, rhs, rates)``, with two rates for '<->'."""
+    lhs, i = _parse_complex(tokens, 0, species, fixed)
+    kind, arrow, arrow_column = tokens[i]
+    if kind != "arrow":
+        raise _LineError(arrow_column, "'->' or '<->' expected")
+    rhs, i = _parse_complex(tokens, i + 1, species, fixed)
+    if tokens[i][1] != "@":
+        raise _LineError(tokens[i][2], "'@' and a rate constant expected")
+    rate, i = _parse_rate(tokens, i + 1)
+    rates = [rate]
+    if tokens[i][1] == ",":
+        rate, i = _parse_rate(tokens, i + 1)
+        rates.append(rate)
+    if tokens[i][0] != "end":
+        raise _LineError(tokens[i][2], "unexpected trailing tokens")
+    if arrow == "->" and len(rates) == 2:
+        raise _LineError(arrow_column, "'->' takes exactly one rate")
+    if arrow == "<->" and len(rates) == 1:
+        raise _LineError(arrow_column, "'<->' takes exactly two rates (forward, backward)")
+    return lhs, rhs, rates
 
 
 def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, ...]]:
@@ -278,38 +207,45 @@ def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, .
     least one positioned error.
     """
     diagnostics: list[Diagnostic] = []
-    env = _SpeciesEnv()
+    species: dict[str, None] = {}  # insertion-ordered; a header fixes it
+    fixed = False
     reactions: list[tuple[dict, dict, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = _tokenize(line, lineno, diagnostics)
-        if tokens is None:
-            continue
-        cur = _Cursor(tokens, lineno, len(line), diagnostics)
         try:
-            if (len(tokens) >= 2 and tokens[0].kind == "name"
-                    and tokens[0].text == "species" and tokens[1].text == ":"):
-                _parse_header(cur, env, bool(reactions))
-            else:
-                reactions.extend(_parse_reaction(cur, env, lineno, diagnostics))
-        except _LineError:
+            tokens = _tokenize(line)
+            if tokens[0][:2] == ("name", "species") and tokens[1][1] == ":":
+                species = _parse_header(tokens, fixed, bool(reactions))
+                fixed = True
+                continue
+            lhs, rhs, rates = _parse_reaction(tokens, species, fixed)
+        except _LineError as exc:
+            column, message, code = exc.args
+            diagnostics.append(Diagnostic(lineno, column, code, message, "error"))
             continue
+        if lhs == rhs:
+            diagnostics.append(
+                Diagnostic(lineno, 1, "E_SELF_LOOP",
+                           "self-loop reaction contributes nothing to the dynamics", "warning")
+            )
+        reactions.append((lhs, rhs, rates[0]))
+        if len(rates) == 2:
+            reactions.append((rhs, lhs, rates[1]))
     if not reactions:
         diagnostics.append(Diagnostic(1, 1, "E_EMPTY", "no reactions found", "warning"))
     if any(d.severity == "error" for d in diagnostics):
         return None, tuple(diagnostics)
-    species = tuple(env.names)
-    transitions = []
-    for lhs, rhs, rate in reactions:
-        inp = CountVector(lhs.get(name, 0) for name in species)
-        outp = CountVector(rhs.get(name, 0) for name in species)
-        transitions.append((inp, outp, rate))
+    names = tuple(species)
+    transitions = tuple(
+        Transition(tuple(lhs.get(n, 0) for n in names), tuple(rhs.get(n, 0) for n in names), rate)
+        for lhs, rhs, rate in reactions
+    )
     with warnings.catch_warnings():
         # self-loops already reported as positioned diagnostics above
         warnings.simplefilter("ignore", SelfLoopWarning)
-        net = Network(species, tuple(Transition(i, o, r) for i, o, r in transitions))
+        net = Network(names, transitions)
     return net, tuple(diagnostics)
 
 

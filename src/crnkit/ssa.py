@@ -64,8 +64,8 @@ def _start_state(net: Network, n0) -> tuple[int, ...]:
         raise InvalidValue(str(exc)) from None
     if len(state) != net.num_species:
         raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
-    if max(state, default=0) >= 2**1024:  # propensities are floats
-        raise InvalidValue("start counts must be below 2**1024, the float range")
+    if max(state, default=0) >= 2**63:  # paths store states as int64
+        raise InvalidValue("start counts must be below 2**63, the int64 range of stored states")
     return state
 
 

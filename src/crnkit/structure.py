@@ -106,35 +106,9 @@ def _adjacency(graph: ComplexGraph, directed: bool) -> list[list[int]]:
     return adj
 
 
-def linkage_classes(graph: ComplexGraph) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the underlying undirected graph.
-
-    Classes are ordered by smallest member; members are sorted.
-    """
-    adj = _adjacency(graph, directed=False)
-    seen = [False] * len(graph.vertices)
-    classes = []
-    for start in range(len(graph.vertices)):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        component = []
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        classes.append(tuple(sorted(component)))
-    return tuple(sorted(classes, key=lambda c: c[0]))
-
-
-def strongly_connected_components(graph: ComplexGraph) -> tuple[tuple[int, ...], ...]:
+def _strong_components(adj: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Tarjan's algorithm, iterative; components ordered by smallest member."""
-    n = len(graph.vertices)
-    adj = _adjacency(graph, directed=True)
+    n = len(adj)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -178,6 +152,20 @@ def strongly_connected_components(graph: ComplexGraph) -> tuple[tuple[int, ...],
                         break
                 components.append(tuple(sorted(component)))
     return tuple(sorted(components, key=lambda c: c[0]))
+
+
+def linkage_classes(graph: ComplexGraph) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the underlying undirected graph, which are the
+    strong components once every edge is also reversed.
+
+    Classes are ordered by smallest member; members are sorted.
+    """
+    return _strong_components(_adjacency(graph, directed=False))
+
+
+def strongly_connected_components(graph: ComplexGraph) -> tuple[tuple[int, ...], ...]:
+    """Strong components of the directed graph; ordered by smallest member."""
+    return _strong_components(_adjacency(graph, directed=True))
 
 
 def is_weakly_reversible(graph: ComplexGraph) -> bool:

@@ -9,7 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from crnkit import CountVector, Network, PopulationExplosion, SelfLoopWarning, Transition
+from crnkit import (
+    CountVector,
+    Network,
+    PopulationExplosion,
+    SelfLoopWarning,
+    Transition,
+    format_network,
+)
 
 _NAME_START = string.ascii_letters + "_"
 _NAME_REST = string.ascii_letters + string.digits + "_"
@@ -49,6 +56,49 @@ def random_network(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SelfLoopWarning)
         return Network(species, tuple(transitions))
+
+
+# every token class of the .crn grammar, near misses of it ("<", "007",
+# "1e999") and characters outside it
+_CRN_TOKENS = (
+    "A", "B", "C", "X1", "_s", "species", "0", "1", "2", "3", "10", "007", "2.5", ".5",
+    "1e-3", "1E+2", "1e999", "->", "<->", "<", ">", "-", "+", "@", ",", ":", "#", "$", "\t",
+)
+
+
+def crn_corpus(seed: int, size: int) -> list[str]:
+    """Seeded ``.crn`` texts for comparing parser revisions, in equal shares:
+    formatted random networks (from a pool of 200) with up to three
+    single-character or token edits, lines of random tokens (sometimes glued
+    together, sometimes under a species header), and random printable
+    characters."""
+    rng = random.Random(seed)
+    networks = [format_network(random_network(rng, max_transitions=3)) for _ in range(200)]
+    texts = []
+    for i in range(size):
+        if i % 3 == 0:
+            text = rng.choice(networks)
+            for _ in range(rng.randint(0, 3)):
+                pos = rng.randint(0, len(text))
+                edit = rng.randrange(3)
+                if edit == 0:
+                    text = text[:pos] + text[pos + 1:]
+                else:
+                    piece = rng.choice(_CRN_TOKENS) if edit == 1 else rng.choice(string.printable)
+                    text = text[:pos] + piece + text[pos:]
+        elif i % 3 == 1:
+            sep = rng.choice((" ", " ", ""))
+            lines = [
+                sep.join(rng.choice(_CRN_TOKENS) for _ in range(rng.randint(0, 9)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if rng.random() < 0.2:
+                lines.insert(rng.randint(0, len(lines)), "species: A B")
+            text = "\n".join(lines)
+        else:
+            text = "".join(rng.choices(string.printable, k=rng.randint(0, 40)))
+        texts.append(text)
+    return texts
 
 
 def sparse_network(rng: random.Random, k: int, m: int, max_coeff: int = 3) -> Network:

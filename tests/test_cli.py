@@ -4,8 +4,10 @@ import io
 import json
 import os
 import random
+import string
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,14 @@ class TestTypedErrors:
             # start counts beyond the float range of the propensities
             (BD, ["ssa", "--n0", str(2**1024)], "E_VALUE"),
             (BD, ["ssa", "--n0", str(2**1024), "--histogram"], "E_VALUE"),
+            # and beyond the int64 range the path stores states in
+            (BD, ["ssa", "--n0", str(2**63), "--t-end", "1e-30"], "E_VALUE"),
+            # a coefficient beyond the int64 range of the mass-action kernel
+            ("99999999999999999999 A -> 0 @ 1\n", ["analyze"], "E_SYNTAX"),
+            # pure starts outside the box, or of the wrong length
+            (DIATOMIC, ["master", "--n0", "100000000000000000000,0", "--caps", "3,3"], "E_VALUE"),
+            (DIATOMIC, ["master", "--n0", "5,0", "--caps", "3,3"], "E_VALUE"),
+            (DIATOMIC, ["master", "--n0", "1", "--caps", "3,3"], "E_DIM"),
             # histograms that never finish: the sample count is refused up front,
             # the other two stop at the jump budget
             (BD, ["ssa", "--n0", "0", "--histogram", "--samples", "1000000000000"], "E_BUDGET"),
@@ -407,6 +417,63 @@ class TestSsaFuzz:
         assert code in (0, 1, 2)
         if code == 1:
             assert err.getvalue().startswith("error[E_"), err.getvalue()
+
+
+def _replace_word(line, at, word):
+    words = line.split()
+    words[at % len(words)] = word
+    return " ".join(words)
+
+
+# mostly well-formed reactions, with coefficients up to 2**70 and around 2**63;
+# some near misses (one word replaced), headers and lines of printable noise
+_COEFFS = st.one_of(st.just(""), st.integers(1, 2**70).map(str), st.integers(2**62, 2**64).map(str))
+_TERMS = st.builds("{} {}".format, _COEFFS, st.sampled_from(["A", "B", "X1", "_s"]))
+_COMPLEXES = st.lists(_TERMS, min_size=1, max_size=3).map(" + ".join) | st.just("0")
+_RATES = st.floats(1e-6, 1e6).map(repr)
+_REACTIONS = st.builds("{} -> {} @ {}".format, _COMPLEXES, _COMPLEXES, _RATES) | st.builds(
+    "{} <-> {} @ {}, {}".format, _COMPLEXES, _COMPLEXES, _RATES, _RATES
+)
+_NEAR_MISSES = st.builds(
+    _replace_word,
+    _REACTIONS,
+    st.integers(0, 20),
+    st.sampled_from(["0", "00", "2.5", "<-", "-1", "1e999", "nan", "species", "+", "@", ",", ":", "$"]),
+)
+_HEADERS = st.lists(st.sampled_from(["A", "B", "X1", "_s", "2"]), max_size=5).map(
+    lambda names: "species: " + " ".join(names)
+)
+_LINES = st.one_of(
+    _REACTIONS, _REACTIONS, _REACTIONS, _REACTIONS,
+    _NEAR_MISSES, _HEADERS, st.text(string.printable, max_size=20),
+)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestCrnTextFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(_LINES, max_size=4))
+    def test_parse_and_analyze_end_cleanly(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.crn"
+        path.write_text("\n".join(lines))
+        for command in ("parse", "analyze"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", crnkit.ParseWarning)
+                code = run([command, str(path)])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.getvalue().startswith("error[E_"), err.getvalue()
+            elif command == "analyze":
+                assert code == 0 and err.getvalue() == ""
+                _strict_json(out.getvalue())
 
 
 class TestUsageErrors:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import string
 import warnings
@@ -15,7 +16,7 @@ from crnkit import (
     parse_network_report,
 )
 
-from support import random_network
+from support import crn_corpus, random_network
 
 
 def first_error(text):
@@ -120,11 +121,21 @@ class TestDiagnostics:
             "species: A A",
             "A -> B @ 1\nspecies: A B",
             "species: A\nspecies: A",
+            "99999999999999999999 A -> 0 @ 1",
         ],
     )
     def test_syntax_errors(self, text):
         codes = {"E_SYNTAX", "E_RATE", "E_UNKNOWN_SPECIES"}
         assert first_error(text).code in codes
+
+    def test_coefficient_bound_position(self):
+        # the kernels hold complexes as int64, so a count of 2**63 is refused
+        # at the term that reaches it
+        diag = first_error("A -> 99999999999999999999 B @ 1")
+        assert (diag.code, diag.column) == ("E_SYNTAX", 6)
+        diag = first_error("A + 9223372036854775807 A -> 0 @ 1")
+        assert (diag.code, diag.column) == ("E_SYNTAX", 5)
+        assert parse_network("9223372036854775807 A -> 0 @ 1").transitions[0].input == (2**63 - 1,)
 
     def test_parse_error_carries_diagnostics(self):
         with pytest.raises(ParseError) as info:
@@ -158,6 +169,20 @@ class TestDiagnostics:
             if net is None:
                 errors = [d for d in diags if d.severity == "error"]
                 assert errors and all(d.line >= 1 and d.column >= 1 for d in errors)
+
+
+def test_parse_report_digest():
+    # SHA-256 of every report field over a seeded corpus, recorded with the
+    # cursor-and-token parser; a rewrite must not move a network, message,
+    # code, column or diagnostic.  No coefficient in the corpus reaches
+    # 2**63, so the bound on coefficients leaves the digest unchanged.
+    digest = hashlib.sha256()
+    for text in crn_corpus(10, 10_000):
+        net, diags = parse_network_report(text)
+        if net is not None:
+            digest.update(repr((net.species, [(t.input, t.output, t.rate) for t in net.transitions])).encode())
+        digest.update(repr([(d.line, d.column, d.code, d.message, d.severity) for d in diags]).encode())
+    assert digest.hexdigest() == "be3513e501cbed4bffea411fe5f0d71b6d21c0370e95b0e7ba2cd3fa3fa78b2d"
 
 
 class TestFormatting:
