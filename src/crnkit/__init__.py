@@ -13,7 +13,6 @@ from .errors import (
     NegativeState,
     NoConvergence,
     PopulationExplosion,
-    StepSizeUnderflow,
     SymmetryOverflow,
 )
 from .network import (

@@ -31,7 +31,7 @@ from .fock import (
     noether_report,
     pure_state,
 )
-from .parser import format_network, parse_network
+from .parser import ParseError, format_network, parse_network_report
 from .ssa import simulate, stationary_histogram
 from .structure import complex_balance_report, structure_report
 
@@ -48,7 +48,12 @@ def _ints(text: str) -> list[int]:
 
 def _read_network(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_network(handle.read())
+        net, diagnostics = parse_network_report(handle.read())
+    if net is None:
+        raise ParseError(diagnostics)
+    for diag in diagnostics:  # warnings only, once the text parsed
+        print(f"warning[{diag.code}]: {diag.line}:{diag.column}: {diag.message}", file=sys.stderr)
+    return net
 
 
 def _write(text: str, out: str | None):
@@ -93,9 +98,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_rate(args) -> int:
     net = _read_network(args.input)
-    traj = integrate_rate(
-        net, args.x0, args.t_end, method=args.method, step=args.dt, rtol=args.tol
-    )
+    tol = {} if args.tol is None else {"rtol": args.tol}
+    traj = integrate_rate(net, args.x0, args.t_end, step=args.dt, **tol)
     _write(traj.to_csv(net.species), args.out)
     return 0
 
@@ -192,9 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("rate", _cmd_rate, "integrate the rate equation to CSV")
     p.add_argument("--x0", type=_floats, required=True, help="initial concentrations, comma separated")
     p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=None, help="fixed RK4 step (default auto)")
-    p.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance for rk45")
+    p.add_argument("--dt", type=float, default=None,
+                   help="fixed RK4 step; without it the step adapts to --tol")
+    p.add_argument("--tol", type=float, default=None,
+                   help="keep each adaptive step's error below 1e-12 + tol*max|x| (default 3e-8)")
 
     p = add("equilibrium", _cmd_equilibrium, "pseudo-transient continuation to an equilibrium; JSON")
     p.add_argument("--x0", type=_floats, required=True)

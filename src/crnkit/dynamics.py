@@ -2,10 +2,10 @@
 
 The rate vector field is the sum over transitions of
 rate * (output - input) * x^input, with the 0**0 == 1 convention so the
-empty complex contributes a constant source term.  Integration defaults
-to classic fixed-step RK4 for reproducibility; an adaptive RK45 is
-available through :func:`scipy.integrate.solve_ivp`.  Equilibria come
-from pseudo-transient continuation, which ends as Newton's method.
+empty complex contributes a constant source term.  Integration is classic
+RK4, on a fixed grid or step-controlled by an embedded error estimate,
+within a step budget.  Equilibria come from pseudo-transient continuation,
+which ends as Newton iteration.
 
 Trajectories must stay in the nonnegative orthant: entries in
 [-1e-12, 0) are treated as roundoff and clamped to zero, anything lower
@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
+    InvalidValue,
     NegativeState,
     NoConvergence,
     PopulationExplosion,
-    StepSizeUnderflow,
 )
 from .network import Network, validate_classical
 
@@ -36,7 +37,9 @@ __all__ = [
 ]
 
 _CLAMP = 1e-12
-_RK45_ATOL = 1e-10
+_MAX_RATE_STEPS = 2**14  # tries of integrate_rate; about 2 s on small networks
+_ZONNEVELD_A = np.array([5.0, 7.0, 13.0, -1.0]) / 32.0  # the fifth stage, at c = 3/4
+_ZONNEVELD_E = np.array([2 / 3, -2.0, -2.0, -2.0, 16 / 3])  # RK4 minus third-order weights
 _MAX_STEPS = 200  # step budget of find_equilibrium; converging networks tried took <= 54
 
 
@@ -90,12 +93,12 @@ def _clamp_state(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _rk4_step(field, x: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(field, x: np.ndarray, h: float):
     k1 = field(x)
     k2 = field(x + 0.5 * h * k1)
     k3 = field(x + 0.5 * h * k2)
     k4 = field(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
 
 
 def _default_step(kernel, x0: np.ndarray) -> float:
@@ -108,65 +111,63 @@ def _default_step(kernel, x0: np.ndarray) -> float:
     return min(0.01, 0.1 / lipschitz)
 
 
-def _finite_trajectory(times: np.ndarray, states: np.ndarray) -> Trajectory:
-    blown = ~np.isfinite(states).all(axis=1)
-    if blown.any():
-        raise PopulationExplosion(
-            f"the rate equation left the finite range by t={times[blown.argmax()]:.6g}"
-        )
-    return Trajectory(times, states)
-
-
 def integrate_rate(
-    net: Network,
-    x0,
-    t_end: float,
-    method: str = "rk4",
-    step: float | None = None,
-    rtol: float = 1e-8,
+    net: Network, x0, t_end: float, step: float | None = None, rtol: float = 3e-8
 ) -> Trajectory:
-    """Integrate the rate equation from ``x0`` over [0, t_end].
+    """Integrate the rate equation from ``x0`` over [0, t_end] with classic RK4.
 
-    ``method`` is ``"rk4"`` (fixed step; ``step`` defaults to
-    min(0.01, 0.1/L) with L a Jacobian-based Lipschitz estimate at x0) or
-    ``"rk45"`` (adaptive, scipy, controlled by ``rtol`` and an absolute
-    tolerance of 1e-10).
+    With ``step`` h the rows are at h, 2h, ... and t_end.  Without it the
+    step starts at min(0.01, 0.1/L), L a Lipschitz estimate at x0, and is
+    kept when Zonneveld's embedded fifth stage (Hairer-Norsett-Wanner I,
+    Table II.4.1) puts its error at most 1e-12 + rtol*max|x|.  More than
+    ``_MAX_RATE_STEPS`` steps or tries is ``E_BUDGET``; a step too small to
+    move t is a finite-time blow-up, ``E_EXPLODE``.
     """
     x0 = validate_classical(x0, net.num_species)
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    kernel = net.mass_action
-    field = kernel.field
+    if not (0 < t_end < np.inf and 0 < rtol < np.inf and (step is None or 0 < step < np.inf)):
+        raise InvalidValue(f"t_end, step, rtol must be finite and > 0: {t_end}, {step}, {rtol}")
+    if step is not None and not t_end / step <= _MAX_RATE_STEPS:
+        raise BudgetExceeded(f"t_end / step exceeds the budget of {_MAX_RATE_STEPS} steps")
+    field = net.mass_action.field
+    times, states, x = [0.0], [x0], x0
     with np.errstate(over="ignore", invalid="ignore"):
-        if method == "rk4":
-            h = float(step) if step is not None else _default_step(kernel, x0)
-            if not h > 0:
-                raise ValueError("step must be positive")
-            n_full = int(t_end / h)
-            remainder = t_end - n_full * h
-            times = [0.0]
-            states = [x0]
-            x = x0
-            for i in range(n_full):
-                x = _clamp_state(_rk4_step(field, x, h))
-                times.append((i + 1) * h)
+        if step is not None:
+            h, n_full = float(step), int(t_end / step)
+            grid = [((i + 1) * h, h) for i in range(n_full)]
+            if t_end - n_full * h > 1e-12 * max(1.0, t_end):
+                grid.append((t_end, t_end - n_full * h))
+            for t, dt in grid:
+                x = _clamp_state(_rk4_step(field, x, dt)[0])
+                times.append(t)
                 states.append(x)
-            if remainder > 1e-12 * max(1.0, t_end):
-                x = _clamp_state(_rk4_step(field, x, remainder))
-                times.append(t_end)
-                states.append(x)
-            return _finite_trajectory(np.array(times), np.array(states))
-        if method == "rk45":
-            from scipy.integrate import solve_ivp  # slow to import; rk4 runs without it
-
-            sol = solve_ivp(
-                lambda _t, y: field(y), (0.0, t_end), x0,
-                method="RK45", rtol=rtol, atol=_RK45_ATOL,
-            )
-            if not sol.success:
-                raise StepSizeUnderflow(sol.message)
-            return _finite_trajectory(sol.t, np.array([_clamp_state(row) for row in sol.y.T]))
-    raise ValueError(f"unknown method {method!r}")
+        else:
+            t, h = 0.0, _default_step(net.mass_action, x0)
+            for _ in range(_MAX_RATE_STEPS):
+                h = min(h, t_end - t)
+                last = h == t_end - t
+                x_new, stages = _rk4_step(field, x, h)
+                k5 = field(x + h * (_ZONNEVELD_A @ stages))
+                err = h * np.abs(_ZONNEVELD_E @ (*stages, k5)).max(initial=0.0)
+                tol = 1e-12 + rtol * x.max(initial=0.0)
+                if err <= tol:
+                    t = t_end if last else t + h
+                    x = _clamp_state(x_new)
+                    times.append(t)
+                    states.append(x)
+                    if last:
+                        break
+                # a NaN err passes no comparison, so max() keeps 0.2 and the step shrinks
+                h *= min(5.0, max(0.2, 0.9 * float(tol / err) ** 0.25)) if err else 5.0
+                if t + h == t:
+                    raise PopulationExplosion(f"the step fell below the float spacing of t={t:.6g}")
+            else:
+                raise BudgetExceeded(f"t_end not reached in {_MAX_RATE_STEPS} steps")
+    times, states = np.array(times), np.array(states)
+    blown = ~np.isfinite(states).all(axis=1)
+    if blown.any():
+        at = times[blown.argmax()]
+        raise PopulationExplosion(f"the rate equation left the finite range by t={at:.6g}")
+    return Trajectory(times, states)
 
 
 def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
@@ -177,7 +178,7 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
     Jacobian and B an orthonormal basis of range(Gamma), halved with dt
     until x >= -1e-12.  dt starts at the default RK4 step and grows by
     switched evolution relaxation, dt *= |f_old|/|f_new|, at least doubling
-    while |f| falls, so the loop ends as Newton's method.  While B^T J B has
+    while |f| falls, so the loop ends as Newton iteration.  While B^T J B has
     an eigenvalue of real part g > 0, dt doubles even as |f| rises, up to
     1/(2g): beyond 1/g a step would head for the unstable point instead.
 
@@ -190,8 +191,8 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
     not; non-finite values raise ``E_EXPLODE``.
     """
     x = validate_classical(x0, net.num_species).copy()
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InvalidValue(f"tol must be positive and finite, got {tol}")
     kernel = net.mass_action
     u_mat, sing, _ = np.linalg.svd(net.stoichiometric_matrix().astype(float), full_matrices=False)
     basis = u_mat[:, : int((sing > sing.max(initial=0.0) * 1e-12).sum())]

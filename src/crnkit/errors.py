@@ -30,19 +30,13 @@ class NegativeState(CrnError):
     code = "E_NEG"
 
 
-class StepSizeUnderflow(CrnError):
-    """The adaptive step controller could not meet its tolerances."""
-
-    code = "E_STEP"
-
-
 class NoConvergence(CrnError):
     """Equilibrium search exhausted its time or iteration budget."""
 
     code = "E_NOCONV"
 
 
-class InvalidValue(CrnError):
+class InvalidValue(CrnError, ValueError):
     """A numeric input is NaN, infinite or outside its domain."""
 
     code = "E_VALUE"

@@ -97,7 +97,7 @@ class TruncationBox:
         if not caps:
             raise ValueError("a truncation box needs at least one species")
         if any(c < 1 for c in caps):
-            raise ValueError("caps must be at least 1")
+            raise InvalidValue("caps must be at least 1")
         if math.prod(c + 1 for c in caps) > _MAX_STATES:
             raise BudgetExceeded(f"a box with caps {caps} exceeds {_MAX_STATES} states")
         object.__setattr__(self, "caps", caps)
@@ -230,11 +230,11 @@ class MixedState:
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float)
         if weights.shape != (self.box.size,):
-            raise ValueError(f"weights shape {weights.shape}, expected ({self.box.size},)")
+            raise InvalidValue(f"weights shape {weights.shape}, expected ({self.box.size},)")
         if weights.min(initial=0.0) < 0:
-            raise ValueError("mixed-state weights must be nonnegative")
+            raise InvalidValue("mixed-state weights must be nonnegative")
         if weights.sum() > 1.0 + 1e-12:
-            raise ValueError("mixed-state weights must not sum above 1")
+            raise InvalidValue("mixed-state weights must not sum above 1")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 

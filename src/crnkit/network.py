@@ -259,7 +259,7 @@ class MassAction:
 
     def flux(self, x: np.ndarray) -> np.ndarray:
         """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
-        return self.rates * np.prod(x ** self.inputs, axis=1)
+        return self.rates * (x ** self.inputs).prod(axis=1)
 
     def field(self, x: np.ndarray) -> np.ndarray:
         """Rate-equation vector field sum_tau r(tau) (t - s) x^s."""

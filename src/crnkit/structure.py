@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidValue
 from .network import ComplexGraph, CountVector, Network, validate_classical
 
 __all__ = [
@@ -271,8 +272,8 @@ def complex_balance_report(net: Network, c, tol: float = 1e-9) -> BalanceReport:
     |consumption - production| <= tol * (1 + max complex throughput).
     """
     c = validate_classical(c, net.num_species)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidValue(f"tol must be positive and finite, got {tol}")
     flux = net.mass_action.flux(c)
     graph = net.complex_graph()
     n = len(graph.vertices)

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crnkit
-from crnkit import cli, fock, format_network, ssa
+from crnkit import cli, dynamics, fock, format_network, ssa
 from crnkit.cli import run
 
-from support import sparse_network
+from support import random_network, sparse_network
 
 DIATOMIC = "X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
 BD = "species: A\n0 -> A @ 3\nA -> 0 @ 1\n"
@@ -105,9 +105,11 @@ def test_golden_analyze_output_bytes(tmp_path, capsys, text, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_import_leaves_slow_scipy_modules_unloaded():
+def test_import_leaves_slow_scipy_modules_unloaded(bd_file):
+    # a default `crn rate` must not load scipy.integrate either
     code = (
-        "import sys, crnkit; "
+        "import sys, crnkit.cli; "
+        f"assert crnkit.cli.run(['rate', {bd_file!r}, '--x0', '0', '--t-end', '1']) == 0; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
     )
     src = os.path.dirname(os.path.dirname(crnkit.__file__))
@@ -119,7 +121,7 @@ def test_import_leaves_slow_scipy_modules_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestParseCommand:
@@ -192,8 +194,12 @@ class TestRateAndEquilibrium:
         final = float(lines[-1].split(",")[1])
         assert abs(final - 3.0 * (1 - 2.718281828459045 ** -5.0)) < 1e-5
 
-    def test_rate_rk45(self, bd_file, capsys):
-        assert run(["rate", bd_file, "--x0", "0", "--t-end", "5", "--method", "rk45"]) == 0
+    def test_rate_default_route(self, bd_file, capsys):
+        assert run(["rate", bd_file, "--x0", "0", "--t-end", "5"]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in capsys.readouterr().out.split("\n")[1:-1]]
+        assert rows[0] == [0.0, 0.0] and rows[-1][0] == 5.0
+        assert abs(rows[-1][1] - 3.0 * (1 - 2.718281828459045 ** -5.0)) < 1e-6
+        assert run(["rate", bd_file, "--x0", "0", "--method", "rk45"]) == 2
 
     def test_equilibrium_json(self, dia_file, capsys):
         code, doc = run_json(["equilibrium", dia_file, "--x0", "1,0"], capsys)
@@ -358,6 +364,13 @@ class TestTypedErrors:
             # default boxes of about 1e14 and 1e9 states, refused before allocation
             (DIATOMIC, ["ack", "--c", "1e7,1e7"], "E_BUDGET"),
             (DIATOMIC, ["ack", "--c", "3e4,3e4"], "E_BUDGET"),
+            # out-of-domain tolerances, caps and horizons
+            (DIATOMIC, ["equilibrium", "--x0", "1,0", "--tol", "0"], "E_VALUE"),
+            (DIATOMIC, ["equilibrium", "--x0", "1,0", "--tol", "inf"], "E_VALUE"),
+            (DIATOMIC, ["ack", "--c", "0.5,1", "--tol", "0"], "E_VALUE"),
+            (BD, ["master", "--n0", "0", "--caps", "0"], "E_VALUE"),
+            (BD, ["rate", "--x0", "0", "--t-end", "inf"], "E_VALUE"),
+            (BD, ["rate", "--x0", "0", "--tol", "-1"], "E_VALUE"),
         ],
     )
     def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, monkeypatch, text, args, code):
@@ -369,6 +382,15 @@ class TestTypedErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error[{code}]" in captured.err
+
+    def test_parse_warnings_are_coded_lines(self, tmp_path, capsys):
+        path = tmp_path / "loop.crn"
+        path.write_text("A -> A @ 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["analyze", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning[E_SELF_LOOP]: 1:1: self-loop reaction contributes nothing to the dynamics\n"
 
 
 _COUNTS = st.integers(0, 60) | st.sampled_from([-1, 10**6, 10**6 + 1, 2**63, 2**1024, 10**400])
@@ -464,16 +486,50 @@ class TestCrnTextFuzz:
         path.write_text("\n".join(lines))
         for command in ("parse", "analyze"):
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore", crnkit.ParseWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run([command, str(path)])
             assert code in (0, 1, 2)
             if code == 1:
                 assert err.getvalue().startswith("error[E_"), err.getvalue()
             elif command == "analyze":
-                assert code == 0 and err.getvalue() == ""
+                assert code == 0
+                assert all(line.startswith("warning[E_") for line in err.getvalue().splitlines())
                 _strict_json(out.getvalue())
+
+
+_RATE_OPTIONS = {"--t-end": _REALS, "--dt": _REALS, "--tol": _REALS}
+
+
+class TestRateAndEquilibriumFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        command=st.sampled_from(["rate", "equilibrium"]),
+        x0=st.lists(_REALS, min_size=4, max_size=4),
+        length=st.sampled_from([None, None, None, 1, 2]),
+        options=st.fixed_dictionaries({}, optional=_RATE_OPTIONS),
+    )
+    def test_exit_codes_and_typed_errors(self, tmp_path_factory, seed, command, x0, length, options):
+        net = random_network(random.Random(seed))
+        path = tmp_path_factory.getbasetemp() / "rate.crn"
+        path.write_text(format_network(net))
+        args = [command, str(path), "--x0=" + ",".join(x0[: length or net.num_species])]
+        args += [f"{flag}={value}" for flag, value in options.items()
+                 if command == "rate" or flag == "--tol"]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_MAX_RATE_STEPS", 200)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(args)
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if code == 1:
+            assert lines[-1].startswith("error[E_"), err.getvalue()
+            lines.pop()
+        if code != 2:
+            assert all(line.startswith("warning[E_") for line in lines), err.getvalue()
+        if code == 0 and command == "equilibrium":
+            _strict_json(out.getvalue())
 
 
 class TestUsageErrors:

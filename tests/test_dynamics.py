@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from crnkit import (
+    BudgetExceeded,
     DimensionMismatch,
     NegativeConcentration,
     NegativeState,
     Network,
     NoConvergence,
     PopulationExplosion,
-    StepSizeUnderflow,
     complex_balance_report,
     conserved_quantities,
     find_equilibrium,
@@ -21,6 +21,7 @@ from crnkit import (
     parse_network,
     rate_vector_field,
 )
+from crnkit import dynamics
 
 from support import balanced_reversible_network, random_network
 
@@ -98,15 +99,30 @@ class TestIntegrateRate:
         ratio = max_err(0.2) / max_err(0.1)
         assert 12.0 <= ratio <= 20.0
 
-    def test_rk45_matches(self, net_bd):
-        traj = integrate_rate(net_bd, [0.0], 20.0, method="rk45")
-        assert abs(traj.final_state[0] - 3.0) <= 1e-5
+    def test_default_route_error_is_below_1e_7(self):
+        # a fixed step of min(0.01, 0.1/L) misses this bound: its error is 1.9e-7
+        net = parse_network("Z0 <-> Z1 @ 8, 8")
+        traj = integrate_rate(net, [1.5, 0.5], 1.0)
+        exact = 1.0 + 0.5 * np.exp(-16.0 * traj.times)
+        assert np.abs(traj.states[:, 0] - exact).max() <= 1e-7
+        assert np.abs(traj.states.sum(axis=1) - 2.0).max() <= 1e-14
+
+    def test_step_budget(self, net_bd, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_RATE_STEPS", 50)
+        with pytest.raises(BudgetExceeded):
+            integrate_rate(net_bd, [0.0], 1e12)
+        assert integrate_rate(net_bd, [0.0], 1.0, step=0.02).times.size == 51
+
+        def no_field(self, x):
+            raise AssertionError("the field was evaluated")
+
+        monkeypatch.setattr(type(net_bd.mass_action), "field", no_field)
+        with pytest.raises(BudgetExceeded):
+            integrate_rate(net_bd, [0.0], 1.0, step=0.019)
 
     def test_rejects_bad_arguments(self, net_bd):
         with pytest.raises(ValueError):
             integrate_rate(net_bd, [0.0], 0.0)
-        with pytest.raises(ValueError):
-            integrate_rate(net_bd, [0.0], 1.0, method="euler")
         with pytest.raises(NegativeConcentration):
             integrate_rate(net_bd, [-0.5], 1.0)
 
@@ -115,11 +131,11 @@ class TestIntegrateRate:
         with pytest.raises(NegativeState):
             integrate_rate(net, [10.0], 1.0, step=1.0)
 
-    def test_adaptive_underflow_raises_e_step(self):
-        # dx/dt = x^2 blows up at t = 1/x0; the controller must give up
+    def test_adaptive_blow_up_raises_e_explode(self):
+        # dx/dt = x^2 blows up at t = 1/x0; the step shrinks until t stops moving
         net = parse_network("2 A -> 3 A @ 1")
-        with pytest.raises(StepSizeUnderflow):
-            integrate_rate(net, [1.0], 2.0, method="rk45")
+        with pytest.raises(PopulationExplosion):
+            integrate_rate(net, [1.0], 2.0)
 
     def test_trajectory_shape_and_csv(self, net_diatomic):
         traj = integrate_rate(net_diatomic, [1.0, 0.0], 1.0, step=0.25)
