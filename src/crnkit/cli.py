@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .dynamics import find_equilibrium, integrate_rate, rate_vector_field
-from .errors import CrnError
+from .errors import CrnError, InvalidValue
 from .fock import (
     TruncationBox,
     ack_residual,
@@ -77,7 +77,7 @@ def _box_from_args(args, net, c=None) -> TruncationBox:
     if args.caps is not None:
         return TruncationBox(tuple(args.caps))
     if c is None:
-        raise ValueError("--caps is required when no coherent means are given")
+        raise InvalidValue("--caps is required when no coherent means are given")
     return default_box(c, network_margin(net))
 
 
@@ -123,7 +123,7 @@ def _cmd_equilibrium(args) -> int:
 def _cmd_master(args) -> int:
     net = _read_network(args.input)
     if (args.n0 is None) == (args.c is None):
-        raise ValueError("exactly one of --n0 (pure start) or --c (coherent start) is required")
+        raise InvalidValue("exactly one of --n0 (pure start) or --c (coherent start) is required")
     box = _box_from_args(args, net, c=args.c)
     if args.n0 is not None:
         psi0 = pure_state(box, args.n0)
@@ -140,7 +140,7 @@ def _cmd_ack(args) -> int:
     balance = complex_balance_report(net, args.c, tol=args.tol)
     report = ack_residual(net, args.c, box)
     doc = {"c": list(args.c), "caps": list(box.caps), "margin": report.margin}
-    doc.update(balance.to_json_dict(net.species))
+    doc.update(balance.to_json_dict())
     doc.update(
         {
             "interior_residual_l1": report.interior_l1,

@@ -134,7 +134,7 @@ def integrate_rate(
         if step is not None:
             h, n_full = float(step), int(t_end / step)
             grid = [((i + 1) * h, h) for i in range(n_full)]
-            if t_end - n_full * h > 1e-12 * max(1.0, t_end):
+            if n_full == 0 or t_end - n_full * h > 1e-12 * max(1.0, t_end):
                 grid.append((t_end, t_end - n_full * h))
             for t, dt in grid:
                 x = _clamp_state(_rk4_step(field, x, dt)[0])

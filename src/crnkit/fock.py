@@ -79,6 +79,7 @@ _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
 _MAX_STATES = 2**24  # largest box; every box-sized array is allocated after this check
 _MAX_SLOTS = 2**26  # generator slots, box states x offsets; certify's largest is about 2.9M
+_CSV_FLOOR = 1e-15  # MixedState.to_csv prints only weights above this
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class TruncationBox:
     def __post_init__(self):
         caps = tuple(int(c) for c in self.caps)
         if not caps:
-            raise ValueError("a truncation box needs at least one species")
+            raise InvalidValue("a truncation box needs at least one species")
         if any(c < 1 for c in caps):
             raise InvalidValue("caps must be at least 1")
         if math.prod(c + 1 for c in caps) > _MAX_STATES:
@@ -149,19 +150,21 @@ class TruncationBox:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """Sparse real matrix over a box's flat index set; no stored zeros."""
+    """Sparse real CSR matrix over a box's flat index set; no stored zeros.
+
+    A matrix that is not box.size x box.size raises ``E_DIM``.  Every
+    builder here hands over CSR without zeros: scipy's DIA conversion,
+    sparse product and sparse difference store none.
+    """
 
     box: TruncationBox
     matrix: sp.csr_matrix
 
-    @staticmethod
-    def wrap(box: TruncationBox, matrix) -> "SparseOperator":
-        mat = sp.csr_matrix(matrix)
-        if mat.shape != (box.size, box.size):
-            raise ValueError(f"matrix shape {mat.shape} does not match box size {box.size}")
-        mat.eliminate_zeros()
-        mat.sort_indices()
-        return SparseOperator(box, mat)
+    def __post_init__(self):
+        if self.matrix.shape != (self.box.size, self.box.size):
+            raise DimensionMismatch(
+                f"matrix shape {self.matrix.shape} does not match box size {self.box.size}"
+            )
 
     def _check(self, other: "SparseOperator"):
         if self.box != other.box:
@@ -175,20 +178,7 @@ class SparseOperator:
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         self._check(other)
-        return SparseOperator.wrap(self.box, self.matrix @ other.matrix)
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        self._check(other)
-        return SparseOperator.wrap(self.box, self.matrix + other.matrix)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        self._check(other)
-        return SparseOperator.wrap(self.box, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: float) -> "SparseOperator":
-        return SparseOperator.wrap(self.box, self.matrix * float(scalar))
-
-    __rmul__ = __mul__
+        return SparseOperator(self.box, self.matrix @ other.matrix)
 
     @property
     def nnz(self) -> int:
@@ -199,21 +189,6 @@ class SparseOperator:
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
-
-    def column_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=0)).ravel()
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def to_coordinate_text(self) -> str:
-        """Coordinate dump: header with the box caps, then 'row col value' lines."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = ["# caps " + " ".join(str(c) for c in self.box.caps)]
-        for i in order:
-            lines.append(f"{int(coo.row[i])} {int(coo.col[i])} {float(coo.data[i])!r}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +220,10 @@ class MixedState:
     def weight_of(self, n) -> float:
         return float(self.weights[self.box.index_of(n)])
 
-    def to_csv(self, species, threshold: float = 1e-15) -> str:
-        """CSV dump '<species...>,probability', skipping weights <= threshold."""
+    def to_csv(self, species) -> str:
+        """CSV dump '<species...>,probability', skipping weights <= ``_CSV_FLOOR``."""
         lines = [",".join(species) + ",probability"]
-        printed = np.flatnonzero(self.weights > threshold)
+        printed = np.flatnonzero(self.weights > _CSV_FLOOR)
         coords = np.column_stack(np.unravel_index(printed, self.box.shape)).tolist()
         for state, weight in zip(coords, self.weights[printed].tolist()):
             lines.append(f"{','.join(map(str, state))},{weight!r}")
@@ -301,9 +276,8 @@ def linear_observable(w, box: TruncationBox) -> SparseOperator:
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """AB - BA on a common box."""
-    if a.box != b.box:
-        raise BoxMismatch("commutator operands live on different boxes")
-    return SparseOperator.wrap(a.box, a.matrix @ b.matrix - b.matrix @ a.matrix)
+    a._check(b)
+    return SparseOperator(a.box, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 def _observable_commutator_max_abs(h_op: SparseOperator, w) -> float:
@@ -389,11 +363,9 @@ def poisson_logpmf(k, mu):
     return xlogy(k, mu) - gammaln(k + 1) - mu
 
 
-def _log_poisson_weights(c: np.ndarray, box: TruncationBox) -> np.ndarray:
-    """log of the product-Poisson weight per box state: an outer sum of 1-D tables."""
-    return _outer_sum(
-        [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(box.caps, c)]
-    )
+def _log_poisson_weights(c, caps) -> np.ndarray:
+    """log product-Poisson weight per state of the box with ``caps``, an outer sum of 1-D tables."""
+    return _outer_sum([poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)])
 
 
 def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
@@ -403,7 +375,7 @@ def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
     second return value is the tail mass lost to truncation.
     """
     c = validate_classical(c, box.k)
-    weights = np.exp(_log_poisson_weights(c, box))
+    weights = np.exp(_log_poisson_weights(c, box.caps))
     tail = max(0.0, 1.0 - float(weights.sum()))
     return MixedState(box, weights), tail
 
@@ -504,7 +476,7 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
         raise SymmetryOverflow(
             f"exp(s*O) spans e^{peak:.1f}, beyond double precision"
         )
-    log_weights = _log_poisson_weights(c, box) + float(s) * sector_values
+    log_weights = _log_poisson_weights(c, box.caps) + float(s) * sector_values
     log_weights = log_weights - log_weights.max()
     weights = np.exp(log_weights)
     weights /= weights.sum()

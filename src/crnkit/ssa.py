@@ -22,7 +22,7 @@ from operator import add
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidValue, PopulationExplosion
-from .fock import _outer_sum, poisson_logpmf
+from .fock import _log_poisson_weights
 from .network import CountVector, Network, validate_classical
 
 __all__ = [
@@ -292,13 +292,12 @@ def compare_to_poisson(hist: Histogram, c) -> PoissonComparison:
     """
     k = len(hist.caps)
     c = validate_classical(c, k)
-    tables = [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(hist.caps, c)]
-    reference = np.exp(_outer_sum(tables))
+    reference = np.exp(_log_poisson_weights(c, hist.caps))
     reference /= reference.sum()
     states = np.array(list(hist.counts), dtype=np.int64).reshape(-1, k)
     counts = np.array(list(hist.counts.values()))
     empirical = np.zeros(reference.size)
-    empirical[np.ravel_multi_index(states.T, [len(t) for t in tables])] = counts / hist.total
+    empirical[np.ravel_multi_index(states.T, [cap + 1 for cap in hist.caps])] = counts / hist.total
     tv = 0.5 * float(np.abs(empirical - reference).sum())
     means = (states * counts[:, None]).sum(axis=0) / hist.total
     return PoissonComparison(tv, means)

@@ -246,7 +246,7 @@ class BalanceReport:
     def max_abs_residual(self) -> float:
         return max((abs(r.residual) for r in self.rows), default=0.0)
 
-    def to_json_dict(self, species) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "complex_balanced": self.balanced,
             "tol": self.tol,

@@ -231,7 +231,7 @@ def test_c10_oracle_equivalence(net_diatomic):
     gain_beta = c1 @ a2 @ a2
     dense = alpha * (gain_alpha - np.diag(gain_alpha.sum(axis=0)))
     dense += beta * (gain_beta - np.diag(gain_beta.sum(axis=0)))
-    sparse = hamiltonian(net_diatomic, box).to_dense()
+    sparse = hamiltonian(net_diatomic, box).matrix.toarray()
     diff = float(np.abs(sparse - dense).max())
     check("C10 sparse assembly equals dense composition", diff <= 1e-12,
           f"max entry difference {diff:.1e}")

@@ -369,6 +369,10 @@ class TestTypedErrors:
             (DIATOMIC, ["equilibrium", "--x0", "1,0", "--tol", "inf"], "E_VALUE"),
             (DIATOMIC, ["ack", "--c", "0.5,1", "--tol", "0"], "E_VALUE"),
             (BD, ["master", "--n0", "0", "--caps", "0"], "E_VALUE"),
+            # a box of no species, and a master start given twice or without a box
+            (BD, ["master", "--n0", "0", "--caps", ""], "E_VALUE"),
+            (BD, ["master", "--n0", "0"], "E_VALUE"),
+            (BD, ["master", "--n0", "0", "--c", "1", "--caps", "5"], "E_VALUE"),
             (BD, ["rate", "--x0", "0", "--t-end", "inf"], "E_VALUE"),
             (BD, ["rate", "--x0", "0", "--tol", "-1"], "E_VALUE"),
         ],
@@ -408,8 +412,8 @@ _SSA_OPTIONS = {
 
 
 @pytest.fixture(scope="module")
-def ssa_files(tmp_path_factory):
-    folder = tmp_path_factory.mktemp("ssa")
+def net_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("nets")
     (folder / "bd.crn").write_text(BD)
     (folder / "dia.crn").write_text(DIATOMIC)
     return {1: str(folder / "bd.crn"), 2: str(folder / "dia.crn")}
@@ -424,10 +428,10 @@ class TestSsaFuzz:
         histogram=st.booleans(),
         options=st.fixed_dictionaries({}, optional=_SSA_OPTIONS),
     )
-    def test_exit_codes_and_typed_errors(self, ssa_files, species, n0, length, histogram, options):
+    def test_exit_codes_and_typed_errors(self, net_files, species, n0, length, histogram, options):
         # mostly a start state of the right length, sometimes a wrong one
         n0 = n0[: length or species]
-        args = ["ssa", ssa_files[species], "--n0=" + ",".join(map(str, n0))]
+        args = ["ssa", net_files[species], "--n0=" + ",".join(map(str, n0))]
         args += ["--histogram"] * histogram + [f"{flag}={value}" for flag, value in options.items()]
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as patch:
@@ -529,6 +533,57 @@ class TestRateAndEquilibriumFuzz:
         if code != 2:
             assert all(line.startswith("warning[E_") for line in lines), err.getvalue()
         if code == 0 and command == "equilibrium":
+            _strict_json(out.getvalue())
+
+
+_BIG_INTS = st.integers(10**19, 10**20 - 1)  # 20 digits
+_FOCK_OPTIONS = {
+    "--n0": st.lists(_COUNTS | _BIG_INTS, min_size=3, max_size=3),
+    "--c": st.lists(_REALS, min_size=3, max_size=3),
+    "--caps": st.lists(st.integers(-1, 12) | _BIG_INTS, min_size=3, max_size=3),
+    "--t-end": _REALS,
+    "--tol": _REALS,
+    "--s": _REALS,
+    "--lam": st.integers(-5, 30) | _BIG_INTS | _BIG_INTS.map(lambda v: -v),
+}
+_FOCK_FLAGS = {
+    "master": {"--n0", "--c", "--caps", "--t-end"},
+    "ack": {"--c", "--caps", "--tol"},
+    "noether": {"--c", "--caps", "--s", "--lam"},
+}
+
+
+class TestFockCommandFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        species=st.sampled_from([1, 2]),
+        command=st.sampled_from(sorted(_FOCK_FLAGS)),
+        length=st.sampled_from([None, None, None, 0, 1, 2, 3]),
+        options=st.fixed_dictionaries({}, optional=_FOCK_OPTIONS),
+    )
+    def test_exit_codes_and_typed_errors(self, net_files, species, command, length, options):
+        # lists mostly of the network's length, sometimes empty or of a wrong one
+        size = species if length is None else length
+        args = [command, net_files[species]]
+        for flag, value in options.items():
+            if flag in _FOCK_FLAGS[command]:
+                value = ",".join(map(str, value[:size])) if isinstance(value, list) else value
+                args.append(f"{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            # small budgets keep every example to milliseconds
+            patch.setattr(fock, "_MAX_STATES", 400)
+            patch.setattr(fock, "_MAX_SLOTS", 1600)
+            patch.setattr(fock, "_MAX_MATVECS", 500)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(args)
+        assert code in (0, 1, 2)
+        if code == 1 and command == "ack" and not err.getvalue():
+            # a failed balance check prints its report and no error line
+            assert _strict_json(out.getvalue())["complex_balanced"] is False
+        elif code == 1:
+            assert err.getvalue().startswith("error[E_"), err.getvalue()
+        elif code == 0 and command != "master":
             _strict_json(out.getvalue())
 
 

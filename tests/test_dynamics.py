@@ -120,6 +120,12 @@ class TestIntegrateRate:
         with pytest.raises(BudgetExceeded):
             integrate_rate(net_bd, [0.0], 1.0, step=0.019)
 
+    def test_horizon_shorter_than_the_grid_tolerance_takes_one_step(self, net_bd):
+        # the one step here is all remainder, which a 1e-12 cut would drop
+        traj = integrate_rate(net_bd, [1.0], 1e-13, step=1.0)
+        assert traj.times.tolist() == [0.0, 1e-13]
+        assert abs(traj.states[1, 0] - (1.0 + 2e-13)) <= 1e-15
+
     def test_rejects_bad_arguments(self, net_bd):
         with pytest.raises(ValueError):
             integrate_rate(net_bd, [0.0], 0.0)

@@ -83,7 +83,7 @@ class TestTruncationBox:
 class TestLadderOperators:
     def test_annihilation_coefficients(self):
         box = TruncationBox((3,))
-        a = annihilation(0, box).to_dense()
+        a = annihilation(0, box).matrix.toarray()
         assert a[2, 3] == 3.0
         assert a[:, 0].sum() == 0.0  # derivative of the vacuum is zero
 
@@ -93,7 +93,7 @@ class TestLadderOperators:
 
     def test_creation_shifts_and_truncates(self):
         box = TruncationBox((3,))
-        c = creation(0, box).to_dense()
+        c = creation(0, box).matrix.toarray()
         assert c[2, 1] == 1.0
         assert c[:, 3].sum() == 0.0  # outflow at the cap is dropped
 
@@ -101,12 +101,12 @@ class TestLadderOperators:
         box = TruncationBox((4,))
         composed = creation(0, box) @ annihilation(0, box)
         n_op = number_operator(0, box)
-        assert np.array_equal(composed.to_dense(), n_op.to_dense())
-        assert np.array_equal(n_op.to_dense().diagonal(), np.arange(5.0))
+        assert np.array_equal(composed.matrix.toarray(), n_op.matrix.toarray())
+        assert np.array_equal(n_op.matrix.toarray().diagonal(), np.arange(5.0))
 
     def test_canonical_commutator_on_interior(self):
         box = TruncationBox((5,))
-        c = commutator(annihilation(0, box), creation(0, box)).to_dense()
+        c = commutator(annihilation(0, box), creation(0, box)).matrix.toarray()
         for n in range(5):
             assert c[n, n] == 1.0
         assert c[5, 5] == -5.0  # boundary row differs under truncation
@@ -115,10 +115,14 @@ class TestLadderOperators:
         box = TruncationBox((4, 4))
         obs = linear_observable((2, 1), box)
         idx = box.index_of((1, 3))
-        assert obs.to_dense()[idx, idx] == 5.0
+        assert obs.matrix.toarray()[idx, idx] == 5.0
 
     def test_zero_weight_gives_zero_operator(self):
         assert linear_observable((0, 0), TruncationBox((3, 3))).nnz == 0
+
+    def test_wrong_matrix_shape(self):
+        with pytest.raises(DimensionMismatch):
+            SparseOperator(TruncationBox((3,)), sp.csr_matrix((3, 3)))
 
     def test_box_mismatch(self):
         with pytest.raises(BoxMismatch):
@@ -129,7 +133,7 @@ class TestLadderOperators:
 class TestHamiltonian:
     def test_decay_entries_exact(self, decay_net):
         box = TruncationBox((3,))
-        h = hamiltonian(decay_net, box).to_dense()
+        h = hamiltonian(decay_net, box).matrix.toarray()
         expected = np.zeros((4, 4))
         for n in range(1, 4):
             expected[n - 1, n] = n
@@ -144,8 +148,8 @@ class TestHamiltonian:
     def test_column_sums_vanish(self, net_diatomic, net_bd, net_catalyst):
         for net in (net_diatomic, net_bd, net_catalyst):
             box = TruncationBox((6,) * net.num_species if net.num_species < 4 else (3,) * 4)
-            h = hamiltonian(net, box)
-            assert np.abs(h.column_sums()).max(initial=0.0) <= 1e-14
+            sums = np.asarray(hamiltonian(net, box).matrix.sum(axis=0))
+            assert np.abs(sums).max(initial=0.0) <= 1e-14
 
     def test_column_sums_vanish_relative_on_random_networks(self):
         # random rates span twelve decades, so the zero is relative there
@@ -155,7 +159,8 @@ class TestHamiltonian:
             box = TruncationBox((4,) * net.num_species)
             h = hamiltonian(net, box)
             mass = np.asarray(np.abs(h.matrix).sum(axis=0)).ravel().max(initial=0.0)
-            assert np.abs(h.column_sums()).max(initial=0.0) <= 1e-14 * max(1.0, float(mass))
+            sums = np.asarray(h.matrix.sum(axis=0))
+            assert np.abs(sums).max(initial=0.0) <= 1e-14 * max(1.0, float(mass))
 
     def test_matches_dense_composition_route(self, net_diatomic, net_bd, net_catalyst):
         for net, caps in (
@@ -164,14 +169,14 @@ class TestHamiltonian:
             (net_catalyst, (2, 2, 2, 2)),
         ):
             box = TruncationBox(caps)
-            sparse = hamiltonian(net, box).to_dense()
+            sparse = hamiltonian(net, box).matrix.toarray()
             dense = dense_hamiltonian(net, box)
             assert np.abs(sparse - dense).max() <= 1e-12
 
     def test_falling_factorial_matches_enumeration(self):
         net = parse_network("2 A + 3 B -> 0 @ 1")
         box = TruncationBox((5, 5))
-        h = hamiltonian(net, box).to_dense()
+        h = hamiltonian(net, box).matrix.toarray()
         zero_idx = box.index_of((0, 0))
         for n_a in range(6):
             for n_b in range(6):
@@ -223,6 +228,11 @@ class TestMatchesDenseLadders:
         ops = [(annihilation(i, box), lowers[i]) for i in range(box.k)]
         ops += [(creation(i, box), raisers[i]) for i in range(box.k)]
         ops.append((linear_observable(w, box), np.diag((box.states() @ np.array(w)).astype(float))))
+        # products and commutators come from scipy as they are, with no clean-up pass
+        ops += [(creation(i, box) @ annihilation(i, box), raisers[i] @ lowers[i])
+                for i in range(box.k)]
+        ops += [(commutator(annihilation(i, box), creation(i, box)),
+                 lowers[i] @ raisers[i] - raisers[i] @ lowers[i]) for i in range(box.k)]
         for op, dense in ops:
             mat = op.matrix
             assert np.array_equal(mat.toarray(), dense)
@@ -250,7 +260,9 @@ class TestMatchesCooAssembly:
         box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))))
         rows, cols, vals = coo_hamiltonian(plain, box)
         shape = (box.size, box.size)
-        oracle = SparseOperator.wrap(box, sp.coo_matrix((vals, (rows, cols)), shape=shape)).matrix
+        oracle = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+        oracle.eliminate_zeros()
+        oracle.sort_indices()
         terms = sp.csr_matrix((np.ones(vals.size), (rows, cols)), shape=shape)
         terms.sort_indices()
         got = hamiltonian(net, box).matrix
@@ -284,7 +296,7 @@ class TestBoxProductStructure:
     def test_sector_values_match_state_array_route(self):
         box = TruncationBox((3, 4, 2))
         w = (2, -1, 3)
-        obs = linear_observable(w, box).to_dense().diagonal()
+        obs = linear_observable(w, box).matrix.toarray().diagonal()
         assert np.array_equal(obs, (box.states() @ np.array(w)).astype(float))
 
 
@@ -560,13 +572,3 @@ class TestSymmetry:
         with pytest.raises(SymmetryOverflow):
             apply_symmetry([0.5, 1.0], (2, 1), 50.0, box)
 
-
-class TestExports:
-    def test_operator_coordinate_text(self, decay_net):
-        box = TruncationBox((3,))
-        text = hamiltonian(decay_net, box).to_coordinate_text()
-        lines = text.strip().split("\n")
-        assert lines[0] == "# caps 3"
-        parsed = [line.split() for line in lines[1:]]
-        assert ["0", "1", "1.0"] in parsed and ["1", "1", "-1.0"] in parsed
-        assert len(parsed) == hamiltonian(decay_net, box).nnz

@@ -220,9 +220,7 @@ class TestComplexBalance:
         assert hits >= 50
 
     def test_report_json_keys(self, net_diatomic):
-        doc = complex_balance_report(net_diatomic, [0.5, 1.0]).to_json_dict(
-            net_diatomic.species
-        )
+        doc = complex_balance_report(net_diatomic, [0.5, 1.0]).to_json_dict()
         assert set(doc) == {"complex_balanced", "tol", "scale", "complexes"}
         assert all(
             set(row) == {"complex", "production", "consumption", "residual"}
