@@ -20,13 +20,11 @@ from .network import (
     CountVector,
     Network,
     PetriBipartite,
-    SelfLoopWarning,
     Transition,
 )
 from .parser import (
     Diagnostic,
     ParseError,
-    ParseWarning,
     format_complex,
     format_network,
     parse_network,

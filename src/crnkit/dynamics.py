@@ -207,6 +207,8 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
             if norm <= 1e-14 * scale:
                 return x
             jac = basis.T @ kernel.jacobian(x) @ basis
+            if not np.isfinite(jac).all():
+                raise PopulationExplosion("the Jacobian left the finite range")
             growth = np.linalg.eigvals(jac).real.max(initial=0.0)
             if growth > 0:
                 dt = min(dt, 0.5 / growth)

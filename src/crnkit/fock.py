@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatch,
     EmptySector,
     InvalidValue,
+    PopulationExplosion,
     SymmetryOverflow,
 )
 from .network import Network, validate_classical
@@ -74,6 +75,7 @@ __all__ = [
     "poisson_logpmf",
 ]
 
+_DBL_MAX = np.finfo(float).max
 _LOG_DBL_MAX = 709.0
 _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
@@ -121,14 +123,9 @@ class TruncationBox:
         return tuple(math.prod(self.shape[i + 1 :]) for i in range(self.k))
 
     def states(self) -> np.ndarray:
-        """All box states as a (size, k) int array in flat-index order."""
-        cached = self.__dict__.get("_states")
-        if cached is None:
-            grids = np.unravel_index(np.arange(self.size), self.shape)
-            cached = np.column_stack(grids).astype(np.int64, copy=False)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_states", cached)
-        return cached
+        """All box states as a new (size, k) int array in flat-index order."""
+        grids = np.unravel_index(np.arange(self.size), self.shape)
+        return np.column_stack(grids).astype(np.int64, copy=False)
 
     def index_of(self, n) -> int:
         """Flat index of the state ``n``; ``E_DIM`` for a wrong length, ``E_VALUE`` outside the box."""
@@ -306,7 +303,8 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
     sub-box of the main diagonal.  Fluxes sharing an entry add in
     transition order; self-loops cancel exactly and are skipped.  More
     than ``_MAX_SLOTS`` diagonal entries (box states x distinct offsets)
-    raise ``E_BUDGET`` before any is allocated.
+    raise ``E_BUDGET`` before any is allocated; a diagonal entry below
+    -DBL_MAX/2 raises ``E_EXPLODE``, so every column's L1 norm is finite.
     """
     if box.k != net.num_species:
         raise DimensionMismatch(
@@ -327,11 +325,15 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
         raise BudgetExceeded(f"{box.size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
     data = np.zeros((len(offsets), box.size))
     diagonal = data[0].reshape(box.shape)
-    for j, offset, sources in firing:
-        grid = np.ix_(*(np.arange(s.start, s.stop) for s in sources))
-        flux = kernel.rates[j] * kernel.falling(grid, j)
-        data[offsets.index(offset)].reshape(box.shape)[sources] += flux
-        diagonal[sources] -= flux
+    with np.errstate(over="ignore"):
+        for j, offset, sources in firing:
+            grid = np.ix_(*(np.arange(s.start, s.stop) for s in sources))
+            flux = kernel.rates[j] * kernel.falling(grid, j)
+            data[offsets.index(offset)].reshape(box.shape)[sources] += flux
+            diagonal[sources] -= flux
+    # |H_nn| bounds every entry of column n, and 2|H_nn| its L1 norm
+    if not data[0].min() >= -_DBL_MAX / 2:
+        raise PopulationExplosion("a state's total outflow in the generator overflows")
     return _diagonals(box, data, offsets)
 
 
@@ -364,8 +366,12 @@ def poisson_logpmf(k, mu):
 
 
 def _log_poisson_weights(c, caps) -> np.ndarray:
-    """log product-Poisson weight per state of the box with ``caps``, an outer sum of 1-D tables."""
-    return _outer_sum([poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)])
+    """log product-Poisson weight per state of the box with ``caps``, an outer sum of 1-D tables.
+
+    A sum below the float range is -inf, the log of the weight 0 it stands for.
+    """
+    with np.errstate(over="ignore"):
+        return _outer_sum([poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)])
 
 
 def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
@@ -463,8 +469,9 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
 
     Returns the renormalized state together with the predicted means
     c_i * exp(s * w_i); the state equals the coherent state of those means
-    on the box, up to the renormalization constant.  A non-finite ``s``
-    raises ``E_VALUE``.
+    on the box, up to the renormalization constant.  A non-finite ``s``,
+    or means whose log weights all fall below the float range, raise
+    ``E_VALUE``.
     """
     c = validate_classical(c, box.k)
     w = np.asarray(w, dtype=np.int64)
@@ -477,10 +484,13 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
             f"exp(s*O) spans e^{peak:.1f}, beyond double precision"
         )
     log_weights = _log_poisson_weights(c, box.caps) + float(s) * sector_values
-    log_weights = log_weights - log_weights.max()
-    weights = np.exp(log_weights)
+    top = log_weights.max()
+    if top == -np.inf:
+        raise InvalidValue(f"every coherent weight of c underflows on the box {box.caps}")
+    weights = np.exp(log_weights - top)
     weights /= weights.sum()
-    predicted = np.exp(float(s) * w.astype(float)) * c
+    with np.errstate(over="ignore"):  # an overflowing mean is inf, which coherent_state refuses
+        predicted = np.exp(float(s) * w.astype(float)) * c
     return MixedState(box, weights), predicted
 
 

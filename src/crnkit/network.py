@@ -13,7 +13,6 @@ functions of the network, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,17 +27,8 @@ __all__ = [
     "ComplexGraph",
     "PetriBipartite",
     "MassAction",
-    "SelfLoopWarning",
     "validate_classical",
 ]
-
-
-class SelfLoopWarning(UserWarning):
-    """A transition whose input and output complexes coincide.
-
-    Such transitions are legal but contribute nothing to the deterministic
-    dynamics and cancel exactly in the stochastic generator.
-    """
 
 
 class CountVector(tuple):
@@ -147,7 +137,11 @@ class PetriBipartite:
 
 @dataclass(frozen=True)
 class Network:
-    """A stochastic reaction network over an ordered species list."""
+    """A stochastic reaction network over an ordered species list.
+
+    Self-loops (input == output) are kept; they are the zero operator, and
+    the parser reports them as ``E_SELF_LOOP`` diagnostics.
+    """
 
     species: tuple[str, ...]
     transitions: tuple[Transition, ...] = ()
@@ -167,13 +161,6 @@ class Network:
             if len(tr.input) != k:
                 raise DimensionMismatch(
                     f"transition {j} has complexes of length {len(tr.input)}, expected {k}"
-                )
-            if tr.input == tr.output:
-                warnings.warn(
-                    f"transition {j} ({tr.label or 'unlabeled'}) is a self-loop; "
-                    "it contributes nothing to the dynamics",
-                    SelfLoopWarning,
-                    stacklevel=2,
                 )
 
     @property

@@ -27,16 +27,14 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 
 from .errors import CrnError
-from .network import CountVector, Network, SelfLoopWarning, Transition
+from .network import CountVector, Network, Transition
 
 __all__ = [
     "Diagnostic",
     "ParseError",
-    "ParseWarning",
     "parse_network",
     "parse_network_report",
     "format_network",
@@ -53,10 +51,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<sym>[@,:+\-])"
     r"|(?P<bad>.)"
 )
-
-
-class ParseWarning(UserWarning):
-    """Non-fatal parse diagnostic (empty file, self-loop reaction)."""
 
 
 @dataclass(frozen=True)
@@ -242,24 +236,18 @@ def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, .
         Transition(tuple(lhs.get(n, 0) for n in names), tuple(rhs.get(n, 0) for n in names), rate)
         for lhs, rhs, rate in reactions
     )
-    with warnings.catch_warnings():
-        # self-loops already reported as positioned diagnostics above
-        warnings.simplefilter("ignore", SelfLoopWarning)
-        net = Network(names, transitions)
-    return net, tuple(diagnostics)
+    return Network(names, transitions), tuple(diagnostics)
 
 
 def parse_network(text: str) -> Network:
     """Parse ``text`` into a :class:`Network`, raising :class:`ParseError` on errors.
 
-    Warning-level diagnostics (empty file, self-loops) are forwarded through
-    :mod:`warnings` as :class:`ParseWarning`.
+    Warning-level diagnostics (empty file, self-loops) are not reported
+    here; :func:`parse_network_report` returns them.
     """
     net, diagnostics = parse_network_report(text)
     if net is None:
         raise ParseError(diagnostics)
-    for diag in diagnostics:
-        warnings.warn(str(diag), ParseWarning, stacklevel=2)
     return net
 
 

@@ -107,6 +107,8 @@ class _Records(dict):
             values.append(value)
         cumulative = list(accumulate(values))
         total = cumulative[-1] if values else 0.0
+        if not total < math.inf:  # a zero wait, and rand() * inf picks the last transition
+            raise PopulationExplosion(f"the total propensity overflows at state {state}")
         self[state] = record = total, cumulative, [None] * len(values), state
         return record
 
@@ -164,10 +166,11 @@ def simulate(
 
     Waiting times are exponential with the total propensity as rate; the
     jump is chosen proportionally to individual propensities.  Any species
-    crossing ``max_count`` aborts with ``E_EXPLODE`` (open networks can
-    grow without bound); a ``t_end`` that is not finite and positive, or a
-    negative, fractional or huge count in ``n0``, raises ``E_VALUE``.  A path
-    that reaches ``_MAX_JUMPS`` jumps before ``t_end`` raises ``E_BUDGET``.
+    crossing ``max_count``, or a total propensity beyond the float range,
+    aborts with ``E_EXPLODE`` (open networks can grow without bound); a
+    ``t_end`` that is not finite and positive, or a negative, fractional or
+    huge count in ``n0``, raises ``E_VALUE``.  A path that reaches
+    ``_MAX_JUMPS`` jumps before ``t_end`` raises ``E_BUDGET``.
     """
     if not 0 < t_end < math.inf:
         raise InvalidValue(f"t_end must be finite and positive, got {t_end}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue
+from .errors import InvalidValue, PopulationExplosion
 from .network import ComplexGraph, CountVector, Network, validate_classical
 
 __all__ = [
@@ -269,17 +269,22 @@ def complex_balance_report(net: Network, c, tol: float = 1e-9) -> BalanceReport:
     For each complex, consumption sums r(tau) * c^input over transitions
     consuming it, production sums the same monomials over transitions
     producing it.  The verdict is relative: balanced iff every
-    |consumption - production| <= tol * (1 + max complex throughput).
+    |consumption - production| <= tol * (1 + max complex throughput).  A
+    flux or sum beyond the float range raises ``E_EXPLODE``.
     """
     c = validate_classical(c, net.num_species)
     if not 0 < tol < math.inf:
         raise InvalidValue(f"tol must be positive and finite, got {tol}")
-    flux = net.mass_action.flux(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
+        flux = net.mass_action.flux(c)
     graph = net.complex_graph()
     n = len(graph.vertices)
     source, target, _ = np.array(graph.edges, dtype=np.int64).reshape(-1, 3).T
+    # every flux is in one consumption sum, so a non-finite flux shows there
     consumption = np.bincount(source, weights=flux, minlength=n)
     production = np.bincount(target, weights=flux, minlength=n)
+    if not (np.isfinite(consumption).all() and np.isfinite(production).all()):
+        raise PopulationExplosion("a mass-action flux or its per-complex sum overflows at c")
     rows = tuple(
         ComplexBalanceRow(kappa, float(p), float(q), float(q - p))
         for kappa, p, q in zip(graph.vertices, production, consumption)

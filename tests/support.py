@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import string
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from crnkit import (
     CountVector,
     Network,
     PopulationExplosion,
-    SelfLoopWarning,
     Transition,
     format_network,
 )
@@ -53,9 +51,18 @@ def random_network(
         inp = CountVector(rng.randint(0, max_coeff) for _ in range(k))
         out = CountVector(rng.randint(0, max_coeff) for _ in range(k))
         transitions.append(Transition(inp, out, random_rate(rng)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SelfLoopWarning)
-        return Network(species, tuple(transitions))
+    return Network(species, tuple(transitions))
+
+
+def with_extreme_rates(rng: random.Random, net: Network) -> Network:
+    """``net`` with about a third of its rates raised to 1e300, 1e306 or
+    1.7e308, where mass-action fluxes and their sums leave the float range."""
+    transitions = tuple(
+        Transition(tr.input, tr.output, rng.choice((1e300, 1e306, 1.7e308)))
+        if rng.random() < 0.3 else tr
+        for tr in net.transitions
+    )
+    return Network(net.species, transitions)
 
 
 # every token class of the .crn grammar, near misses of it ("<", "007",

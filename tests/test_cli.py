@@ -17,12 +17,17 @@ import crnkit
 from crnkit import cli, dynamics, fock, format_network, ssa
 from crnkit.cli import run
 
-from support import random_network, sparse_network
+from support import random_network, sparse_network, with_extreme_rates
 
 DIATOMIC = "X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
 BD = "species: A\n0 -> A @ 3\nA -> 0 @ 1\n"
 AUTOCATALYSIS = "2 A -> 3 A @ 1\n"
 CATALYST = "species: A B C AC\n0 -> A @ 1\nB -> 0 @ 2\nA + C -> AC @ 0.5\nAC -> 2 B + C @ 1.25\n"
+OVERFLOW_SSA = (
+    "species: A B C\nA + B -> 2 A + 2 B + 3 C @ 1.7e308\n"
+    "A + 2 B + 2 C -> A + B + 3 C @ 1141011.44\n3 A + 3 B -> A + B + 3 C @ 1e300\n"
+)
+OVERFLOW_GENERATOR = "species: A\nA <-> 0 @ 1e306, 1e306\n3 A -> 2 A @ 1e306\n"
 
 
 @pytest.fixture
@@ -218,6 +223,11 @@ class TestMasterCommand:
         mass = sum(float(line.split(",")[1]) for line in lines[1:])
         assert abs(mass - 1.0) < 1e-9
 
+    def test_coherent_start_below_float_range(self, dia_file, capsys):
+        # log weights of about -3.4e308 are -inf: no state of the box carries mass
+        assert run(["master", dia_file, "--c", "1.7e308,1.7e308", "--caps", "2,2"]) == 0
+        assert capsys.readouterr() == ("X1,X2,probability\n", "")
+
     def test_requires_exactly_one_start(self, bd_file, capsys):
         assert run(["master", bd_file, "--caps", "10"]) == 1
         assert run(["master", bd_file, "--n0", "0", "--c", "1"]) == 1
@@ -375,6 +385,25 @@ class TestTypedErrors:
             (BD, ["master", "--n0", "0", "--c", "1", "--caps", "5"], "E_VALUE"),
             (BD, ["rate", "--x0", "0", "--t-end", "inf"], "E_VALUE"),
             (BD, ["rate", "--x0", "0", "--tol", "-1"], "E_VALUE"),
+            # mass action beyond the float range: a total propensity of inf gave
+            # a zero wait and picked the last transition, here one that cannot fire
+            (OVERFLOW_SSA, ["ssa", "--n0", "4,1,3", "--t-end", "1"], "E_EXPLODE"),
+            (OVERFLOW_SSA, ["ssa", "--n0", "4,1,3", "--histogram", "--samples", "20",
+                            "--burn-in", "1"], "E_EXPLODE"),
+            # a balance flux of inf, one of 0 * inf, and finite fluxes summing to inf
+            ("2 X1 <-> X2 @ 1, 2\n", ["ack", "--c", "1e300,1", "--caps", "3,3"], "E_EXPLODE"),
+            ("X1 + 2 X2 -> X3 @ 1\n", ["ack", "--c", "0,1e300,3", "--caps", "3,3,3"], "E_EXPLODE"),
+            ("3 A -> 0 @ 1.7e308\n0 -> A @ 1e306\n3 A -> A @ 1.7e308\n", ["ack", "--c", "1"],
+             "E_EXPLODE"),
+            # generator fluxes beyond the float range
+            (OVERFLOW_GENERATOR, ["ack", "--c", "1"], "E_EXPLODE"),
+            (OVERFLOW_GENERATOR, ["master", "--n0", "0", "--caps", "20"], "E_EXPLODE"),
+            # predicted symmetry means of inf, and coherent log weights below the float range
+            (DIATOMIC, ["noether", "--c", "1e300,0.3", "--caps", "3,2", "--s", "20"], "E_VALUE"),
+            (DIATOMIC, ["noether", "--c", "1.7e308,1.7e308", "--caps", "2,2"], "E_VALUE"),
+            # a Jacobian of inf in the continuation
+            ("species: A B\n2 A -> 2 B @ 1.67e-06\n2 B -> 2 A + 3 B @ 1e306\n"
+             "3 A + 3 B -> A + 3 B @ 1.7e308\n", ["equilibrium", "--x0", "1e-300,3"], "E_EXPLODE"),
         ],
     )
     def test_bad_inputs_end_in_typed_errors(self, tmp_path, capsys, monkeypatch, text, args, code):
@@ -385,7 +414,7 @@ class TestTypedErrors:
         assert run([args[0], str(path), *args[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error[{code}]" in captured.err
+        assert captured.err.startswith(f"error[{code}]") and captured.err.count("\n") == 1
 
     def test_parse_warnings_are_coded_lines(self, tmp_path, capsys):
         path = tmp_path / "loop.crn"
@@ -514,7 +543,8 @@ class TestRateAndEquilibriumFuzz:
         options=st.fixed_dictionaries({}, optional=_RATE_OPTIONS),
     )
     def test_exit_codes_and_typed_errors(self, tmp_path_factory, seed, command, x0, length, options):
-        net = random_network(random.Random(seed))
+        rng = random.Random(seed)
+        net = with_extreme_rates(rng, random_network(rng))
         path = tmp_path_factory.getbasetemp() / "rate.crn"
         path.write_text(format_network(net))
         args = [command, str(path), "--x0=" + ",".join(x0[: length or net.num_species])]
@@ -584,6 +614,62 @@ class TestFockCommandFuzz:
         elif code == 1:
             assert err.getvalue().startswith("error[E_"), err.getvalue()
         elif code == 0 and command != "master":
+            _strict_json(out.getvalue())
+
+
+_MEANS = st.sampled_from(["0", "0.5", "3", "1e300"]) | _REALS
+
+
+class TestRandomNetworkFuzz:
+    """master, ack, noether and ssa on random networks, some of whose rates
+    overflow mass action near the float range."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        command=st.sampled_from(["master", "ack", "noether", "ssa", "histogram"]),
+        means=st.lists(_MEANS, min_size=4, max_size=4),
+        starts=st.none() | st.lists(st.integers(0, 4) | _COUNTS, min_size=4, max_size=4),
+        caps=st.none() | st.lists(st.integers(1, 4), min_size=4, max_size=4),
+        real=_REALS,
+    )
+    def test_exit_codes_and_typed_errors(self, tmp_path_factory, seed, command, means, starts,
+                                         caps, real):
+        rng = random.Random(seed)
+        net = with_extreme_rates(rng, random_network(rng))
+        path = tmp_path_factory.getbasetemp() / "random.crn"
+        path.write_text(format_network(net))
+        k = net.num_species
+        c = ["--c=" + ",".join(means[:k])]
+        n0 = ["--n0=" + ",".join(map(str, (starts or [1] * 4)[:k]))]
+        box = [] if caps is None else ["--caps=" + ",".join(map(str, caps[:k]))]
+        args = {
+            "master": (c if starts is None else n0) + box + [f"--t-end={real}"],
+            "ack": c + box,
+            "noether": c + box + [f"--s={real}"],
+            "ssa": n0 + [f"--t-end={real}"],
+            "histogram": n0 + ["--histogram", f"--burn-in={real}", "--samples=20"],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            # small budgets keep every example to milliseconds
+            patch.setattr(fock, "_MAX_STATES", 400)
+            patch.setattr(fock, "_MAX_SLOTS", 1600)
+            patch.setattr(fock, "_MAX_MATVECS", 500)
+            patch.setattr(ssa, "_MAX_JUMPS", 2000)
+            patch.setattr(ssa, "_MAX_HIST_JUMPS", 4000)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["ssa" if command == "histogram" else command, str(path), *args])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        failed = bool(lines) and lines[-1].startswith("error[E_")
+        if code == 1 and not failed:
+            # a failed balance check prints its report and no error line
+            assert command == "ack", err.getvalue()
+            assert _strict_json(out.getvalue())["complex_balanced"] is False
+        if code != 2:
+            assert all(line.startswith("warning[E_") for line in lines[:-1 if failed else None])
+        if code == 0 and command in ("ack", "noether"):
             _strict_json(out.getvalue())
 
 

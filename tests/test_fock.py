@@ -18,7 +18,6 @@ from crnkit import (
     MixedState,
     NegativeConcentration,
     Network,
-    SelfLoopWarning,
     SparseOperator,
     SymmetryOverflow,
     Transition,
@@ -68,6 +67,7 @@ class TestTruncationBox:
         states = box.states()
         assert states.shape == (12, 2)
         assert [box.index_of(s) for s in states] == list(range(12))
+        assert vars(box) == {"caps": (2, 3)}  # nothing cached on the frozen box
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,11 +190,10 @@ class TestHamiltonian:
                     assert h[col, col] == -expected
 
     def test_self_loops_change_nothing(self, net_diatomic):
-        with pytest.warns(SelfLoopWarning):
-            looped = Network(
-                net_diatomic.species,
-                (*net_diatomic.transitions, Transition((1, 1), (1, 1), 1e7)),
-            )
+        looped = Network(
+            net_diatomic.species,
+            (*net_diatomic.transitions, Transition((1, 1), (1, 1), 1e7)),
+        )
         box = TruncationBox((6, 6))
         plain, with_loop = hamiltonian(net_diatomic, box).matrix, hamiltonian(looped, box).matrix
         for name in ("indptr", "indices", "data"):

@@ -8,7 +8,6 @@ from crnkit import (
     CountVector,
     DimensionMismatch,
     Network,
-    SelfLoopWarning,
     Transition,
 )
 
@@ -62,10 +61,9 @@ class TestNetworkValidation:
         with pytest.raises(DimensionMismatch):
             Network(("A", "B"), (tr,))
 
-    def test_self_loop_warns_but_is_kept(self):
+    def test_self_loop_is_kept(self):
         tr = Transition(CountVector((1,)), CountVector((1,)), 1.0)
-        with pytest.warns(SelfLoopWarning):
-            net = Network(("A",), (tr,))
+        net = Network(("A",), (tr,))
         assert net.num_transitions == 1
 
 
@@ -123,8 +121,7 @@ class TestStoichiometricMatrix:
 
     def test_self_loop_zero_column(self):
         tr = Transition(CountVector((1,)), CountVector((1,)), 1.0)
-        with pytest.warns(SelfLoopWarning):
-            net = Network(("A",), (tr,))
+        net = Network(("A",), (tr,))
         assert net.stoichiometric_matrix().tolist() == [[0]]
 
     def test_catalyst_matrix(self, net_catalyst):
@@ -175,11 +172,7 @@ class TestPetriBipartite:
                 Transition(CountVector(i_mat[:, j]), CountVector(o_mat[:, j]), tr.rate)
                 for j, tr in enumerate(net.transitions)
             )
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SelfLoopWarning)
-                assert Network(net.species, rebuilt) == Network(net.species, net.transitions)
+            assert Network(net.species, rebuilt) == Network(net.species, net.transitions)
 
 
 class TestDerivedViewInvariants:

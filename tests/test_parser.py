@@ -9,7 +9,6 @@ from crnkit import (
     CountVector,
     Network,
     ParseError,
-    ParseWarning,
     Transition,
     format_network,
     parse_network,
@@ -147,13 +146,18 @@ class TestDiagnostics:
         net, diags = parse_network_report("")
         assert net is not None and net.num_transitions == 0
         assert any(d.code == "E_EMPTY" and d.severity == "warning" for d in diags)
-        with pytest.warns(ParseWarning):
+        with warnings.catch_warnings():  # the diagnostic is a value, not a Python warning
+            warnings.simplefilter("error")
             parse_network("species: A")
+            parse_network("")
 
     def test_self_loop_warning_diagnostic(self):
         net, diags = parse_network_report("A -> A @ 1")
         assert net is not None and net.num_transitions == 1
         assert any(d.code == "E_SELF_LOOP" and d.severity == "warning" for d in diags)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_network("A -> A @ 1") == net
 
     def test_recovers_after_bad_line(self):
         net, diags = parse_network_report("A -> B @ -1\nB -> A @ 1")
