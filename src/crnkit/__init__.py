@@ -2,6 +2,8 @@
 rate dynamics, truncated master-equation operators with coherent-state
 equilibrium certificates, and Gillespie stochastic simulation."""
 
+import importlib
+
 from .errors import (
     BoxMismatch,
     BudgetExceeded,
@@ -45,30 +47,6 @@ from .structure import (
     structure_report,
 )
 from .dynamics import Trajectory, find_equilibrium, integrate_rate, rate_vector_field
-from .fock import (
-    AckReport,
-    MixedState,
-    SparseOperator,
-    TruncationBox,
-    ack_residual,
-    annihilation,
-    apply_symmetry,
-    coherent_state,
-    commutator,
-    creation,
-    default_box,
-    evolve_master,
-    hamiltonian,
-    interior_mask,
-    linear_observable,
-    master_residual,
-    network_margin,
-    noether_report,
-    number_operator,
-    poisson_logpmf,
-    project_onto,
-    pure_state,
-)
 from .ssa import (
     Histogram,
     JumpTrajectory,
@@ -80,3 +58,25 @@ from .ssa import (
 )
 
 __version__ = "0.1.0"
+
+
+# Fock-space names load crnkit.fock, the one module needing scipy, on first read.
+_FOCK_NAMES = frozenset("""
+    AckReport MixedState SparseOperator TruncationBox ack_residual annihilation
+    apply_symmetry coherent_state commutator creation default_box evolve_master
+    hamiltonian interior_mask linear_observable master_residual network_margin
+    noether_report number_operator poisson_logpmf project_onto pure_state
+""".split())
+
+
+def __getattr__(name):  # PEP 562: reached only by names not yet bound here
+    if name != "fock" and name not in _FOCK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    fock = importlib.import_module(".fock", __name__)  # binds the name fock here too
+    if name != "fock":
+        globals()[name] = getattr(fock, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | _FOCK_NAMES | {"fock"})

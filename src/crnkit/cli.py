@@ -20,17 +20,6 @@ import numpy as np
 
 from .dynamics import find_equilibrium, integrate_rate, rate_vector_field
 from .errors import CrnError, InvalidValue
-from .fock import (
-    TruncationBox,
-    ack_residual,
-    coherent_state,
-    default_box,
-    evolve_master,
-    hamiltonian,
-    network_margin,
-    noether_report,
-    pure_state,
-)
 from .parser import ParseError, format_network, parse_network_report
 from .ssa import simulate, stationary_histogram
 from .structure import complex_balance_report, structure_report
@@ -73,7 +62,8 @@ def _emit_json(doc: dict, out: str | None):
     _write(json.dumps(full, indent=2, allow_nan=False) + "\n", out)
 
 
-def _box_from_args(args, net, c=None) -> TruncationBox:
+def _box_from_args(args, net, c=None):
+    from .fock import TruncationBox, default_box, network_margin
     if args.caps is not None:
         return TruncationBox(tuple(args.caps))
     if c is None:
@@ -121,6 +111,7 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_master(args) -> int:
+    from .fock import coherent_state, evolve_master, hamiltonian, pure_state
     net = _read_network(args.input)
     if (args.n0 is None) == (args.c is None):
         raise InvalidValue("exactly one of --n0 (pure start) or --c (coherent start) is required")
@@ -135,6 +126,7 @@ def _cmd_master(args) -> int:
 
 
 def _cmd_ack(args) -> int:
+    from .fock import ack_residual
     net = _read_network(args.input)
     box = _box_from_args(args, net, c=args.c)
     balance = complex_balance_report(net, args.c, tol=args.tol)
@@ -166,6 +158,7 @@ def _cmd_ssa(args) -> int:
 
 
 def _cmd_noether(args) -> int:
+    from .fock import noether_report
     net = _read_network(args.input)
     box = _box_from_args(args, net, c=args.c)
     doc = {"c": list(args.c), "caps": list(box.caps)}

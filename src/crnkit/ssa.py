@@ -22,7 +22,6 @@ from operator import add
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidValue, PopulationExplosion
-from .fock import _log_poisson_weights
 from .network import CountVector, Network, validate_classical
 
 __all__ = [
@@ -52,8 +51,13 @@ def propensity(net: Network, n, tau_index: int) -> float:
     if len(n) != net.num_species:
         raise DimensionMismatch(f"state has length {len(n)}, expected {net.num_species}")
     kernel = net.mass_action
-    value = kernel.rates[tau_index] * kernel.falling(np.array(n, dtype=float), tau_index)
-    return float(max(value, 0.0))
+    if any(count < need for count, need in zip(n, kernel.inputs[tau_index].tolist())):
+        return 0.0  # before the product, where an overflow times a zero factor would be NaN
+    with np.errstate(over="ignore"):
+        value = kernel.rates[tau_index] * kernel.falling(np.array(n, dtype=float), tau_index)
+    if not value < math.inf:
+        raise PopulationExplosion(f"the propensity of transition {tau_index} overflows at state {tuple(n)}")
+    return float(value)
 
 
 def _start_state(net: Network, n0) -> tuple[int, ...]:
@@ -293,9 +297,12 @@ def compare_to_poisson(hist: Histogram, c) -> PoissonComparison:
     renormalized there before the comparison.  Also reports the empirical
     per-species means.
     """
+    from .fock import _log_poisson_weights
     k = len(hist.caps)
     c = validate_classical(c, k)
     reference = np.exp(_log_poisson_weights(c, hist.caps))
+    if not reference.sum() > 0.0:
+        raise InvalidValue(f"every product-Poisson weight of c underflows on the box {hist.caps}")
     reference /= reference.sum()
     states = np.array(list(hist.counts), dtype=np.int64).reshape(-1, k)
     counts = np.array(list(hist.counts.values()))

@@ -110,13 +110,8 @@ def test_golden_analyze_output_bytes(tmp_path, capsys, text, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_import_leaves_slow_scipy_modules_unloaded(bd_file):
-    # a default `crn rate` must not load scipy.integrate either
-    code = (
-        "import sys, crnkit.cli; "
-        f"assert crnkit.cli.run(['rate', {bd_file!r}, '--x0', '0', '--t-end', '1']) == 0; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
-    )
+def _fresh_python(code: str) -> str:
+    """Last stdout line of ``code`` run in a new interpreter that imports this crnkit."""
     src = os.path.dirname(os.path.dirname(crnkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -126,7 +121,59 @@ def test_import_leaves_slow_scipy_modules_unloaded(bd_file):
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_import_leaves_slow_scipy_modules_unloaded(bd_file):
+    # scipy serves only the Fock-space side: `import crnkit` and the subcommands
+    # without a Fock-space result load none of it; a fock name read from crnkit
+    # loads scipy.sparse, still without scipy.stats or scipy.integrate
+    commands = [
+        ["parse", bd_file],
+        ["analyze", bd_file],
+        ["rate", bd_file, "--x0", "0", "--t-end", "1"],
+        ["equilibrium", bd_file, "--x0", "0"],
+        ["ssa", bd_file, "--n0", "0", "--t-end", "1"],
+        ["ssa", bd_file, "--n0", "0", "--histogram", "--burn-in", "1", "--samples", "10"],
+    ]
+    code = f"""
+import contextlib, io, json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import crnkit, crnkit.cli
+seen = {{"import": scipy_modules()}}
+try:
+    crnkit.no_such_name
+    seen["no_such_name"] = "no AttributeError"
+except AttributeError:
+    seen["no_such_name"] = scipy_modules()
+for args in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[" ".join(args)] = [crnkit.cli.run(args)] + scipy_modules()
+hamiltonian = crnkit.hamiltonian
+seen["fock"] = [
+    "scipy.sparse" in sys.modules,
+    hamiltonian is crnkit.fock.hamiltonian,
+    "hamiltonian" in dir(crnkit),
+    sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules),
+]
+print(json.dumps(seen))
+"""
+    seen = json.loads(_fresh_python(code))
+    assert seen.pop("fock") == [True, True, True, []]
+    assert seen == {
+        "import": [],
+        "no_such_name": [],
+        **{" ".join(args): [0] for args in commands},
+    }
+
+
+def test_fock_module_loads_on_first_read_from_the_package():
+    code = (
+        "import sys, crnkit; fock = crnkit.fock; "
+        "print(fock.__name__, 'scipy.sparse' in sys.modules, crnkit.hamiltonian is fock.hamiltonian)"
+    )
+    assert _fresh_python(code) == "crnkit.fock True True"
 
 
 class TestParseCommand:
@@ -314,7 +361,6 @@ class TestNoetherCommand:
 
         real = fock.hamiltonian
         monkeypatch.setattr(fock, "hamiltonian", counting)
-        monkeypatch.setattr(cli, "hamiltonian", counting)
         assert run(["noether", dia_file, "--c", "0.5,1"]) == 0
         assert len(calls) == 1
 

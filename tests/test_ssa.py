@@ -58,6 +58,14 @@ class TestPropensity:
         with pytest.raises(DimensionMismatch):
             propensity(net_bd, (1, 2), 0)
 
+    def test_overflow_is_population_explosion(self):
+        # 1.7e308 * 3 * 2 lies beyond the float range; a short species still gives 0
+        net = parse_network("2 A + B -> 0 @ 1.7e308")
+        with pytest.raises(PopulationExplosion, match="overflows at state \\(3, 1\\)"):
+            propensity(net, (3, 1), 0)
+        assert propensity(net, (3, 0), 0) == 0.0
+        assert propensity(net, (10**200, 0), 0) == 0.0
+
 
 class TestSimulate:
     def test_no_transitions_stays_put(self):
@@ -188,6 +196,12 @@ class TestCompareToPoisson:
         hist = Histogram({(0,): 1}, 1, (0,))
         with pytest.raises(DimensionMismatch):
             compare_to_poisson(hist, [1.0, 2.0])
+
+    def test_reference_underflow_is_typed_error(self):
+        # Poisson(1000) weights on {0, 1} are below exp(-993): all round to 0
+        hist = Histogram({(0,): 3, (1,): 2}, 5, (1,))
+        with pytest.raises(InvalidValue, match="underflows on the box \\(1,\\)"):
+            compare_to_poisson(hist, [1000.0])
 
     @pytest.mark.parametrize("mean", [math.nan, math.inf])
     def test_non_finite_means_are_typed_errors(self, mean):
