@@ -16,9 +16,10 @@ only, at least that margin away from every cap.
 The box is a product of per-species ranges, and the engine builds from
 that structure instead of a states x species array.  Each ladder operator
 shifts the flat index by one stride, so every operator is banded: it is
-stored as one array per diagonal (scipy's DIA layout) and converted to
-CSR once.  Per-state tables (coherent weights, w . n, the interior) are
-outer sums of 1-D ones.
+built as one array per diagonal (scipy's DIA layout).  The certificates
+read the generator's diagonals; the public operators are their CSR.
+Per-state tables (coherent weights, w . n, the interior) are outer sums
+of 1-D ones.
 
 Coherent states carry the untruncated product-Poisson weights (computed
 through log-gamma, no factorial overflow) without renormalization; the
@@ -193,14 +194,17 @@ class MixedState:
     """Probability weights over a box's states (finitely supported mixture).
 
     Weights are nonnegative and sum to at most 1 (+1e-12 for roundoff);
-    truncated tails may lose mass but never create it.
+    truncated tails may lose mass but never create it.  A read-only float64
+    array is adopted as it is; any other input is copied.
     """
 
     box: TruncationBox
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
+        weights = self.weights
+        if type(weights) is not np.ndarray or weights.dtype != np.float64 or weights.flags.writeable:
+            weights = np.array(weights, dtype=float)
         if weights.shape != (self.box.size,):
             raise InvalidValue(f"weights shape {weights.shape}, expected ({self.box.size},)")
         if weights.min(initial=0.0) < 0:
@@ -277,12 +281,14 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(a.box, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def _observable_commutator_max_abs(h_op: SparseOperator, w) -> float:
-    """max|[H, O_w]| = max|H_mn (o_n - o_m)| over H's entries, o = w . n per state."""
-    mat = h_op.matrix
-    o = _sector_values(w, h_op.box)
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    return float(np.abs(mat.data * (o[mat.indices] - o[rows])).max(initial=0.0))
+def _observable_commutator_max_abs(gen: sp.dia_matrix, box: TruncationBox, w) -> float:
+    """max|[H, O_w]| = max|H_mn (o_n - o_m)|, o = w . n per state, from H's diagonals n - m = off."""
+    o, worst, size = _sector_values(w, box), 0.0, box.size
+    for off, diag in zip(gen.offsets.tolist(), gen.data):
+        if off:  # H_mn sits at diag[n], over the columns n whose row m = n - off lies in the box
+            n, m = slice(max(off, 0), size + min(off, 0)), slice(max(-off, 0), size - max(off, 0))
+            worst = max(worst, float(np.abs(diag[n] * (o[n] - o[m])).max(initial=0.0)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +300,13 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
     For every state n and transition with falling-factorial weight f > 0,
     the firing adds rate*f at (target, n) and subtracts it at (n, n); when
     the target lies outside the box both contributions are dropped, so all
-    column sums vanish.
+    column sums vanish.  The canonical CSR of :func:`_generator`'s diagonals.
+    """
+    return SparseOperator(box, _generator(net, box).tocsr())
+
+
+def _generator(net: Network, box: TruncationBox) -> sp.dia_matrix:
+    """:func:`hamiltonian` as a DIA matrix whose offsets ascend.
 
     A firing moves the flat index by the constant (t - s) . strides, and
     its sources inside the box form the sub-box s_i <= n_i <= cap_i -
@@ -305,6 +317,8 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
     than ``_MAX_SLOTS`` diagonal entries (box states x distinct offsets)
     raise ``E_BUDGET`` before any is allocated; a diagonal entry below
     -DBL_MAX/2 raises ``E_EXPLODE``, so every column's L1 norm is finite.
+    Ascending offsets make scipy's DIA mat-vec add each row's terms in
+    column order, as the CSR one does, so both give the same bytes.
     """
     if box.k != net.num_species:
         raise DimensionMismatch(
@@ -320,21 +334,28 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
         if offset == 0 or any(s > top for s, top in zip(need, tops)):
             continue
         firing.append((j, offset, tuple(slice(s, top + 1) for s, top in zip(need, tops))))
-    offsets = list(dict.fromkeys([0, *(f[1] for f in firing)]))
+    offsets = sorted({0, *(f[1] for f in firing)})
     if box.size * len(offsets) > _MAX_SLOTS:
         raise BudgetExceeded(f"{box.size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
     data = np.zeros((len(offsets), box.size))
-    diagonal = data[0].reshape(box.shape)
+    blocks, zero = [row.reshape(box.shape) for row in data], offsets.index(0)
+    # a diagonal's first flux is stored, not added to zeros (numpy assigns a slice
+    # ~3x faster); fluxes are positive, so 0 + f, 0 - f and x - f keep every bit
+    fresh = set(range(len(offsets)))
     with np.errstate(over="ignore"):
         for j, offset, sources in firing:
             grid = np.ix_(*(np.arange(s.start, s.stop) for s in sources))
             flux = kernel.rates[j] * kernel.falling(grid, j)
-            data[offsets.index(offset)].reshape(box.shape)[sources] += flux
-            diagonal[sources] -= flux
+            for q, value in ((offsets.index(offset), flux), (zero, -flux)):
+                if q in fresh:
+                    fresh.discard(q)
+                    blocks[q][sources] = value
+                else:
+                    blocks[q][sources] += value
     # |H_nn| bounds every entry of column n, and 2|H_nn| its L1 norm
-    if not data[0].min() >= -_DBL_MAX / 2:
+    if not data[zero].min() >= -_DBL_MAX / 2:
         raise PopulationExplosion("a state's total outflow in the generator overflows")
-    return _diagonals(box, data, offsets)
+    return sp.dia_matrix((data, offsets), (box.size, box.size))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +402,9 @@ def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
     second return value is the tail mass lost to truncation.
     """
     c = validate_classical(c, box.k)
-    weights = np.exp(_log_poisson_weights(c, box.caps))
+    weights = _log_poisson_weights(c, box.caps)
+    np.exp(weights, out=weights)
+    weights.setflags(write=False)  # MixedState adopts it without a copy
     tail = max(0.0, 1.0 - float(weights.sum()))
     return MixedState(box, weights), tail
 
@@ -425,11 +448,12 @@ class AckReport:
 
 def master_residual(net: Network, psi: MixedState) -> AckReport:
     """Residual H*psi of an arbitrary mixed state under the network's generator."""
-    return _residual(hamiltonian(net, psi.box), psi, network_margin(net))
+    return _residual(_generator(net, psi.box), psi, network_margin(net))
 
 
-def _residual(h_op: SparseOperator, psi: MixedState, margin: int) -> AckReport:
-    residual = np.abs(h_op.apply(psi.weights))
+def _residual(gen: sp.dia_matrix, psi: MixedState, margin: int) -> AckReport:
+    residual = gen @ psi.weights
+    np.abs(residual, out=residual)
     inside = interior_mask(psi.box, margin)
     return AckReport(
         interior_l1=float(residual[inside].sum()),
@@ -507,10 +531,10 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     """
     c = validate_classical(c, box.k)
     basis = conserved_quantities(net)
-    h_op = hamiltonian(net, box)
+    gen = _generator(net, box)
     doc = {
         "conserved_basis": [list(w) for w in basis],
-        "commutator_max_abs": [_observable_commutator_max_abs(h_op, w) for w in basis],
+        "commutator_max_abs": [_observable_commutator_max_abs(gen, box, w) for w in basis],
     }
     if not basis:
         return doc
@@ -535,7 +559,7 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     doc["projection"] = {
         "w": list(w),
         "lam": lam,
-        "interior_residual_l1": _residual(h_op, projected, margin).interior_l1,
+        "interior_residual_l1": _residual(gen, projected, margin).interior_l1,
     }
     return doc
 

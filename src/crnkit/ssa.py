@@ -45,16 +45,22 @@ def propensity(net: Network, n, tau_index: int) -> float:
     """Stochastic firing rate of one transition in pure state ``n``.
 
     rate * prod_i n_i (n_i - 1) ... (n_i - s_i + 1); zero whenever some
-    species count falls short of the input requirement.
+    species count falls short of the input requirement.  ``E_EXPLODE`` when
+    the product overflows or a consumed count lies beyond the float range.
     """
     n = CountVector(n)
     if len(n) != net.num_species:
         raise DimensionMismatch(f"state has length {len(n)}, expected {net.num_species}")
     kernel = net.mass_action
-    if any(count < need for count, need in zip(n, kernel.inputs[tau_index].tolist())):
+    needs = kernel.inputs[tau_index].tolist()
+    if any(count < need for count, need in zip(n, needs)):
         return 0.0  # before the product, where an overflow times a zero factor would be NaN
+    try:  # only consumed species enter the product
+        counts = np.array([count if need else 0 for count, need in zip(n, needs)], dtype=float)
+    except OverflowError:
+        raise PopulationExplosion(f"transition {tau_index} consumes a count beyond the float range") from None
     with np.errstate(over="ignore"):
-        value = kernel.rates[tau_index] * kernel.falling(np.array(n, dtype=float), tau_index)
+        value = kernel.rates[tau_index] * kernel.falling(counts, tau_index)
     if not value < math.inf:
         raise PopulationExplosion(f"the propensity of transition {tau_index} overflows at state {tuple(n)}")
     return float(value)

@@ -359,10 +359,20 @@ class TestNoetherCommand:
             calls.append(args)
             return real(*args, **kwargs)
 
-        real = fock.hamiltonian
-        monkeypatch.setattr(fock, "hamiltonian", counting)
+        real = fock._generator
+        monkeypatch.setattr(fock, "_generator", counting)
         assert run(["noether", dia_file, "--c", "0.5,1"]) == 0
         assert len(calls) == 1
+
+    def test_certificates_build_no_csr(self, dia_file, capsys, monkeypatch):
+        import scipy.sparse as sp
+
+        def refuse(self, copy=False):
+            raise AssertionError("the generator was converted to CSR")
+
+        monkeypatch.setattr(sp.dia_matrix, "tocsr", refuse)
+        assert run(["ack", dia_file, "--c", "0.5,1"]) == 0
+        assert run(["noether", dia_file, "--c", "0.5,1"]) == 0
 
     def test_no_conserved_basis(self, bd_file, capsys):
         code, doc = run_json(["noether", bd_file, "--c", "3"], capsys)

@@ -276,6 +276,45 @@ class TestMatchesCooAssembly:
         assert (np.abs(got.data[~few] - oracle.data[~few]) <= bound).all()
 
 
+class TestGeneratorDiagonals:
+    """The certificates read ``_generator``'s diagonals; the CSR generator is the oracle."""
+
+    @staticmethod
+    def csr_commutator_max_abs(h, w):
+        # one pass over the CSR entries, rows gathered from indptr
+        mat, o = h.matrix, fock._sector_values(w, h.box)
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        return float(np.abs(mat.data * (o[mat.indices] - o[rows])).max(initial=0.0))
+
+    def check(self, net, box, seed):
+        rng = np.random.default_rng(seed)
+        gen, h = fock._generator(net, box), hamiltonian(net, box)
+        assert np.all(np.diff(gen.offsets) > 0)
+        for _ in range(3):
+            v = rng.random(box.size) * 10.0 ** rng.integers(-8, 9, box.size)
+            v[rng.random(box.size) < 0.3] = 0.0
+            assert (gen @ v).tobytes() == h.apply(v).tobytes()
+        for w in [*conserved_quantities(net), *rng.integers(-3, 4, (3, box.k)).tolist()]:
+            assert fock._observable_commutator_max_abs(gen, box, w) == self.csr_commutator_max_abs(h, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_networks(self, net_seed, data):
+        net = random_network(random.Random(net_seed), max_species=3, max_transitions=8)
+        box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 5), min_size=net.num_species,
+                                                     max_size=net.num_species))))
+        self.check(net, box, net_seed)
+
+    def test_self_loop_and_shared_diagonal(self):
+        # at caps (3, 3) the strides are (4, 1): 3 B -> A and 0 -> B both move
+        # the flat index by +1, so both fill the diagonal at offset -1
+        net = parse_network("species: A B\n3 B -> A @ 1.5\n0 -> B @ 2.5\nA -> A @ 0.7\nA + B -> 0 @ 0.3")
+        box = TruncationBox((3, 3))
+        assert fock._generator(net, box).offsets.tolist() == [-1, 0, 5]
+        for seed in range(5):
+            self.check(net, box, seed)
+
+
 class TestBoxProductStructure:
     @pytest.mark.parametrize("caps", [(7,), (3, 5), (2, 3, 4), (1, 2, 1, 3)])
     def test_coherent_weights_match_state_array_route(self, caps):
@@ -495,7 +534,7 @@ class TestCommutators:
                                                     for _ in range(3))]:
                 obs = linear_observable(w, box)
                 expected = commutator(h, obs).max_abs()
-                got = fock._observable_commutator_max_abs(h, w)
+                got = fock._observable_commutator_max_abs(fock._generator(net, box), box, w)
                 bound = 4 * np.finfo(float).eps * h.max_abs() * obs.max_abs()
                 assert abs(got - expected) <= bound, (net, w)
 

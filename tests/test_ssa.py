@@ -66,6 +66,14 @@ class TestPropensity:
         assert propensity(net, (3, 0), 0) == 0.0
         assert propensity(net, (10**200, 0), 0) == 0.0
 
+    def test_count_beyond_float_range(self):
+        # 10**400 has no float; a species the transition does not consume is not converted
+        net = parse_network("A -> 0 @ 1\nB -> 0 @ 2")
+        with pytest.raises(PopulationExplosion, match="transition 0 consumes a count beyond"):
+            propensity(net, (10**400, 1), 0)
+        assert propensity(net, (10**400, 1), 1) == 2.0
+        assert propensity(net, (10**400, 0), 1) == 0.0
+
 
 class TestSimulate:
     def test_no_transitions_stays_put(self):
