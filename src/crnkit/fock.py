@@ -17,7 +17,8 @@ The box is a product of per-species ranges, and the engine builds from
 that structure instead of a states x species array.  Each ladder operator
 shifts the flat index by one stride, so every operator is banded: it is
 built as one array per diagonal (scipy's DIA layout).  The certificates
-read the generator's diagonals; the public operators are their CSR.
+read the generator's diagonals, and master evolution steps on a banded
+matrix; the public operators are CSR.
 Per-state tables (coherent weights, w . n, the interior) are outer sums
 of 1-D ones.
 
@@ -26,7 +27,9 @@ through log-gamma, no factorial overflow) without renormalization; the
 lost tail mass is reported alongside.
 
 Master evolution is uniformization: a Poisson-weighted sum of powers of the
-stochastic matrix I + H/max|H_nn|, nonnegative and mass-conserving.
+stochastic matrix I + H/max|H_nn|, nonnegative and mass-conserving, one
+DIA mat-vec per term.  That band, like the generator's, is held to the
+slot budget (box states x distinct offsets).
 """
 
 from __future__ import annotations
@@ -415,10 +418,15 @@ def network_margin(net: Network) -> int:
     return int(max(kernel.inputs.max(initial=0), kernel.outputs.max(initial=0)))
 
 
+def _interior(box: TruncationBox, margin: int) -> tuple[slice, ...]:
+    """The sub-box of states at least ``margin`` below every cap, as slices of the grid."""
+    return tuple(slice(0, max(cap + 1 - int(margin), 0)) for cap in box.caps)
+
+
 def interior_mask(box: TruncationBox, margin: int) -> np.ndarray:
     """Boolean mask of states at least ``margin`` below every cap."""
     mask = np.zeros(box.shape, dtype=bool)
-    mask[tuple(slice(0, max(cap + 1 - int(margin), 0)) for cap in box.caps)] = True
+    mask[_interior(box, margin)] = True
     return mask.ravel()
 
 
@@ -454,9 +462,10 @@ def master_residual(net: Network, psi: MixedState) -> AckReport:
 def _residual(gen: sp.dia_matrix, psi: MixedState, margin: int) -> AckReport:
     residual = gen @ psi.weights
     np.abs(residual, out=residual)
-    inside = interior_mask(psi.box, margin)
+    # ravel copies the sub-box in flat order, as a mask would, so the sum has the same bytes
+    inside = residual.reshape(psi.box.shape)[_interior(psi.box, margin)].ravel()
     return AckReport(
-        interior_l1=float(residual[inside].sum()),
+        interior_l1=float(inside.sum()),
         full_l1=float(residual.sum()),
         margin=margin,
         tail_mass=max(0.0, 1.0 - psi.total),
@@ -579,6 +588,28 @@ def _poisson_isf(q: float, mu: float) -> float:
     return float(below if pdtr(below, mu) >= p else above)
 
 
+def _uniformized_step(H: SparseOperator, lam: float) -> sp.dia_matrix:
+    """P = H/lam + I as a DIA matrix whose offsets ascend.
+
+    Each entry of H goes to the diagonal col - row, one per distinct
+    offset (0 always among them), so the band holds the floats of scipy's
+    CSR ``H.matrix / lam + I``: scipy divides by a scalar as data * (1/lam)
+    and adds the identity entry by entry.  Entries stored twice add, as in
+    that sum.  More than ``_MAX_SLOTS`` band entries (states x offsets)
+    raise ``E_BUDGET`` before the band is allocated.  ``csr.todia()`` is
+    not used: it warns above 100 diagonals.
+    """
+    mat, size = H.matrix, H.box.size
+    rows = np.repeat(np.arange(size), np.diff(mat.indptr))
+    offsets, slot = np.unique(np.append(mat.indices - rows, 0), return_inverse=True)
+    if size * len(offsets) > _MAX_SLOTS:
+        raise BudgetExceeded(f"{size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
+    data = np.zeros((len(offsets), size))
+    np.add.at(data, (slot[:-1], mat.indices), mat.data * (1 / lam))
+    data[slot[-1]] += 1.0
+    return sp.dia_matrix((data, offsets), mat.shape)
+
+
 def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     """exp(t H) psi0 by uniformization: sum_{k<=K} Pois(k; L t) P^k psi0.
 
@@ -588,6 +619,14 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     weights are renormalized, so the L1 error is at most 2e-14 times the
     mass of psi0 plus roundoff.  K above 10**6 raises ``E_BUDGET`` up front;
     a ``t`` that is not finite and nonnegative raises ``E_VALUE``.
+
+    P is built as a banded (DIA) matrix with ascending offsets
+    (:func:`_uniformized_step`), and each term is one mat-vec on that band.
+    The band holds the floats of scipy's CSR H/L + I, and each row's terms
+    add in column order from 0.0, as scipy's CSR mat-vec adds them, so the
+    weights have the bytes of the CSR loop.  A band over ``_MAX_SLOTS``
+    entries raises ``E_BUDGET``; only a hand-built H can reach it, since
+    :func:`hamiltonian` checks the same budget.
     """
     if H.box != psi0.box:
         raise BoxMismatch("generator and state live on different boxes")
@@ -602,7 +641,7 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
         raise BudgetExceeded(f"Lambda*t = {mean:.4g} needs over {_MAX_MATVECS} mat-vecs")
     weights = np.exp(poisson_logpmf(np.arange(int(terms) + 1), mean))
     weights /= weights.sum()
-    step = H.matrix / lam + sp.identity(H.box.size, format="csr")
+    step = _uniformized_step(H, lam)
     vec = psi0.weights
     out = weights[0] * vec
     for weight in weights[1:]:

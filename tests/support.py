@@ -7,7 +7,9 @@ import string
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
+from crnkit import fock
 from crnkit import (
     CountVector,
     Network,
@@ -265,6 +267,25 @@ def coo_hamiltonian(net, box):
         cols.extend((src, src))
         vals.extend((flux, -flux))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def csr_uniformization(H, psi0, t):
+    """exp(t H) psi0 as ``evolve_master`` computed it on CSR: the same
+    Poisson weights, then one CSR mat-vec with P = H/L + I per term.
+    The reference for the banded step, which must give the same bytes;
+    for t > 0 and a nonzero diagonal only.  Returns the weight array."""
+    lam = float(np.abs(H.diagonal()).max(initial=0.0))
+    mean = lam * t
+    terms = fock._poisson_isf(fock._POISSON_TAIL, mean)
+    weights = np.exp(fock.poisson_logpmf(np.arange(int(terms) + 1), mean))
+    weights /= weights.sum()
+    step = H.matrix / lam + sp.identity(H.box.size, format="csr")
+    vec = psi0.weights
+    out = weights[0] * vec
+    for weight in weights[1:]:
+        vec = step @ vec
+        out += weight * vec
+    return out
 
 
 def _direct_prepare(net):

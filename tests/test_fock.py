@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from crnkit import fock
 from crnkit import (
     BoxMismatch,
     BudgetExceeded,
+    CountVector,
     DimensionMismatch,
     EmptySector,
     MixedState,
@@ -45,6 +48,7 @@ from crnkit import (
 
 from support import (
     coo_hamiltonian,
+    csr_uniformization,
     dense_hamiltonian,
     dense_ladders,
     ordered_selection_count,
@@ -477,7 +481,129 @@ class TestEvolveMaster:
         assert abs(psi.total - psi0.total) <= 1e-12
 
 
+class TestBandedUniformization:
+    """``evolve_master`` steps on a banded P; the CSR loop it replaced is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), coherent=st.booleans(),
+           scale=st.sampled_from([0.05, 1.0, 7.5, 60.0]), data=st.data())
+    def test_same_bytes_as_csr_loop(self, net_seed, coherent, scale, data):
+        rng = random.Random(net_seed)
+        net = random_network(rng, max_species=3, max_transitions=6)
+        k = net.num_species
+        box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))))
+        if coherent:
+            psi0 = coherent_state([rng.uniform(0.0, 5.0) for _ in range(k)], box)[0]
+        else:
+            psi0 = pure_state(box, [rng.randint(0, cap) for cap in box.caps])
+        h = hamiltonian(net, box)
+        lam = float(np.abs(h.diagonal()).max(initial=0.0))
+        if lam == 0:
+            assert evolve_master(h, psi0, 1.0) is psi0
+            return
+        t = scale / lam  # Lambda*t = scale: from one term to a few hundred
+        got = evolve_master(h, psi0, t).weights
+        assert got.tobytes() == csr_uniformization(h, psi0, t).tobytes()
+
+    @pytest.mark.parametrize("start", [("pure", (15, 5)), ("coherent", (2.0, 3.0))])
+    def test_evolve_workload_shape(self, net_diatomic, start):
+        box = TruncationBox((40, 40))
+        h = hamiltonian(net_diatomic, box)
+        kind, value = start
+        psi0 = pure_state(box, value) if kind == "pure" else coherent_state(value, box)[0]
+        got = evolve_master(h, psi0, 2.0).weights
+        assert got.tobytes() == csr_uniformization(h, psi0, 2.0).tobytes()
+
+    def test_many_offsets_without_warning(self):
+        # 0 -> iA + jB moves the flat index by -(13 i + j) on caps (12, 12):
+        # 120 distinct offsets, beyond the 100 at which csr.todia() warns
+        births = [Transition(CountVector((0, 0)), CountVector((i, j)), 0.01 * (1 + i + j))
+                  for i in range(11) for j in range(11) if i or j]
+        deaths = [Transition(CountVector(e), CountVector((0, 0)), 1.0) for e in ((1, 0), (0, 1))]
+        net = Network(("A", "B"), tuple(births + deaths))
+        box = TruncationBox((12, 12))
+        h = hamiltonian(net, box)
+        lam = np.abs(h.diagonal()).max()
+        with pytest.warns(sp.SparseEfficiencyWarning):
+            (h.matrix / lam + sp.identity(box.size, format="csr")).todia()
+        psi0 = pure_state(box, (2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evolve_master(h, psi0, 0.7).weights
+        assert len(fock._uniformized_step(h, lam).offsets) == 123
+        assert got.tobytes() == csr_uniformization(h, psi0, 0.7).tobytes()
+
+    def test_entries_stored_twice_add(self, net_diatomic):
+        # each entry of H split into two halves, both stored: halving is exact,
+        # so the band must hold the very floats of the canonical H
+        box = TruncationBox((6, 6))
+        h = hamiltonian(net_diatomic, box)
+        mat, bounds = h.matrix, zip(h.matrix.indptr[:-1], h.matrix.indptr[1:])
+        order = np.concatenate([np.tile(np.arange(a, b), 2) for a, b in bounds])
+        indptr = 2 * mat.indptr
+        split = SparseOperator(box, sp.csr_matrix(
+            (mat.data[order] / 2, mat.indices[order], indptr), shape=mat.shape))
+        assert split.nnz == 2 * h.nnz
+        psi0 = pure_state(box, (2, 3))
+        got = evolve_master(split, psi0, 1.3).weights
+        assert got.tobytes() == evolve_master(h, psi0, 1.3).weights.tobytes()
+
+    def test_slot_budget_before_the_band(self, monkeypatch):
+        # a hand-built H with 150 off-diagonal entries in row 0, each on its own
+        # diagonal: a few KB of CSR whose band would take 151 x 20,000 floats
+        box = TruncationBox((19_999,))
+        cols = np.arange(1, 151)
+        rows = np.concatenate([np.zeros(150, dtype=np.int64), cols])
+        h = SparseOperator(box, sp.csr_matrix(
+            (np.concatenate([np.ones(150), -np.ones(150)]), (rows, np.concatenate([cols, cols]))),
+            shape=(box.size, box.size)))
+        psi0 = pure_state(box, (5,))
+        slots = 151 * box.size
+        monkeypatch.setattr(fock, "_MAX_SLOTS", slots - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                evolve_master(h, psi0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < slots * 8 / 10
+        monkeypatch.setattr(fock, "_MAX_SLOTS", slots)
+        got = evolve_master(h, psi0, 1.0).weights
+        assert got.tobytes() == csr_uniformization(h, psi0, 1.0).tobytes()
+
+
 class TestAckResidual:
+    @settings(max_examples=60, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), margin=st.integers(-1, 14), data=st.data())
+    def test_interior_sum_matches_mask_sum(self, net_seed, margin, data):
+        # margins above a cap leave an empty interior, whose sum is 0.0
+        rng = random.Random(net_seed)
+        net = random_network(rng, max_species=3, max_transitions=4)
+        k = net.num_species
+        box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))))
+        self.check_interior_sum(net, box, margin, net_seed)
+
+    @pytest.mark.parametrize("text, caps", [
+        ("X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1", (500, 300)),
+        ("A + B -> C @ 1\nC -> A + B @ 2", (99, 99, 95)),
+    ])
+    def test_interior_sum_matches_mask_sum_on_large_boxes(self, text, caps):
+        # boxes on which summing the strided sub-box view, without the copy,
+        # adds in another order and moves the last bits
+        for margin in (1, 2, 3):
+            self.check_interior_sum(parse_network(text), TruncationBox(caps), margin, margin)
+
+    @staticmethod
+    def check_interior_sum(net, box, margin, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(box.size) * 10.0 ** rng.integers(-12, 1, box.size)
+        psi = MixedState(box, weights / (2 * weights.sum()))
+        gen = fock._generator(net, box)
+        expected = np.abs(gen @ psi.weights)[interior_mask(box, margin)].sum()
+        got = fock._residual(gen, psi, margin).interior_l1
+        assert np.float64(got).tobytes() == expected.tobytes()
+
     def test_bd_balanced_certificate(self, net_bd):
         report = ack_residual(net_bd, [3.0], TruncationBox((40,)))
         assert report.margin == 1
