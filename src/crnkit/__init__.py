@@ -52,7 +52,6 @@ from .ssa import (
     JumpTrajectory,
     PoissonComparison,
     compare_to_poisson,
-    propensity,
     simulate,
     stationary_histogram,
 )

@@ -29,7 +29,10 @@ lost tail mass is reported alongside.
 Master evolution is uniformization: a Poisson-weighted sum of powers of the
 stochastic matrix I + H/max|H_nn|, nonnegative and mass-conserving, one
 DIA mat-vec per term.  That band, like the generator's, is held to the
-slot budget (box states x distinct offsets).
+slot budget (box states x distinct offsets).  Every conserved w . n
+commutes with H (the Noether theorem), so the terms run only on the
+sectors the start occupies, with laws read off H's own entries, and give
+the bytes of the whole-box loop.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from .errors import (
     PopulationExplosion,
     SymmetryOverflow,
 )
-from .network import Network, validate_classical
-from .structure import conserved_quantities
+from .network import Network, validate_classical, validate_counts
+from .structure import _rank_and_laws, conserved_quantities
 
 __all__ = [
     "TruncationBox",
@@ -119,7 +122,7 @@ class TruncationBox:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -132,10 +135,9 @@ class TruncationBox:
         return np.column_stack(grids).astype(np.int64, copy=False)
 
     def index_of(self, n) -> int:
-        """Flat index of the state ``n``; ``E_DIM`` for a wrong length, ``E_VALUE`` outside the box."""
-        n = tuple(int(v) for v in n)
-        if len(n) != self.k:
-            raise DimensionMismatch(f"state has length {len(n)}, expected {self.k}")
+        """Flat index of the state ``n``; ``E_DIM`` for a wrong length, ``E_VALUE``
+        for a count that is not a nonnegative integer or a state outside the box."""
+        n = tuple(validate_counts(n, self.k))
         if not self.contains(n):
             raise InvalidValue(f"state {n} lies outside the box with caps {self.caps}")
         return int(np.ravel_multi_index(n, self.shape))
@@ -196,7 +198,7 @@ class SparseOperator:
 class MixedState:
     """Probability weights over a box's states (finitely supported mixture).
 
-    Weights are nonnegative and sum to at most 1 (+1e-12 for roundoff);
+    Weights are nonnegative (not NaN) and sum to at most 1 (+1e-12 for roundoff);
     truncated tails may lose mass but never create it.  A read-only float64
     array is adopted as it is; any other input is copied.
     """
@@ -210,7 +212,7 @@ class MixedState:
             weights = np.array(weights, dtype=float)
         if weights.shape != (self.box.size,):
             raise InvalidValue(f"weights shape {weights.shape}, expected ({self.box.size},)")
-        if weights.min(initial=0.0) < 0:
+        if not weights.min(initial=0.0) >= 0:  # NaN fails too
             raise InvalidValue("mixed-state weights must be nonnegative")
         if weights.sum() > 1.0 + 1e-12:
             raise InvalidValue("mixed-state weights must not sum above 1")
@@ -588,26 +590,61 @@ def _poisson_isf(q: float, mu: float) -> float:
     return float(below if pdtr(below, mu) >= p else above)
 
 
-def _uniformized_step(H: SparseOperator, lam: float) -> sp.dia_matrix:
-    """P = H/lam + I as a DIA matrix whose offsets ascend.
+def _uniformized_step(rows, cols, vals, size: int, lam: float) -> sp.dia_matrix:
+    """P = H/lam + I as a DIA matrix whose offsets ascend, from H's entries (rows, cols, vals).
 
-    Each entry of H goes to the diagonal col - row, one per distinct
-    offset (0 always among them), so the band holds the floats of scipy's
-    CSR ``H.matrix / lam + I``: scipy divides by a scalar as data * (1/lam)
-    and adds the identity entry by entry.  Entries stored twice add, as in
-    that sum.  More than ``_MAX_SLOTS`` band entries (states x offsets)
-    raise ``E_BUDGET`` before the band is allocated.  ``csr.todia()`` is
-    not used: it warns above 100 diagonals.
+    Each entry goes to the diagonal col - row, one per distinct offset (0
+    always among them), so the band holds the floats of scipy's CSR
+    ``H / lam + I``: scipy divides by a scalar as data * (1/lam) and adds
+    the identity entry by entry.  Entries stored twice add, as in that
+    sum.  More than ``_MAX_SLOTS`` band entries (states x offsets) raise
+    ``E_BUDGET`` before the band is allocated.  ``csr.todia()`` is not
+    used: it warns above 100 diagonals.
     """
-    mat, size = H.matrix, H.box.size
-    rows = np.repeat(np.arange(size), np.diff(mat.indptr))
-    offsets, slot = np.unique(np.append(mat.indices - rows, 0), return_inverse=True)
+    offsets, slot = np.unique(np.append(cols - rows, 0), return_inverse=True)
     if size * len(offsets) > _MAX_SLOTS:
         raise BudgetExceeded(f"{size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
     data = np.zeros((len(offsets), size))
-    np.add.at(data, (slot[:-1], mat.indices), mat.data * (1 / lam))
+    np.add.at(data, (slot[:-1], cols), vals * (1 / lam))
     data[slot[-1]] += 1.0
-    return sp.dia_matrix((data, offsets), mat.shape)
+    return sp.dia_matrix((data, offsets), (size, size))
+
+
+def _occupied_sectors(box: TruncationBox, rows, cols, vals, weights):
+    """H's entries (rows, cols, vals) restricted to the sectors that ``weights`` occupy.
+
+    The laws are the integer left null space of the state changes
+    state(row) - state(col) of every entry.  Each change is one integer
+    key, with digit change_i + cap_i in base 2 cap_i + 1, so that entries
+    sharing a change count once; one offset can stand for two changes in
+    a narrow box.  The occupied set S holds the states whose every value
+    w . n occurs in the support of ``weights``, and no entry joins S to its
+    complement.  Returns (mask of S, rows, cols, vals) in S's flat order,
+    or None when S is the whole box, or when S's band (states x offsets)
+    would be wider than the box's nonzeros and states.
+    """
+    support = np.flatnonzero(weights)
+    if support.size == weights.size:
+        return None
+    shape, digits = box.shape, tuple(2 * cap + 1 for cap in box.caps)  # digits change_i + cap_i
+    starts, ends = np.unravel_index(cols, shape), np.unravel_index(rows, shape)
+    key = np.ravel_multi_index(tuple(e - s + cap for e, s, cap in zip(ends, starts, box.caps)), digits)
+    changes = np.column_stack(np.unravel_index(np.unique(key), digits)) - box.caps
+    laws = _rank_and_laws(changes)[1]
+    if not laws:
+        return None
+    inside = np.ones(box.size, dtype=bool)
+    for w in laws:
+        values = _sector_values(w, box)
+        inside &= np.isin(values, values[support])
+    if inside.all():
+        return None
+    keep, local = inside[rows], np.cumsum(inside) - 1
+    rows, cols = local[rows[keep]], local[cols[keep]]
+    # a sector's offsets need not be constant, and DIA work is states x offsets
+    if inside.sum() * np.unique(np.append(cols - rows, 0)).size > max(keep.size, box.size):
+        return None
+    return inside, rows, cols, vals[keep]
 
 
 def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
@@ -627,6 +664,23 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     weights have the bytes of the CSR loop.  A band over ``_MAX_SLOTS``
     entries raises ``E_BUDGET``; only a hand-built H can reach it, since
     :func:`hamiltonian` checks the same budget.
+
+    A conserved w . n commutes with H (the Noether theorem), so P^k never
+    moves weight between sectors.  The loop therefore runs on the set S of
+    states in the sectors psi0 occupies (:func:`_occupied_sectors`, with
+    laws worked out from H's own entries) and scatters the result back into
+    the box, with the same bytes:
+
+    1. a state outside S is 0.0 in every term;
+    2. in a row inside S every dropped column holds an exact 0.0, and
+       adding a +0.0 product to a nonnegative partial sum changes no bit;
+    3. S keeps flat order, so each row still adds its terms in ascending
+       column order;
+    4. L and K are the box's, not the sector's, so the Poisson weights do
+       not change.
+
+    A term whose Poisson weight underflows to 0.0 adds +0.0 everywhere,
+    so it is skipped.
     """
     if H.box != psi0.box:
         raise BoxMismatch("generator and state live on different boxes")
@@ -641,10 +695,20 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
         raise BudgetExceeded(f"Lambda*t = {mean:.4g} needs over {_MAX_MATVECS} mat-vecs")
     weights = np.exp(poisson_logpmf(np.arange(int(terms) + 1), mean))
     weights /= weights.sum()
-    step = _uniformized_step(H, lam)
-    vec = psi0.weights
+    mat, vec = H.matrix, psi0.weights
+    entries = np.repeat(np.arange(H.box.size), np.diff(mat.indptr)), mat.indices, mat.data
+    sector = _occupied_sectors(H.box, *entries, vec)
+    if sector is not None:
+        inside, *entries = sector
+        vec = vec[inside]
+    step = _uniformized_step(*entries, vec.size, lam)
     out = weights[0] * vec
-    for weight in weights[1:]:
+    for weight in weights[1:].tolist():
         vec = step @ vec
-        out += weight * vec
+        if weight:
+            out += weight * vec
+    if sector is not None:
+        box_out = np.zeros(H.box.size)
+        box_out[inside] = out
+        out = box_out
     return MixedState(psi0.box, out)

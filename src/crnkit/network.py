@@ -28,6 +28,7 @@ __all__ = [
     "PetriBipartite",
     "MassAction",
     "validate_classical",
+    "validate_counts",
 ]
 
 
@@ -286,3 +287,18 @@ def validate_classical(c, k: int) -> np.ndarray:
     if (c < 0).any():
         raise NegativeConcentration("classical state entries must be nonnegative")
     return c
+
+
+def validate_counts(n, k: int) -> CountVector:
+    """A pure state as a :class:`CountVector` of length k.
+
+    A negative, fractional or non-finite count raises ``E_VALUE``, a wrong
+    length ``E_DIM``.
+    """
+    try:
+        n = CountVector(n)
+    except (ValueError, OverflowError) as exc:  # int() of NaN, of inf
+        raise InvalidValue(str(exc)) from None
+    if len(n) != k:
+        raise DimensionMismatch(f"state has length {len(n)}, expected {k}")
+    return n

@@ -21,11 +21,10 @@ from operator import add
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidValue, PopulationExplosion
-from .network import CountVector, Network, validate_classical
+from .errors import BudgetExceeded, InvalidValue, PopulationExplosion
+from .network import Network, validate_classical, validate_counts
 
 __all__ = [
-    "propensity",
     "JumpTrajectory",
     "simulate",
     "Histogram",
@@ -41,39 +40,9 @@ _MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 360 MB
 _MAX_HIST_JUMPS = 2**26
 
 
-def propensity(net: Network, n, tau_index: int) -> float:
-    """Stochastic firing rate of one transition in pure state ``n``.
-
-    rate * prod_i n_i (n_i - 1) ... (n_i - s_i + 1); zero whenever some
-    species count falls short of the input requirement.  ``E_EXPLODE`` when
-    the product overflows or a consumed count lies beyond the float range.
-    """
-    n = CountVector(n)
-    if len(n) != net.num_species:
-        raise DimensionMismatch(f"state has length {len(n)}, expected {net.num_species}")
-    kernel = net.mass_action
-    needs = kernel.inputs[tau_index].tolist()
-    if any(count < need for count, need in zip(n, needs)):
-        return 0.0  # before the product, where an overflow times a zero factor would be NaN
-    try:  # only consumed species enter the product
-        counts = np.array([count if need else 0 for count, need in zip(n, needs)], dtype=float)
-    except OverflowError:
-        raise PopulationExplosion(f"transition {tau_index} consumes a count beyond the float range") from None
-    with np.errstate(over="ignore"):
-        value = kernel.rates[tau_index] * kernel.falling(counts, tau_index)
-    if not value < math.inf:
-        raise PopulationExplosion(f"the propensity of transition {tau_index} overflows at state {tuple(n)}")
-    return float(value)
-
-
 def _start_state(net: Network, n0) -> tuple[int, ...]:
     """``n0`` as a state tuple; a negative, fractional or huge count raises ``E_VALUE``."""
-    try:
-        state = tuple(CountVector(n0))
-    except ValueError as exc:
-        raise InvalidValue(str(exc)) from None
-    if len(state) != net.num_species:
-        raise DimensionMismatch(f"state has length {len(state)}, expected {net.num_species}")
+    state = tuple(validate_counts(n0, net.num_species))
     if max(state, default=0) >= 2**63:  # paths store states as int64
         raise InvalidValue("start counts must be below 2**63, the int64 range of stored states")
     return state

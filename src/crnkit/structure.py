@@ -36,22 +36,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # exact integer elimination
 
-def _rank_and_laws(net: Network) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Stoichiometric rank and canonical conservation-law basis, from one
-    fraction-free Gauss-Jordan elimination over Python ints (Bareiss 1968).
+def _rank_and_laws(changes: np.ndarray) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Rank and canonical integer left null space of an (m, k) integer array
+    of state changes, from one fraction-free Gauss-Jordan elimination over
+    Python ints (Bareiss 1968).
 
-    The rows are the transitions' nonzero net changes.  Clearing column c of
-    a row with entry b against the pivot row with entry a replaces it by
-    a*row - b*pivot_row divided by its gcd, so every entry stays an integer.
+    The rows are the nonzero changes; a law w has w . row = 0 for each.
+    Clearing column c of a row with entry b against the pivot row with
+    entry a replaces it by a*row - b*pivot_row divided by its gcd, so every
+    entry stays an integer.
     Reduced pivot row j reads p_j x[c_j] + sum_f row_j[f] x[f] = 0, so free
     column f gives the null vector with L = lcm|p_j| at f and
     -row_j[f] * L / p_j at c_j, both exact.  That vector is made coprime with
     its first nonzero entry positive; RREF is unique, so the sorted basis is
     the one a rational RREF gives.
     """
-    rows = [row for row in net.stoichiometric_matrix().T.tolist() if any(row)]
+    k = changes.shape[1]
+    rows = [row for row in changes.tolist() if any(row)]
     pivots: list[int] = []
-    for c in range(net.num_species):
+    for c in range(k):
         r = len(pivots)
         found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if found is None:
@@ -68,8 +71,8 @@ def _rank_and_laws(net: Network) -> tuple[int, tuple[tuple[int, ...], ...]]:
         pivots.append(c)
     scale = math.lcm(*(rows[j][c] for j, c in enumerate(pivots)))
     basis = []
-    for free in sorted(set(range(net.num_species)) - set(pivots)):
-        vec = [0] * net.num_species
+    for free in sorted(set(range(k)) - set(pivots)):
+        vec = [0] * k
         vec[free] = scale
         for j, c in enumerate(pivots):
             vec[c] = -rows[j][free] * (scale // rows[j][c])
@@ -82,7 +85,7 @@ def _rank_and_laws(net: Network) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def stoichiometric_rank(net: Network) -> int:
     """Rank of the stoichiometric matrix over the rationals (exact)."""
-    return _rank_and_laws(net)[0]
+    return _rank_and_laws(net.stoichiometric_matrix().T)[0]
 
 
 def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
@@ -92,7 +95,7 @@ def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
     transition.  Vectors are coprime, their first nonzero entry is positive,
     and the basis is sorted lexicographically.
     """
-    return _rank_and_laws(net)[1]
+    return _rank_and_laws(net.stoichiometric_matrix().T)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +208,7 @@ def structure_report(net: Network) -> StructureReport:
     """Full structural summary: complexes, linkage classes, rank, deficiency, laws."""
     graph = net.complex_graph()
     classes = linkage_classes(graph)
-    rank, basis = _rank_and_laws(net)
+    rank, basis = _rank_and_laws(net.stoichiometric_matrix().T)
     defect = len(graph.vertices) - len(classes) - rank
     assert defect >= 0, "deficiency must be nonnegative"
     assert len(basis) == net.num_species - rank

@@ -56,6 +56,25 @@ def random_network(
     return Network(species, tuple(transitions))
 
 
+def closed_network(
+    rng: random.Random, max_species: int = 3, max_transitions: int = 5, max_coeff: int = 3
+) -> Network:
+    """2 to ``max_species`` species and transitions between distinct complexes
+    of equal mass w . y, for a random weight w_i in {1, 2}: w . n is conserved,
+    so the network has at least one conservation law."""
+    k = rng.randint(2, max(2, max_species))
+    w = [rng.randint(1, 2) for _ in range(k)]
+    by_mass: dict[int, list[tuple[int, ...]]] = {}
+    for y in itertools.product(range(max_coeff + 1), repeat=k):
+        by_mass.setdefault(sum(a * b for a, b in zip(w, y)), []).append(y)
+    groups = [group for group in by_mass.values() if len(group) > 1]
+    transitions = []
+    for _ in range(rng.randint(1, max_transitions)):
+        a, b = rng.sample(rng.choice(groups), 2)
+        transitions.append(Transition(CountVector(a), CountVector(b), random_rate(rng)))
+    return Network(tuple(f"S{i}" for i in range(k)), tuple(transitions))
+
+
 def with_extreme_rates(rng: random.Random, net: Network) -> Network:
     """``net`` with about a third of its rates raised to 1e300, 1e306 or
     1.7e308, where mass-action fluxes and their sums leave the float range."""

@@ -23,6 +23,7 @@ DIATOMIC = "X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
 BD = "species: A\n0 -> A @ 3\nA -> 0 @ 1\n"
 AUTOCATALYSIS = "2 A -> 3 A @ 1\n"
 CATALYST = "species: A B C AC\n0 -> A @ 1\nB -> 0 @ 2\nA + C -> AC @ 0.5\nAC -> 2 B + C @ 1.25\n"
+ASSOCIATION = "A + B <-> C @ 2, 1\n"
 OVERFLOW_SSA = (
     "species: A B C\nA + B -> 2 A + 2 B + 3 C @ 1.7e308\n"
     "A + 2 B + 2 C -> A + B + 3 C @ 1141011.44\n3 A + 3 B -> A + B + 3 C @ 1e300\n"
@@ -61,7 +62,9 @@ def strip_timestamp(text: str) -> str:
 # coherent weights from scipy.stats.poisson over it; the box's product
 # structure must not move a byte.  The pure-start master row, the shape of
 # the benchmark's evolve jobs, was recorded with uniformization stepping
-# on CSR; the banded step must not move a byte either.
+# on CSR; the banded step must not move a byte either.  The association
+# row, two conservation laws, was recorded stepping on the whole box; the
+# step on the occupied sectors must not move a byte.
 @pytest.mark.parametrize(
     "text, args, digest",
     [
@@ -77,6 +80,8 @@ def strip_timestamp(text: str) -> str:
          "dc9663ee8522e5e123e36b58bc8144b14188891ea0ef8d9389cceb2baf55d5fe"),
         (DIATOMIC, ["master", "--n0", "15,5", "--caps", "40,40", "--t-end", "2"],
          "fa4c1e7bd4c3f644db72a472af33e29c3f30fb5156da897d942f91890839f3cf"),
+        (ASSOCIATION, ["master", "--n0", "3,2,1", "--caps", "8,8,8"],
+         "88007af4d9bcdeb57e03e0e776efbb319c755e4d5f6fc08ebd86345f14406497"),
     ],
 )
 def test_golden_fock_output_bytes(tmp_path, capsys, text, args, digest):
@@ -128,10 +133,12 @@ def _fresh_python(code: str) -> str:
     return done.stdout.splitlines()[-1]
 
 
-def test_import_leaves_slow_scipy_modules_unloaded(bd_file):
+def test_import_leaves_slow_scipy_modules_unloaded(bd_file, dia_file):
     # scipy serves only the Fock-space side: `import crnkit` and the subcommands
     # without a Fock-space result load none of it; a fock name read from crnkit
-    # loads scipy.sparse, still without scipy.stats or scipy.integrate
+    # loads scipy.sparse, still without scipy.stats or scipy.integrate; a
+    # pure-start master on a closed network finds its sectors without
+    # scipy.sparse.csgraph (a cold import of 0.1 s) or scipy.stats
     commands = [
         ["parse", bd_file],
         ["analyze", bd_file],
@@ -161,10 +168,14 @@ seen["fock"] = [
     "hamiltonian" in dir(crnkit),
     sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules),
 ]
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["master"] = [crnkit.cli.run(["master", {dia_file!r}, "--n0", "15,5", "--caps", "40,40"])]
+seen["master"] += sorted(m for m in ("scipy.sparse.csgraph", "scipy.stats") if m in sys.modules)
 print(json.dumps(seen))
 """
     seen = json.loads(_fresh_python(code))
     assert seen.pop("fock") == [True, True, True, []]
+    assert seen.pop("master") == [0]
     assert seen == {
         "import": [],
         "no_such_name": [],

@@ -18,6 +18,7 @@ from crnkit import (
     CountVector,
     DimensionMismatch,
     EmptySector,
+    InvalidValue,
     MixedState,
     NegativeConcentration,
     Network,
@@ -47,6 +48,7 @@ from crnkit import (
 )
 
 from support import (
+    closed_network,
     coo_hamiltonian,
     csr_uniformization,
     dense_hamiltonian,
@@ -82,6 +84,12 @@ class TestTruncationBox:
     def test_contains(self):
         box = TruncationBox((2, 2))
         assert box.contains((2, 0)) and not box.contains((3, 0))
+
+    @pytest.mark.parametrize("count", [1.7, -0.5, math.nan])
+    def test_count_that_is_no_count_is_typed_error(self, count):
+        # int() floored 1.7 to state 1 and -0.5 to state 0, and NaN raised a bare ValueError
+        with pytest.raises(InvalidValue):
+            pure_state(TruncationBox((5,)), (count,))
 
 
 class TestLadderOperators:
@@ -394,6 +402,11 @@ class TestMixedState:
         with pytest.raises(ValueError):
             MixedState(box, np.array([0.5, -0.1, 0.0]))
 
+    def test_rejects_nan_weights(self):
+        # NaN passed both the sign and the mass check, and a mat-vec spreads it
+        with pytest.raises(InvalidValue):
+            MixedState(TruncationBox((2,)), np.array([math.nan, 0.0, 0.0]))
+
     def test_rejects_excess_mass(self):
         box = TruncationBox((2,))
         with pytest.raises(ValueError):
@@ -484,18 +497,16 @@ class TestEvolveMaster:
 class TestBandedUniformization:
     """``evolve_master`` steps on a banded P; the CSR loop it replaced is the oracle."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(net_seed=st.integers(0, 2**32 - 1), coherent=st.booleans(),
+    @settings(max_examples=100, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), closed=st.booleans(),
+           start=st.sampled_from(["coherent", "pure", "two sectors", "zero"]),
            scale=st.sampled_from([0.05, 1.0, 7.5, 60.0]), data=st.data())
-    def test_same_bytes_as_csr_loop(self, net_seed, coherent, scale, data):
+    def test_same_bytes_as_csr_loop(self, net_seed, closed, start, scale, data):
         rng = random.Random(net_seed)
-        net = random_network(rng, max_species=3, max_transitions=6)
+        net = (closed_network if closed else random_network)(rng, max_species=3, max_transitions=6)
         k = net.num_species
         box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))))
-        if coherent:
-            psi0 = coherent_state([rng.uniform(0.0, 5.0) for _ in range(k)], box)[0]
-        else:
-            psi0 = pure_state(box, [rng.randint(0, cap) for cap in box.caps])
+        psi0 = self.start_state(start, net, box, rng)
         h = hamiltonian(net, box)
         lam = float(np.abs(h.diagonal()).max(initial=0.0))
         if lam == 0:
@@ -504,6 +515,44 @@ class TestBandedUniformization:
         t = scale / lam  # Lambda*t = scale: from one term to a few hundred
         got = evolve_master(h, psi0, t).weights
         assert got.tobytes() == csr_uniformization(h, psi0, t).tobytes()
+
+    @staticmethod
+    def start_state(kind, net, box, rng):
+        if kind == "coherent":
+            return coherent_state([rng.uniform(0.0, 5.0) for _ in range(net.num_species)], box)[0]
+        weights = np.zeros(box.size)
+        if kind == "zero":
+            return MixedState(box, weights)
+        first = box.index_of([rng.randint(0, cap) for cap in box.caps])
+        weights[first] = 1.0
+        if kind == "two sectors":  # the second state off the first's sector, where there is one
+            laws = conserved_quantities(net)
+            values = fock._sector_values(laws[0], box) if laws else np.arange(box.size)
+            others = np.flatnonzero(values != values[first]).tolist()
+            if others:
+                weights[first], weights[rng.choice(others)] = 0.25, 0.75
+        return MixedState(box, weights)
+
+    @pytest.mark.parametrize("text, caps, n0, states", [
+        # the evolve workload's pure start: 2 n1 + n2 = 35 holds 18 of 1,681 states
+        ("X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1", (40, 40), (15, 5), 18),
+        # strides (4, 2, 1): C -> B and 0 -> C change (0, 1, -1) and (0, 0, 1), both
+        # one flat step; only n_A is conserved, so one change per offset would lose one
+        ("species: A B C\nC -> B @ 1\n0 -> C @ 2", (3, 1, 1), (2, 0, 0), 4),
+        # 2 A -> C never fires below cap 1, so n_C is conserved inside the box too
+        ("A <-> B @ 1, 2\n2 A -> C @ 5", (1, 4, 4), (1, 2, 3), 2),
+        # no conservation law: the whole box
+        ("species: A\n0 -> A @ 3\nA -> 0 @ 1", (30,), (4,), None),
+    ])
+    def test_occupied_sectors(self, text, caps, n0, states):
+        box = TruncationBox(caps)
+        h = hamiltonian(parse_network(text), box)
+        psi0 = pure_state(box, n0)
+        entries = h.matrix.tocoo()
+        sector = fock._occupied_sectors(box, entries.row, entries.col, entries.data, psi0.weights)
+        assert (sector if sector is None else int(sector[0].sum())) == states
+        got = evolve_master(h, psi0, 1.5).weights
+        assert got.tobytes() == csr_uniformization(h, psi0, 1.5).tobytes()
 
     @pytest.mark.parametrize("start", [("pure", (15, 5)), ("coherent", (2.0, 3.0))])
     def test_evolve_workload_shape(self, net_diatomic, start):
@@ -530,7 +579,9 @@ class TestBandedUniformization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = evolve_master(h, psi0, 0.7).weights
-        assert len(fock._uniformized_step(h, lam).offsets) == 123
+        entries = h.matrix.tocoo()
+        step = fock._uniformized_step(entries.row, entries.col, entries.data, box.size, lam)
+        assert len(step.offsets) == 123
         assert got.tobytes() == csr_uniformization(h, psi0, 0.7).tobytes()
 
     def test_entries_stored_twice_add(self, net_diatomic):

@@ -21,12 +21,13 @@ from crnkit import (
     conserved_quantities,
     parse_network,
     project_onto,
-    propensity,
     simulate,
     stationary_histogram,
 )
 
 from support import (
+    _direct_prepare,
+    _direct_propensities,
     balanced_reversible_network,
     direct_histogram,
     direct_simulate,
@@ -35,44 +36,59 @@ from support import (
 )
 
 
+def record_of(net, state):
+    """The SSA's record for ``state``: (total, cumulative propensities, slots, state)."""
+    return ssa._Records(net, ssa.DEFAULT_MAX_COUNT)[tuple(state)]
+
+
 class TestPropensity:
+    """Stochastic mass action as the SSA's records hold it, against the
+    direct-method oracle's loop."""
+
     def test_pair_recombination(self, net_diatomic):
         # two of three atoms picked in order: 3 * 2 distinct choices
-        assert propensity(net_diatomic, (0, 3), 1) == 6.0
+        assert record_of(net_diatomic, (0, 3))[1] == [0.0, 6.0]
 
     def test_source_is_constant(self, net_bd):
-        assert propensity(net_bd, (0,), 0) == 3.0
-        assert propensity(net_bd, (17,), 0) == 3.0
+        assert record_of(net_bd, (0,))[1][0] == 3.0
+        assert record_of(net_bd, (17,))[1][0] == 3.0
 
     def test_insufficient_reactants(self, net_bd):
-        assert propensity(net_bd, (0,), 1) == 0.0
+        assert record_of(net_bd, (0,))[1] == [3.0, 3.0]
 
     def test_matches_ordered_subset_enumeration(self):
         net = parse_network("2 A + 3 B -> 0 @ 1.5")
+        compiled = _direct_prepare(net)
         for n_a in range(6):
             for n_b in range(6):
                 expected = 1.5 * ordered_selection_count((n_a, n_b), (2, 3))
-                assert propensity(net, (n_a, n_b), 0) == pytest.approx(expected)
+                total = record_of(net, (n_a, n_b))[0]
+                assert total == pytest.approx(expected)
+                assert total == _direct_propensities(compiled, (n_a, n_b))[1]
 
     def test_dimension_check(self, net_bd):
         with pytest.raises(DimensionMismatch):
-            propensity(net_bd, (1, 2), 0)
+            simulate(net_bd, (1, 2), 1.0)
+        with pytest.raises(DimensionMismatch):
+            stationary_histogram(net_bd, (1, 2), 0.0, 1, 1.0)
 
     def test_overflow_is_population_explosion(self):
         # 1.7e308 * 3 * 2 lies beyond the float range; a short species still gives 0
         net = parse_network("2 A + B -> 0 @ 1.7e308")
         with pytest.raises(PopulationExplosion, match="overflows at state \\(3, 1\\)"):
-            propensity(net, (3, 1), 0)
-        assert propensity(net, (3, 0), 0) == 0.0
-        assert propensity(net, (10**200, 0), 0) == 0.0
+            record_of(net, (3, 1))
+        assert record_of(net, (3, 0))[0] == 0.0
+        assert record_of(net, (10**200, 0))[0] == 0.0
 
     def test_count_beyond_float_range(self):
-        # 10**400 has no float; a species the transition does not consume is not converted
+        # 10**400 has no float: a start holding it is refused before any record;
+        # a record does not convert a species its transitions do not consume
         net = parse_network("A -> 0 @ 1\nB -> 0 @ 2")
-        with pytest.raises(PopulationExplosion, match="transition 0 consumes a count beyond"):
-            propensity(net, (10**400, 1), 0)
-        assert propensity(net, (10**400, 1), 1) == 2.0
-        assert propensity(net, (10**400, 0), 1) == 0.0
+        with pytest.raises(InvalidValue):
+            simulate(net, (10**400, 1), 1.0)
+        b_only = parse_network("species: A B\nB -> 0 @ 2")
+        assert record_of(b_only, (10**400, 1))[0] == 2.0
+        assert record_of(b_only, (10**400, 0))[0] == 0.0
 
 
 class TestSimulate:
