@@ -38,11 +38,7 @@ from .structure import (
     StructureReport,
     complex_balance_report,
     conserved_quantities,
-    deficiency,
-    is_complex_balanced,
-    is_weakly_reversible,
     linkage_classes,
-    stoichiometric_rank,
     strongly_connected_components,
     structure_report,
 )
@@ -63,8 +59,8 @@ __version__ = "0.1.0"
 _FOCK_NAMES = frozenset("""
     AckReport MixedState SparseOperator TruncationBox ack_residual annihilation
     apply_symmetry coherent_state commutator creation default_box evolve_master
-    hamiltonian interior_mask linear_observable master_residual network_margin
-    noether_report number_operator poisson_logpmf project_onto pure_state
+    hamiltonian linear_observable master_residual network_margin noether_report
+    number_operator poisson_logpmf project_onto pure_state
 """.split())
 
 

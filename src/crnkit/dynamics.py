@@ -70,10 +70,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
     def to_csv(self, species) -> str:
         lines = ["t," + ",".join(species)]
         for t, row in zip(self.times, self.states):

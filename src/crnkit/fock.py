@@ -19,8 +19,8 @@ shifts the flat index by one stride, so every operator is banded: it is
 built as one array per diagonal (scipy's DIA layout).  The certificates
 read the generator's diagonals, and master evolution steps on a banded
 matrix; the public operators are CSR.
-Per-state tables (coherent weights, w . n, the interior) are outer sums
-of 1-D ones.
+Per-state tables (coherent weights, w . n) are outer sums of 1-D ones,
+and the interior is a sub-box, read as slices of the grid.
 
 Coherent states carry the untruncated product-Poisson weights (computed
 through log-gamma, no factorial overflow) without renormalization; the
@@ -71,7 +71,6 @@ __all__ = [
     "coherent_state",
     "evolve_master",
     "network_margin",
-    "interior_mask",
     "default_box",
     "AckReport",
     "ack_residual",
@@ -96,14 +95,15 @@ class TruncationBox:
     """Rectangular state box: per-species caps, inclusive, each >= 1.
 
     Flat indices are row-major over species order, so the last species
-    varies fastest and the zero state maps to index 0.  A box of more than
-    ``_MAX_STATES`` states raises ``E_BUDGET`` before anything is allocated.
+    varies fastest and the zero state maps to index 0.  A cap that is not
+    an integer >= 1 raises ``E_VALUE``; a box of more than ``_MAX_STATES``
+    states raises ``E_BUDGET`` before anything is allocated.
     """
 
     caps: tuple[int, ...]
 
     def __post_init__(self):
-        caps = tuple(int(c) for c in self.caps)
+        caps = tuple(validate_counts(self.caps, len(self.caps)))
         if not caps:
             raise InvalidValue("a truncation box needs at least one species")
         if any(c < 1 for c in caps):
@@ -138,17 +138,9 @@ class TruncationBox:
         """Flat index of the state ``n``; ``E_DIM`` for a wrong length, ``E_VALUE``
         for a count that is not a nonnegative integer or a state outside the box."""
         n = tuple(validate_counts(n, self.k))
-        if not self.contains(n):
+        if any(v > cap for v, cap in zip(n, self.caps)):
             raise InvalidValue(f"state {n} lies outside the box with caps {self.caps}")
         return int(np.ravel_multi_index(n, self.shape))
-
-    def state_at(self, index: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unravel_index(int(index), self.shape))
-
-    def contains(self, n) -> bool:
-        return all(0 <= int(v) <= cap for v, cap in zip(n, self.caps)) and len(
-            tuple(n)
-        ) == self.k
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +214,6 @@ class MixedState:
     @property
     def total(self) -> float:
         return float(self.weights.sum())
-
-    def weight_of(self, n) -> float:
-        return float(self.weights[self.box.index_of(n)])
 
     def to_csv(self, species) -> str:
         """CSV dump '<species...>,probability', skipping weights <= ``_CSV_FLOOR``."""
@@ -371,11 +360,24 @@ def _outer_sum(tables) -> np.ndarray:
     return reduce(np.add.outer, tables).ravel()
 
 
+def _weight_vector(w, k: int) -> np.ndarray:
+    """``w`` as an int64 vector of shape (k,); ``E_DIM`` for a wrong length, ``E_VALUE``
+    for an entry that is fractional, non-finite or beyond the int64 range."""
+    if np.shape(w) != (k,):
+        raise DimensionMismatch(f"weight vector shape {np.shape(w)}, expected ({k},)")
+    entries = np.asarray(w, dtype=object).tolist()
+    try:
+        ints = [int(v) for v in entries]
+    except (ValueError, OverflowError):  # int() of NaN, of inf
+        ints = None
+    if ints != entries or not all(-(2**63) <= v < 2**63 for v in ints):
+        raise InvalidValue(f"weight vector entries must be int64 integers, got {entries}")
+    return np.array(ints, dtype=np.int64)
+
+
 def _sector_values(w, box: TruncationBox) -> np.ndarray:
-    """w . n per box state for an integer weight vector ``w``."""
-    w = np.asarray(w, dtype=np.int64)
-    if w.shape != (box.k,):
-        raise DimensionMismatch(f"weight vector shape {w.shape}, expected ({box.k},)")
+    """w . n per box state for an integer weight vector ``w`` (:func:`_weight_vector`)."""
+    w = _weight_vector(w, box.k)
     return _outer_sum([wi * np.arange(cap + 1) for wi, cap in zip(w.tolist(), box.caps)])
 
 
@@ -423,13 +425,6 @@ def network_margin(net: Network) -> int:
 def _interior(box: TruncationBox, margin: int) -> tuple[slice, ...]:
     """The sub-box of states at least ``margin`` below every cap, as slices of the grid."""
     return tuple(slice(0, max(cap + 1 - int(margin), 0)) for cap in box.caps)
-
-
-def interior_mask(box: TruncationBox, margin: int) -> np.ndarray:
-    """Boolean mask of states at least ``margin`` below every cap."""
-    mask = np.zeros(box.shape, dtype=bool)
-    mask[_interior(box, margin)] = True
-    return mask.ravel()
 
 
 def default_box(c, margin: int, nsigma: float = 10.0, floor: int = 8) -> TruncationBox:
@@ -509,7 +504,7 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
     ``E_VALUE``.
     """
     c = validate_classical(c, box.k)
-    w = np.asarray(w, dtype=np.int64)
+    w = _weight_vector(w, box.k)
     sector_values = _sector_values(w, box)
     if not np.isfinite(s):
         raise InvalidValue(f"s must be finite, got {s}")
@@ -553,9 +548,9 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     psi_sym, predicted = apply_symmetry(c, w, s, box)
     reference, _ = coherent_state(predicted, box)
     margin = network_margin(net)
-    inside = interior_mask(box, margin)
-    ref = reference.weights[inside]
-    got = psi_sym.weights[inside]
+    inside = _interior(box, margin)
+    ref = reference.weights.reshape(box.shape)[inside]
+    got = psi_sym.weights.reshape(box.shape)[inside]
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
     if lam is None:

@@ -81,9 +81,6 @@ class Transition:
                 f"input complex has length {len(self.input)}, output {len(self.output)}"
             )
 
-    def net_change(self) -> tuple[int, ...]:
-        return tuple(t - s for s, t in zip(self.input, self.output))
-
 
 @dataclass(frozen=True)
 class ComplexGraph:
@@ -171,12 +168,6 @@ class Network:
     @property
     def num_transitions(self) -> int:
         return len(self.transitions)
-
-    def species_index(self, name: str) -> int:
-        try:
-            return self.species.index(name)
-        except ValueError:
-            raise KeyError(f"unknown species {name!r}") from None
 
     def complexes(self) -> tuple[CountVector, ...]:
         """All distinct input and output complexes, lexicographically sorted."""

@@ -120,13 +120,6 @@ class JumpTrajectory:
     def num_jumps(self) -> int:
         return len(self.times) - 1
 
-    def time_average(self) -> np.ndarray:
-        """Time-weighted mean count per species over the trajectory span."""
-        if len(self.times) < 2:
-            return self.states[0].astype(float)
-        holds = np.diff(self.times)
-        return (holds @ self.states[:-1]) / holds.sum()
-
     def to_csv(self, species) -> str:
         # floats one at a time: a times.tolist() would hold them all at once
         columns = (map(str, column) for column in self.states.T.tolist())
@@ -194,9 +187,6 @@ class Histogram:
                 v < 0 or v > cap for v, cap in zip(state, self.caps)
             ):
                 raise ValueError(f"state {state} outside the histogram box {self.caps}")
-
-    def frequency(self, n) -> float:
-        return self.counts.get(tuple(int(v) for v in n), 0) / self.total
 
     def to_csv(self, species) -> str:
         lines = [",".join(species) + ",count,frequency"]

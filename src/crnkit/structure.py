@@ -20,16 +20,12 @@ from .network import ComplexGraph, CountVector, Network, validate_classical
 __all__ = [
     "linkage_classes",
     "strongly_connected_components",
-    "is_weakly_reversible",
-    "stoichiometric_rank",
     "conserved_quantities",
     "StructureReport",
     "structure_report",
-    "deficiency",
     "ComplexBalanceRow",
     "BalanceReport",
     "complex_balance_report",
-    "is_complex_balanced",
 ]
 
 
@@ -81,11 +77,6 @@ def _rank_and_laws(changes: np.ndarray) -> tuple[int, tuple[tuple[int, ...], ...
             g = -g
         basis.append(tuple(v // g for v in vec))
     return len(pivots), tuple(sorted(basis))
-
-
-def stoichiometric_rank(net: Network) -> int:
-    """Rank of the stoichiometric matrix over the rationals (exact)."""
-    return _rank_and_laws(net.stoichiometric_matrix().T)[0]
 
 
 def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
@@ -172,15 +163,6 @@ def strongly_connected_components(graph: ComplexGraph) -> tuple[tuple[int, ...],
     return _strong_components(_adjacency(graph, directed=True))
 
 
-def is_weakly_reversible(graph: ComplexGraph) -> bool:
-    """True iff every connected component is strongly connected.
-
-    Each strong component lies inside one linkage class, so the counts are
-    equal exactly when no linkage class splits into several.
-    """
-    return len(strongly_connected_components(graph)) == len(linkage_classes(graph))
-
-
 # ---------------------------------------------------------------------------
 # structure report
 
@@ -215,16 +197,13 @@ def structure_report(net: Network) -> StructureReport:
     return StructureReport(
         num_complexes=len(graph.vertices),
         linkage_classes=classes,
+        # each strong component lies inside one linkage class, so the counts are
+        # equal exactly when no linkage class splits into several
         weakly_reversible=len(strongly_connected_components(graph)) == len(classes),
         stoich_rank=rank,
         deficiency=defect,
         conserved_basis=basis,
     )
-
-
-def deficiency(net: Network) -> int:
-    """Number of complexes minus linkage classes minus stoichiometric rank."""
-    return structure_report(net).deficiency
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +223,6 @@ class BalanceReport:
     tol: float
     scale: float  # 1 + largest complex throughput
     rows: tuple[ComplexBalanceRow, ...]
-
-    @property
-    def max_abs_residual(self) -> float:
-        return max((abs(r.residual) for r in self.rows), default=0.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,7 +271,3 @@ def complex_balance_report(net: Network, c, tol: float = 1e-9) -> BalanceReport:
     scale = 1.0 + throughput
     balanced = all(abs(r.residual) <= tol * scale for r in rows)
     return BalanceReport(balanced, tol, scale, rows)
-
-
-def is_complex_balanced(net: Network, c, tol: float = 1e-9) -> bool:
-    return complex_balance_report(net, c, tol).balanced

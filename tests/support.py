@@ -226,6 +226,11 @@ def ordered_selection_count(counts, needs) -> int:
     return total
 
 
+def interior_mask(box, margin):
+    """Flat mask of the box states at least ``margin`` below every cap, from the state array."""
+    return np.all(box.states() <= np.array(box.caps) - margin, axis=1)
+
+
 def dense_ladders(box):
     """Dense annihilation/creation matrices built state by state from their
     definitions; independent of the package's operator assembly."""

@@ -24,8 +24,6 @@ from crnkit import (
     format_network,
     hamiltonian,
     integrate_rate,
-    interior_mask,
-    is_complex_balanced,
     linear_observable,
     master_residual,
     network_margin,
@@ -34,11 +32,10 @@ from crnkit import (
     rate_vector_field,
     simulate,
     stationary_histogram,
-    stoichiometric_rank,
     structure_report,
 )
 
-from support import balanced_reversible_network, dense_ladders, random_network
+from support import balanced_reversible_network, dense_ladders, interior_mask, random_network
 
 
 def check(name: str, ok: bool, detail: str = ""):
@@ -102,7 +99,7 @@ def test_c03_structure_oracle(net_diatomic, net_catalyst):
     # independent exact recomputation of rank and null-space dimension
     for net, rep in ((net_diatomic, dia), (net_catalyst, cat)):
         gamma = sympy.Matrix(net.stoichiometric_matrix().tolist())
-        ok = ok and rep.stoich_rank == gamma.rank() == stoichiometric_rank(net)
+        ok = ok and rep.stoich_rank == gamma.rank()
         null = gamma.T.nullspace()
         ok = ok and len(null) == len(rep.conserved_basis)
         for w in rep.conserved_basis:
@@ -123,7 +120,7 @@ def test_c04_deficiency_zero_consistency(net_diatomic):
         x0 = [rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)]
         c = find_equilibrium(net_diatomic, x0, tol=1e-10)
         report = complex_balance_report(net_diatomic, c, tol=1e-8)
-        worst = max(worst, report.max_abs_residual)
+        worst = max(worst, max(abs(r.residual) for r in report.rows))
         ok = ok and report.balanced
     check("C4 found equilibria are complex balanced", ok, f"worst residual {worst:.2e}")
 
@@ -139,7 +136,7 @@ def test_c05_balance_implies_rate_equilibrium():
             net = random_network(rng, max_species=3, max_transitions=4)
             c = np.array([rng.uniform(0.0, 2.0) for _ in range(net.num_species)])
         report = complex_balance_report(net, c, tol=1e-9)
-        if report.max_abs_residual <= 1e-12:
+        if max((abs(r.residual) for r in report.rows), default=0.0) <= 1e-12:
             triggered += 1
             ok = ok and np.abs(rate_vector_field(net, c)).max(initial=0.0) <= 1e-9
     ok = ok and triggered >= 30
@@ -211,7 +208,9 @@ def test_c09_ssa_vs_poisson(net_bd, net_diatomic):
     states = box.states()
     sector = np.flatnonzero((states @ np.array([2, 1])) == 6)
     sector_tv = 0.5 * sum(
-        abs(sector_hist.frequency(states[i]) - projected.weights[i]) for i in sector
+        abs(sector_hist.counts.get(tuple(states[i].tolist()), 0) / sector_hist.total
+            - projected.weights[i])
+        for i in sector
     )
     ok = bd_tv <= 0.02 and bd_time < 30.0 and sector_tv <= 0.03
     check(

@@ -36,10 +36,10 @@ from crnkit import (
     default_box,
     evolve_master,
     hamiltonian,
-    interior_mask,
     linear_observable,
     master_residual,
     network_margin,
+    noether_report,
     number_operator,
     parse_network,
     poisson_logpmf,
@@ -53,6 +53,7 @@ from support import (
     csr_uniformization,
     dense_hamiltonian,
     dense_ladders,
+    interior_mask,
     ordered_selection_count,
     random_network,
 )
@@ -69,7 +70,7 @@ class TestTruncationBox:
         assert box.size == 12
         assert box.index_of((0, 0)) == 0
         assert box.index_of((1, 2)) == 6
-        assert box.state_at(6) == (1, 2)
+        assert np.unravel_index(6, box.shape) == (1, 2)
         states = box.states()
         assert states.shape == (12, 2)
         assert [box.index_of(s) for s in states] == list(range(12))
@@ -81,11 +82,19 @@ class TestTruncationBox:
         with pytest.raises(ValueError):
             TruncationBox((0,))
 
+    @pytest.mark.parametrize("cap", [2.7, -1, math.nan, math.inf])
+    def test_cap_that_is_no_count_is_typed_error(self, cap):
+        # int() floored 2.7 to the cap 2, NaN raised a bare ValueError, inf an OverflowError
+        with pytest.raises(InvalidValue):
+            TruncationBox((cap,))
+
     def test_contains(self):
         box = TruncationBox((2, 2))
-        assert box.contains((2, 0)) and not box.contains((3, 0))
+        assert box.index_of((2, 0)) == 6
+        with pytest.raises(InvalidValue):
+            box.index_of((3, 0))
 
-    @pytest.mark.parametrize("count", [1.7, -0.5, math.nan])
+    @pytest.mark.parametrize("count", [1.7, 5.9, -0.5, math.nan])
     def test_count_that_is_no_count_is_typed_error(self, count):
         # int() floored 1.7 to state 1 and -0.5 to state 0, and NaN raised a bare ValueError
         with pytest.raises(InvalidValue):
@@ -131,6 +140,29 @@ class TestLadderOperators:
 
     def test_zero_weight_gives_zero_operator(self):
         assert linear_observable((0, 0), TruncationBox((3, 3))).nnz == 0
+
+    @pytest.mark.parametrize("w, error", [
+        ((0.5, 1), InvalidValue),
+        ((1.9, 1), InvalidValue),
+        ((2.7, 1), InvalidValue),
+        ((math.nan, 1), InvalidValue),
+        ((math.inf, 1), InvalidValue),
+        ((2**70, 1), InvalidValue),
+        ((2**63, 1), InvalidValue),
+        ((2, 1, 0), DimensionMismatch),
+    ])
+    @pytest.mark.parametrize("use", ["observable", "projection", "symmetry"])
+    def test_weight_vector_that_is_no_int64_is_typed_error(self, w, error, use):
+        # int64 conversion truncated 0.5 to 0, 1.9 to 1 and 2.7 to 2; NaN raised a
+        # bare ValueError and 2**70 an OverflowError
+        box = TruncationBox((3, 3))
+        with pytest.raises(error):
+            if use == "observable":
+                linear_observable(w, box)
+            elif use == "projection":
+                project_onto(pure_state(box, (1, 1)), w, 1)
+            else:
+                apply_symmetry((1.0, 1.0), w, 0.3, box)
 
     def test_wrong_matrix_shape(self):
         with pytest.raises(DimensionMismatch):
@@ -338,10 +370,11 @@ class TestBoxProductStructure:
 
     @pytest.mark.parametrize("caps", [(2, 5, 3), (5, 5)])
     @pytest.mark.parametrize("margin", [-1, 0, 1, 2, 3, 6, 7])
-    def test_interior_mask_matches_state_array_route(self, caps, margin):
+    def test_interior_slices_match_state_array_route(self, caps, margin):
         box = TruncationBox(caps)
-        expected = np.all(box.states() <= np.array(box.caps) - margin, axis=1)
-        assert np.array_equal(interior_mask(box, margin), expected)
+        mask = np.zeros(box.shape, dtype=bool)
+        mask[fock._interior(box, margin)] = True
+        assert np.array_equal(mask.ravel(), interior_mask(box, margin))
 
     def test_sector_values_match_state_array_route(self):
         box = TruncationBox((3, 4, 2))
@@ -373,19 +406,20 @@ class TestCoherentState:
     def test_zero_means_point_mass(self):
         box = TruncationBox((4, 4))
         psi, tail = coherent_state([0.0, 0.0], box)
-        assert psi.weight_of((0, 0)) == 1.0
+        assert psi.weights[box.index_of((0, 0))] == 1.0
         assert psi.total == 1.0 and tail == 0.0
 
     def test_poisson_weight_value(self):
-        psi, _ = coherent_state([3.0], TruncationBox((10,)))
-        assert psi.weight_of((2,)) == pytest.approx(math.exp(-3) * 9 / 2, rel=1e-12)
+        box = TruncationBox((10,))
+        psi, _ = coherent_state([3.0], box)
+        assert psi.weights[box.index_of((2,))] == pytest.approx(math.exp(-3) * 9 / 2, rel=1e-12)
 
     def test_product_structure(self):
         box = TruncationBox((6, 7))
         psi, _ = coherent_state([0.5, 2.0], box)
         for n1, n2 in ((0, 0), (1, 3), (4, 2), (6, 7)):
             expected = poisson.pmf(n1, 0.5) * poisson.pmf(n2, 2.0)
-            assert psi.weight_of((n1, n2)) == pytest.approx(expected, rel=1e-12)
+            assert psi.weights[box.index_of((n1, n2))] == pytest.approx(expected, rel=1e-12)
 
     def test_tail_mass_matches_survival(self):
         psi, tail = coherent_state([3.0], TruncationBox((3,)))
@@ -435,9 +469,9 @@ class TestEvolveMaster:
         h = hamiltonian(decay_net, box)
         psi0 = pure_state(box, (1,))
         psi = evolve_master(h, psi0, 2.0)
-        assert psi.weight_of((1,)) == pytest.approx(math.exp(-2.0), abs=1e-8)
+        assert psi.weights[box.index_of((1,))] == pytest.approx(math.exp(-2.0), abs=1e-8)
         late = evolve_master(h, psi0, 30.0)
-        assert abs(late.weight_of((0,)) - 1.0) <= 1e-9
+        assert abs(late.weights[box.index_of((0,))] - 1.0) <= 1e-9
 
     def test_probability_conserved(self, net_diatomic):
         box = TruncationBox((8, 8))
@@ -734,7 +768,8 @@ class TestProjection:
         assert support == sector
         assert projected.total == pytest.approx(1.0, abs=1e-12)
         ratios = [
-            projected.weight_of(n) / psi.weight_of(n) for n in sorted(sector)
+            projected.weights[box.index_of(n)] / psi.weights[box.index_of(n)]
+            for n in sorted(sector)
         ]
         assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-12)
 
@@ -786,4 +821,19 @@ class TestSymmetry:
         box = TruncationBox((25, 25))
         with pytest.raises(SymmetryOverflow):
             apply_symmetry([0.5, 1.0], (2, 1), 50.0, box)
+
+    @pytest.mark.parametrize("caps", [(25, 25), (6, 9), (2, 40), (1, 1)])
+    @pytest.mark.parametrize("c", [(0.5, 1.0), (30.0, 0.2)])
+    def test_noether_error_matches_mask_route(self, net_diatomic, caps, c):
+        # noether_report reads the interior as slices of the grid; max is order-free,
+        # so the error keeps the bytes of the flat-mask route
+        box = TruncationBox(caps)
+        doc = noether_report(net_diatomic, c, box, 0.3, lam=2)
+        psi, predicted = apply_symmetry(c, (2, 1), 0.3, box)
+        reference, _ = coherent_state(predicted, box)
+        inside = interior_mask(box, network_margin(net_diatomic))
+        ref, got = reference.weights[inside], psi.weights[inside]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
+        assert doc["symmetry"]["max_rel_err_interior"] == float(rel.max(initial=0.0))
 

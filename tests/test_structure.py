@@ -12,12 +12,8 @@ from crnkit import (
     DimensionMismatch,
     complex_balance_report,
     conserved_quantities,
-    deficiency,
-    is_complex_balanced,
-    is_weakly_reversible,
     linkage_classes,
     rate_vector_field,
-    stoichiometric_rank,
     structure_report,
     strongly_connected_components,
 )
@@ -63,21 +59,23 @@ class TestLinkageClasses:
 
 class TestWeakReversibility:
     def test_diatomic_true(self, net_diatomic):
-        assert is_weakly_reversible(net_diatomic.complex_graph())
+        assert structure_report(net_diatomic).weakly_reversible
 
     def test_catalyst_false(self, net_catalyst):
-        assert not is_weakly_reversible(net_catalyst.complex_graph())
+        assert not structure_report(net_catalyst).weakly_reversible
 
     def test_empty_graph_vacuous(self):
-        assert is_weakly_reversible(ComplexGraph((), ()))
+        # no species, so no complexes: the complex graph has no vertices
+        assert structure_report(Network(())).weakly_reversible
 
     def test_matches_scc_cover(self):
         rng = random.Random(17)
         for _ in range(30):
-            graph = random_network(rng).complex_graph()
+            net = random_network(rng)
+            graph = net.complex_graph()
             sccs = strongly_connected_components(graph)
             expected = len(sccs) == len(linkage_classes(graph))
-            assert is_weakly_reversible(graph) == expected
+            assert structure_report(net).weakly_reversible == expected
 
 
 class TestDeficiency:
@@ -92,19 +90,19 @@ class TestDeficiency:
         assert rep.deficiency == 1
 
     def test_empty_network(self):
-        assert deficiency(Network(("A",))) == 0
+        assert structure_report(Network(("A",))).deficiency == 0
 
     def test_nonnegative_on_random_networks(self):
         rng = random.Random(41)
         for _ in range(40):
-            assert deficiency(random_network(rng)) >= 0
+            assert structure_report(random_network(rng)).deficiency >= 0
 
     def test_rank_matches_sympy(self):
         rng = random.Random(43)
         for _ in range(25):
             net = random_network(rng)
             gamma = sympy.Matrix(net.stoichiometric_matrix().tolist())
-            assert stoichiometric_rank(net) == gamma.rank()
+            assert structure_report(net).stoich_rank == gamma.rank()
 
 
 class TestConservedQuantities:
@@ -124,8 +122,8 @@ class TestConservedQuantities:
             net = random_network(rng)
             basis = conserved_quantities(net)
             for w in basis:
-                for tr in net.transitions:
-                    assert sum(wi * d for wi, d in zip(w, tr.net_change())) == 0
+                for change in net.stoichiometric_matrix().T.tolist():
+                    assert sum(wi * d for wi, d in zip(w, change)) == 0
                 nonzero = [v for v in w if v != 0]
                 assert nonzero and nonzero[0] > 0
                 assert math.gcd(*(abs(v) for v in w)) == 1
@@ -138,7 +136,7 @@ class TestConservedQuantities:
             gamma_t = sympy.Matrix(net.stoichiometric_matrix().T.tolist())
             null = gamma_t.nullspace()
             assert len(basis) == len(null)
-            assert len(basis) == net.num_species - stoichiometric_rank(net)
+            assert len(basis) == net.num_species - structure_report(net).stoich_rank
             if basis:
                 ours = sympy.Matrix([list(w) for w in basis])
                 theirs = sympy.Matrix([[v for v in vec] for vec in null]).reshape(
@@ -154,7 +152,8 @@ class TestConservedQuantities:
         sizes = ((14, 10), (18, 14), (22, 18), (14, 30), (18, 40), (22, 50))
         nets += [sparse_network(rng, k, m) for k, m in sizes for _ in range(3)]
         for net in nets:
-            assert (stoichiometric_rank(net), conserved_quantities(net)) == fraction_rank_and_laws(net)
+            rank = structure_report(net).stoich_rank
+            assert (rank, conserved_quantities(net)) == fraction_rank_and_laws(net)
 
     def test_transition_free_network_conserves_everything(self):
         net = Network(("A", "B"))
@@ -214,7 +213,7 @@ class TestComplexBalance:
         for _ in range(60):
             net, c = balanced_reversible_network(rng)
             report = complex_balance_report(net, c, tol=1e-9)
-            if report.max_abs_residual <= 1e-12:
+            if max((abs(r.residual) for r in report.rows), default=0.0) <= 1e-12:
                 hits += 1
                 assert np.abs(rate_vector_field(net, c)).max() <= 1e-9
         assert hits >= 50
