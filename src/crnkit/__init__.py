@@ -39,7 +39,6 @@ from .structure import (
     complex_balance_report,
     conserved_quantities,
     linkage_classes,
-    strongly_connected_components,
     structure_report,
 )
 from .dynamics import Trajectory, find_equilibrium, integrate_rate, rate_vector_field

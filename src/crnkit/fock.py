@@ -376,9 +376,14 @@ def _weight_vector(w, k: int) -> np.ndarray:
 
 
 def _sector_values(w, box: TruncationBox) -> np.ndarray:
-    """w . n per box state for an integer weight vector ``w`` (:func:`_weight_vector`)."""
-    w = _weight_vector(w, box.k)
-    return _outer_sum([wi * np.arange(cap + 1) for wi, cap in zip(w.tolist(), box.caps)])
+    """w . n per box state for an integer weight vector ``w`` (:func:`_weight_vector`).
+
+    ``E_VALUE`` when sum |w_i| cap_i reaches 2**63, where int64 w . n could wrap.
+    """
+    w = _weight_vector(w, box.k).tolist()
+    if sum(abs(wi) * cap for wi, cap in zip(w, box.caps)) >= 2**63:
+        raise InvalidValue(f"w . n leaves the int64 range on the box {box.caps} for w = {w}")
+    return _outer_sum([wi * np.arange(cap + 1) for wi, cap in zip(w, box.caps)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .network import ComplexGraph, CountVector, Network, validate_classical
 
 __all__ = [
     "linkage_classes",
-    "strongly_connected_components",
     "conserved_quantities",
     "StructureReport",
     "structure_report",
@@ -92,75 +91,46 @@ def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # graph analysis
 
-def _adjacency(graph: ComplexGraph, directed: bool) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in graph.vertices]
+def _adjacency(graph: ComplexGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """Out- and in-neighbours of each vertex."""
+    out: list[list[int]] = [[] for _ in graph.vertices]
+    into: list[list[int]] = [[] for _ in graph.vertices]
     for a, b, _ in graph.edges:
-        adj[a].append(b)
-        if not directed and a != b:
-            adj[b].append(a)
-    return adj
+        out[a].append(b)
+        into[b].append(a)
+    return out, into
 
 
-def _strong_components(adj: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Tarjan's algorithm, iterative; components ordered by smallest member."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, child = work[-1]
-            if child == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(child, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(component)))
-    return tuple(sorted(components, key=lambda c: c[0]))
+def _reach(adj: list[list[int]], start: int) -> set[int]:
+    """Vertices reachable from ``start`` along ``adj``, ``start`` included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def linkage_classes(graph: ComplexGraph) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the underlying undirected graph, which are the
-    strong components once every edge is also reversed.
+    """Connected components of the underlying undirected graph.
 
     Classes are ordered by smallest member; members are sorted.
     """
-    return _strong_components(_adjacency(graph, directed=False))
+    return _classes(*_adjacency(graph))
 
 
-def strongly_connected_components(graph: ComplexGraph) -> tuple[tuple[int, ...], ...]:
-    """Strong components of the directed graph; ordered by smallest member."""
-    return _strong_components(_adjacency(graph, directed=True))
+def _classes(out: list[list[int]], into: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """:func:`linkage_classes` from the out- and in-neighbours of :func:`_adjacency`."""
+    both = [a + b for a, b in zip(out, into)]
+    placed: set[int] = set()
+    classes = []
+    for v in range(len(both)):
+        if v not in placed:
+            members = _reach(both, v)
+            placed |= members
+            classes.append(tuple(sorted(members)))
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +159,8 @@ class StructureReport:
 def structure_report(net: Network) -> StructureReport:
     """Full structural summary: complexes, linkage classes, rank, deficiency, laws."""
     graph = net.complex_graph()
-    classes = linkage_classes(graph)
+    out, into = _adjacency(graph)
+    classes = _classes(out, into)
     rank, basis = _rank_and_laws(net.stoichiometric_matrix().T)
     defect = len(graph.vertices) - len(classes) - rank
     assert defect >= 0, "deficiency must be nonnegative"
@@ -197,9 +168,11 @@ def structure_report(net: Network) -> StructureReport:
     return StructureReport(
         num_complexes=len(graph.vertices),
         linkage_classes=classes,
-        # each strong component lies inside one linkage class, so the counts are
-        # equal exactly when no linkage class splits into several
-        weakly_reversible=len(strongly_connected_components(graph)) == len(classes),
+        # a class is strongly connected iff its smallest member reaches every
+        # member along the edges and against them; reach never leaves the class
+        weakly_reversible=all(
+            len(_reach(out, c[0])) == len(_reach(into, c[0])) == len(c) for c in classes
+        ),
         stoich_rank=rank,
         deficiency=defect,
         conserved_basis=basis,

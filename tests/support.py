@@ -194,6 +194,38 @@ def fraction_rank_and_laws(net: Network) -> tuple[int, tuple[tuple[int, ...], ..
     return len(pivots), tuple(sorted(basis))
 
 
+def closure_weakly_reversible(graph) -> bool:
+    """Oracle for weak reversibility: every edge's target reaches its source,
+    read from the transitive closure of the complex graph (Warshall)."""
+    n = len(graph.vertices)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for a, b, _ in graph.edges:
+        reach[a][b] = True
+    for via in range(n):
+        for i in range(n):
+            if reach[i][via]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[via])]
+    return all(reach[b][a] for a, b, _ in graph.edges)
+
+
+def union_find_classes(graph) -> tuple[tuple[int, ...], ...]:
+    """Oracle for the linkage classes: union-find over the edges, classes
+    ordered by smallest member, members sorted."""
+    parent = list(range(len(graph.vertices)))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b, _ in graph.edges:
+        parent[root(a)] = root(b)
+    classes: dict[int, list[int]] = {}
+    for v in range(len(parent)):
+        classes.setdefault(root(v), []).append(v)
+    return tuple(sorted(tuple(members) for members in classes.values()))
+
+
 def balanced_reversible_network(rng: random.Random) -> tuple[Network, np.ndarray]:
     """Random union of reversible pairs with rates tuned so a random state
     balances every complex pairwise (backward rate = forward * c^in / c^out)."""

@@ -149,6 +149,7 @@ class TestLadderOperators:
         ((math.inf, 1), InvalidValue),
         ((2**70, 1), InvalidValue),
         ((2**63, 1), InvalidValue),
+        ((2**62, 1), InvalidValue),  # int64 entries, but w . n reaches 2**63 at n = (2, 0)
         ((2, 1, 0), DimensionMismatch),
     ])
     @pytest.mark.parametrize("use", ["observable", "projection", "symmetry"])
@@ -163,6 +164,11 @@ class TestLadderOperators:
                 project_onto(pure_state(box, (1, 1)), w, 1)
             else:
                 apply_symmetry((1.0, 1.0), w, 0.3, box)
+
+    def test_values_at_the_int64_bound_fit(self):
+        # sum |w_i| cap_i = 2**63 - 1 fits, and so does every w . n
+        top = linear_observable((2**62 - 1, 1), TruncationBox((2, 1))).matrix.diagonal()
+        assert top[-1] == float(2**63 - 1)
 
     def test_wrong_matrix_shape(self):
         with pytest.raises(DimensionMismatch):

@@ -18,7 +18,6 @@ from crnkit import (
     TruncationBox,
     coherent_state,
     compare_to_poisson,
-    conserved_quantities,
     parse_network,
     project_onto,
     simulate,

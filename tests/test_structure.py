@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,16 +14,25 @@ from crnkit import (
     linkage_classes,
     rate_vector_field,
     structure_report,
-    strongly_connected_components,
 )
 from crnkit import Network
 
 from support import (
     balanced_reversible_network,
+    closure_weakly_reversible,
     fraction_rank_and_laws,
     random_network,
     sparse_network,
+    union_find_classes,
 )
+
+
+def oracle_networks():
+    """Seeded ``random_network`` draws (about a fifth weakly reversible) and
+    ``balanced_reversible_network`` draws (every one weakly reversible)."""
+    rng = random.Random(5)
+    nets = [random_network(rng) for _ in range(200)]
+    return nets + [balanced_reversible_network(rng)[0] for _ in range(50)]
 
 
 def isolated_graph(n):
@@ -56,6 +64,11 @@ class TestLinkageClasses:
             mins = [c[0] for c in classes]
             assert mins == sorted(mins)
 
+    def test_matches_union_find(self):
+        for net in oracle_networks():
+            graph = net.complex_graph()
+            assert linkage_classes(graph) == union_find_classes(graph)
+
 
 class TestWeakReversibility:
     def test_diatomic_true(self, net_diatomic):
@@ -68,14 +81,13 @@ class TestWeakReversibility:
         # no species, so no complexes: the complex graph has no vertices
         assert structure_report(Network(())).weakly_reversible
 
-    def test_matches_scc_cover(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            net = random_network(rng)
-            graph = net.complex_graph()
-            sccs = strongly_connected_components(graph)
-            expected = len(sccs) == len(linkage_classes(graph))
-            assert structure_report(net).weakly_reversible == expected
+    def test_matches_transitive_closure(self):
+        verdicts = []
+        for net in oracle_networks():
+            verdicts.append(structure_report(net).weakly_reversible)
+            assert verdicts[-1] == closure_weakly_reversible(net.complex_graph())
+        drawn = verdicts[:200]  # the random_network draws give both verdicts
+        assert any(drawn) and not all(drawn)
 
 
 class TestDeficiency:
