@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Runs the installed `crn` console script on small inputs. The tests call
+# cli.run; here numpy warnings print instead of raising, so stderr must hold
+# exactly the one coded line, or nothing.
+#
+#     bash .github/crn-entry-point.sh
+set -euo pipefail
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+printf 'species: A\n0 <-> A @ 3, 1\n' > "$tmp/bd.crn"
+crn analyze "$tmp/bd.crn"
+crn rate "$tmp/bd.crn" --x0 0 --t-end 5
+# scipy is for the Fock-space side only: crnkit.cli loads none of it,
+# and crn master imports crnkit.fock when it runs
+python -c "import sys, crnkit.cli; sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+crn master "$tmp/bd.crn" --n0 0 --caps 15 --t-end 1
+printf 'A -> A @ 1\n' > "$tmp/loop.crn"
+crn parse "$tmp/loop.crn" 2> "$tmp/err.txt"
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+grep -q '^warning\[E_SELF_LOOP\]: 1:1: ' "$tmp/err.txt"
+printf '2 X1 <-> X2 @ 1, 2\n' > "$tmp/dia.crn"
+status=0
+crn ack "$tmp/dia.crn" --c 1e300,1 --caps 3,3 2> "$tmp/err.txt" || status=$?
+test "$status" -eq 1
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+grep -q '^error\[E_EXPLODE\]: ' "$tmp/err.txt"
+# the certificates on a complex-balanced c (k1 c1^2 = k2 c2) exit 0 with strict JSON
+crn ack "$tmp/dia.crn" --c 1,0.5 > "$tmp/ack.json"
+python -m json.tool "$tmp/ack.json" > /dev/null
+crn noether "$tmp/dia.crn" --c 1,0.5 > "$tmp/noether.json"
+python -m json.tool "$tmp/noether.json" > /dev/null
+# uniformization on the banded step, at the evolve benchmark's shape:
+# a scipy or numpy warning would print here, so stderr must stay empty
+crn master "$tmp/dia.crn" --n0 15,5 --caps 40,40 --t-end 2 > "$tmp/master.csv" 2> "$tmp/err.txt"
+test ! -s "$tmp/err.txt"
+# a one-state sector of the evolve benchmark's network (2 n1 + n2 = 1 holds
+# only (0, 1)): the term block is two columns wide for one state, and all
+# the mass stays on that state
+printf 'X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n' > "$tmp/dimer.crn"
+crn master "$tmp/dimer.crn" --n0 0,1 --caps 40,40 --t-end 2 > "$tmp/master.csv" 2> "$tmp/err.txt"
+test ! -s "$tmp/err.txt"
+test "$(sed 1d "$tmp/master.csv" | cut -d, -f1,2)" = "0,1"

@@ -43,6 +43,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import dia_matvec
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import (
@@ -87,6 +88,7 @@ _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
 _MAX_STATES = 2**24  # largest box; every box-sized array is allocated after this check
 _MAX_SLOTS = 2**26  # generator slots, box states x offsets; certify's largest is about 2.9M
+_TERM_BUFFER = 2**17  # floats in evolve_master's block of terms (1 MB)
 _CSV_FLOOR = 1e-15  # MixedState.to_csv prints only weights above this
 
 
@@ -590,6 +592,16 @@ def _poisson_isf(q: float, mu: float) -> float:
     return float(below if pdtr(below, mu) >= p else above)
 
 
+def _distinct(a) -> np.ndarray:
+    """The distinct values of ``a`` in ascending order, as ``np.unique`` gives
+    them, by a sort: numpy 2's hash-based ``np.unique`` is slower on a few
+    thousand integers."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def _uniformized_step(rows, cols, vals, size: int, lam: float) -> sp.dia_matrix:
     """P = H/lam + I as a DIA matrix whose offsets ascend, from H's entries (rows, cols, vals).
 
@@ -601,12 +613,13 @@ def _uniformized_step(rows, cols, vals, size: int, lam: float) -> sp.dia_matrix:
     ``E_BUDGET`` before the band is allocated.  ``csr.todia()`` is not
     used: it warns above 100 diagonals.
     """
-    offsets, slot = np.unique(np.append(cols - rows, 0), return_inverse=True)
+    change = cols - rows
+    offsets = _distinct(np.append(change, 0))
     if size * len(offsets) > _MAX_SLOTS:
         raise BudgetExceeded(f"{size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
     data = np.zeros((len(offsets), size))
-    np.add.at(data, (slot[:-1], cols), vals * (1 / lam))
-    data[slot[-1]] += 1.0
+    np.add.at(data, (np.searchsorted(offsets, change), cols), vals * (1 / lam))
+    data[np.searchsorted(offsets, 0)] += 1.0
     return sp.dia_matrix((data, offsets), (size, size))
 
 
@@ -629,7 +642,7 @@ def _occupied_sectors(box: TruncationBox, rows, cols, vals, weights):
     shape, digits = box.shape, tuple(2 * cap + 1 for cap in box.caps)  # digits change_i + cap_i
     starts, ends = np.unravel_index(cols, shape), np.unravel_index(rows, shape)
     key = np.ravel_multi_index(tuple(e - s + cap for e, s, cap in zip(ends, starts, box.caps)), digits)
-    changes = np.column_stack(np.unravel_index(np.unique(key), digits)) - box.caps
+    changes = np.column_stack(np.unravel_index(_distinct(key), digits)) - box.caps
     laws = _rank_and_laws(changes)[1]
     if not laws:
         return None
@@ -642,7 +655,7 @@ def _occupied_sectors(box: TruncationBox, rows, cols, vals, weights):
     keep, local = inside[rows], np.cumsum(inside) - 1
     rows, cols = local[rows[keep]], local[cols[keep]]
     # a sector's offsets need not be constant, and DIA work is states x offsets
-    if inside.sum() * np.unique(np.append(cols - rows, 0)).size > max(keep.size, box.size):
+    if inside.sum() * _distinct(np.append(cols - rows, 0)).size > max(keep.size, box.size):
         return None
     return inside, rows, cols, vals[keep]
 
@@ -665,6 +678,17 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     entries raises ``E_BUDGET``; only a hand-built H can reach it, since
     :func:`hamiltonian` checks the same budget.
 
+    The terms are summed in blocks of at most ``_TERM_BUFFER`` floats (two
+    rows when one row is wider than half of that).  Row 0 holds the sum so
+    far; each term's mat-vec is one call of scipy's compiled ``dia_matvec``,
+    the kernel ``step @ vec`` reaches, written straight into the next zeroed
+    row.  The rows are then scaled by their Poisson weights and summed down
+    the columns by one ``np.add.reduce``, which adds them in row order, so
+    every state gets out + w_k v_k in order k, as in a term-by-term loop.
+    numpy sums in row order only when a row holds at least two entries (a
+    single column is summed pairwise), so the block is at least two columns
+    wide, even for a one-state sector.
+
     A conserved w . n commutes with H (the Noether theorem), so P^k never
     moves weight between sectors.  The loop therefore runs on the set S of
     states in the sectors psi0 occupies (:func:`_occupied_sectors`, with
@@ -680,7 +704,7 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
        not change.
 
     A term whose Poisson weight underflows to 0.0 adds +0.0 everywhere,
-    so it is skipped.
+    which changes no bit (rule 2).
     """
     if H.box != psi0.box:
         raise BoxMismatch("generator and state live on different boxes")
@@ -701,12 +725,23 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     if sector is not None:
         inside, *entries = sector
         vec = vec[inside]
-    step = _uniformized_step(*entries, vec.size, lam)
-    out = weights[0] * vec
-    for weight in weights[1:].tolist():
-        vec = step @ vec
-        if weight:
-            out += weight * vec
+    n, width = vec.size, max(vec.size, 2)  # one column would be summed pairwise
+    step = _uniformized_step(*entries, n, lam)
+    offsets, band = step.offsets, step.data
+    vec = np.ascontiguousarray(vec)  # the kernel is called without scipy's checks
+    block = np.zeros((max(_TERM_BUFFER // width, 2), width))
+    block[0, :n] = weights[0] * vec
+    for first in range(1, weights.size, len(block) - 1):
+        w = weights[first : first + len(block) - 1]
+        used = block[: w.size + 1]
+        for row in used[1:, :n]:
+            dia_matvec(n, n, len(offsets), n, offsets, band, vec, row)
+            vec = row
+        vec = vec.copy()  # the next block steps from this term, unweighted
+        used[1:] *= w[:, None]
+        block[0] = np.add.reduce(used, axis=0)  # row by row: out + w_k v_k, k ascending
+        used[1:] = 0.0  # dia_matvec adds into its output row
+    out = block[0, :n]
     if sector is not None:
         box_out = np.zeros(H.box.size)
         box_out[inside] = out

@@ -664,6 +664,67 @@ class TestBandedUniformization:
         assert got.tobytes() == csr_uniformization(h, psi0, 1.0).tobytes()
 
 
+class TestTermBlocks:
+    """``evolve_master`` writes its terms into a block of ``_TERM_BUFFER`` floats
+    and sums each block in one reduce; every block boundary keeps the CSR loop's bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(buffer=st.sampled_from([1, 2, 3, 37]), net_seed=st.integers(0, 2**32 - 1),
+           closed=st.booleans(), start=st.sampled_from(["coherent", "pure", "two sectors", "zero"]),
+           scale=st.sampled_from([0.05, 1.0, 7.5, 60.0]), data=st.data())
+    def test_same_bytes_at_any_block_size(self, buffer, **case):
+        # 1, 2 and 3 floats leave one term per block; 37 ends most series mid-block
+        same_bytes = TestBandedUniformization.test_same_bytes_as_csr_loop.hypothesis.inner_test
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_TERM_BUFFER", buffer)
+            same_bytes(TestBandedUniformization(), **case)
+
+    @pytest.mark.parametrize("n0, states", [
+        ((0, 1), 1),  # 2 n1 + n2 = 1 holds one state, whose column alone would be summed pairwise
+        ((0, 0), 1),
+        (None, 0),  # an all-zero start occupies no sector
+    ])
+    def test_small_sectors(self, net_diatomic, n0, states):
+        box = TruncationBox((40, 40))
+        h = hamiltonian(net_diatomic, box)
+        psi0 = MixedState(box, np.zeros(box.size)) if n0 is None else pure_state(box, n0)
+        entries = h.matrix.tocoo()
+        sector = fock._occupied_sectors(box, entries.row, entries.col, entries.data, psi0.weights)
+        assert int(sector[0].sum()) == states
+        got = evolve_master(h, psi0, 2.0).weights
+        assert got.tobytes() == csr_uniformization(h, psi0, 2.0).tobytes()
+
+    def test_read_only_strided_start(self, net_diatomic):
+        box = TruncationBox((12, 12))
+        h = hamiltonian(net_diatomic, box)
+        base = np.zeros((box.size, 2))
+        base[:, 0] = coherent_state((2.0, 3.0), box)[0].weights
+        view = base[:, 0]
+        view.setflags(write=False)
+        psi0 = MixedState(box, view)
+        assert psi0.weights is view and not view.flags.c_contiguous
+        got = evolve_master(h, psi0, 1.5).weights
+        assert got.tobytes() == csr_uniformization(h, psi0, 1.5).tobytes()
+
+    def test_memory_does_not_grow_with_terms(self, net_diatomic):
+        # the evolve workload's 41^2 coherent start: about 3,700 terms at t = 2 and
+        # 14,000 at t = 8, where holding every term would take 52 and 200 MB
+        box = TruncationBox((41, 41))
+        h = hamiltonian(net_diatomic, box)
+        psi0 = coherent_state((2.0, 3.0), box)[0]
+        lam = float(np.abs(h.diagonal()).max())
+        for t in (2.0, 8.0):
+            terms = int(fock._poisson_isf(fock._POISSON_TAIL, lam * t)) + 1
+            tracemalloc.start()
+            try:
+                evolve_master(h, psi0, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the block, one Poisson weight per term, the band and a few box-sized vectors
+            assert peak < 8 * (fock._TERM_BUFFER + terms + 20 * box.size)
+
+
 class TestAckResidual:
     @settings(max_examples=60, deadline=None)
     @given(net_seed=st.integers(0, 2**32 - 1), margin=st.integers(-1, 14), data=st.data())
