@@ -30,6 +30,15 @@ crn ack "$tmp/dia.crn" --c 1,0.5 > "$tmp/ack.json"
 python -m json.tool "$tmp/ack.json" > /dev/null
 crn noether "$tmp/dia.crn" --c 1,0.5 > "$tmp/noether.json"
 python -m json.tool "$tmp/noether.json" > /dev/null
+# on caps 2,2 every state lies in a cap slab, where the coherent-state identity
+# is corrected per transition: exit 0, JSON without Infinity or NaN, and no
+# numpy warning (a 0 * inf would print one) on stderr
+strict='import json, sys; json.load(sys.stdin, parse_constant=lambda c: sys.exit(f"JSON holds {c}"))'
+for cmd in ack noether; do
+    crn "$cmd" "$tmp/dia.crn" --c 1,0.5 --caps 2,2 > "$tmp/$cmd.json" 2> "$tmp/err.txt"
+    python -c "$strict" < "$tmp/$cmd.json"
+    test ! -s "$tmp/err.txt"
+done
 # uniformization on the banded step, at the evolve benchmark's shape:
 # a scipy or numpy warning would print here, so stderr must stay empty
 crn master "$tmp/dia.crn" --n0 15,5 --caps 40,40 --t-end 2 > "$tmp/master.csv" 2> "$tmp/err.txt"

@@ -16,15 +16,18 @@ only, at least that margin away from every cap.
 The box is a product of per-species ranges, and the engine builds from
 that structure instead of a states x species array.  Each ladder operator
 shifts the flat index by one stride, so every operator is banded: it is
-built as one array per diagonal (scipy's DIA layout).  The certificates
-read the generator's diagonals, and master evolution steps on a banded
-matrix; the public operators are CSR.
+built as one array per diagonal (scipy's DIA layout).  Master evolution
+steps on a banded matrix; the public operators are CSR.
 Per-state tables (coherent weights, w . n) are outer sums of 1-D ones,
 and the interior is a sub-box, read as slices of the grid.
 
 Coherent states carry the untruncated product-Poisson weights (computed
 through log-gamma, no factorial overflow) without renormalization; the
-lost tail mass is reported alongside.
+lost tail mass is reported alongside.  The certificates assemble no
+generator: a coherent state is an eigenvector of every annihilation
+monomial, so H psi_c is a sum of shifted copies of the coherent grid,
+one per complex, corrected on the slabs by the caps where truncate-pair
+drops a firing; the commutators come from one flux per transition group.
 
 Master evolution is uniformization: a Poisson-weighted sum of powers of the
 stochastic matrix I + H/max|H_nn|, nonnegative and mass-conserving, one
@@ -38,7 +41,7 @@ the bytes of the whole-box loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -84,6 +87,8 @@ __all__ = [
 
 _DBL_MAX = np.finfo(float).max
 _LOG_DBL_MAX = 709.0
+_EXP_ZERO = -750.0  # exp is exactly 0.0 below this: e^-750 is about 2^-1082
+_EXP_BLOCK = 2**15  # log weights per masked exp in coherent_state (a 32 kB mask)
 _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
 _MAX_STATES = 2**24  # largest box; every box-sized array is allocated after this check
@@ -194,11 +199,13 @@ class MixedState:
 
     Weights are nonnegative (not NaN) and sum to at most 1 (+1e-12 for roundoff);
     truncated tails may lose mass but never create it.  A read-only float64
-    array is adopted as it is; any other input is copied.
+    array is adopted as it is; any other input is copied.  ``total`` is the
+    sum the guard computes, kept so that no reader sums the weights again.
     """
 
     box: TruncationBox
     weights: np.ndarray
+    total: float = field(init=False, repr=False)
 
     def __post_init__(self):
         weights = self.weights
@@ -208,14 +215,12 @@ class MixedState:
             raise InvalidValue(f"weights shape {weights.shape}, expected ({self.box.size},)")
         if not weights.min(initial=0.0) >= 0:  # NaN fails too
             raise InvalidValue("mixed-state weights must be nonnegative")
-        if weights.sum() > 1.0 + 1e-12:
+        total = float(weights.sum())
+        if total > 1.0 + 1e-12:
             raise InvalidValue("mixed-state weights must not sum above 1")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
+        object.__setattr__(self, "total", total)
 
     def to_csv(self, species) -> str:
         """CSV dump '<species...>,probability', skipping weights <= ``_CSV_FLOOR``."""
@@ -277,16 +282,6 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(a.box, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def _observable_commutator_max_abs(gen: sp.dia_matrix, box: TruncationBox, w) -> float:
-    """max|[H, O_w]| = max|H_mn (o_n - o_m)|, o = w . n per state, from H's diagonals n - m = off."""
-    o, worst, size = _sector_values(w, box), 0.0, box.size
-    for off, diag in zip(gen.offsets.tolist(), gen.data):
-        if off:  # H_mn sits at diag[n], over the columns n whose row m = n - off lies in the box
-            n, m = slice(max(off, 0), size + min(off, 0)), slice(max(-off, 0), size - max(off, 0))
-            worst = max(worst, float(np.abs(diag[n] * (o[n] - o[m])).max(initial=0.0)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # generator assembly
 
@@ -304,36 +299,25 @@ def hamiltonian(net: Network, box: TruncationBox) -> SparseOperator:
 def _generator(net: Network, box: TruncationBox) -> sp.dia_matrix:
     """:func:`hamiltonian` as a DIA matrix whose offsets ascend.
 
-    A firing moves the flat index by the constant (t - s) . strides, and
-    its sources inside the box form the sub-box s_i <= n_i <= cap_i -
-    max(t_i - s_i, 0), so each transition fills that sub-box of one
+    A firing moves the flat index by the constant (t - s) . strides, so
+    each transition of :func:`_firing` fills its source sub-box of one
     diagonal, -(t - s) . strides, indexed by source, and drains the same
     sub-box of the main diagonal.  Fluxes sharing an entry add in
-    transition order; self-loops cancel exactly and are skipped.  More
-    than ``_MAX_SLOTS`` diagonal entries (box states x distinct offsets)
-    raise ``E_BUDGET`` before any is allocated; a diagonal entry below
+    transition order.  More than ``_MAX_SLOTS`` diagonal entries (box
+    states x distinct offsets) raise ``E_BUDGET`` before any is allocated;
+    a diagonal entry below
     -DBL_MAX/2 raises ``E_EXPLODE``, so every column's L1 norm is finite.
     Ascending offsets make scipy's DIA mat-vec add each row's terms in
     column order, as the CSR one does, so both give the same bytes.
     """
-    if box.k != net.num_species:
-        raise DimensionMismatch(
-            f"box has {box.k} species, network has {net.num_species}"
-        )
-    kernel, strides = net.mass_action, box.strides
-    firing = []  # (transition, diagonal offset, source sub-box)
-    for j in range(net.num_transitions):
-        need = kernel.inputs[j].tolist()
-        delta = (kernel.outputs[j] - kernel.inputs[j]).tolist()
-        tops = [cap - max(d, 0) for cap, d in zip(box.caps, delta)]
+    strides, firing = box.strides, []  # (transition, diagonal offset, source sub-box)
+    for j, need, delta, tops in _firing(net, box):
         offset = -sum(d * stride for d, stride in zip(delta, strides))
-        if offset == 0 or any(s > top for s, top in zip(need, tops)):
-            continue
         firing.append((j, offset, tuple(slice(s, top + 1) for s, top in zip(need, tops))))
     offsets = sorted({0, *(f[1] for f in firing)})
     if box.size * len(offsets) > _MAX_SLOTS:
         raise BudgetExceeded(f"{box.size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
-    data = np.zeros((len(offsets), box.size))
+    data, kernel = np.zeros((len(offsets), box.size)), net.mass_action
     blocks, zero = [row.reshape(box.shape) for row in data], offsets.index(0)
     # a diagonal's first flux is stored, not added to zeros (numpy assigns a slice
     # ~3x faster); fluxes are positive, so 0 + f, 0 - f and x - f keep every bit
@@ -352,6 +336,56 @@ def _generator(net: Network, box: TruncationBox) -> sp.dia_matrix:
     if not data[zero].min() >= -_DBL_MAX / 2:
         raise PopulationExplosion("a state's total outflow in the generator overflows")
     return sp.dia_matrix((data, offsets), (box.size, box.size))
+
+
+def _firing(net: Network, box: TruncationBox) -> list:
+    """(j, s, t - s, tops) per transition j that fires somewhere in the box, as lists.
+
+    Firing j moves a source n to n + t - s, and the sources inside the box
+    whose target is too form the sub-box s_i <= n_i <= tops_i = cap_i -
+    max(t_i - s_i, 0).  Self-loops and transitions with an empty sub-box
+    are left out: they are the zero operator on the box.  ``E_DIM`` when
+    the box and the network count different species.
+    """
+    if box.k != net.num_species:
+        raise DimensionMismatch(f"box has {box.k} species, network has {net.num_species}")
+    kernel, firing = net.mass_action, []
+    for j in range(net.num_transitions):
+        need = kernel.inputs[j].tolist()
+        delta = (kernel.outputs[j] - kernel.inputs[j]).tolist()
+        tops = [cap - max(d, 0) for cap, d in zip(box.caps, delta)]
+        if any(delta) and all(s <= top for s, top in zip(need, tops)):
+            firing.append((j, need, delta, tops))
+    return firing
+
+
+def _commutator_max_abs(net: Network, box: TruncationBox, w) -> float:
+    """max|[H, O_w]| on the box for an integer ``w``, with no H assembled.
+
+    [H, O_w] holds each off-diagonal entry H_mn times o_n - o_m = -w . (t - s)
+    of the firings that fill it, an integer per transition.  A firing's
+    fluxes, r times the falling factorial of n, never decrease on its
+    source sub-box, and
+    transitions with the same t - s share that sub-box and sum their fluxes
+    entry by entry, so each such group's largest entry sits at the
+    sub-box's top corner: one sum per group, added in transition order as
+    :func:`_generator` adds it.  The bytes are those of max|H_mn (o_n - o_m)|
+    over H's entries.  A flux or an entry beyond the float range raises
+    ``E_EXPLODE``; ``w`` is checked as :func:`_sector_values` checks it.
+    """
+    w = _checked_weights(w, box)
+    kernel, corner = net.mass_action, {}  # t - s -> flux sum at the top corner
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+        for j, _, delta, tops in _firing(net, box):
+            flux, key = kernel.rates[j] * kernel.falling(tops, j), tuple(delta)
+            corner[key] = corner[key] + flux if key in corner else flux
+        worst = 0.0
+        for delta, flux in corner.items():
+            entry = abs(flux * float(sum(wi * d for wi, d in zip(w, delta))))
+            if not entry <= _DBL_MAX:  # NaN fails too
+                raise PopulationExplosion("a generator flux or a commutator entry overflows")
+            worst = max(worst, float(entry))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +411,18 @@ def _weight_vector(w, k: int) -> np.ndarray:
     return np.array(ints, dtype=np.int64)
 
 
-def _sector_values(w, box: TruncationBox) -> np.ndarray:
-    """w . n per box state for an integer weight vector ``w`` (:func:`_weight_vector`).
-
-    ``E_VALUE`` when sum |w_i| cap_i reaches 2**63, where int64 w . n could wrap.
-    """
+def _checked_weights(w, box: TruncationBox) -> list[int]:
+    """``w`` as a list of ints (:func:`_weight_vector`), ``E_VALUE`` when sum |w_i| cap_i
+    reaches 2**63, where int64 w . n could wrap."""
     w = _weight_vector(w, box.k).tolist()
     if sum(abs(wi) * cap for wi, cap in zip(w, box.caps)) >= 2**63:
         raise InvalidValue(f"w . n leaves the int64 range on the box {box.caps} for w = {w}")
-    return _outer_sum([wi * np.arange(cap + 1) for wi, cap in zip(w, box.caps)])
+    return w
+
+
+def _sector_values(w, box: TruncationBox) -> np.ndarray:
+    """w . n per box state for an integer weight vector ``w`` (:func:`_checked_weights`)."""
+    return _outer_sum([wi * np.arange(cap + 1) for wi, cap in zip(_checked_weights(w, box), box.caps)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +437,58 @@ def poisson_logpmf(k, mu):
     return xlogy(k, mu) - gammaln(k + 1) - mu
 
 
+def _log_poisson_tables(c, caps) -> list[np.ndarray]:
+    """log Pois(n_i; c_i) for n_i = 0 .. cap_i, one 1-D table per species."""
+    return [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)]
+
+
 def _log_poisson_weights(c, caps) -> np.ndarray:
     """log product-Poisson weight per state of the box with ``caps``, an outer sum of 1-D tables.
 
     A sum below the float range is -inf, the log of the weight 0 it stands for.
     """
     with np.errstate(over="ignore"):
-        return _outer_sum([poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)])
+        return _outer_sum(_log_poisson_tables(c, caps))
+
+
+def _coherent_weights(c, caps) -> np.ndarray:
+    """exp of :func:`_log_poisson_weights`, bit for bit, as a new writable array.
+
+    Below about -708 exp leaves its fast path, and a box far from its mean
+    can hold half its lanes there.  Below ``_EXP_ZERO`` exp is exactly 0.0,
+    so those lanes are set to 0.0 without calling it.  The work goes in
+    blocks of ``_EXP_BLOCK`` lanes, and the 1-D tables bound each block from
+    the rows of the first species it spans: a block wholly below the cut is
+    filled with 0.0, one wholly above takes the plain exp, and only the
+    rest a masked exp, which costs more per lane.  When no lane can be
+    below the cut (the minima of the tables sum to at least ``_EXP_ZERO``)
+    one plain in-place exp does it all.  The bounds add in another order
+    than the lanes and may be off by roundoff, which moves no byte: exp is
+    0.0 from about -745 down, and the plain exp is exp.
+    """
+    tables = _log_poisson_tables(c, caps)
+    with np.errstate(over="ignore"):
+        weights = _outer_sum(tables)
+        # the least and the largest log weight per row of the first species
+        low = tables[0] + sum(float(t.min()) for t in tables[1:])
+        high = tables[0] + sum(float(t.max()) for t in tables[1:])
+    if low.min() >= _EXP_ZERO:
+        return np.exp(weights, out=weights)
+    width = weights.size // low.size
+    above = np.empty(min(_EXP_BLOCK, weights.size), dtype=bool)
+    for start in range(0, weights.size, _EXP_BLOCK):
+        block = weights[start : start + _EXP_BLOCK]
+        rows = slice(start // width, (start + block.size - 1) // width + 1)
+        if high[rows].max() < _EXP_ZERO:
+            block.fill(0.0)
+        elif low[rows].min() >= _EXP_ZERO:
+            np.exp(block, out=block)
+        else:
+            keep = above[: block.size]
+            np.greater_equal(block, _EXP_ZERO, out=keep)
+            np.exp(block, out=block, where=keep)
+            block[~keep] = 0.0
+    return weights
 
 
 def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
@@ -416,11 +498,10 @@ def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
     second return value is the tail mass lost to truncation.
     """
     c = validate_classical(c, box.k)
-    weights = _log_poisson_weights(c, box.caps)
-    np.exp(weights, out=weights)
+    weights = _coherent_weights(c, box.caps)
     weights.setflags(write=False)  # MixedState adopts it without a copy
-    tail = max(0.0, 1.0 - float(weights.sum()))
-    return MixedState(box, weights), tail
+    psi = MixedState(box, weights)
+    return psi, max(0.0, 1.0 - psi.total)
 
 
 def network_margin(net: Network) -> int:
@@ -449,7 +530,11 @@ def default_box(c, margin: int, nsigma: float = 10.0, floor: int = 8) -> Truncat
 
 @dataclass(frozen=True)
 class AckReport:
-    """L1 residual of H applied to a state, split into interior and full box."""
+    """L1 residual of H applied to a state, split into interior and full box.
+
+    ``tail_mass`` is the state's mass missing from 1.  For the coherent
+    state of :func:`ack_residual` the residual is computed with no H.
+    """
 
     interior_l1: float
     full_l1: float
@@ -460,21 +545,81 @@ class AckReport:
 
 def master_residual(net: Network, psi: MixedState) -> AckReport:
     """Residual H*psi of an arbitrary mixed state under the network's generator."""
-    return _residual(_generator(net, psi.box), psi, network_margin(net))
+    return _report(_generator(net, psi.box) @ psi.weights, psi, network_margin(net))
 
 
-def _residual(gen: sp.dia_matrix, psi: MixedState, margin: int) -> AckReport:
-    residual = gen @ psi.weights
+def _report(residual: np.ndarray, psi: MixedState, margin: int) -> AckReport:
+    """The L1 norms of ``residual`` (flat, overwritten by its absolute values);
+    ``E_EXPLODE`` when the full norm leaves the float range."""
     np.abs(residual, out=residual)
     # ravel copies the sub-box in flat order, as a mask would, so the sum has the same bytes
     inside = residual.reshape(psi.box.shape)[_interior(psi.box, margin)].ravel()
-    return AckReport(
-        interior_l1=float(inside.sum()),
-        full_l1=float(residual.sum()),
-        margin=margin,
-        tail_mass=max(0.0, 1.0 - psi.total),
-        box=psi.box,
-    )
+    with np.errstate(over="ignore"):
+        full = float(residual.sum())
+    if not full <= _DBL_MAX:  # NaN fails too
+        raise PopulationExplosion("the residual's L1 norm overflows")
+    return AckReport(float(inside.sum()), full, margin, max(0.0, 1.0 - psi.total), psi.box)
+
+
+def _coherent_residual(net: Network, c: np.ndarray, box: TruncationBox, weights) -> np.ndarray:
+    """H psi_c on the box under truncate-pair, flat, with no H: ``weights`` holds psi_c.
+
+    A coherent state is an eigenvector of every annihilation monomial,
+    a^s psi_c = c^s psi_c, so on all of N^k
+
+        (H psi_c)(n) = sum_y (production_y - consumption_y) psi_c(n - y),
+
+    where a transition's flux r c^s counts for its target complex and
+    against its source complex.  That is one scaled, shifted sub-box add of
+    the coherent grid per complex y, with the per-complex sums added in
+    transition order.  Truncate-pair drops a firing whose target leaves the
+    box, and with it two terms on thin slabs by the caps, put back per
+    transition in transition order: the gain r c^s psi_c(n - t) where the
+    source n - (t - s) lies beyond a cap, and the loss r c^s psi_c(n - s)
+    where the target n + (t - s) does.  Transitions that are zero on the
+    box (:func:`_firing`) take no part.  A flux, a per-complex sum or an
+    entry beyond the float range raises ``E_EXPLODE``.
+    """
+    firing, caps = _firing(net, box), box.caps
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
+        flux = net.mass_action.flux(c).tolist()
+    shift = {}  # complex -> production - consumption
+    for j, s, delta, _ in firing:
+        t = tuple(a + d for a, d in zip(s, delta))
+        shift[t] = shift.get(t, 0.0) + flux[j]
+        shift[tuple(s)] = shift.get(tuple(s), 0.0) - flux[j]
+    # every flux is in two sums, so a flux that is not finite shows there
+    if not all(abs(v) <= _DBL_MAX for v in shift.values()):
+        raise PopulationExplosion("a mass-action flux or its per-complex sum overflows at c")
+    grid, out = np.reshape(weights, box.shape), np.zeros(box.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by _report
+        for y, coefficient in shift.items():
+            if coefficient and all(yi <= cap for yi, cap in zip(y, caps)):
+                out[tuple(slice(yi, None) for yi in y)] += coefficient * grid[
+                    tuple(slice(0, cap + 1 - yi) for yi, cap in zip(y, caps))]
+        for j, s, delta, _ in firing:
+            t = [a + d for a, d in zip(s, delta)]
+            for y, limits, sign in ((t, [cap + d for cap, d in zip(caps, delta)], -1.0),
+                                    (s, [cap - d for cap, d in zip(caps, delta)], 1.0)):
+                for slab in _beyond(y, limits, caps):
+                    out[slab] += sign * flux[j] * grid[
+                        tuple(slice(p.start - yi, p.stop - yi) for p, yi in zip(slab, y))]
+    return out.ravel()
+
+
+def _beyond(lo, limits, caps):
+    """The states lo <= n <= caps with n_i > limits_i for some i, as disjoint sub-boxes.
+
+    The piece of axis i holds the states whose first such coordinate is i.
+    """
+    upper = list(caps)
+    for i, limit in enumerate(limits):
+        if limit < upper[i]:
+            piece = [(a, z) for a, z in zip(lo, upper)]
+            piece[i] = (max(lo[i], limit + 1), caps[i])
+            if all(a <= z for a, z in piece):
+                yield tuple(slice(a, z + 1) for a, z in piece)
+            upper[i] = limit
 
 
 def ack_residual(net: Network, c, box: TruncationBox | None = None) -> AckReport:
@@ -482,11 +627,16 @@ def ack_residual(net: Network, c, box: TruncationBox | None = None) -> AckReport
 
     A complex-balanced ``c`` makes the interior L1 residual vanish up to
     truncation tail and roundoff; an unbalanced one leaves a finite
-    residual.  The box defaults to :func:`default_box` sizing.
+    residual.  The box defaults to :func:`default_box` sizing.  H psi_c
+    comes from the coherent-state identity (:func:`_coherent_residual`),
+    so no generator is assembled; a flux or residual beyond the float
+    range raises ``E_EXPLODE``.
     """
     if box is None:
         box = default_box(c, network_margin(net))
-    return master_residual(net, coherent_state(c, box)[0])
+    psi, _ = coherent_state(c, box)
+    residual = _coherent_residual(net, validate_classical(c, box.k), box, psi.weights)
+    return _report(residual, psi, network_margin(net))
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +644,18 @@ def ack_residual(net: Network, c, box: TruncationBox | None = None) -> AckReport
 
 def project_onto(psi: MixedState, w, lam: int) -> MixedState:
     """Condition ``psi`` on the sector w . n == lam and renormalize to 1."""
+    sector, mass = _sector(psi, w, lam)
+    return MixedState(psi.box, np.where(sector, psi.weights, 0.0) / mass)
+
+
+def _sector(psi: MixedState, w, lam: int) -> tuple[np.ndarray, float]:
+    """The mask of the sector w . n == lam and the mass ``psi`` puts there;
+    ``E_EMPTY`` when that mass is 0."""
     sector = _sector_values(w, psi.box) == int(lam)
     mass = float(psi.weights[sector].sum())
     if not sector.any() or mass <= 0.0:
         raise EmptySector(f"no probability mass in the sector w.n == {lam}")
-    return MixedState(psi.box, np.where(sector, psi.weights, 0.0) / mass)
+    return sector, mass
 
 
 def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.ndarray]:
@@ -532,22 +689,25 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
 
 
 def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | None = None) -> dict:
-    """The Noether checks of ``crn noether`` as a JSON-ready dict, from one H assembly.
+    """The Noether checks of ``crn noether`` as a JSON-ready dict, with no generator assembled.
 
     ``commutator_max_abs`` holds max|[H, O_w]| for every vector w of the
-    conserved basis.  With a nonempty basis, its first w also gives the
-    symmetry demo (exp(s O_w) applied to the coherent state of ``c``
-    against the coherent state of the predicted means: the largest
-    relative error on the interior) and the projection demo (the interior
-    residual of the coherent state of ``c`` conditioned on w . n == ``lam``,
-    by default round(w . c)).
+    conserved basis (:func:`_commutator_max_abs`).  With a nonempty basis,
+    its first w also gives the symmetry demo (exp(s O_w) applied to the
+    coherent state of ``c`` against the coherent state of the predicted
+    means: the largest relative error on the interior) and the projection
+    demo (the interior residual of the coherent state of ``c`` conditioned
+    on w . n == ``lam``, by default round(w . c)).  H maps every sector
+    into itself, so H(1_S psi_c) = 1_S H psi_c, and the projection's
+    residual is the coherent-state identity's (:func:`_coherent_residual`)
+    on the sector, divided by the sector's mass.
     """
     c = validate_classical(c, box.k)
+    _firing(net, box)  # E_DIM for a box of another species count, with or without a basis
     basis = conserved_quantities(net)
-    gen = _generator(net, box)
     doc = {
         "conserved_basis": [list(w) for w in basis],
-        "commutator_max_abs": [_observable_commutator_max_abs(gen, box, w) for w in basis],
+        "commutator_max_abs": [_commutator_max_abs(net, box, w) for w in basis],
     }
     if not basis:
         return doc
@@ -562,7 +722,10 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
         rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
     if lam is None:
         lam = int(round(float(np.dot(w, c))))
-    projected = project_onto(coherent_state(c, box)[0], w, lam)
+    psi, _ = coherent_state(c, box)
+    sector, mass = _sector(psi, w, lam)
+    projected = np.where(sector, _coherent_residual(net, c, box, psi.weights), 0.0)
+    projected /= mass
     doc["symmetry"] = {
         "w": list(w),
         "s": s,
@@ -572,7 +735,7 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     doc["projection"] = {
         "w": list(w),
         "lam": lam,
-        "interior_residual_l1": _residual(gen, projected, margin).interior_l1,
+        "interior_residual_l1": _report(projected, psi, margin).interior_l1,
     }
     return doc
 

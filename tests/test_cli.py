@@ -64,16 +64,19 @@ def strip_timestamp(text: str) -> str:
 # the benchmark's evolve jobs, was recorded with uniformization stepping
 # on CSR; the banded step must not move a byte either.  The association
 # row, two conservation laws, was recorded stepping on the whole box; the
-# step on the occupied sectors must not move a byte.
+# step on the occupied sectors must not move a byte.  The balanced ack
+# rows were re-recorded when the residual came from the coherent-state
+# identity instead of a generator mat-vec: their interior and full
+# residuals, roundoff of 4.3e-16 and 1.7e-15 before, are now exactly 0.0.
 @pytest.mark.parametrize(
     "text, args, digest",
     [
         (DIATOMIC, ["ack", "--c", "0.5,1"],
-         "ef1d1ec365f2c62998b2768f87db221cba9ec313c83ee97d016f42de6d68e9f1"),
+         "5f63633c699455abdafd8f1e5b1b42b48427db5f6d880abf93581e8f28e4435a"),
         (DIATOMIC, ["ack", "--c", "1,1"],
          "57cea05b053bdd382ba6544e1f267f307f8a0b22447387e590e83264a4671418"),
         (BD, ["ack", "--c", "3"],
-         "2ce64b0f25785d71299ef20b0abdcc3b569239435e75125f2fe24a7620669d44"),
+         "7a68c1a053937849fbb1844f517052f5a922f2c26cd68bcbf08872c4ec3ca1e1"),
         (DIATOMIC, ["noether", "--c", "0.5,1"],
          "7a9372755987735d81222a127bdb953b12271bdc5bbad33bab2100278b427572"),
         (DIATOMIC, ["master", "--c", "0.5,1", "--caps", "8,8", "--t-end", "1"],
@@ -367,17 +370,15 @@ class TestNoetherCommand:
         assert doc["symmetry"]["predicted_c"] == [2.0, 2.0]
         assert doc["projection"]["interior_residual_l1"] <= 1e-8
 
-    def test_generator_assembled_once(self, dia_file, capsys, monkeypatch):
-        calls = []
+    def test_certificates_assemble_no_generator(self, dia_file, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate assembled the generator")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        real = fock._generator
-        monkeypatch.setattr(fock, "_generator", counting)
+        monkeypatch.setattr(fock, "_generator", refuse)
+        assert run(["ack", dia_file, "--c", "0.5,1"]) == 0
+        assert run(["ack", dia_file, "--c", "1,1", "--caps", "2,2"]) == 1
         assert run(["noether", dia_file, "--c", "0.5,1"]) == 0
-        assert len(calls) == 1
+        assert run(["noether", dia_file, "--c", "0.5,1", "--caps", "2,2"]) == 0
 
     def test_certificates_build_no_csr(self, dia_file, capsys, monkeypatch):
         import scipy.sparse as sp
@@ -466,9 +467,10 @@ class TestTypedErrors:
             ("X1 + 2 X2 -> X3 @ 1\n", ["ack", "--c", "0,1e300,3", "--caps", "3,3,3"], "E_EXPLODE"),
             ("3 A -> 0 @ 1.7e308\n0 -> A @ 1e306\n3 A -> A @ 1.7e308\n", ["ack", "--c", "1"],
              "E_EXPLODE"),
-            # generator fluxes beyond the float range
-            (OVERFLOW_GENERATOR, ["ack", "--c", "1"], "E_EXPLODE"),
+            # generator fluxes beyond the float range, and finite fluxes whose
+            # residual's L1 norm is beyond it
             (OVERFLOW_GENERATOR, ["master", "--n0", "0", "--caps", "20"], "E_EXPLODE"),
+            ("species: A\n0 -> A @ 1.7e308\n", ["ack", "--c", "0.1"], "E_EXPLODE"),
             # predicted symmetry means of inf, and coherent log weights below the float range
             (DIATOMIC, ["noether", "--c", "1e300,0.3", "--caps", "3,2", "--s", "20"], "E_VALUE"),
             (DIATOMIC, ["noether", "--c", "1.7e308,1.7e308", "--caps", "2,2"], "E_VALUE"),
@@ -486,6 +488,21 @@ class TestTypedErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error[{code}]") and captured.err.count("\n") == 1
+
+    def test_certificate_forms_no_generator_flux(self, tmp_path, capsys):
+        # the generator's falling factorials overflow at the caps (master above
+        # ends in E_EXPLODE), but the coherent-state identity never forms them:
+        # the residual is finite, and 1e306 times the one of the same network at
+        # unit rates on master_residual's route, since H is linear in the rates
+        path = tmp_path / "net.crn"
+        path.write_text(OVERFLOW_GENERATOR)
+        code, doc = run_json(["ack", str(path), "--c", "1"], capsys)
+        assert code == 1 and doc["complex_balanced"] is False
+        unit = crnkit.parse_network("species: A\nA <-> 0 @ 1, 1\n3 A -> 2 A @ 1\n")
+        box = fock.TruncationBox(tuple(doc["caps"]))
+        reference = fock.master_residual(unit, fock.coherent_state([1.0], box)[0])
+        assert doc["interior_residual_l1"] == pytest.approx(1e306 * reference.interior_l1, rel=1e-13)
+        assert doc["full_residual_l1"] == pytest.approx(1e306 * reference.full_l1, rel=1e-13)
 
     def test_parse_warnings_are_coded_lines(self, tmp_path, capsys):
         path = tmp_path / "loop.crn"

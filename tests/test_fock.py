@@ -2,7 +2,9 @@ import math
 import random
 import tracemalloc
 import warnings
+from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,6 +24,7 @@ from crnkit import (
     MixedState,
     NegativeConcentration,
     Network,
+    PopulationExplosion,
     SparseOperator,
     SymmetryOverflow,
     Transition,
@@ -327,7 +330,8 @@ class TestMatchesCooAssembly:
 
 
 class TestGeneratorDiagonals:
-    """The certificates read ``_generator``'s diagonals; the CSR generator is the oracle."""
+    """``_generator``'s diagonals and the commutator the certificates compute
+    without them; the CSR generator is the oracle of both."""
 
     @staticmethod
     def csr_commutator_max_abs(h, w):
@@ -345,7 +349,7 @@ class TestGeneratorDiagonals:
             v[rng.random(box.size) < 0.3] = 0.0
             assert (gen @ v).tobytes() == h.apply(v).tobytes()
         for w in [*conserved_quantities(net), *rng.integers(-3, 4, (3, box.k)).tolist()]:
-            assert fock._observable_commutator_max_abs(gen, box, w) == self.csr_commutator_max_abs(h, w)
+            assert fock._commutator_max_abs(net, box, w) == self.csr_commutator_max_abs(h, w)
 
     @settings(max_examples=100, deadline=None)
     @given(net_seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -753,7 +757,7 @@ class TestAckResidual:
         psi = MixedState(box, weights / (2 * weights.sum()))
         gen = fock._generator(net, box)
         expected = np.abs(gen @ psi.weights)[interior_mask(box, margin)].sum()
-        got = fock._residual(gen, psi, margin).interior_l1
+        got = fock._report(gen @ psi.weights, psi, margin).interior_l1
         assert np.float64(got).tobytes() == expected.tobytes()
 
     def test_bd_balanced_certificate(self, net_bd):
@@ -787,6 +791,140 @@ class TestAckResidual:
             assert values[2] <= 1e-8
 
 
+def rounded_coherent_weights(c, caps) -> np.ndarray:
+    """Product-Poisson weights from 1-D tables of correctly rounded Poisson
+    probabilities (mpmath at 30 digits), multiplied out in float: each weight
+    is within k - 1 roundings of the exact one, so f(n) psi(n) and c^s psi(n - s)
+    agree to a few ulp, as they do not on the log-gamma route."""
+    tables = []
+    with mpmath.workdps(30):
+        for mean, cap in zip(c, caps):
+            mean, term, table = mpmath.mpf(float(mean)), None, []
+            for n in range(cap + 1):
+                term = mpmath.exp(-mean) if n == 0 else term * mean / n
+                table.append(float(term))
+            tables.append(np.array(table))
+    return reduce(np.multiply.outer, tables).ravel()
+
+
+def _balanced_three(c) -> Network:
+    """P + Q <-> R, 2 R <-> 2 P and Q <-> P + R, complex balanced at ``c``."""
+    mono = lambda y: math.prod(ci**yi for ci, yi in zip(c, y))
+    pairs = [((1, 1, 0), (0, 0, 1)), ((0, 0, 2), (2, 0, 0)), ((0, 1, 0), (1, 0, 1))]
+    transitions = []
+    for a, b in pairs:
+        transitions += [Transition(a, b, 1.0), Transition(b, a, mono(a) / mono(b))]
+    return Network(("P", "Q", "R"), tuple(transitions))
+
+
+class TestCoherentIdentity:
+    """H psi_c from the coherent-state identity against ``_generator(net, box) @ psi_c``."""
+
+    ULPS = 6  # the worst gap seen over 15,000 random cases was 2.9 ulp
+
+    def check(self, net, c, box):
+        c = np.asarray(c, dtype=float)
+        weights = rounded_coherent_weights(c, box.caps)
+        got = fock._coherent_residual(net, c, box, weights)
+        expected = fock._generator(net, box) @ weights
+        throughput = net.mass_action.flux(c).sum() * weights.max()
+        assert np.abs(got - expected).max() <= self.ULPS * np.finfo(float).eps * throughput
+
+    @settings(max_examples=200, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_networks(self, net_seed, data):
+        # coefficients up to 3 against caps from 1: boxes smaller than some complexes
+        rng = random.Random(net_seed)
+        net = random_network(rng, max_species=3, max_transitions=6)
+        k = net.num_species
+        box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))))
+        self.check(net, [rng.uniform(0.0, 5.0) for _ in range(k)], box)
+
+    @pytest.mark.parametrize("text, c", [
+        ("X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1", (5000.0, 100.0)),
+        ("X1 -> 2 X2 @ 0.7\n2 X2 -> X1 @ 1.3", (500.0, 1000.0)),
+        (None, (30.0, 20.0, 12.0)),
+        ("X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1", (1250.0, 50.0)),
+    ])
+    def test_benchmark_boxes(self, text, c):
+        # the default boxes of the benchmark's certify jobs, up to 1.16M states
+        net = _balanced_three(c) if text is None else parse_network(text)
+        self.check(net, c, default_box(c, network_margin(net)))
+
+    def test_every_cap_slab_correction(self):
+        # 3 A -> B cannot fire from a cap of 2 and B -> 3 A only from B's cap;
+        # 0 -> A loses its firing at A's cap, and A + B -> 2 A at both caps
+        net = parse_network("species: A B\n3 A -> B @ 1.5\nB -> 3 A @ 0.5\n0 -> A @ 2\nA + B -> 2 A @ 0.3")
+        for caps in [(2, 3), (3, 1), (5, 4), (1, 1)]:
+            self.check(net, (1.3, 2.1), TruncationBox(caps))
+
+    def test_certificates_assemble_no_generator(self, net_diatomic, net_catalyst, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate assembled the generator")
+
+        monkeypatch.setattr(fock, "_generator", refuse)
+        assert ack_residual(net_diatomic, [0.5, 1.0]).interior_l1 == 0.0
+        assert ack_residual(net_catalyst, [1.0, 0.5, 0.3, 0.2], TruncationBox((3, 3, 3, 3))).full_l1 > 0
+        doc = noether_report(net_catalyst, [1.0, 0.5, 0.3, 0.2], TruncationBox((4, 4, 4, 4)), 0.2)
+        assert doc["commutator_max_abs"] == [0.0] * len(doc["conserved_basis"])
+
+    @pytest.mark.parametrize("c, lam", [((0.5, 1.0), 4), ((1.0, 1.0), 2), ((3.0, 0.2), 7)])
+    def test_projection_matches_generator_route(self, net_diatomic, c, lam):
+        # H maps the sector into itself: the identity's residual on the sector,
+        # over its mass, is the generator's residual of the projected state
+        # (at a balanced c both are roundoff of the throughput)
+        box = TruncationBox((9, 12))
+        doc = noether_report(net_diatomic, c, box, 0.0, lam=lam)
+        projected = project_onto(coherent_state(c, box)[0], (2, 1), lam)
+        expected = master_residual(net_diatomic, projected).interior_l1
+        roundoff = 1e-13 * net_diatomic.mass_action.flux(np.array(c)).sum()
+        assert doc["projection"]["interior_residual_l1"] == pytest.approx(expected, rel=1e-12, abs=roundoff)
+
+    @pytest.mark.parametrize("text, c, caps", [
+        # a flux of inf, one of 0 * inf, a per-complex sum of inf, and finite
+        # sums whose residual's L1 norm is beyond the float range
+        ("2 X1 <-> X2 @ 1, 2", (1e300, 1.0), (3, 3)),
+        ("X1 + 2 X2 -> X3 @ 1", (0.0, 1e300, 3.0), (3, 3, 3)),
+        ("species: A B\n0 -> A @ 1.7e308\nB -> A @ 1.7e308", (1.0, 1.0), (3, 3)),
+        ("species: A\n0 -> A @ 1.7e308", (0.1,), (5,)),
+    ])
+    def test_overflow_raises(self, text, c, caps):
+        with pytest.raises(PopulationExplosion):
+            ack_residual(parse_network(text), c, TruncationBox(caps))
+
+    def test_commutator_overflow_raises(self):
+        net = parse_network("X1 -> 2 X2 @ 1.7e308\n2 X2 -> X1 @ 1")
+        with pytest.raises(PopulationExplosion):
+            noether_report(net, (1.0, 1.0), TruncationBox((3, 3)), 0.1)
+        with pytest.raises(PopulationExplosion):
+            fock._commutator_max_abs(parse_network("X1 -> 2 X2 @ 1e308"), TruncationBox((3, 3)), (1, 1))
+
+
+class TestExpCut:
+    def test_exp_is_zero_below_the_cut(self):
+        x = np.linspace(-1e4, np.nextafter(fock._EXP_ZERO, -np.inf), 10**6)
+        assert x[-1] < fock._EXP_ZERO
+        assert np.exp(x).tobytes() == np.zeros(x.size).tobytes()
+
+    @pytest.mark.parametrize("c, margin", [((500.0, 1000.0), 2), ((30.0, 20.0, 12.0), 2),
+                                           ((1250.0, 50.0), 2), ((5000.0, 100.0), 2)])
+    def test_weights_keep_the_bytes_of_exp(self, c, margin):
+        box = default_box(c, margin)
+        logs = fock._log_poisson_weights(c, box.caps)
+        expected = np.exp(logs).tobytes()
+        assert fock._coherent_weights(c, box.caps).tobytes() == expected
+        if c == (5000.0, 100.0):
+            # the guard refuses these weights (they sum to 1 + 1.9e-12), so only
+            # the array from before it is compared; 45% of its lanes are cut
+            assert (logs < fock._EXP_ZERO).mean() > 0.4
+            with pytest.raises(InvalidValue, match="sum above 1"):
+                coherent_state(c, box)
+        else:
+            psi, tail = coherent_state(c, box)
+            assert psi.weights.tobytes() == expected
+            assert psi.total == float(np.exp(logs).sum()) and tail == max(0.0, 1.0 - psi.total)
+
+
 class TestCommutators:
     def test_noether_diatomic_exact(self, net_diatomic):
         box = TruncationBox((12, 12))
@@ -812,7 +950,7 @@ class TestCommutators:
                                                     for _ in range(3))]:
                 obs = linear_observable(w, box)
                 expected = commutator(h, obs).max_abs()
-                got = fock._observable_commutator_max_abs(fock._generator(net, box), box, w)
+                got = fock._commutator_max_abs(net, box, w)
                 bound = 4 * np.finfo(float).eps * h.max_abs() * obs.max_abs()
                 assert abs(got - expected) <= bound, (net, w)
 
