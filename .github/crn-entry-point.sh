@@ -50,3 +50,14 @@ printf 'X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n' > "$tmp/dimer.crn"
 crn master "$tmp/dimer.crn" --n0 0,1 --caps 40,40 --t-end 2 > "$tmp/master.csv" 2> "$tmp/err.txt"
 test ! -s "$tmp/err.txt"
 test "$(sed 1d "$tmp/master.csv" | cut -d, -f1,2)" = "0,1"
+# the SSA path CSV goes out in numpy blocks of up to 2**15 rows (three
+# here): every time field must be the repr of its float, and neither run
+# may print a numpy warning
+crn ssa "$tmp/dia.crn" --n0 50,0 --t-end 900 --seed 7 > "$tmp/path.csv" 2> "$tmp/err.txt"
+test ! -s "$tmp/err.txt"
+python -c 'import sys
+next(sys.stdin)
+bad = [f for f in (line.split(",", 1)[0] for line in sys.stdin) if f != repr(float(f))]
+sys.exit(f"time fields that are not repr: {bad[:3]}" if bad else 0)' < "$tmp/path.csv"
+crn ssa "$tmp/bd.crn" --n0 0 --histogram --samples 2000 --seed 3 > "$tmp/hist.csv" 2> "$tmp/err.txt"
+test ! -s "$tmp/err.txt"

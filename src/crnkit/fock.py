@@ -451,8 +451,9 @@ def _log_poisson_weights(c, caps) -> np.ndarray:
         return _outer_sum(_log_poisson_tables(c, caps))
 
 
-def _coherent_weights(c, caps) -> np.ndarray:
-    """exp of :func:`_log_poisson_weights`, bit for bit, as a new writable array.
+def _coherent_weights(c, caps, weights=None) -> np.ndarray:
+    """exp of :func:`_log_poisson_weights`, bit for bit, as a new writable array,
+    or in place of ``weights`` when the caller holds those log weights.
 
     Below about -708 exp leaves its fast path, and a box far from its mean
     can hold half its lanes there.  Below ``_EXP_ZERO`` exp is exactly 0.0,
@@ -468,7 +469,8 @@ def _coherent_weights(c, caps) -> np.ndarray:
     """
     tables = _log_poisson_tables(c, caps)
     with np.errstate(over="ignore"):
-        weights = _outer_sum(tables)
+        if weights is None:
+            weights = _outer_sum(tables)
         # the least and the largest log weight per row of the first species
         low = tables[0] + sum(float(t.min()) for t in tables[1:])
         high = tables[0] + sum(float(t.max()) for t in tables[1:])
@@ -497,8 +499,13 @@ def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
     Weights are the untruncated Poisson products, not renormalized; the
     second return value is the tail mass lost to truncation.
     """
-    c = validate_classical(c, box.k)
-    weights = _coherent_weights(c, box.caps)
+    return _coherent_state(validate_classical(c, box.k), box)
+
+
+def _coherent_state(c, box: TruncationBox, logs=None) -> tuple[MixedState, float]:
+    """:func:`coherent_state` of a validated ``c``; its log weights ``logs``,
+    when given, become the state's weights."""
+    weights = _coherent_weights(c, box.caps, logs)
     weights.setflags(write=False)  # MixedState adopts it without a copy
     psi = MixedState(box, weights)
     return psi, max(0.0, 1.0 - psi.total)
@@ -644,14 +651,14 @@ def ack_residual(net: Network, c, box: TruncationBox | None = None) -> AckReport
 
 def project_onto(psi: MixedState, w, lam: int) -> MixedState:
     """Condition ``psi`` on the sector w . n == lam and renormalize to 1."""
-    sector, mass = _sector(psi, w, lam)
+    sector, mass = _sector(psi, _sector_values(w, psi.box), lam)
     return MixedState(psi.box, np.where(sector, psi.weights, 0.0) / mass)
 
 
-def _sector(psi: MixedState, w, lam: int) -> tuple[np.ndarray, float]:
-    """The mask of the sector w . n == lam and the mass ``psi`` puts there;
-    ``E_EMPTY`` when that mass is 0."""
-    sector = _sector_values(w, psi.box) == int(lam)
+def _sector(psi: MixedState, values, lam: int) -> tuple[np.ndarray, float]:
+    """The mask of the sector w . n == lam, from w . n per state (``values``),
+    and the mass ``psi`` puts there; ``E_EMPTY`` when that mass is 0."""
+    sector = values == int(lam)
     mass = float(psi.weights[sector].sum())
     if not sector.any() or mass <= 0.0:
         raise EmptySector(f"no probability mass in the sector w.n == {lam}")
@@ -669,7 +676,12 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
     """
     c = validate_classical(c, box.k)
     w = _weight_vector(w, box.k)
-    sector_values = _sector_values(w, box)
+    return _symmetry(c, w, s, box, _sector_values(w, box), _log_poisson_weights(c, box.caps))
+
+
+def _symmetry(c, w, s: float, box: TruncationBox, sector_values, logs):
+    """:func:`apply_symmetry` of a validated ``c`` and ``w``, from w . n per
+    state and the log weights of ``c``, which it leaves as they are."""
     if not np.isfinite(s):
         raise InvalidValue(f"s must be finite, got {s}")
     peak = float(np.abs(sector_values).max(initial=0.0)) * abs(float(s))
@@ -677,7 +689,7 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
         raise SymmetryOverflow(
             f"exp(s*O) spans e^{peak:.1f}, beyond double precision"
         )
-    log_weights = _log_poisson_weights(c, box.caps) + float(s) * sector_values
+    log_weights = logs + float(s) * sector_values
     top = log_weights.max()
     if top == -np.inf:
         raise InvalidValue(f"every coherent weight of c underflows on the box {box.caps}")
@@ -712,7 +724,9 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     if not basis:
         return doc
     w = basis[0]
-    psi_sym, predicted = apply_symmetry(c, w, s, box)
+    values = _sector_values(w, box)
+    logs = _log_poisson_weights(c, box.caps)
+    psi_sym, predicted = _symmetry(c, _weight_vector(w, box.k), s, box, values, logs)
     reference, _ = coherent_state(predicted, box)
     margin = network_margin(net)
     inside = _interior(box, margin)
@@ -722,8 +736,8 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
         rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
     if lam is None:
         lam = int(round(float(np.dot(w, c))))
-    psi, _ = coherent_state(c, box)
-    sector, mass = _sector(psi, w, lam)
+    psi, _ = _coherent_state(c, box, logs)  # the last use of logs, which psi takes over
+    sector, mass = _sector(psi, values, lam)
     projected = np.where(sector, _coherent_residual(net, c, box, psi.weights), 0.0)
     projected /= mass
     doc["symmetry"] = {

@@ -35,7 +35,8 @@ __all__ = [
 
 DEFAULT_MAX_COUNT = 10**6
 _MEMO_STATES = 2**16
-_MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 360 MB
+_MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 200 MB
+_CSV_BLOCK = 2**15  # rows per block of the path CSV
 # samples, and jumps, per histogram: over 100x the ~6e5 jumps of 1e5 birth-death samples
 _MAX_HIST_JUMPS = 2**26
 
@@ -121,10 +122,18 @@ class JumpTrajectory:
         return len(self.times) - 1
 
     def to_csv(self, species) -> str:
-        # floats one at a time: a times.tolist() would hold them all at once
-        columns = (map(str, column) for column in self.states.T.tolist())
-        rows = map(",".join, zip(map(repr, map(float, self.times)), *columns))
-        return "\n".join(["t," + ",".join(species), *rows, ""])
+        """One row per state, ``repr`` of the time then ``str`` of each count,
+        formatted ``_CSV_BLOCK`` rows at a time by :func:`crnkit._pathcsv.csv_rows`."""
+        from ._pathcsv import csv_rows  # here, so that ``import crnkit`` does not compile it
+
+        times, states = self.times, self.states
+        if states.shape[1]:  # rows stop at the shorter of the two, as a zip would
+            times, states = times[: len(states)], states[: len(times)]
+        blocks = (
+            csv_rows(times[i : i + _CSV_BLOCK], states[i : i + _CSV_BLOCK])
+            for i in range(0, len(times), _CSV_BLOCK)
+        )
+        return "".join(["t," + ",".join(species) + "\n", *blocks])
 
 
 def simulate(

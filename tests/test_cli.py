@@ -346,6 +346,10 @@ class TestSsaCommand:
         [
             (DIATOMIC, ["--n0", "10,0", "--t-end", "20", "--seed", "7"],
              "3e05a7d177f49546596c213261eaf1868cac96e2b5ca102e7a0a344a15021341"),
+            # 126,361 rows, four blocks of the path CSV writer; recorded with
+            # the row-at-a-time repr writer it replaced
+            (DIATOMIC, ["--n0", "50,0", "--t-end", "700", "--seed", "7"],
+             "a0874844a97dfa5f85a690eb8d495fb9badd56938774dd45266f4c0bb5ffa92d"),
             (BD, ["--n0", "0", "--histogram", "--burn-in", "5", "--samples", "2000",
                   "--interval", "0.5", "--seed", "3"],
              "de4ad03a431e79f7450c7e5bd24e881a3bce1c6c812b9db51c475e47fe32a0d8"),

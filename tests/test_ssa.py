@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from crnkit import ssa
+from crnkit import _pathcsv, ssa
 from crnkit import (
     BudgetExceeded,
     DimensionMismatch,
@@ -145,6 +145,82 @@ class TestSimulate:
         assert lines[0] == "t,A"
         assert lines[1] == "0.0,0"
         assert len(lines) == len(traj.times) + 1
+
+
+def row_by_row_rows(times, states) -> list[str]:
+    """The path CSV's rows as the row-at-a-time writer made them: repr of
+    the time, str of each count."""
+    return [",".join([repr(t), *map(str, row)]) for t, row in zip(times.tolist(), states.tolist())]
+
+
+def block_rows(times, states) -> list[str]:
+    return _pathcsv.csv_rows(times, states).split("\n")[:-1]
+
+
+_FINITE_BITS = st.integers(0, 0x7FEF_FFFF_FFFF_FFFF).map(
+    lambda b: float(np.array(b, dtype=np.int64).view(np.float64)))
+_FIXED_POINT = st.floats(-4.0, 16.0).map(lambda e: 10.0**e) | st.floats(1e-4, 1e16)
+
+# repr lanes, decade and range edges, and the largest int64 count
+_EDGE_TIMES = [
+    0.0, 5e-324, 1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)),
+    9.999999999999999e-05, 0.1, 0.2, 0.3, 0.30000000000000004, 0.09999999999999999,
+    *(2.0**k for k in range(-14, 54, 3)), 1e15, 9999999999999998.0, 1e16, 999.9999999999999,
+    99999999999999.98, 179933300210598.38, 562949953421312.75, 1.7976931348623157e308,
+]
+
+
+class TestPathCsv:
+    """The block writer against ``repr`` and ``str``, lane by lane."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FINITE_BITS | _FIXED_POINT, min_size=1, max_size=60),
+           st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8))
+    def test_times_are_repr_and_counts_str(self, values, counts):
+        times = np.array(values)
+        states = np.resize(np.array(counts, dtype=np.int64), (len(times), 2))
+        assert block_rows(times, states) == row_by_row_rows(times, states)
+
+    def test_edge_table(self):
+        times = np.array(_EDGE_TIMES)
+        states = np.zeros((len(times), 3), dtype=np.int64)
+        states[::2, 0] = 2**63 - 1
+        states[:, 1] = np.arange(len(times)) * 997
+        assert block_rows(times, states) == row_by_row_rows(times, states)
+
+    def test_signed_times_and_counts(self):
+        times = np.array([-0.0, -1.5, -1.2345678901234567e-300, math.inf, -math.inf, math.nan])
+        states = np.array([[-1], [-(2**63)], [7], [0], [-10], [2**62]], dtype=np.int64)
+        assert block_rows(times, states) == row_by_row_rows(times, states)
+
+    def test_rows_stop_at_the_shorter_array(self):
+        traj = ssa.JumpTrajectory(np.array([0.0, 0.5, 1.25]), np.array([[1], [2]]), seed=0)
+        assert traj.to_csv(["A"]) == "t,A\n0.0,1\n0.5,2\n"
+        traj = ssa.JumpTrajectory(np.array([0.0]), np.array([[1], [2]]), seed=0)
+        assert traj.to_csv(["A"]) == "t,A\n0.0,1\n"
+
+    def test_no_species(self):
+        times = np.array([0.0, 0.25, 3.0])
+        assert block_rows(times, np.zeros((3, 0), dtype=np.int64)) == ["0.0", "0.25", "3.0"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_seams(self, net_diatomic, monkeypatch, block):
+        traj = simulate(net_diatomic, (10, 0), 2.0, seed=7)
+        monkeypatch.setattr(ssa, "_CSV_BLOCK", block)
+        lines = traj.to_csv(net_diatomic.species).split("\n")
+        assert lines == ["t,X1,X2", *row_by_row_rows(traj.times, traj.states), ""]
+
+    def test_hard_times_take_repr(self):
+        # out of range, powers of two, a tie between 17-digit neighbours
+        # (...598.375), and one between 16-digit neighbours (...312.75)
+        times = np.array([0.0, 5e-324, 9.999999999999999e-05, 1e16, 0.5, 1024.0,
+                          179933300210598.38, 562949953421312.75])
+        assert not _pathcsv.shortest_digits(times)[-1].any()
+
+    def test_only_the_start_time_takes_repr(self, net_diatomic):
+        traj = simulate(net_diatomic, (50, 0), 100.0, seed=7)
+        easy = _pathcsv.shortest_digits(traj.times)[-1]
+        assert np.flatnonzero(~easy).tolist() == [0]
 
 
 class TestStationaryHistogram:
