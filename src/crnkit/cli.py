@@ -46,11 +46,16 @@ def _read_network(path: str):
 
 
 def _write(text: str, out: str | None):
+    _write_with(lambda handle: handle.write(text), out)
+
+
+def _write_with(writer, out: str | None):
+    """Call ``writer`` with stdout, or with the file ``out`` opened for text."""
     if out is None:
-        sys.stdout.write(text)
+        writer(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            writer(handle)
 
 
 def _emit_json(doc: dict, out: str | None):
@@ -153,7 +158,7 @@ def _cmd_ssa(args) -> int:
         _write(hist.to_csv(net.species), args.out)
     else:
         traj = simulate(net, args.n0, args.t_end, seed=args.seed)
-        _write(traj.to_csv(net.species), args.out)
+        _write_with(lambda handle: traj.to_csv(net.species, handle), args.out)
     return 0
 
 

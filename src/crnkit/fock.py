@@ -88,7 +88,8 @@ __all__ = [
 _DBL_MAX = np.finfo(float).max
 _LOG_DBL_MAX = 709.0
 _EXP_ZERO = -750.0  # exp is exactly 0.0 below this: e^-750 is about 2^-1082
-_EXP_BLOCK = 2**15  # log weights per masked exp in coherent_state (a 32 kB mask)
+_EXP_BLOCK = 2**15  # lanes per block of the masked exp, the residual's scaled copies and the symmetry's passes
+_TINY = np.finfo(float).tiny  # the smallest normal float
 _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
 _MAX_STATES = 2**24  # largest box; every box-sized array is allocated after this check
@@ -451,35 +452,44 @@ def _log_poisson_weights(c, caps) -> np.ndarray:
         return _outer_sum(_log_poisson_tables(c, caps))
 
 
-def _coherent_weights(c, caps, weights=None) -> np.ndarray:
-    """exp of :func:`_log_poisson_weights`, bit for bit, as a new writable array,
-    or in place of ``weights`` when the caller holds those log weights.
+def _coherent_weights(c, caps) -> np.ndarray:
+    """exp of :func:`_log_poisson_weights`, bit for bit, as a new writable array.
 
-    Below about -708 exp leaves its fast path, and a box far from its mean
-    can hold half its lanes there.  Below ``_EXP_ZERO`` exp is exactly 0.0,
-    so those lanes are set to 0.0 without calling it.  The work goes in
-    blocks of ``_EXP_BLOCK`` lanes, and the 1-D tables bound each block from
-    the rows of the first species it spans: a block wholly below the cut is
-    filled with 0.0, one wholly above takes the plain exp, and only the
-    rest a masked exp, which costs more per lane.  When no lane can be
-    below the cut (the minima of the tables sum to at least ``_EXP_ZERO``)
-    one plain in-place exp does it all.  The bounds add in another order
-    than the lanes and may be off by roundoff, which moves no byte: exp is
-    0.0 from about -745 down, and the plain exp is exp.
+    A box far from its mean can hold half its lanes below ``_EXP_ZERO``;
+    :func:`_masked_exp` sets those to 0.0 without calling exp, from the
+    least and the largest log weight of each row of the first species.
+    No table entry is above 0, so a lane near the cut adds terms no larger
+    than the cut, and its bound is off by their roundoff only.
     """
     tables = _log_poisson_tables(c, caps)
     with np.errstate(over="ignore"):
-        if weights is None:
-            weights = _outer_sum(tables)
-        # the least and the largest log weight per row of the first species
+        weights = _outer_sum(tables)
         low = tables[0] + sum(float(t.min()) for t in tables[1:])
         high = tables[0] + sum(float(t.max()) for t in tables[1:])
+    return _masked_exp(weights, low, high)
+
+
+def _masked_exp(logs: np.ndarray, low, high) -> np.ndarray:
+    """exp of the flat log weights ``logs``, in place and bit for bit.
+
+    ``low`` and ``high`` bound the lanes of each row of the first species
+    from below and from above.  Below about -708 exp leaves its fast path,
+    and below ``_EXP_ZERO`` it is exactly 0.0, so those lanes are set to
+    0.0 without calling it.  The work goes in blocks of ``_EXP_BLOCK``
+    lanes: a block whose rows lie wholly below the cut is filled with 0.0,
+    one wholly above takes the plain exp, and only the rest a masked exp,
+    which costs more per lane.  When no row reaches below the cut, one
+    plain in-place exp does it all.  A plain exp is exp whatever the
+    bounds say, and so is a masked one; only the 0.0 fill needs ``high``
+    to hold, up to roundoff well under the 5 between the cut and about
+    -745, where exp becomes 0.0.
+    """
     if low.min() >= _EXP_ZERO:
-        return np.exp(weights, out=weights)
-    width = weights.size // low.size
-    above = np.empty(min(_EXP_BLOCK, weights.size), dtype=bool)
-    for start in range(0, weights.size, _EXP_BLOCK):
-        block = weights[start : start + _EXP_BLOCK]
+        return np.exp(logs, out=logs)
+    width = logs.size // low.size
+    above = np.empty(min(_EXP_BLOCK, logs.size), dtype=bool)
+    for start in range(0, logs.size, _EXP_BLOCK):
+        block = logs[start : start + _EXP_BLOCK]
         rows = slice(start // width, (start + block.size - 1) // width + 1)
         if high[rows].max() < _EXP_ZERO:
             block.fill(0.0)
@@ -490,7 +500,7 @@ def _coherent_weights(c, caps, weights=None) -> np.ndarray:
             np.greater_equal(block, _EXP_ZERO, out=keep)
             np.exp(block, out=block, where=keep)
             block[~keep] = 0.0
-    return weights
+    return logs
 
 
 def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
@@ -499,13 +509,7 @@ def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
     Weights are the untruncated Poisson products, not renormalized; the
     second return value is the tail mass lost to truncation.
     """
-    return _coherent_state(validate_classical(c, box.k), box)
-
-
-def _coherent_state(c, box: TruncationBox, logs=None) -> tuple[MixedState, float]:
-    """:func:`coherent_state` of a validated ``c``; its log weights ``logs``,
-    when given, become the state's weights."""
-    weights = _coherent_weights(c, box.caps, logs)
+    weights = _coherent_weights(validate_classical(c, box.k), box.caps)
     weights.setflags(write=False)  # MixedState adopts it without a copy
     psi = MixedState(box, weights)
     return psi, max(0.0, 1.0 - psi.total)
@@ -556,16 +560,23 @@ def master_residual(net: Network, psi: MixedState) -> AckReport:
 
 
 def _report(residual: np.ndarray, psi: MixedState, margin: int) -> AckReport:
-    """The L1 norms of ``residual`` (flat, overwritten by its absolute values);
-    ``E_EXPLODE`` when the full norm leaves the float range."""
+    """The L1 norms of ``residual`` (flat, overwritten by its absolute values)
+    as an :class:`AckReport` (:func:`_l1_norms`)."""
+    interior, full = _l1_norms(residual, psi.box, margin)
+    return AckReport(interior, full, margin, max(0.0, 1.0 - psi.total), psi.box)
+
+
+def _l1_norms(residual: np.ndarray, box: TruncationBox, margin: int) -> tuple[float, float]:
+    """The interior and the full L1 norm of ``residual`` (flat, overwritten by
+    its absolute values); ``E_EXPLODE`` when the full norm leaves the float range."""
     np.abs(residual, out=residual)
     # ravel copies the sub-box in flat order, as a mask would, so the sum has the same bytes
-    inside = residual.reshape(psi.box.shape)[_interior(psi.box, margin)].ravel()
+    inside = residual.reshape(box.shape)[_interior(box, margin)].ravel()
     with np.errstate(over="ignore"):
         full = float(residual.sum())
     if not full <= _DBL_MAX:  # NaN fails too
         raise PopulationExplosion("the residual's L1 norm overflows")
-    return AckReport(float(inside.sum()), full, margin, max(0.0, 1.0 - psi.total), psi.box)
+    return float(inside.sum()), full
 
 
 def _coherent_residual(net: Network, c: np.ndarray, box: TruncationBox, weights) -> np.ndarray:
@@ -578,14 +589,36 @@ def _coherent_residual(net: Network, c: np.ndarray, box: TruncationBox, weights)
 
     where a transition's flux r c^s counts for its target complex and
     against its source complex.  That is one scaled, shifted sub-box add of
-    the coherent grid per complex y, with the per-complex sums added in
-    transition order.  Truncate-pair drops a firing whose target leaves the
-    box, and with it two terms on thin slabs by the caps, put back per
-    transition in transition order: the gain r c^s psi_c(n - t) where the
-    source n - (t - s) lies beyond a cap, and the loss r c^s psi_c(n - s)
-    where the target n + (t - s) does.  Transitions that are zero on the
-    box (:func:`_firing`) take no part.  A flux, a per-complex sum or an
-    entry beyond the float range raises ``E_EXPLODE``.
+    the coherent grid per complex y (:func:`_residual_terms`), made in
+    blocks of rows of the first species of about ``_EXP_BLOCK`` lanes, so
+    the scaled copy is never box-sized; each entry gets its terms in the
+    same order either way.  An entry beyond the float range is left to the
+    caller to refuse.
+    """
+    grid, out = np.reshape(weights, box.shape), np.zeros(box.shape)
+    step = max(1, _EXP_BLOCK // (box.size // box.shape[0]))  # rows of the first species per block
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the caller
+        for region, y, factor in _residual_terms(net, c, box):
+            head = region[0]
+            for row in range(head.start, head.stop, step):
+                part = (slice(row, min(row + step, head.stop)), *region[1:])
+                out[part] += factor * grid[tuple(slice(p.start - yi, p.stop - yi) for p, yi in zip(part, y))]
+    return out.ravel()
+
+
+def _residual_terms(net: Network, c: np.ndarray, box: TruncationBox):
+    """The terms of :func:`_coherent_residual` in the order it adds them,
+    as (sub-box, y, factor): factor psi_c(n - y) is added for every state n
+    of the sub-box.
+
+    The per-complex sums come first, in transition order.  Truncate-pair
+    drops a firing whose target leaves the box, and with it two terms on
+    thin slabs by the caps, put back per transition in transition order:
+    the gain r c^s psi_c(n - t) where the source n - (t - s) lies beyond a
+    cap, and the loss r c^s psi_c(n - s) where the target n + (t - s) does.
+    Transitions that are zero on the box (:func:`_firing`) take no part.  A
+    flux or a per-complex sum beyond the float range raises ``E_EXPLODE``
+    when the first term is asked for.
     """
     firing, caps = _firing(net, box), box.caps
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
@@ -598,20 +631,15 @@ def _coherent_residual(net: Network, c: np.ndarray, box: TruncationBox, weights)
     # every flux is in two sums, so a flux that is not finite shows there
     if not all(abs(v) <= _DBL_MAX for v in shift.values()):
         raise PopulationExplosion("a mass-action flux or its per-complex sum overflows at c")
-    grid, out = np.reshape(weights, box.shape), np.zeros(box.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by _report
-        for y, coefficient in shift.items():
-            if coefficient and all(yi <= cap for yi, cap in zip(y, caps)):
-                out[tuple(slice(yi, None) for yi in y)] += coefficient * grid[
-                    tuple(slice(0, cap + 1 - yi) for yi, cap in zip(y, caps))]
-        for j, s, delta, _ in firing:
-            t = [a + d for a, d in zip(s, delta)]
-            for y, limits, sign in ((t, [cap + d for cap, d in zip(caps, delta)], -1.0),
-                                    (s, [cap - d for cap, d in zip(caps, delta)], 1.0)):
-                for slab in _beyond(y, limits, caps):
-                    out[slab] += sign * flux[j] * grid[
-                        tuple(slice(p.start - yi, p.stop - yi) for p, yi in zip(slab, y))]
-    return out.ravel()
+    for y, coefficient in shift.items():
+        if coefficient and all(yi <= cap for yi, cap in zip(y, caps)):
+            yield tuple(slice(yi, cap + 1) for yi, cap in zip(y, caps)), y, coefficient
+    for j, s, delta, _ in firing:
+        t = [a + d for a, d in zip(s, delta)]
+        for y, limits, sign in ((t, [cap + d for cap, d in zip(caps, delta)], -1.0),
+                                (s, [cap - d for cap, d in zip(caps, delta)], 1.0)):
+            for slab in _beyond(y, limits, caps):
+                yield slab, y, sign * flux[j]
 
 
 def _beyond(lo, limits, caps):
@@ -651,18 +679,23 @@ def ack_residual(net: Network, c, box: TruncationBox | None = None) -> AckReport
 
 def project_onto(psi: MixedState, w, lam: int) -> MixedState:
     """Condition ``psi`` on the sector w . n == lam and renormalize to 1."""
-    sector, mass = _sector(psi, _sector_values(w, psi.box), lam)
-    return MixedState(psi.box, np.where(sector, psi.weights, 0.0) / mass)
+    lanes, mass = _sector(psi, _sector_values(w, psi.box), lam)
+    weights = np.zeros(psi.box.size)
+    weights[lanes] = psi.weights[lanes] / mass
+    weights.setflags(write=False)  # MixedState adopts it without a copy
+    return MixedState(psi.box, weights)
 
 
 def _sector(psi: MixedState, values, lam: int) -> tuple[np.ndarray, float]:
-    """The mask of the sector w . n == lam, from w . n per state (``values``),
-    and the mass ``psi`` puts there; ``E_EMPTY`` when that mass is 0."""
-    sector = values == int(lam)
-    mass = float(psi.weights[sector].sum())
-    if not sector.any() or mass <= 0.0:
+    """The flat indices, ascending, of the sector w . n == lam, from w . n per
+    state (``values``), and the mass ``psi`` puts there; ``E_EMPTY`` when that
+    mass is 0.  A ``lam`` beyond the int64 range matches no state."""
+    lam = int(lam)
+    lanes = np.flatnonzero(values == lam) if -(2**63) <= lam < 2**63 else np.empty(0, dtype=np.intp)
+    mass = float(psi.weights[lanes].sum())
+    if not lanes.size or mass <= 0.0:
         raise EmptySector(f"no probability mass in the sector w.n == {lam}")
-    return sector, mass
+    return lanes, mass
 
 
 def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.ndarray]:
@@ -676,28 +709,73 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
     """
     c = validate_classical(c, box.k)
     w = _weight_vector(w, box.k)
-    return _symmetry(c, w, s, box, _sector_values(w, box), _log_poisson_weights(c, box.caps))
+    return _symmetry(c, w, s, box, _sector_values(w, box))
 
 
-def _symmetry(c, w, s: float, box: TruncationBox, sector_values, logs):
-    """:func:`apply_symmetry` of a validated ``c`` and ``w``, from w . n per
-    state and the log weights of ``c``, which it leaves as they are."""
+def _symmetry(c, w, s: float, box: TruncationBox, sector_values):
+    """:func:`apply_symmetry` of a validated ``c`` and ``w``, from w . n per state.
+
+    The largest |w . n| on the box comes from the caps, as an exact
+    integer.  s (w . n) is added into the log weights of ``c``
+    (:func:`_log_poisson_weights`) ``_EXP_BLOCK`` lanes at a time, then the
+    largest log weight is subtracted and :func:`_masked_exp` takes the exp
+    in place.  The helper's lower bound for a row of the first species is
+    that of the 1-D tables less |s| max|w . n|.  It gets no upper bound:
+    the s w_i n_i terms can cancel large table entries, so a row's bound
+    may be off by more than the cut's margin, and a masked exp is exact
+    whatever the bound.  Each lane gets the float operations of the
+    whole-array route, in its order, and the weights are the log weights'
+    own buffer.
+    """
     if not np.isfinite(s):
         raise InvalidValue(f"s must be finite, got {s}")
-    peak = float(np.abs(sector_values).max(initial=0.0)) * abs(float(s))
-    if peak > _LOG_DBL_MAX:
+    ends = [wi * cap for wi, cap in zip(w.tolist(), box.caps)]  # w_i n_i at n_i = cap_i
+    span = max(sum(v for v in ends if v > 0), -sum(v for v in ends if v < 0))
+    s = float(s)
+    if span * abs(s) > _LOG_DBL_MAX:
         raise SymmetryOverflow(
-            f"exp(s*O) spans e^{peak:.1f}, beyond double precision"
+            f"exp(s*O) spans e^{span * abs(s):.1f}, beyond double precision"
         )
-    log_weights = logs + float(s) * sector_values
-    top = log_weights.max()
+    tables = _log_poisson_tables(c, box.caps)
+    with np.errstate(over="ignore"):  # a sum below the float range is -inf, a weight of 0
+        logs = _outer_sum(tables)
+    top = -np.inf
+    for start in range(0, logs.size, _EXP_BLOCK):
+        block = logs[start : start + _EXP_BLOCK]
+        block += s * sector_values[start : start + _EXP_BLOCK]
+        top = max(top, block.max())
     if top == -np.inf:
         raise InvalidValue(f"every coherent weight of c underflows on the box {box.caps}")
-    weights = np.exp(log_weights - top)
+    logs -= top
+    with np.errstate(over="ignore"):
+        low = tables[0] + (sum(float(t.min()) for t in tables[1:]) - abs(s) * span - top)
+    weights = _masked_exp(logs, low, np.full(low.shape, np.inf))
     weights /= weights.sum()
+    weights.setflags(write=False)  # MixedState adopts it without a copy
     with np.errstate(over="ignore"):  # an overflowing mean is inf, which coherent_state refuses
-        predicted = np.exp(float(s) * w.astype(float)) * c
+        predicted = np.exp(s * w.astype(float)) * c
     return MixedState(box, weights), predicted
+
+
+def _max_rel_err(got: np.ndarray, ref: np.ndarray) -> float:
+    """max |got / ref - 1| over the lanes where ``ref`` is a normal float,
+    0.0 when there is none; ``got`` and ``ref`` are grids of one shape.
+
+    A subnormal ``ref`` keeps fewer significant bits than its ratio would
+    need.  The grids are read in blocks of whole rows of about
+    ``_EXP_BLOCK`` lanes, each through a scratch buffer of ones that the
+    divide fills where ``ref`` is normal, so no temporary is box-sized and
+    the other lanes read 0.
+    """
+    step = max(1, _EXP_BLOCK // max(math.prod(got.shape[1:]), 1))
+    worst = 0.0
+    for row in range(0, len(got), step):
+        g, f = got[row : row + step], ref[row : row + step]
+        rel = np.divide(g, f, out=np.ones(g.shape), where=f >= _TINY)
+        rel -= 1.0
+        np.abs(rel, out=rel)
+        worst = max(worst, float(rel.max(initial=0.0)))
+    return worst
 
 
 def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | None = None) -> dict:
@@ -707,12 +785,20 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     conserved basis (:func:`_commutator_max_abs`).  With a nonempty basis,
     its first w also gives the symmetry demo (exp(s O_w) applied to the
     coherent state of ``c`` against the coherent state of the predicted
-    means: the largest relative error on the interior) and the projection
-    demo (the interior residual of the coherent state of ``c`` conditioned
-    on w . n == ``lam``, by default round(w . c)).  H maps every sector
-    into itself, so H(1_S psi_c) = 1_S H psi_c, and the projection's
-    residual is the coherent-state identity's (:func:`_coherent_residual`)
-    on the sector, divided by the sector's mass.
+    means: the largest relative error on the interior lanes whose
+    reference weight is a normal float, :func:`_max_rel_err`) and the
+    projection demo (the interior residual of the coherent state of ``c``
+    conditioned on w . n == ``lam``, by default round(w . c)).  H maps
+    every sector into itself, so H(1_S psi_c) = 1_S H psi_c, and the
+    projection's residual is the coherent-state identity's
+    (:func:`_coherent_residual`) read at the sector's lanes, divided by the
+    sector's mass, and 0.0 elsewhere, with the norms of :func:`_l1_norms`.
+
+    At most two box-sized float arrays are alive at once, next to w . n
+    per state: the symmetry's weights and the reference's, freed before
+    the projection; then psi_c and the residual; then the residual, which
+    holds the projection, and its interior copy.  Every other array is a
+    block of rows or as large as the sector.
     """
     c = validate_classical(c, box.k)
     _firing(net, box)  # E_DIM for a box of another species count, with or without a basis
@@ -725,31 +811,32 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
         return doc
     w = basis[0]
     values = _sector_values(w, box)
-    logs = _log_poisson_weights(c, box.caps)
-    psi_sym, predicted = _symmetry(c, _weight_vector(w, box.k), s, box, values, logs)
+    psi_sym, predicted = _symmetry(c, _weight_vector(w, box.k), s, box, values)
     reference, _ = coherent_state(predicted, box)
     margin = network_margin(net)
     inside = _interior(box, margin)
-    ref = reference.weights.reshape(box.shape)[inside]
-    got = psi_sym.weights.reshape(box.shape)[inside]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
+    rel = _max_rel_err(psi_sym.weights.reshape(box.shape)[inside], reference.weights.reshape(box.shape)[inside])
+    del psi_sym, reference
     if lam is None:
         lam = int(round(float(np.dot(w, c))))
-    psi, _ = _coherent_state(c, box, logs)  # the last use of logs, which psi takes over
-    sector, mass = _sector(psi, values, lam)
-    projected = np.where(sector, _coherent_residual(net, c, box, psi.weights), 0.0)
-    projected /= mass
+    psi, _ = coherent_state(c, box)
+    lanes, mass = _sector(psi, values, lam)
+    residual = _coherent_residual(net, c, box, psi.weights)
+    del psi, values
+    # the projection's residual, in the residual's own buffer: 0.0 off the sector
+    projected = residual[lanes] / mass
+    residual.fill(0.0)
+    residual[lanes] = projected
     doc["symmetry"] = {
         "w": list(w),
         "s": s,
         "predicted_c": [float(v) for v in predicted],
-        "max_rel_err_interior": float(rel.max(initial=0.0)),
+        "max_rel_err_interior": rel,
     }
     doc["projection"] = {
         "w": list(w),
         "lam": lam,
-        "interior_residual_l1": _report(projected, psi, margin).interior_l1,
+        "interior_residual_l1": _l1_norms(residual, box, margin)[0],
     }
     return doc
 

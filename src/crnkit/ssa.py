@@ -121,19 +121,29 @@ class JumpTrajectory:
     def num_jumps(self) -> int:
         return len(self.times) - 1
 
-    def to_csv(self, species) -> str:
+    def to_csv(self, species, file=None) -> str | None:
         """One row per state, ``repr`` of the time then ``str`` of each count,
-        formatted ``_CSV_BLOCK`` rows at a time by :func:`crnkit._pathcsv.csv_rows`."""
+        formatted ``_CSV_BLOCK`` rows at a time by :func:`crnkit._pathcsv.csv_rows`.
+
+        Returns the text; given a text stream ``file``, writes the header and
+        then each block there as soon as it is formatted, and returns None,
+        so no more than one block of the text is held at a time.
+        """
         from ._pathcsv import csv_rows  # here, so that ``import crnkit`` does not compile it
 
         times, states = self.times, self.states
         if states.shape[1]:  # rows stop at the shorter of the two, as a zip would
             times, states = times[: len(states)], states[: len(times)]
+        header = "t," + ",".join(species) + "\n"
         blocks = (
             csv_rows(times[i : i + _CSV_BLOCK], states[i : i + _CSV_BLOCK])
             for i in range(0, len(times), _CSV_BLOCK)
         )
-        return "".join(["t," + ",".join(species) + "\n", *blocks])
+        if file is None:
+            return "".join([header, *blocks])
+        file.write(header)
+        file.writelines(blocks)
+        return None
 
 
 def simulate(

@@ -12,11 +12,19 @@ import scipy.sparse as sp
 from crnkit import fock
 from crnkit import (
     CountVector,
+    EmptySector,
+    InvalidValue,
+    MixedState,
     Network,
     PopulationExplosion,
+    SymmetryOverflow,
     Transition,
+    coherent_state,
+    conserved_quantities,
     format_network,
+    network_margin,
 )
+from crnkit.network import validate_classical
 
 _NAME_START = string.ascii_letters + "_"
 _NAME_REST = string.ascii_letters + string.digits + "_"
@@ -261,6 +269,70 @@ def ordered_selection_count(counts, needs) -> int:
 def interior_mask(box, margin):
     """Flat mask of the box states at least ``margin`` below every cap, from the state array."""
     return np.all(box.states() <= np.array(box.caps) - margin, axis=1)
+
+
+def full_array_noether_report(net, c, box, s, lam=None):
+    """``noether_report`` by whole-box arrays: w . n, the shifted log weights,
+    their exp, the relative error and the projected residual each as an
+    array over the box, with a mask for the sector.
+
+    The doc's ``max_rel_err_interior`` reads every interior lane whose
+    reference weight is above 0, with no warning when a ratio to a
+    subnormal weight overflows; the extra key ``max_rel_err_normal`` reads
+    only those whose reference weight is a normal float."""
+    c = validate_classical(c, box.k)
+    fock._firing(net, box)
+    basis = conserved_quantities(net)
+    doc = {
+        "conserved_basis": [list(w) for w in basis],
+        "commutator_max_abs": [fock._commutator_max_abs(net, box, w) for w in basis],
+    }
+    if not basis:
+        return doc
+    w = basis[0]
+    values = fock._sector_values(w, box)
+    logs = fock._log_poisson_weights(c, box.caps)
+    if not np.isfinite(s):
+        raise InvalidValue(f"s must be finite, got {s}")
+    if float(np.abs(values).max(initial=0.0)) * abs(float(s)) > fock._LOG_DBL_MAX:
+        raise SymmetryOverflow("exp(s*O) leaves double precision")
+    log_weights = logs + float(s) * values
+    top = log_weights.max()
+    if top == -np.inf:
+        raise InvalidValue("every coherent weight of c underflows")
+    got = np.exp(log_weights - top)
+    got /= got.sum()
+    MixedState(box, got)
+    with np.errstate(over="ignore"):
+        predicted = np.exp(float(s) * fock._weight_vector(w, box.k).astype(float)) * c
+    reference, _ = coherent_state(predicted, box)
+    margin = network_margin(net)
+    inside = interior_mask(box, margin)
+    ref, got = reference.weights[inside], got[inside]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
+    if lam is None:
+        lam = int(round(float(np.dot(w, c))))
+    psi, _ = coherent_state(c, box)
+    sector = values == int(lam)
+    mass = float(psi.weights[sector].sum())
+    if not sector.any() or mass <= 0.0:
+        raise EmptySector(f"no probability mass in the sector w.n == {lam}")
+    projected = np.where(sector, fock._coherent_residual(net, c, box, psi.weights), 0.0)
+    projected /= mass
+    doc["symmetry"] = {
+        "w": list(w),
+        "s": s,
+        "predicted_c": [float(v) for v in predicted],
+        "max_rel_err_interior": float(rel.max(initial=0.0)),
+        "max_rel_err_normal": float(rel.max(initial=0.0, where=ref >= np.finfo(float).tiny)),
+    }
+    doc["projection"] = {
+        "w": list(w),
+        "lam": lam,
+        "interior_residual_l1": fock._report(projected, psi, margin).interior_l1,
+    }
+    return doc
 
 
 def dense_ladders(box):

@@ -364,6 +364,15 @@ class TestSsaCommand:
         assert run(["ssa", str(path), *args]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_out_file_gets_the_golden_bytes(self, tmp_path):
+        # the path CSV goes to the file block by block
+        path, target = tmp_path / "net.crn", tmp_path / "path.csv"
+        path.write_text(DIATOMIC)
+        args = ["--n0", "50,0", "--t-end", "700", "--seed", "7", "--out", str(target)]
+        assert run(["ssa", str(path), *args]) == 0
+        digest = "a0874844a97dfa5f85a690eb8d495fb9badd56938774dd45266f4c0bb5ffa92d"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
 
 class TestNoetherCommand:
     def test_diatomic_report(self, dia_file, capsys):

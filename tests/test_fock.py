@@ -56,9 +56,11 @@ from support import (
     csr_uniformization,
     dense_hamiltonian,
     dense_ladders,
+    full_array_noether_report,
     interior_mask,
     ordered_selection_count,
     random_network,
+    with_extreme_rates,
 )
 
 
@@ -900,6 +902,25 @@ class TestCoherentIdentity:
             fock._commutator_max_abs(parse_network("X1 -> 2 X2 @ 1e308"), TruncationBox((3, 3)), (1, 1))
 
 
+class TestResidualBlocks:
+    """The scaled copies of the coherent grid go in blocks of rows; each
+    entry adds the same terms in the same order at any block size."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), block=st.integers(1, 40), data=st.data())
+    def test_same_bytes_at_any_block_size(self, net_seed, block, data):
+        rng = random.Random(net_seed)
+        net = random_network(rng, max_species=3, max_transitions=6)
+        k = net.num_species
+        box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))))
+        c = np.array([rng.uniform(0.0, 5.0) for _ in range(k)])
+        weights = fock._coherent_weights(c, box.caps)
+        whole = fock._coherent_residual(net, c, box, weights)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_EXP_BLOCK", block)
+            assert fock._coherent_residual(net, c, box, weights).tobytes() == whole.tobytes()
+
+
 class TestExpCut:
     def test_exp_is_zero_below_the_cut(self):
         x = np.linspace(-1e4, np.nextafter(fock._EXP_ZERO, -np.inf), 10**6)
@@ -923,6 +944,20 @@ class TestExpCut:
             psi, tail = coherent_state(c, box)
             assert psi.weights.tobytes() == expected
             assert psi.total == float(np.exp(logs).sum()) and tail == max(0.0, 1.0 - psi.total)
+
+    @pytest.mark.parametrize("c, w, s", [((1250.0, 50.0), (2, 1), 0.01), ((1250.0, 50.0), (2, 1), -0.02),
+                                         ((30.0, 20.0, 12.0), (2, 1, 1), -2.44), ((5000.0, 100.0), (2, 1), 0.0)])
+    def test_symmetry_weights_keep_the_bytes_of_exp(self, c, w, s):
+        # exp(s O_w) psi_c through the masked exp of the blocks, against one
+        # plain exp of the shifted log weights; some lanes fall below the cut
+        box = default_box(c, 2)
+        logs = fock._log_poisson_weights(c, box.caps) + s * fock._sector_values(w, box)
+        logs -= logs.max()
+        assert (logs < fock._EXP_ZERO).any()
+        expected = np.exp(logs)
+        expected /= expected.sum()
+        psi, _ = apply_symmetry(c, w, s, box)
+        assert psi.weights.tobytes() == expected.tobytes()
 
 
 class TestCommutators:
@@ -978,6 +1013,14 @@ class TestProjection:
         ]
         assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("caps, lam", [((10, 10), 4), ((7, 30), 11), ((1, 1), 2), ((3, 3), 0)])
+    def test_same_bytes_as_mask_route(self, caps, lam):
+        box = TruncationBox(caps)
+        psi, _ = coherent_state([2.5, 1.5], box)
+        sector = fock._sector_values((2, 1), box) == lam
+        expected = np.where(sector, psi.weights, 0.0) / float(psi.weights[sector].sum())
+        assert project_onto(psi, (2, 1), lam).weights.tobytes() == expected.tobytes()
+
     def test_full_sector_of_pure_state_is_identity(self):
         box = TruncationBox((5, 5))
         psi = pure_state(box, (2, 1))
@@ -997,6 +1040,8 @@ class TestProjection:
         psi = pure_state(box, (1, 0))
         with pytest.raises(EmptySector):
             project_onto(psi, (2, 1), 7)
+        with pytest.raises(EmptySector):  # beyond int64, compared with no state
+            project_onto(psi, (2, 1), 2**70)
 
 
 class TestSymmetry:
@@ -1027,18 +1072,89 @@ class TestSymmetry:
         with pytest.raises(SymmetryOverflow):
             apply_symmetry([0.5, 1.0], (2, 1), 50.0, box)
 
+    @staticmethod
+    def mask_route_error(net, c, box, s):
+        """The largest relative error over the interior lanes, read by a flat
+        mask, whose reference weight is a normal float."""
+        psi, predicted = apply_symmetry(c, (2, 1), s, box)
+        reference, _ = coherent_state(predicted, box)
+        inside = interior_mask(box, network_margin(net))
+        ref, got = reference.weights[inside], psi.weights[inside]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rel = np.abs(np.where(ref >= np.finfo(float).tiny, got / ref - 1.0, 0.0))
+        return float(rel.max(initial=0.0))
+
     @pytest.mark.parametrize("caps", [(25, 25), (6, 9), (2, 40), (1, 1)])
     @pytest.mark.parametrize("c", [(0.5, 1.0), (30.0, 0.2)])
     def test_noether_error_matches_mask_route(self, net_diatomic, caps, c):
-        # noether_report reads the interior as slices of the grid; max is order-free,
-        # so the error keeps the bytes of the flat-mask route
+        # noether_report reads the interior as slices of the grid, in blocks of
+        # rows; max is order-free, so the error keeps the bytes of the flat-mask route
         box = TruncationBox(caps)
         doc = noether_report(net_diatomic, c, box, 0.3, lam=2)
-        psi, predicted = apply_symmetry(c, (2, 1), 0.3, box)
-        reference, _ = coherent_state(predicted, box)
-        inside = interior_mask(box, network_margin(net_diatomic))
-        ref, got = reference.weights[inside], psi.weights[inside]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs(np.where(ref > 0, got / ref - 1.0, 0.0))
-        assert doc["symmetry"]["max_rel_err_interior"] == float(rel.max(initial=0.0))
+        assert doc["symmetry"]["max_rel_err_interior"] == self.mask_route_error(net_diatomic, c, box, 0.3)
 
+    def test_noether_error_leaves_out_subnormal_references(self, net_diatomic):
+        # 20 interior reference weights of this box are subnormal, and their
+        # ratios read about 1.5e-3 where the normal lanes read about 1.5e-6
+        box, c = TruncationBox((4, 200)), (0.5, 1.0)
+        doc = noether_report(net_diatomic, c, box, -0.5, lam=2)
+        psi, predicted = apply_symmetry(c, (2, 1), -0.5, box)
+        ref = coherent_state(predicted, box)[0].weights[interior_mask(box, network_margin(net_diatomic))]
+        assert ((ref > 0) & (ref < np.finfo(float).tiny)).sum() == 20
+        error = doc["symmetry"]["max_rel_err_interior"]
+        assert error == self.mask_route_error(net_diatomic, c, box, -0.5) < 1e-5
+        assert full_array_noether_report(net_diatomic, c, box, -0.5, lam=2)["symmetry"]["max_rel_err_interior"] > 1e-3
+
+
+class TestNoetherMatchesFullArrays:
+    """noether_report against the whole-box arrays of ``full_array_noether_report``."""
+
+    @staticmethod
+    def outcome(report, *args):
+        try:
+            return report(*args)
+        except Exception as exc:  # the type is compared, whichever it is
+            return type(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_networks_with_a_law(self, net_seed, data):
+        rng = random.Random(net_seed)
+        net = closed_network(rng)
+        if rng.random() < 0.15:
+            net = with_extreme_rates(rng, net)
+        k = net.num_species
+        box = TruncationBox(tuple(data.draw(st.lists(st.integers(1, 14), min_size=k, max_size=k))))
+        # mostly moderate means and s; now and then a 0 mean, a mean far out in
+        # the box or beyond the float range, an s that overflows or is not finite;
+        # lam mostly round(w . c), else a sector that may be empty
+        c = [rng.choice((0.0, 60.0, 400.0, 1e300)) if rng.random() < 0.1 else rng.uniform(0.05, 8.0)
+             for _ in range(k)]
+        s = rng.choice((0.0, 60.0, -60.0, math.nan, math.inf)) if rng.random() < 0.1 else rng.uniform(-3.0, 3.0)
+        lam = rng.choice((None, None, None, rng.randint(-3, 40)))
+        got = self.outcome(noether_report, net, c, box, s, lam)
+        expected = self.outcome(full_array_noether_report, net, c, box, s, lam)
+        if isinstance(expected, dict) and "symmetry" in expected:
+            symmetry = expected["symmetry"]
+            symmetry["max_rel_err_interior"] = symmetry.pop("max_rel_err_normal")
+        assert repr(got) == repr(expected)
+
+    def test_benchmark_box_working_set(self, net_diatomic):
+        # the benchmark's noether-dia job: c = (1250, 50) on a 1607 x 124 box of
+        # 199,268 states, where the whole-box route held 7.1 box-sized float
+        # arrays at its peak; subnormal reference weights lie in its interior
+        c = (1250.0, 50.0)
+        box = default_box(c, network_margin(net_diatomic))
+        assert box.size == 199_268
+        noether_report(net_diatomic, c, box, 0.01)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            doc = noether_report(net_diatomic, c, box, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * box.size
+        expected = full_array_noether_report(net_diatomic, c, box, 0.01)
+        assert expected["symmetry"]["max_rel_err_interior"] > 1e3 * expected["symmetry"]["max_rel_err_normal"]
+        expected["symmetry"]["max_rel_err_interior"] = expected["symmetry"].pop("max_rel_err_normal")
+        assert repr(doc) == repr(expected)

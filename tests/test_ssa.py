@@ -210,6 +210,27 @@ class TestPathCsv:
         lines = traj.to_csv(net_diatomic.species).split("\n")
         assert lines == ["t,X1,X2", *row_by_row_rows(traj.times, traj.states), ""]
 
+    def test_stream_gets_each_block_as_formatted(self, net_diatomic, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
+
+        traj = simulate(net_diatomic, (10, 0), 2.0, seed=7)
+        monkeypatch.setattr(ssa, "_CSV_BLOCK", 3)
+        stream = Recorder()
+        assert traj.to_csv(net_diatomic.species, stream) is None
+        rows = row_by_row_rows(traj.times, traj.states)
+        assert stream.writes == ["t,X1,X2\n", *("".join(f"{row}\n" for row in rows[i : i + 3])
+                                                  for i in range(0, len(rows), 3))]
+        assert "".join(stream.writes) == traj.to_csv(net_diatomic.species)
+
     def test_hard_times_take_repr(self):
         # out of range, powers of two, a tie between 17-digit neighbours
         # (...598.375), and one between 16-digit neighbours (...312.75)
