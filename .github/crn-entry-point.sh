@@ -68,5 +68,12 @@ python -c 'import sys
 next(sys.stdin)
 bad = [f for f in (line.split(",", 1)[0] for line in sys.stdin) if f != repr(float(f))]
 sys.exit(f"time fields that are not repr: {bad[:3]}" if bad else 0)' < "$tmp/path.csv"
+# a network of no species: the path is the header "t," and one time per
+# row, and stderr holds only the self-loop warning
+printf '0 -> 0 @ 1\n' > "$tmp/zero.crn"
+crn ssa "$tmp/zero.crn" --n0= --t-end 3 > "$tmp/path.csv" 2> "$tmp/err.txt"
+test "$(head -n 1 "$tmp/path.csv")" = "t,"
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+grep -q '^warning\[E_SELF_LOOP\]: 1:1: ' "$tmp/err.txt"
 crn ssa "$tmp/bd.crn" --n0 0 --histogram --samples 2000 --seed 3 > "$tmp/hist.csv" 2> "$tmp/err.txt"
 test ! -s "$tmp/err.txt"

@@ -17,7 +17,7 @@ The box is a product of per-species ranges, and the engine builds from
 that structure instead of a states x species array.  Each ladder operator
 shifts the flat index by one stride, so every operator is banded: it is
 built as one array per diagonal (scipy's DIA layout).  Master evolution
-steps on a banded matrix; the public operators are CSR.
+steps on such a band of plain arrays; the public operators are CSR.
 Per-state tables (coherent weights, w . n) are outer sums of 1-D ones,
 and the interior is a sub-box, read as slices of the grid.
 
@@ -31,8 +31,8 @@ drops a firing; the commutators come from one flux per transition group.
 
 Master evolution is uniformization: a Poisson-weighted sum of powers of the
 stochastic matrix I + H/max|H_nn|, nonnegative and mass-conserving, one
-DIA mat-vec per term.  That band, like the generator's, is held to the
-slot budget (box states x distinct offsets).  Every conserved w . n
+mat-vec on its band per term.  That band, like the generator's, is held
+to the slot budget (box states x distinct offsets).  Every conserved w . n
 commutes with H (the Noether theorem), so the terms run only on the
 sectors the start occupies, with laws read off H's own entries, and give
 the bytes of the whole-box loop.
@@ -186,9 +186,6 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
@@ -443,19 +440,12 @@ def _log_poisson_tables(c, caps) -> list[np.ndarray]:
     return [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)]
 
 
-def _log_poisson_weights(c, caps) -> np.ndarray:
-    """log product-Poisson weight per state of the box with ``caps``, an outer sum of 1-D tables.
-
-    A sum below the float range is -inf, the log of the weight 0 it stands for.
-    """
-    with np.errstate(over="ignore"):
-        return _outer_sum(_log_poisson_tables(c, caps))
-
-
 def _coherent_weights(c, caps) -> np.ndarray:
-    """exp of :func:`_log_poisson_weights`, bit for bit, as a new writable array.
+    """Product-Poisson weight per state of the box with ``caps``: exp of the
+    outer sum of the 1-D log tables, bit for bit, as a new writable array.
 
-    A box far from its mean can hold half its lanes below ``_EXP_ZERO``;
+    A log weight below the float range is -inf, a weight of 0.  A box far
+    from its mean can hold half its lanes below ``_EXP_ZERO``;
     :func:`_masked_exp` sets those to 0.0 without calling exp, from the
     least and the largest log weight of each row of the first species.
     No table entry is above 0, so a lane near the cut adds terms no larger
@@ -716,8 +706,8 @@ def _symmetry(c, w, s: float, box: TruncationBox, sector_values):
     """:func:`apply_symmetry` of a validated ``c`` and ``w``, from w . n per state.
 
     The largest |w . n| on the box comes from the caps, as an exact
-    integer.  s (w . n) is added into the log weights of ``c``
-    (:func:`_log_poisson_weights`) ``_EXP_BLOCK`` lanes at a time, then the
+    integer.  s (w . n) is added into the log weights of ``c`` (the outer
+    sum of the 1-D tables) ``_EXP_BLOCK`` lanes at a time, then the
     largest log weight is subtracted and :func:`_masked_exp` takes the exp
     in place.  The helper's lower bound for a row of the first species is
     that of the 1-D tables less |s| max|w . n|.  It gets no upper bound:
@@ -866,11 +856,13 @@ def _distinct(a) -> np.ndarray:
     return a[first]
 
 
-def _uniformized_step(rows, cols, vals, size: int, lam: float) -> sp.dia_matrix:
-    """P = H/lam + I as a DIA matrix whose offsets ascend, from H's entries (rows, cols, vals).
+def _uniformized_step(rows, cols, vals, size: int, lam: float):
+    """P = H/lam + I as (offsets, band), from H's entries (rows, cols, vals).
 
-    Each entry goes to the diagonal col - row, one per distinct offset (0
-    always among them), so the band holds the floats of scipy's CSR
+    The offsets ascend, and ``band[q][col]`` is P's entry on the diagonal
+    col - row = ``offsets[q]``: scipy's DIA layout, which ``dia_matvec``
+    reads.  Each entry goes to the diagonal col - row, one per distinct
+    offset (0 always among them), so the band holds the floats of scipy's CSR
     ``H / lam + I``: scipy divides by a scalar as data * (1/lam) and adds
     the identity entry by entry.  Entries stored twice add, as in that
     sum.  More than ``_MAX_SLOTS`` band entries (states x offsets) raise
@@ -881,10 +873,10 @@ def _uniformized_step(rows, cols, vals, size: int, lam: float) -> sp.dia_matrix:
     offsets = _distinct(np.append(change, 0))
     if size * len(offsets) > _MAX_SLOTS:
         raise BudgetExceeded(f"{size} states x {len(offsets)} offsets exceed {_MAX_SLOTS} slots")
-    data = np.zeros((len(offsets), size))
-    np.add.at(data, (np.searchsorted(offsets, change), cols), vals * (1 / lam))
-    data[np.searchsorted(offsets, 0)] += 1.0
-    return sp.dia_matrix((data, offsets), (size, size))
+    band = np.zeros((len(offsets), size))
+    np.add.at(band, (np.searchsorted(offsets, change), cols), vals * (1 / lam))
+    band[np.searchsorted(offsets, 0)] += 1.0
+    return offsets, band
 
 
 def _occupied_sectors(box: TruncationBox, rows, cols, vals, weights):
@@ -934,7 +926,7 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     mass of psi0 plus roundoff.  K above 10**6 raises ``E_BUDGET`` up front;
     a ``t`` that is not finite and nonnegative raises ``E_VALUE``.
 
-    P is built as a banded (DIA) matrix with ascending offsets
+    P is built as a band, one array per diagonal in ascending offset order
     (:func:`_uniformized_step`), and each term is one mat-vec on that band.
     The band holds the floats of scipy's CSR H/L + I, and each row's terms
     add in column order from 0.0, as scipy's CSR mat-vec adds them, so the
@@ -945,13 +937,13 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     The terms are summed in blocks of at most ``_TERM_BUFFER`` floats (two
     rows when one row is wider than half of that).  Row 0 holds the sum so
     far; each term's mat-vec is one call of scipy's compiled ``dia_matvec``,
-    the kernel ``step @ vec`` reaches, written straight into the next zeroed
-    row.  The rows are then scaled by their Poisson weights and summed down
-    the columns by one ``np.add.reduce``, which adds them in row order, so
-    every state gets out + w_k v_k in order k, as in a term-by-term loop.
-    numpy sums in row order only when a row holds at least two entries (a
-    single column is summed pairwise), so the block is at least two columns
-    wide, even for a one-state sector.
+    the kernel a ``dia_matrix`` product reaches, written straight into the
+    next zeroed row.  The rows are then scaled by their Poisson weights and
+    summed down the columns by one ``np.add.reduce``, which adds them in
+    row order, so every state gets out + w_k v_k in order k, as in a
+    term-by-term loop.  numpy sums in row order only when a row holds at
+    least two entries (a single column is summed pairwise), so the block is
+    at least two columns wide, even for a one-state sector.
 
     A conserved w . n commutes with H (the Noether theorem), so P^k never
     moves weight between sectors.  The loop therefore runs on the set S of
@@ -990,8 +982,7 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
         inside, *entries = sector
         vec = vec[inside]
     n, width = vec.size, max(vec.size, 2)  # one column would be summed pairwise
-    step = _uniformized_step(*entries, n, lam)
-    offsets, band = step.offsets, step.data
+    offsets, band = _uniformized_step(*entries, n, lam)
     vec = np.ascontiguousarray(vec)  # the kernel is called without scipy's checks
     block = np.zeros((max(_TERM_BUFFER // width, 2), width))
     block[0, :n] = weights[0] * vec

@@ -33,8 +33,8 @@ __all__ = [
     "compare_to_poisson",
 ]
 
-DEFAULT_MAX_COUNT = 10**6
 _MEMO_STATES = 2**16
+_MAX_COUNT = 10**6  # per species; a count above it raises ``E_EXPLODE``
 _MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 200 MB
 _CSV_BLOCK = 2**15  # rows per block of the path CSV
 # samples, and jumps, per histogram: over 100x the ~6e5 jumps of 1e5 birth-death samples
@@ -54,12 +54,12 @@ class _Records(dict):
     cumulative propensities in transition order, successor slots, state).
 
     A slot holds the successor's record, so a jump follows it without
-    hashing; ``link`` fills it, checking ``max_count``, on its first firing.
+    hashing; ``link`` fills it, checking ``_MAX_COUNT``, on its first firing.
     Past ``_MEMO_STATES`` records every slot is unlinked, then the table
     cleared, so evicted records are not kept alive by their neighbours.
     """
 
-    def __init__(self, net: Network, max_count: int):
+    def __init__(self, net: Network):
         kernel = net.mass_action
         self.compiled = [
             (rate, tuple((i, s) for i, s in enumerate(need) if s > 0))
@@ -67,7 +67,7 @@ class _Records(dict):
         ]
         self.deltas = [tuple(delta) for delta in (kernel.outputs - kernel.inputs).tolist()]
         self.last = len(self.compiled) - 1
-        self.species, self.max_count = net.species, max_count
+        self.species = net.species
 
     def __missing__(self, state):
         if len(self) >= _MEMO_STATES:
@@ -95,8 +95,8 @@ class _Records(dict):
     def link(self, record, chosen: int, t: float):
         successor = tuple(map(add, record[3], self.deltas[chosen]))
         for name, count in zip(self.species, successor):
-            if count > self.max_count:
-                raise PopulationExplosion(f"species {name} exceeded {self.max_count} at t={t:.6g}")
+            if count > _MAX_COUNT:
+                raise PopulationExplosion(f"species {name} exceeded {_MAX_COUNT} at t={t:.6g}")
         record[2][chosen] = found = self[successor]
         return found
 
@@ -146,18 +146,12 @@ class JumpTrajectory:
         return None
 
 
-def simulate(
-    net: Network,
-    n0,
-    t_end: float,
-    seed: int = 0,
-    max_count: int = DEFAULT_MAX_COUNT,
-) -> JumpTrajectory:
+def simulate(net: Network, n0, t_end: float, seed: int = 0) -> JumpTrajectory:
     """Direct-method SSA from ``n0`` until ``t_end`` or absorption.
 
     Waiting times are exponential with the total propensity as rate; the
     jump is chosen proportionally to individual propensities.  Any species
-    crossing ``max_count``, or a total propensity beyond the float range,
+    crossing ``_MAX_COUNT``, or a total propensity beyond the float range,
     aborts with ``E_EXPLODE`` (open networks can grow without bound); a
     ``t_end`` that is not finite and positive, or a negative, fractional or
     huge count in ``n0``, raises ``E_VALUE``.  A path that reaches
@@ -165,7 +159,7 @@ def simulate(
     """
     if not 0 < t_end < math.inf:
         raise InvalidValue(f"t_end must be finite and positive, got {t_end}")
-    table = _Records(net, max_count)
+    table = _Records(net)
     record = table[_start_state(net, n0)]
     log, rand, last = math.log, random.Random(seed).random, table.last
     t = 0.0
@@ -185,8 +179,8 @@ def simulate(
     else:
         raise BudgetExceeded(f"the path reached {_MAX_JUMPS} jumps before t={t_end:.6g}")
     k = net.num_species
-    states = np.fromiter(chain.from_iterable(path), np.int64, len(path) * k).reshape(-1, k)
-    return JumpTrajectory(np.array(times), states, seed)
+    states = np.fromiter(chain.from_iterable(path), np.int64, len(path) * k)
+    return JumpTrajectory(np.array(times), states.reshape(len(path), k), seed)
 
 
 @dataclass(frozen=True)
@@ -216,13 +210,7 @@ class Histogram:
 
 
 def stationary_histogram(
-    net: Network,
-    n0,
-    burn_in: float,
-    sample_count: int,
-    sample_interval: float,
-    seed: int = 0,
-    max_count: int = DEFAULT_MAX_COUNT,
+    net: Network, n0, burn_in: float, sample_count: int, sample_interval: float, seed: int = 0
 ) -> Histogram:
     """Fixed-interval snapshots of a long SSA run after a burn-in period.
 
@@ -241,7 +229,7 @@ def stationary_histogram(
         raise BudgetExceeded(f"{sample_count} samples exceed the budget of {_MAX_HIST_JUMPS}")
     if sample_interval < math.ulp(burn_in + sample_count * sample_interval):
         raise InvalidValue(f"sample_interval {sample_interval!r} is below the sample-time spacing")
-    table = _Records(net, max_count)
+    table = _Records(net)
     record = table[_start_state(net, n0)]
     log, rand, last = math.log, random.Random(seed).random, table.last
     counts: dict[tuple[int, ...], int] = {}
@@ -279,12 +267,14 @@ def compare_to_poisson(hist: Histogram, c) -> PoissonComparison:
 
     Both distributions are restricted to the histogram's bounding box and
     renormalized there before the comparison.  Also reports the empirical
-    per-species means.
+    per-species means.  A histogram of no species raises ``E_VALUE``.
     """
-    from .fock import _log_poisson_weights
+    from .fock import _coherent_weights
     k = len(hist.caps)
     c = validate_classical(c, k)
-    reference = np.exp(_log_poisson_weights(c, hist.caps))
+    if not k:
+        raise InvalidValue("a Poisson comparison needs at least one species")
+    reference = _coherent_weights(c, hist.caps)
     if not reference.sum() > 0.0:
         raise InvalidValue(f"every product-Poisson weight of c underflows on the box {hist.caps}")
     reference /= reference.sum()

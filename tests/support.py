@@ -5,6 +5,7 @@ import math
 import random
 import string
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +24,7 @@ from crnkit import (
     conserved_quantities,
     format_network,
     network_margin,
+    poisson_logpmf,
 )
 from crnkit.network import validate_classical
 
@@ -271,6 +273,20 @@ def interior_mask(box, margin):
     return np.all(box.states() <= np.array(box.caps) - margin, axis=1)
 
 
+def max_abs(op) -> float:
+    """max |entry| of a ``SparseOperator``, 0.0 when it stores none."""
+    return float(np.abs(op.matrix.data).max(initial=0.0))
+
+
+def log_poisson_weights(c, caps) -> np.ndarray:
+    """log product-Poisson weight per state of the box with ``caps``: the
+    outer sum, in species order, of one ``poisson_logpmf`` table per species.
+    A sum below the float range is -inf, the log of the weight 0."""
+    tables = [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)]
+    with np.errstate(over="ignore"):
+        return reduce(np.add.outer, tables).ravel()
+
+
 def full_array_noether_report(net, c, box, s, lam=None):
     """``noether_report`` by whole-box arrays: w . n, the shifted log weights,
     their exp, the relative error and the projected residual each as an
@@ -291,7 +307,7 @@ def full_array_noether_report(net, c, box, s, lam=None):
         return doc
     w = basis[0]
     values = fock._sector_values(w, box)
-    logs = fock._log_poisson_weights(c, box.caps)
+    logs = log_poisson_weights(c, box.caps)
     if not np.isfinite(s):
         raise InvalidValue(f"s must be finite, got {s}")
     if float(np.abs(values).max(initial=0.0)) * abs(float(s)) > fock._LOG_DBL_MAX:

@@ -35,7 +35,7 @@ from crnkit import (
     structure_report,
 )
 
-from support import balanced_reversible_network, dense_ladders, interior_mask, random_network
+from support import balanced_reversible_network, dense_ladders, interior_mask, max_abs, random_network
 
 
 def check(name: str, ok: bool, detail: str = ""):
@@ -157,7 +157,7 @@ def test_c06_exact_noether(net_bd, net_diatomic, net_catalyst):
         box = TruncationBox(caps)
         h = hamiltonian(net, box)
         for w in conserved_quantities(net):
-            worst = max(worst, commutator(h, linear_observable(w, box)).max_abs())
+            worst = max(worst, max_abs(commutator(h, linear_observable(w, box))))
     traj = simulate(net_diatomic, (50, 0), 700.0, seed=606)
     sector = traj.states @ np.array([2, 1])
     exact = bool((sector == 100).all())

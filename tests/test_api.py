@@ -3,6 +3,7 @@ wraps, and the README's example."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 import sys
@@ -53,3 +54,50 @@ def test_readme_example_runs():
     example = readme.split("\n## Example\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", example, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def removed_names():
+    """The code spans in the first column of the README's removed-names table."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| removed | use instead |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows += re.findall(r"`([^`]+)`", line.split(" | ")[0])
+    return rows
+
+
+def crnkit_owners():
+    """``crnkit`` and every module in it."""
+    return [crnkit, *(importlib.import_module(f"crnkit.{name}") for name in MODULES)]
+
+
+def test_removed_names_table_is_not_empty():
+    names = removed_names()
+    assert "TruncationBox.state_at(i)" in names and "SparseOperator.max_abs()" in names
+    assert "simulate(..., max_count=)" in names
+
+
+@pytest.mark.parametrize("entry", removed_names())
+def test_removed_name_does_not_resolve(entry):
+    # a parameter row reads `func(..., name=)`; a dotted row from `crnkit.`
+    # is a full path; `Class.attr` names an attribute of a class that
+    # still exists; a bare name resolves nowhere in the package
+    parameter = re.fullmatch(r"(\w+)\(\.\.\., (\w+)=\)", entry)
+    if parameter:
+        func, name = parameter.groups()
+        assert name not in inspect.signature(getattr(crnkit, func)).parameters
+        return
+    path = re.sub(r"\(.*\)$", "", entry)
+    if path.startswith("crnkit."):
+        module, _, name = path.rpartition(".")
+        assert not hasattr(importlib.import_module(module), name)
+    elif "." in path:
+        cls_name, attr = path.split(".")
+        classes = [vars(mod)[cls_name] for mod in crnkit_owners() if cls_name in vars(mod)]
+        assert classes, f"no class {cls_name} in crnkit"
+        for cls in classes:  # a dataclass field without a default is no class attribute
+            assert not hasattr(cls, attr) and attr not in getattr(cls, "__dataclass_fields__", {})
+    else:
+        assert not any(hasattr(owner, path) for owner in crnkit_owners())

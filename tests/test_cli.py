@@ -322,6 +322,19 @@ class TestSsaCommand:
             _, n1, n2 = line.split(",")
             assert 2 * int(n1) + int(n2) == 2
 
+    def test_no_species_path(self, tmp_path, capsys):
+        # the header "t," and one time per row, as crn rate prints for no species
+        path = tmp_path / "zero.crn"
+        path.write_text("0 -> 0 @ 1\n")
+        assert run(["ssa", str(path), "--n0=", "--t-end", "3", "--seed", "5"]) == 0
+        captured = capsys.readouterr()
+        times = ssa.simulate(crnkit.parse_network("0 -> 0 @ 1"), (), 3.0, seed=5).times
+        assert times.size > 1
+        assert captured.out.splitlines() == ["t,", *map(repr, times.tolist())]
+        assert captured.err == (
+            "warning[E_SELF_LOOP]: 1:1: self-loop reaction contributes nothing to the dynamics\n"
+        )
+
     def test_histogram_csv(self, bd_file, capsys):
         code = run(
             ["ssa", bd_file, "--n0", "0", "--histogram", "--burn-in", "5",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from crnkit import _pathcsv, ssa
+from crnkit import _pathcsv, fock, ssa
 from crnkit import (
     BudgetExceeded,
     DimensionMismatch,
@@ -30,6 +30,7 @@ from support import (
     balanced_reversible_network,
     direct_histogram,
     direct_simulate,
+    log_poisson_weights,
     ordered_selection_count,
     random_network,
 )
@@ -37,7 +38,7 @@ from support import (
 
 def record_of(net, state):
     """The SSA's record for ``state``: (total, cumulative propensities, slots, state)."""
-    return ssa._Records(net, ssa.DEFAULT_MAX_COUNT)[tuple(state)]
+    return ssa._Records(net)[tuple(state)]
 
 
 class TestPropensity:
@@ -116,10 +117,11 @@ class TestSimulate:
         c = simulate(net_bd, (0,), 40.0, seed=124)
         assert not np.array_equal(a.times, c.times)
 
-    def test_explosion_guard(self):
+    def test_explosion_guard(self, monkeypatch):
         net = parse_network("0 -> A @ 1000")
+        monkeypatch.setattr(ssa, "_MAX_COUNT", 50)
         with pytest.raises(PopulationExplosion):
-            simulate(net, (0,), 1e9, seed=2, max_count=50)
+            simulate(net, (0,), 1e9, seed=2)
 
     def test_jump_budget(self, net_bd, monkeypatch):
         traj = simulate(net_bd, (0,), 40.0, seed=31)
@@ -324,6 +326,29 @@ class TestCompareToPoisson:
         with pytest.raises(InvalidValue, match="underflows on the box \\(1,\\)"):
             compare_to_poisson(hist, [1000.0])
 
+    def test_no_species_is_typed_error(self):
+        hist = stationary_histogram(parse_network("0 -> 0 @ 1"), (), 1.0, 5, 1.0)
+        assert hist.counts == {(): 5}
+        with pytest.raises(InvalidValue, match="at least one species"):
+            compare_to_poisson(hist, ())
+
+    # bytes recorded from the log-weight route (np.exp of the outer sum of
+    # the log tables) before compare_to_poisson moved to the coherent weights
+    @pytest.mark.parametrize("text, n0, hist_args, c, caps, cut, tv, means", [
+        ("species: A\n0 -> A @ 3\nA -> 0 @ 1", (0,), (5.0, 2000, 0.5, 41), (3.0,), (10,), False,
+         "0.014471938784017715", "54e3a59bc4a00740"),
+        # 12% of the box's log weights lie below fock._EXP_ZERO
+        ("X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1", (100, 0), (5.0, 500, 0.2, 43), (800.0, 20.0), (98, 24),
+         True, "0.999926201962178", "6de7fba9f142574037894160e5d02b40"),
+    ])
+    def test_bytes_of_the_log_weight_route(self, text, n0, hist_args, c, caps, cut, tv, means):
+        hist = stationary_histogram(parse_network(text), n0, *hist_args)
+        assert hist.caps == caps
+        assert (log_poisson_weights(c, caps) < fock._EXP_ZERO).any() == cut
+        result = compare_to_poisson(hist, c)
+        assert repr(result.tv_distance) == tv
+        assert result.per_species_means.tobytes().hex() == means
+
     @pytest.mark.parametrize("mean", [math.nan, math.inf])
     def test_non_finite_means_are_typed_errors(self, mean):
         hist = Histogram({(0,): 1}, 1, (0,))
@@ -415,16 +440,18 @@ class TestMatchesDirectMethod:
         t_end = fraction * span
 
         def path():
-            traj = simulate(net, n0, t_end, seed=seed, max_count=max_count)
+            traj = simulate(net, n0, t_end, seed=seed)
             return traj.times.tolist(), [tuple(row) for row in traj.states.tolist()]
 
-        assert _outcome(path) == _outcome(
-            lambda: direct_simulate(net, n0, t_end, seed, max_count)
-        )
-        args = (net, n0, burn_in * span / 2, samples, span / (2 * samples), seed, max_count)
-        assert _outcome(lambda: stationary_histogram(*args).counts) == _outcome(
-            lambda: direct_histogram(*args)
-        )
+        args = (net, n0, burn_in * span / 2, samples, span / (2 * samples), seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ssa, "_MAX_COUNT", max_count)
+            assert _outcome(path) == _outcome(
+                lambda: direct_simulate(net, n0, t_end, seed, max_count)
+            )
+            assert _outcome(lambda: stationary_histogram(*args).counts) == _outcome(
+                lambda: direct_histogram(*args, max_count)
+            )
 
     def test_memo_eviction_does_not_change_results(self, net_bd, monkeypatch):
         traj = simulate(net_bd, (0,), 40.0, seed=31)
