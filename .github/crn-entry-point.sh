@@ -61,9 +61,12 @@ error = json.load(sys.stdin)["symmetry"]["max_rel_err_interior"]
 sys.exit(0 if error < 1e-10 else f"max_rel_err_interior is {error}")' < "$tmp/noether.json"
 # the SSA path CSV goes out in numpy blocks of up to 2**15 rows (three
 # here): every time field must be the repr of its float, and neither run
-# may print a numpy warning
+# may print a numpy warning. The path's uniforms come from numpy's legacy
+# MT19937 in blocks, set to random.Random(7)'s state; the digest is that of
+# the path drawn one random() call at a time
 crn ssa "$tmp/dia.crn" --n0 50,0 --t-end 900 --seed 7 > "$tmp/path.csv" 2> "$tmp/err.txt"
 test ! -s "$tmp/err.txt"
+test "$(sha256sum < "$tmp/path.csv" | cut -d' ' -f1)" = 90965c02b4039b8ba73f2f9a7f6f3d05436ceb8d92fc52fd4e1149467507a770
 python -c 'import sys
 next(sys.stdin)
 bad = [f for f in (line.split(",", 1)[0] for line in sys.stdin) if f != repr(float(f))]

@@ -43,6 +43,8 @@ class CountVector(tuple):
     __slots__ = ()
 
     def __new__(cls, counts):
+        if type(counts) is cls:  # immutable, and checked when it was built
+            return counts
         values = []
         for v in counts:
             iv = int(v)

@@ -6,8 +6,9 @@ falling factorial per species).  Trajectories are exact realizations of
 the jump process; sampling for stationary histograms uses fixed-interval
 time snapshots, since per-jump sampling is biased toward fast states.
 
-The generator is Python's Mersenne Twister seeded explicitly, so runs are
-reproducible given (network, initial state, horizon, seed).
+The uniforms are those of Python's Mersenne Twister seeded explicitly, drawn
+in numpy blocks (``_draw_blocks``), so runs are reproducible given (network,
+initial state, horizon, seed).
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ __all__ = [
 
 _MEMO_STATES = 2**16
 _MAX_COUNT = 10**6  # per species; a count above it raises ``E_EXPLODE``
-_MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 200 MB
+_MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 90 MB
 _CSV_BLOCK = 2**15  # rows per block of the path CSV
+_DRAW_BLOCK = 2**12  # jumps per block of uniforms, once the blocks have doubled up to it
 # samples, and jumps, per histogram: over 100x the ~6e5 jumps of 1e5 birth-death samples
 _MAX_HIST_JUMPS = 2**26
 
@@ -49,9 +51,35 @@ def _start_state(net: Network, n0) -> tuple[int, ...]:
     return state
 
 
+def _draw_blocks(seed, jumps: int):
+    """The uniforms ``random.Random(seed).random()`` returns, two per jump
+    for ``jumps`` jumps, as blocks of ``(log(1.0 - u), v)`` pairs.
+
+    They come from numpy's legacy MT19937 set to the generator's state
+    (``_mtstate.random_state``), which returns the same doubles a block at
+    a time.  The log stays ``math.log``, as numpy's differs from it in the
+    last bit on some lanes.  The first block holds 64 jumps and each next
+    one twice as many, up to ``_DRAW_BLOCK``, so a short path draws little
+    more than it uses.
+    """
+    from ._mtstate import random_state
+
+    rng = random_state(random.Random(seed))
+    size = min(64, _DRAW_BLOCK)
+    while jumps > 0:
+        size = min(size, jumps)
+        u = rng.random_sample(2 * size)
+        yield zip(map(math.log, (1.0 - u[0::2]).tolist()), u[1::2].tolist())
+        jumps -= size
+        size = min(2 * size, _DRAW_BLOCK)
+
+
 class _Records(dict):
     """The jump chain: ``table[state]`` is the record (total propensity,
-    cumulative propensities in transition order, successor slots, state).
+    ``heads``, successor slots, state).  ``heads`` holds the cumulative
+    propensities in transition order without the last, which is the total,
+    so ``bisect_right(heads, v * total)`` picks the transition a linear
+    scan would.
 
     A slot holds the successor's record, so a jump follows it without
     hashing; ``link`` fills it, checking ``_MAX_COUNT``, on its first firing.
@@ -66,7 +94,6 @@ class _Records(dict):
             for rate, need in zip(kernel.rates.tolist(), kernel.inputs.tolist())
         ]
         self.deltas = [tuple(delta) for delta in (kernel.outputs - kernel.inputs).tolist()]
-        self.last = len(self.compiled) - 1
         self.species = net.species
 
     def __missing__(self, state):
@@ -85,11 +112,11 @@ class _Records(dict):
                 for j in range(need):
                     value *= count - j
             values.append(value)
-        cumulative = list(accumulate(values))
-        total = cumulative[-1] if values else 0.0
-        if not total < math.inf:  # a zero wait, and rand() * inf picks the last transition
+        heads = list(accumulate(values))
+        total = heads.pop() if values else 0.0
+        if not total < math.inf:  # a zero wait, and v * inf picks the last transition
             raise PopulationExplosion(f"the total propensity overflows at state {state}")
-        self[state] = record = total, cumulative, [None] * len(values), state
+        self[state] = record = total, heads, [None] * len(values), state
         return record
 
     def link(self, record, chosen: int, t: float):
@@ -161,26 +188,41 @@ def simulate(net: Network, n0, t_end: float, seed: int = 0) -> JumpTrajectory:
         raise InvalidValue(f"t_end must be finite and positive, got {t_end}")
     table = _Records(net)
     record = table[_start_state(net, n0)]
-    log, rand, last = math.log, random.Random(seed).random, table.last
+    k = net.num_species
     t = 0.0
-    times = [0.0]
-    path = []
-    for _ in repeat(None, _MAX_JUMPS):
-        total, cumulative, slots, state = record
-        path.append(state)
-        if total <= 0.0:
+    times, states = np.zeros(1), np.empty((0, k), np.int64)
+    stored = 0  # states in ``states``; ``times`` holds their arrival times
+    for block in _draw_blocks(seed, _MAX_JUMPS):
+        arrivals, path = [], []
+        for lg, v in block:
+            total, heads, slots, state = record
+            path.append(state)
+            if total <= 0.0:
+                break
+            t -= lg / total  # t += random.expovariate(total), inlined
+            if t > t_end:
+                break
+            arrivals.append(t)
+            chosen = bisect_right(heads, v * total)
+            record = slots[chosen] or table.link(record, chosen, t)
+        end = stored + len(path)
+        if end >= len(times):
+            # realloc grows a large buffer without copying it, so the path
+            # peaks near its own 8 + 8k bytes a jump, plus the quarter added last
+            size = max(end + 1, len(times) + len(times) // 4)
+            times.resize(size, refcheck=False)  # no view of either buffer exists
+            states.resize((size, k), refcheck=False)
+        times[stored + 1 : stored + 1 + len(arrivals)] = arrivals
+        states[stored:end] = np.fromiter(chain.from_iterable(path), np.int64,
+                                         len(path) * k).reshape(len(path), k)
+        stored = end
+        if len(arrivals) < len(path):  # the loop broke: absorbed, or past t_end
             break
-        t += -log(1.0 - rand()) / total  # random.expovariate(total), inlined
-        if t > t_end:
-            break
-        times.append(t)
-        chosen = bisect_right(cumulative, rand() * total, 0, last)
-        record = slots[chosen] or table.link(record, chosen, t)
     else:
         raise BudgetExceeded(f"the path reached {_MAX_JUMPS} jumps before t={t_end:.6g}")
-    k = net.num_species
-    states = np.fromiter(chain.from_iterable(path), np.int64, len(path) * k)
-    return JumpTrajectory(np.array(times), states.reshape(len(path), k), seed)
+    times.resize(stored, refcheck=False)
+    states.resize((stored, k), refcheck=False)
+    return JumpTrajectory(times, states, seed)
 
 
 @dataclass(frozen=True)
@@ -231,25 +273,25 @@ def stationary_histogram(
         raise InvalidValue(f"sample_interval {sample_interval!r} is below the sample-time spacing")
     table = _Records(net)
     record = table[_start_state(net, n0)]
-    log, rand, last = math.log, random.Random(seed).random, table.last
     counts: dict[tuple[int, ...], int] = {}
     t = 0.0
     next_sample = float(burn_in)
     taken = 0
-    for _ in repeat(None, _MAX_HIST_JUMPS):
-        total, cumulative, slots, state = record
+    for lg, v in chain.from_iterable(_draw_blocks(seed, _MAX_HIST_JUMPS)):
+        total, heads, slots, state = record
         if total <= 0.0:
             counts[state] = counts.get(state, 0) + (sample_count - taken)
             break
-        t += -log(1.0 - rand()) / total
-        while next_sample < t and taken < sample_count:
-            counts[state] = counts.get(state, 0) + 1
-            taken += 1
-            next_sample += sample_interval
-        chosen = bisect_right(cumulative, rand() * total, 0, last)
+        t -= lg / total
+        chosen = bisect_right(heads, v * total)
         record = slots[chosen] or table.link(record, chosen, t)
-        if taken >= sample_count:
-            break
+        if next_sample < t:  # snapshots of ``state``, which the chain left at t
+            while next_sample < t and taken < sample_count:
+                counts[state] = counts.get(state, 0) + 1
+                taken += 1
+                next_sample += sample_interval
+            if taken >= sample_count:
+                break
     else:
         raise BudgetExceeded(f"the histogram reached {_MAX_HIST_JUMPS} jumps, {taken} samples")
     caps = tuple(max(s[i] for s in counts) for i in range(net.num_species))

@@ -30,6 +30,13 @@ class TestCountVector:
         cv = CountVector((1, 0, 2))
         assert cv[2] == 2 and len(cv) == 3 and hash(cv) == hash((1, 0, 2))
 
+    def test_count_vector_is_kept(self):
+        # built once and immutable, so it is not checked again
+        cv = CountVector((1, 0, 2))
+        assert CountVector(cv) is cv
+        assert Transition(cv, cv, 1.0).input is cv
+        assert CountVector((1, 0, 2)) is not cv
+
 
 class TestTransition:
     def test_rejects_nonpositive_rate(self):

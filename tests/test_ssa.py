@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from support import (
 
 
 def record_of(net, state):
-    """The SSA's record for ``state``: (total, cumulative propensities, slots, state)."""
+    """The SSA's record for ``state``: (total, heads, slots, state), where
+    ``[*heads, total]`` are the cumulative propensities."""
     return ssa._Records(net)[tuple(state)]
 
 
@@ -47,14 +49,16 @@ class TestPropensity:
 
     def test_pair_recombination(self, net_diatomic):
         # two of three atoms picked in order: 3 * 2 distinct choices
-        assert record_of(net_diatomic, (0, 3))[1] == [0.0, 6.0]
+        record = record_of(net_diatomic, (0, 3))
+        assert [*record[1], record[0]] == [0.0, 6.0]
 
     def test_source_is_constant(self, net_bd):
         assert record_of(net_bd, (0,))[1][0] == 3.0
         assert record_of(net_bd, (17,))[1][0] == 3.0
 
     def test_insufficient_reactants(self, net_bd):
-        assert record_of(net_bd, (0,))[1] == [3.0, 3.0]
+        record = record_of(net_bd, (0,))
+        assert [*record[1], record[0]] == [3.0, 3.0]
 
     def test_matches_ordered_subset_enumeration(self):
         net = parse_network("2 A + 3 B -> 0 @ 1.5")
@@ -132,6 +136,19 @@ class TestSimulate:
         monkeypatch.setattr(ssa, "_MAX_JUMPS", traj.num_jumps)
         with pytest.raises(BudgetExceeded):
             simulate(net_bd, (0,), 40.0, seed=31)
+
+    def test_path_is_stored_in_typed_buffers(self, net_diatomic):
+        # float64 times and int64 states, 24 bytes a jump, in buffers grown by
+        # a quarter; a list of Python floats and one of state references,
+        # converted at the end, peaked at 66
+        tracemalloc.start()
+        try:
+            traj = simulate(net_diatomic, (50, 0), 700.0, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.num_jumps > 100_000
+        assert peak < 40 * traj.num_jumps
 
     def test_time_averaged_mean_over_1e6_jumps(self, net_bd):
         # stationary law is Poisson(kappa/gamma) with mean 3
@@ -244,6 +261,45 @@ class TestPathCsv:
         traj = simulate(net_diatomic, (50, 0), 100.0, seed=7)
         easy = _pathcsv.shortest_digits(traj.times)[-1]
         assert np.flatnonzero(~easy).tolist() == [0]
+
+
+class TestDrawBlocks:
+    """The block-drawn uniforms against ``random.Random(seed).random()``."""
+
+    @pytest.mark.parametrize("seed", [0, 42, -7, 2**80])
+    def test_doubles_of_random(self, seed):
+        # the doubling blocks, three full ones and a remainder of 5 jumps
+        block = ssa._DRAW_BLOCK
+        jumps = (block - 64) + 3 * block + 5
+        blocks = [list(pairs) for pairs in ssa._draw_blocks(seed, jumps)]
+        sizes = [64, 128, 256, 512, 1024, 2048, block, block, block, 5]
+        assert [len(pairs) for pairs in blocks] == sizes
+        rng = random.Random(seed)
+        expected = [(math.log(1.0 - rng.random()), rng.random()) for _ in range(jumps)]
+        assert [pair for pairs in blocks for pair in pairs] == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_seams(self, net_bd, net_diatomic, monkeypatch, block):
+        path = simulate(net_diatomic, (10, 0), 20.0, seed=7)
+        hist = stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33)
+        path_jumps = simulate(net_bd, (0,), 40.0, seed=31).num_jumps
+        hist_jumps = simulate(net_bd, (0,), 104.5, seed=33).num_jumps + 1
+        monkeypatch.setattr(ssa, "_DRAW_BLOCK", block)
+        same = simulate(net_diatomic, (10, 0), 20.0, seed=7)
+        assert np.array_equal(same.times, path.times)
+        assert np.array_equal(same.states, path.states)
+        assert stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33).counts == hist.counts
+        # the budget boundaries of TestSimulate and TestStationaryHistogram::test_jump_budget
+        monkeypatch.setattr(ssa, "_MAX_JUMPS", path_jumps + 1)
+        assert simulate(net_bd, (0,), 40.0, seed=31).num_jumps == path_jumps
+        monkeypatch.setattr(ssa, "_MAX_JUMPS", path_jumps)
+        with pytest.raises(BudgetExceeded):
+            simulate(net_bd, (0,), 40.0, seed=31)
+        monkeypatch.setattr(ssa, "_MAX_HIST_JUMPS", hist_jumps)
+        assert stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33).counts == hist.counts
+        monkeypatch.setattr(ssa, "_MAX_HIST_JUMPS", hist_jumps - 1)
+        with pytest.raises(BudgetExceeded):
+            stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33)
 
 
 class TestStationaryHistogram:
