@@ -10,6 +10,16 @@ trap 'rm -rf "$tmp"' EXIT
 
 printf 'species: A\n0 <-> A @ 3, 1\n' > "$tmp/bd.crn"
 crn analyze "$tmp/bd.crn"
+# the exact elimination on 22 species and 50 transitions: rank 18, and four
+# laws (the total count of each residue class of the species index mod 4);
+# the digest is that of the output with the timestamp line dropped
+python -c 'print("species: " + " ".join(f"X{i}" for i in range(22)))
+for j in range(50):
+    a, b = (7 * j + 3) % 22, (5 * j + 1) % 22
+    c, d = a + 4 if a < 18 else a - 16, b + 8 if b < 14 else b - 12
+    print(f"X{a} + X{b} -> X{c} + X{d} @ 1.{j}")' > "$tmp/scan.crn"
+crn analyze "$tmp/scan.crn" > "$tmp/analyze.json"
+test "$(grep -v '"generated_at"' "$tmp/analyze.json" | sha256sum | cut -d' ' -f1)" = c16d3c1e44024d23086a1238958e8d26160f65a8cafed101f52aaded85b5e6ce
 crn rate "$tmp/bd.crn" --x0 0 --t-end 5
 # scipy is for the Fock-space side only: crnkit.cli loads none of it,
 # and crn master imports crnkit.fock when it runs
@@ -19,6 +29,10 @@ printf 'A -> A @ 1\n' > "$tmp/loop.crn"
 crn parse "$tmp/loop.crn" 2> "$tmp/err.txt"
 test "$(wc -l < "$tmp/err.txt")" -eq 1
 grep -q '^warning\[E_SELF_LOOP\]: 1:1: ' "$tmp/err.txt"
+# the Petri net as Graphviz: one box per transition of the catalyst network
+printf 'species: A B C AC\n0 -> A @ 1\nB -> 0 @ 2\nA + C -> AC @ 0.5\nAC -> 2 B + C @ 1.25\n' > "$tmp/catalyst.crn"
+crn parse "$tmp/catalyst.crn" --dot > "$tmp/petri.dot"
+test "$(grep -c 'shape=box' "$tmp/petri.dot")" -eq 4
 printf '2 X1 <-> X2 @ 1, 2\n' > "$tmp/dia.crn"
 status=0
 crn ack "$tmp/dia.crn" --c 1e300,1 --caps 3,3 2> "$tmp/err.txt" || status=$?
@@ -61,9 +75,10 @@ error = json.load(sys.stdin)["symmetry"]["max_rel_err_interior"]
 sys.exit(0 if error < 1e-10 else f"max_rel_err_interior is {error}")' < "$tmp/noether.json"
 # the SSA path CSV goes out in numpy blocks of up to 2**15 rows (three
 # here): every time field must be the repr of its float, and neither run
-# may print a numpy warning. The path's uniforms come from numpy's legacy
-# MT19937 in blocks, set to random.Random(7)'s state; the digest is that of
-# the path drawn one random() call at a time
+# may print a numpy warning. The path's first 2**11 jumps draw from
+# random.Random(7) itself, the rest from numpy's legacy MT19937 in blocks,
+# set to that generator's state; the digest is that of the path drawn one
+# random() call at a time
 crn ssa "$tmp/dia.crn" --n0 50,0 --t-end 900 --seed 7 > "$tmp/path.csv" 2> "$tmp/err.txt"
 test ! -s "$tmp/err.txt"
 test "$(sha256sum < "$tmp/path.csv" | cut -d' ' -f1)" = 90965c02b4039b8ba73f2f9a7f6f3d05436ceb8d92fc52fd4e1149467507a770

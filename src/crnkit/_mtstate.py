@@ -1,7 +1,8 @@
 """numpy's legacy MT19937 at the state of a ``random.Random``.
 
-``crnkit.ssa`` imports this on its first run, so that ``import crnkit``
-does not load numpy.random (≈18 ms).
+``crnkit.ssa`` imports this only once a run needs more uniforms than its
+first block, so that ``import crnkit`` and a short path do not load
+numpy.random (≈18 ms).
 """
 
 import random

@@ -78,7 +78,7 @@ def _box_from_args(args, net, c=None):
 
 def _cmd_parse(args) -> int:
     net = _read_network(args.input)
-    _write(format_network(net) + "\n", args.out)
+    _write(net.petri_bipartite().to_dot() if args.dot else format_network(net) + "\n", args.out)
     return 0
 
 
@@ -187,7 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("parse", _cmd_parse, "validate and reprint the canonical form")
+    p = add("parse", _cmd_parse, "validate and reprint the canonical form")
+    p.add_argument("--dot", action="store_true",
+                   help="write the species/transition Petri net as a Graphviz digraph instead")
 
     add("analyze", _cmd_analyze, "structural report as JSON")
 

@@ -935,10 +935,11 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     :func:`hamiltonian` checks the same budget.
 
     The terms are summed in blocks of at most ``_TERM_BUFFER`` floats (two
-    rows when one row is wider than half of that).  Row 0 holds the sum so
-    far; each term's mat-vec is one call of scipy's compiled ``dia_matvec``,
-    the kernel a ``dia_matrix`` product reaches, written straight into the
-    next zeroed row.  The rows are then scaled by their Poisson weights and
+    rows when one row is wider than half of that), and of no more rows than
+    the series has terms.  Row 0 holds the sum so far; each term's mat-vec
+    is one call of scipy's compiled ``dia_matvec``, the kernel a
+    ``dia_matrix`` product reaches, written straight into the next zeroed
+    row.  The rows are then scaled by their Poisson weights and
     summed down the columns by one ``np.add.reduce``, which adds them in
     row order, so every state gets out + w_k v_k in order k, as in a
     term-by-term loop.  numpy sums in row order only when a row holds at
@@ -984,7 +985,7 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     n, width = vec.size, max(vec.size, 2)  # one column would be summed pairwise
     offsets, band = _uniformized_step(*entries, n, lam)
     vec = np.ascontiguousarray(vec)  # the kernel is called without scipy's checks
-    block = np.zeros((max(_TERM_BUFFER // width, 2), width))
+    block = np.zeros((max(min(_TERM_BUFFER // width, weights.size), 2), width))
     block[0, :n] = weights[0] * vec
     for first in range(1, weights.size, len(block) - 1):
         w = weights[first : first + len(block) - 1]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -57,6 +58,13 @@ class CountVector(tuple):
 
     def __repr__(self):
         return f"CountVector({tuple.__repr__(self)})"
+
+
+def _count_vector(counts: dict, names) -> CountVector:
+    """The :class:`CountVector` of ``counts[name]`` (0 for a missing name)
+    over ``names``, unchecked: every count must already be an int in
+    0..2**63 - 1, as the parser checks each one where it reads it."""
+    return tuple.__new__(CountVector, map(counts.get, names, repeat(0)))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import CrnError
-from .network import CountVector, Network, Transition
+from .network import CountVector, Network, Transition, _count_vector
 
 __all__ = [
     "Diagnostic",
@@ -203,7 +203,7 @@ def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, .
     diagnostics: list[Diagnostic] = []
     species: dict[str, None] = {}  # insertion-ordered; a header fixes it
     fixed = False
-    reactions: list[tuple[dict, dict, float]] = []
+    reactions: list[tuple[dict, dict, list[float]]] = []  # one per reaction line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -224,19 +224,19 @@ def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, .
                 Diagnostic(lineno, 1, "E_SELF_LOOP",
                            "self-loop reaction contributes nothing to the dynamics", "warning")
             )
-        reactions.append((lhs, rhs, rates[0]))
-        if len(rates) == 2:
-            reactions.append((rhs, lhs, rates[1]))
+        reactions.append((lhs, rhs, rates))
     if not reactions:
         diagnostics.append(Diagnostic(1, 1, "E_EMPTY", "no reactions found", "warning"))
     if any(d.severity == "error" for d in diagnostics):
         return None, tuple(diagnostics)
     names = tuple(species)
-    transitions = tuple(
-        Transition(tuple(lhs.get(n, 0) for n in names), tuple(rhs.get(n, 0) for n in names), rate)
-        for lhs, rhs, rate in reactions
-    )
-    return Network(names, transitions), tuple(diagnostics)
+    transitions = []
+    for lhs, rhs, rates in reactions:  # counts checked as read, so each complex is built once
+        lhs, rhs = _count_vector(lhs, names), _count_vector(rhs, names)
+        transitions.append(Transition(lhs, rhs, rates[0]))
+        if len(rates) == 2:
+            transitions.append(Transition(rhs, lhs, rates[1]))
+    return Network(names, tuple(transitions)), tuple(diagnostics)
 
 
 def parse_network(text: str) -> Network:

@@ -7,8 +7,8 @@ the jump process; sampling for stationary histograms uses fixed-interval
 time snapshots, since per-jump sampling is biased toward fast states.
 
 The uniforms are those of Python's Mersenne Twister seeded explicitly, drawn
-in numpy blocks (``_draw_blocks``), so runs are reproducible given (network,
-initial state, horizon, seed).
+by ``random()`` and then in numpy blocks (``_draw_blocks``), so runs are
+reproducible given (network, initial state, horizon, seed).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, starmap
 from operator import add
 
 import numpy as np
@@ -38,7 +38,10 @@ _MEMO_STATES = 2**16
 _MAX_COUNT = 10**6  # per species; a count above it raises ``E_EXPLODE``
 _MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 90 MB
 _CSV_BLOCK = 2**15  # rows per block of the path CSV
-_DRAW_BLOCK = 2**12  # jumps per block of uniforms, once the blocks have doubled up to it
+# jumps drawn by random() itself: numpy's generator costs ≈0.15 ms to build,
+# and random() ≈40 ns a double more than its blocks, so it pays from ≈2k jumps
+_FIRST_BLOCK = 2**11
+_DRAW_BLOCK = 2**12  # jumps per numpy block of uniforms after the first
 # samples, and jumps, per histogram: over 100x the ~6e5 jumps of 1e5 birth-death samples
 _MAX_HIST_JUMPS = 2**26
 
@@ -53,25 +56,32 @@ def _start_state(net: Network, n0) -> tuple[int, ...]:
 
 def _draw_blocks(seed, jumps: int):
     """The uniforms ``random.Random(seed).random()`` returns, two per jump
-    for ``jumps`` jumps, as blocks of ``(log(1.0 - u), v)`` pairs.
+    for ``jumps`` jumps, as blocks of ``(log(1.0 - u), v)`` pairs; each
+    block must be used up before the next is asked for.
 
-    They come from numpy's legacy MT19937 set to the generator's state
+    The first block, of up to ``_FIRST_BLOCK`` jumps, calls ``random()``
+    itself as it is read, so a short path draws only what it uses and
+    loads no numpy.random.  Later blocks of ``_DRAW_BLOCK`` jumps come from
+    numpy's legacy MT19937 set to the generator's state after the first
     (``_mtstate.random_state``), which returns the same doubles a block at
     a time.  The log stays ``math.log``, as numpy's differs from it in the
-    last bit on some lanes.  The first block holds 64 jumps and each next
-    one twice as many, up to ``_DRAW_BLOCK``, so a short path draws little
-    more than it uses.
+    last bit on some lanes.
     """
+    generator = random.Random(seed)
+    first = min(_FIRST_BLOCK, jumps)
+    draws = starmap(generator.random, repeat((), 2 * first))
+    yield zip(map(math.log, map((1.0).__sub__, draws)), draws)  # zip reads u, then v
+    jumps -= first
+    if jumps <= 0:
+        return
     from ._mtstate import random_state
 
-    rng = random_state(random.Random(seed))
-    size = min(64, _DRAW_BLOCK)
+    rng = random_state(generator)
     while jumps > 0:
-        size = min(size, jumps)
+        size = min(_DRAW_BLOCK, jumps)
         u = rng.random_sample(2 * size)
         yield zip(map(math.log, (1.0 - u[0::2]).tolist()), u[1::2].tolist())
         jumps -= size
-        size = min(2 * size, _DRAW_BLOCK)
 
 
 class _Records(dict):

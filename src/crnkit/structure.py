@@ -33,49 +33,50 @@ __all__ = [
 
 def _rank_and_laws(changes: np.ndarray) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Rank and canonical integer left null space of an (m, k) integer array
-    of state changes, from one fraction-free Gauss-Jordan elimination over
-    Python ints (Bareiss 1968).
+    of state changes, by fraction-free Gauss-Jordan elimination over Python
+    ints (Bareiss 1968), one row at a time.
 
-    The rows are the nonzero changes; a law w has w . row = 0 for each.
-    Clearing column c of a row with entry b against the pivot row with
-    entry a replaces it by a*row - b*pivot_row divided by its gcd, so every
-    entry stays an integer.
-    Reduced pivot row j reads p_j x[c_j] + sum_f row_j[f] x[f] = 0, so free
-    column f gives the null vector with L = lcm|p_j| at f and
-    -row_j[f] * L / p_j at c_j, both exact.  That vector is made coprime with
-    its first nonzero entry positive; RREF is unique, so the sorted basis is
-    the one a rational RREF gives.
+    A law w has w . row = 0 for every row.  ``pivots`` maps each pivot
+    column c to its reduced row p_c, zero in every other pivot column.  A
+    row is cleared in each pivot column c as a*row - b*p_c (a = p_c[c],
+    b = row[c]) over its gcd; a row left nonzero makes its first nonzero
+    column a pivot, cleared likewise from the earlier p_c.  At k pivots the
+    remaining rows cannot add to the rank and are skipped.  Free column f
+    gives the null vector with L = lcm|p_c[c]| at f and -p_c[f] * L / p_c[c]
+    at each c, made coprime with its first nonzero entry positive.  RREF is
+    unique up to row scaling, so this is the sorted basis of a rational RREF.
     """
     k = changes.shape[1]
-    rows = [row for row in changes.tolist() if any(row)]
-    pivots: list[int] = []
-    for c in range(k):
-        r = len(pivots)
-        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if found is None:
+    pivots: dict[int, list[int]] = {}
+    for row in changes.tolist():
+        for c, pivot in pivots.items():
+            if b := row[c]:
+                row = _primitive([pivot[c] * x - b * y for x, y in zip(row, pivot)])
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
             continue
-        rows[r], rows[found] = rows[found], rows[r]
-        pivot = rows[r]
-        a = pivot[c]
-        for i, row in enumerate(rows):
-            b = row[c]
-            if b and i != r:
-                new = [a * x - b * y for x, y in zip(row, pivot)]
-                g = math.gcd(*new) or 1
-                rows[i] = [x // g for x in new]
-        pivots.append(c)
-    scale = math.lcm(*(rows[j][c] for j, c in enumerate(pivots)))
+        row = _primitive(row)
+        for c, pivot in pivots.items():
+            if b := pivot[lead]:
+                pivots[c] = _primitive([row[lead] * x - b * y for x, y in zip(pivot, row)])
+        pivots[lead] = row
+        if len(pivots) == k:
+            break
+    scale = math.lcm(*(row[c] for c, row in pivots.items()))
     basis = []
-    for free in sorted(set(range(k)) - set(pivots)):
+    for free in sorted(set(range(k)) - pivots.keys()):
         vec = [0] * k
         vec[free] = scale
-        for j, c in enumerate(pivots):
-            vec[c] = -rows[j][free] * (scale // rows[j][c])
-        g = math.gcd(*vec)
-        if next(v for v in vec if v) < 0:
-            g = -g
-        basis.append(tuple(v // g for v in vec))
+        for c, row in pivots.items():
+            vec[c] = -row[free] * (scale // row[c])
+        basis.append(tuple(_primitive(vec, sign=next(v for v in vec if v))))
     return len(pivots), tuple(sorted(basis))
+
+
+def _primitive(row: list[int], sign: int = 1) -> list[int]:
+    """``row`` over the gcd of its entries, negated if ``sign`` < 0; a zero row stays zero."""
+    g = (math.gcd(*row) or 1) * (1 if sign > 0 else -1)
+    return [x // g for x in row]
 
 
 def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
@@ -240,7 +241,6 @@ def complex_balance_report(net: Network, c, tol: float = 1e-9) -> BalanceReport:
         ComplexBalanceRow(kappa, float(p), float(q), float(q - p))
         for kappa, p, q in zip(graph.vertices, production, consumption)
     )
-    throughput = max((max(r.production, r.consumption) for r in rows), default=0.0)
-    scale = 1.0 + throughput
+    scale = 1.0 + max((max(r.production, r.consumption) for r in rows), default=0.0)
     balanced = all(abs(r.residual) <= tol * scale for r in rows)
     return BalanceReport(balanced, tol, scale, rows)

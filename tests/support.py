@@ -182,13 +182,14 @@ def _fraction_rref(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def fraction_rank_and_laws(net: Network) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Oracle for the stoichiometric rank and the canonical conservation-law
-    basis: a Fraction RREF of the transitions x species matrix, each free
-    column's null vector cleared of denominators, made coprime with its first
-    nonzero entry positive, and the basis sorted."""
-    k = net.num_species
-    rows = [[Fraction(int(v)) for v in row] for row in net.stoichiometric_matrix().T]
+def fraction_rank_and_laws(changes: np.ndarray) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Oracle for the rank and the canonical integer left null space of an
+    (m, k) integer matrix, such as a network's stoichiometric matrix
+    transposed: a Fraction RREF, each free column's null vector cleared of
+    denominators, made coprime with its first nonzero entry positive, and
+    the basis sorted."""
+    k = changes.shape[1]
+    rows = [[Fraction(int(v)) for v in row] for row in changes.tolist()]
     pivots = _fraction_rref(rows)
     basis = []
     for free in sorted(set(range(k)) - set(pivots)):

@@ -194,11 +194,46 @@ def test_fock_module_loads_on_first_read_from_the_package():
     assert _fresh_python(code) == "crnkit.fock True True"
 
 
+def test_short_ssa_path_leaves_numpy_random_unloaded(bd_file):
+    # a path shorter than the first block of draws takes them from random()
+    # itself, and only a longer one loads numpy's MT19937 (crnkit._mtstate);
+    # under numpy 1.x `import numpy` loads numpy.random by itself, so there
+    # the check is that the short path adds nothing
+    code = f"""
+import contextlib, io, json, sys
+import crnkit.cli, crnkit.ssa
+seen = ["numpy.random" in sys.modules]
+for t_end in ("5", "2000"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        crnkit.cli.run(["ssa", {bd_file!r}, "--n0", "0", "--t-end", t_end])
+    jumps = len(out.getvalue().splitlines()) - 2
+    seen.append([jumps > crnkit.ssa._FIRST_BLOCK, "numpy.random" in sys.modules,
+                 "crnkit._mtstate" in sys.modules])
+print(json.dumps(seen))
+"""
+    before, short, long = json.loads(_fresh_python(code))
+    assert short == [False, before, False]
+    assert long == [True, True, True]
+
+
 class TestParseCommand:
     def test_canonical_reprint(self, dia_file, capsys):
         assert run(["parse", dia_file]) == 0
         out = capsys.readouterr().out
         assert out == "species: X1 X2\nX1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
+
+    def test_dot_golden_bytes(self, tmp_path, capsys):
+        # the Petri net of the catalyst network: species circles, transition
+        # boxes and one edge per unit of multiplicity (t3 -> B twice)
+        path = tmp_path / "catalyst.crn"
+        path.write_text(CATALYST)
+        assert run(["parse", str(path), "--dot"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("shape=box") == 4 and out.count("  t3 -> s1;\n") == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b5b0facfa2761b8194dda5d7737930ee5f74b0a390b321cbeee8a44b1478fb32"
+        )
 
     def test_bad_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.crn"

@@ -236,3 +236,21 @@ class TestRoundTrip:
             assert again.species == net.species
             for a, b in zip(again.transitions, net.transitions):
                 assert a.rate == b.rate
+
+    def test_complexes_equal_the_checked_constructor(self):
+        # the parser builds each complex once, unchecked, from counts it
+        # checked as it read them; '<->' lines share theirs between the two
+        # transitions
+        rng = random.Random(2026)
+        for _ in range(200):
+            lines = format_network(random_network(rng)).split("\n")
+            text = "\n".join(
+                line.replace(" -> ", " <-> ") + ", 2" if i % 2 and " -> " in line else line
+                for i, line in enumerate(lines)
+            )
+            net, _ = parse_network_report(text)
+            for tr in net.transitions:
+                for vec in (tr.input, tr.output):
+                    checked = CountVector(tuple(vec))
+                    assert type(vec) is CountVector and vec == checked
+                    assert [type(v) for v in vec] == [int] * len(checked)

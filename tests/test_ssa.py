@@ -267,12 +267,21 @@ class TestDrawBlocks:
     """The block-drawn uniforms against ``random.Random(seed).random()``."""
 
     @pytest.mark.parametrize("seed", [0, 42, -7, 2**80])
-    def test_doubles_of_random(self, seed):
-        # the doubling blocks, three full ones and a remainder of 5 jumps
-        block = ssa._DRAW_BLOCK
-        jumps = (block - 64) + 3 * block + 5
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            # below, at and one past the random() block, past which numpy
+            # takes over from the generator's state; then two full numpy
+            # blocks and a remainder of 5 jumps
+            [ssa._FIRST_BLOCK - 1],
+            [ssa._FIRST_BLOCK],
+            [ssa._FIRST_BLOCK, 1],
+            [ssa._FIRST_BLOCK, ssa._DRAW_BLOCK, ssa._DRAW_BLOCK, 5],
+        ],
+    )
+    def test_doubles_of_random(self, seed, sizes):
+        jumps = sum(sizes)
         blocks = [list(pairs) for pairs in ssa._draw_blocks(seed, jumps)]
-        sizes = [64, 128, 256, 512, 1024, 2048, block, block, block, 5]
         assert [len(pairs) for pairs in blocks] == sizes
         rng = random.Random(seed)
         expected = [(math.log(1.0 - rng.random()), rng.random()) for _ in range(jumps)]
@@ -284,6 +293,7 @@ class TestDrawBlocks:
         hist = stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=33)
         path_jumps = simulate(net_bd, (0,), 40.0, seed=31).num_jumps
         hist_jumps = simulate(net_bd, (0,), 104.5, seed=33).num_jumps + 1
+        monkeypatch.setattr(ssa, "_FIRST_BLOCK", block)
         monkeypatch.setattr(ssa, "_DRAW_BLOCK", block)
         same = simulate(net_diatomic, (10, 0), 20.0, seed=7)
         assert np.array_equal(same.times, path.times)

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnkit import (
     ComplexGraph,
@@ -16,6 +18,7 @@ from crnkit import (
     structure_report,
 )
 from crnkit import Network
+from crnkit.structure import _rank_and_laws
 
 from support import (
     balanced_reversible_network,
@@ -165,7 +168,49 @@ class TestConservedQuantities:
         nets += [sparse_network(rng, k, m) for k, m in sizes for _ in range(3)]
         for net in nets:
             rank = structure_report(net).stoich_rank
-            assert (rank, conserved_quantities(net)) == fraction_rank_and_laws(net)
+            assert (rank, conserved_quantities(net)) == fraction_rank_and_laws(
+                net.stoichiometric_matrix().T
+            )
+
+    # the elimination takes rows one at a time and stops at full rank, so
+    # the cases are the rows it skips or folds away
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, 0], [0, 2, 0], [0, 0, 3], [5, 7, 11], [0, 0, 0], [-1, 0, 0]],  # after full rank
+            [[2, -1, 0, 4], [2, -1, 0, 4], [0, 3, 3, 0], [0, 3, 3, 0]],  # duplicates
+            [[1, -2, 3, 0], [-1, 2, -3, 0], [0, 1, 1, 1], [0, -1, -1, -1]],  # negated
+            [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 1, 0, -1, 0]],  # zero rows, k > m
+            [[0] * 7],  # one zero row: everything is conserved
+            [[2**62, -(2**62) + 1, 3], [2**62 - 1, 2**62, -5], [-(2**62), 2**62 - 1, 1],
+             [1, 1, 1]],  # near +-2**62
+            [[2**62, 2**62 - 1, 0, 0], [-(2**62), -(2**62) + 1, 0, 0], [0, 0, 2**62, 1]],
+        ],
+    )
+    def test_incremental_elimination_cases(self, rows):
+        changes = np.array(rows, dtype=np.int64)
+        assert _rank_and_laws(changes) == fraction_rank_and_laws(changes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_incremental_elimination_matches_fraction_rref(self, data):
+        k, m = data.draw(st.integers(0, 24)), data.draw(st.integers(0, 60))
+        near = st.sampled_from([2**62, -(2**62), 2**62 - 1, -(2**62) + 1, 2**62 - 3])
+        rows = []
+        for _ in range(m):
+            kind = data.draw(st.sampled_from(["fresh", "fresh", "duplicate", "negated", "zero"]))
+            if kind == "zero":
+                rows.append([0] * k)
+            elif kind == "fresh" or not rows:
+                row = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+                if k and data.draw(st.integers(0, 9)) == 0:  # a few entries near 2**62
+                    row[data.draw(st.integers(0, k - 1))] = data.draw(near)
+                rows.append(row)
+            else:
+                row = data.draw(st.sampled_from(rows))
+                rows.append(row if kind == "duplicate" else [-x for x in row])
+        changes = np.array(rows, dtype=np.int64).reshape(m, k)
+        assert _rank_and_laws(changes) == fraction_rank_and_laws(changes)
 
     def test_transition_free_network_conserves_everything(self):
         net = Network(("A", "B"))
