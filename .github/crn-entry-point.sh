@@ -86,6 +86,13 @@ python -c 'import sys
 next(sys.stdin)
 bad = [f for f in (line.split(",", 1)[0] for line in sys.stdin) if f != repr(float(f))]
 sys.exit(f"time fields that are not repr: {bad[:3]}" if bad else 0)' < "$tmp/path.csv"
+# a start count of 2**63 does not fit the int64 states of a path: exit 1
+# with one coded line, not an OverflowError
+status=0
+crn ssa "$tmp/bd.crn" --n0 9223372036854775808 --t-end 1e-30 2> "$tmp/err.txt" || status=$?
+test "$status" -eq 1
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+grep -q '^error\[E_VALUE\]: ' "$tmp/err.txt"
 # a network of no species: the path is the header "t," and one time per
 # row, and stderr holds only the self-loop warning
 printf '0 -> 0 @ 1\n' > "$tmp/zero.crn"

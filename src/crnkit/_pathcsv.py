@@ -110,10 +110,12 @@ def _keep_digits(keep, values, width: int):
 def csv_rows(times, states) -> str:
     """The CSV rows of one block, ``repr(t),str(n_1),...`` each.
 
-    Each row is laid out in fixed-width fields of a uint8 matrix, and a
-    mask per field keeps its characters: the time's integer part without
-    leading zeros, '.', its fraction without trailing zeros (one digit at
-    least), then ',' and each count without leading zeros.  Times that
+    ``states`` holds one row of int64 counts per time, each non-negative,
+    as ``JumpTrajectory`` checks them, so no field carries a sign.  Each
+    row is laid out in fixed-width fields of a uint8 matrix, and a mask per
+    field keeps its characters: the time's integer part without leading
+    zeros, '.', its fraction without trailing zeros (one digit at least),
+    then ',' and each count without leading zeros.  Times that
     :func:`shortest_digits` leaves uncertain take ``repr`` itself.
     """
     n = len(times)
@@ -131,13 +133,8 @@ def csv_rows(times, states) -> str:
     wi = len(str(int(whole.max())))
     wf = max(int(decimals.max()), max(map(len, texts), default=0) - wi - 1)
     wt = wi + 1 + wf
-    fields = []
-    for column in states.T:
-        negative = column < 0
-        magnitude = np.abs(column).view(np.uint64)  # -2**63 too
-        w = len(str(int(magnitude.max(initial=0))))
-        fields.append((magnitude, negative, w, int(negative.any())))
-    width = wt + sum(1 + sign + w for _, _, w, sign in fields) + 1
+    fields = [(column, len(str(int(column.max(initial=0))))) for column in states.T]
+    width = wt + sum(1 + w for _, w in fields) + 1
     chars = np.empty((n, width), dtype=np.uint8)
     keep = np.ones((n, width), dtype=bool)
     chars[:, :wi] = _ascii_digits(whole, wi)
@@ -153,15 +150,11 @@ def csv_rows(times, states) -> str:
         chars[hard, :wt] = np.array(texts, dtype=f"S{wt}").view(np.uint8).reshape(-1, wt)
         keep[hard, :wt] = np.arange(wt) < np.array([len(t) for t in texts])[:, None]
     col = wt
-    for magnitude, negative, w, sign in fields:
+    for column, w in fields:
         chars[:, col] = ord(",")
         col += 1
-        if sign:
-            chars[:, col] = ord("-")
-            keep[:, col] = negative
-            col += 1
-        chars[:, col : col + w] = _ascii_digits(magnitude, w)
-        _keep_digits(keep[:, col : col + w], magnitude, w)
+        chars[:, col : col + w] = _ascii_digits(column, w)
+        _keep_digits(keep[:, col : col + w], column, w)
         col += w
     chars[:, col] = ord("\n")
     return chars[keep].tobytes().decode("ascii")

@@ -93,9 +93,16 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
 _MAX_STATES = 2**24  # largest box; every box-sized array is allocated after this check
+_BOX_NSIGMA, _BOX_FLOOR = 10.0, 8  # default_box: caps this many sigma past c, at least 8
 _MAX_SLOTS = 2**26  # generator slots, box states x offsets; certify's largest is about 2.9M
 _TERM_BUFFER = 2**17  # floats in evolve_master's block of terms (1 MB)
 _CSV_FLOOR = 1e-15  # MixedState.to_csv prints only weights above this
+
+
+def _check_box_size(caps) -> None:
+    """``E_BUDGET`` for a box of more than ``_MAX_STATES`` states, before any box-sized array."""
+    if math.prod(c + 1 for c in caps) > _MAX_STATES:
+        raise BudgetExceeded(f"a box with caps {caps} exceeds {_MAX_STATES} states")
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,7 @@ class TruncationBox:
             raise InvalidValue("a truncation box needs at least one species")
         if any(c < 1 for c in caps):
             raise InvalidValue("caps must be at least 1")
-        if math.prod(c + 1 for c in caps) > _MAX_STATES:
-            raise BudgetExceeded(f"a box with caps {caps} exceeds {_MAX_STATES} states")
+        _check_box_size(caps)
         object.__setattr__(self, "caps", caps)
 
     @property
@@ -516,15 +522,15 @@ def _interior(box: TruncationBox, margin: int) -> tuple[slice, ...]:
     return tuple(slice(0, max(cap + 1 - int(margin), 0)) for cap in box.caps)
 
 
-def default_box(c, margin: int, nsigma: float = 10.0, floor: int = 8) -> TruncationBox:
-    """Caps sized to ceil(c_i + nsigma*sqrt(c_i)) + margin, at least ``floor``.
+def default_box(c, margin: int) -> TruncationBox:
+    """Caps sized to ceil(c_i + _BOX_NSIGMA*sqrt(c_i)) + margin, at least ``_BOX_FLOOR``.
 
     A Poisson tail beyond ten standard deviations is negligible at double
     precision, so residuals on the interior are pure roundoff.
     """
     c = validate_classical(c, np.size(c))
     caps = [
-        max(int(np.ceil(ci + nsigma * np.sqrt(ci))) + int(margin), int(floor)) for ci in c
+        max(int(np.ceil(ci + _BOX_NSIGMA * np.sqrt(ci))) + int(margin), _BOX_FLOOR) for ci in c
     ]
     return TruncationBox(tuple(caps))
 

@@ -34,11 +34,13 @@ __all__ = [
 
 
 class CountVector(tuple):
-    """Dense vector of nonnegative integers in species order.
+    """Dense vector of integers in 0..2**63 - 1, in species order.
 
     Represents both complexes (reactant/product multisets) and pure states
     (exact molecule counts).  Behaves like a tuple: hashable, iterable,
-    ordered lexicographically.
+    ordered lexicographically.  The kernels hold counts as int64, so an
+    entry that is negative, fractional, not finite or at least 2**63
+    raises ``E_VALUE``.
     """
 
     __slots__ = ()
@@ -48,11 +50,14 @@ class CountVector(tuple):
             return counts
         values = []
         for v in counts:
-            iv = int(v)
+            try:
+                iv = int(v)
+            except (ValueError, OverflowError) as exc:  # int() of NaN, of inf
+                raise InvalidValue(str(exc)) from None
             if iv != v or iv < 0:
-                raise ValueError(
-                    f"count entries must be nonnegative integers, got {v!r}"
-                )
+                raise InvalidValue(f"count entries must be nonnegative integers, got {v!r}")
+            if iv >= 2**63:
+                raise InvalidValue(f"count entries must be below 2**63, the int64 range, got {v!r}")
             values.append(iv)
         return super().__new__(cls, values)
 
@@ -199,17 +204,11 @@ class Network:
         """The compiled mass-action kernel, built once per network."""
         return MassAction(self)
 
-    def input_matrix(self) -> np.ndarray:
-        """Input counts i(j, tau) as a (species x transitions) integer matrix."""
-        return self.mass_action.inputs.T.copy()
-
-    def output_matrix(self) -> np.ndarray:
-        """Output counts o(j, tau) as a (species x transitions) integer matrix."""
-        return self.mass_action.outputs.T.copy()
-
     def stoichiometric_matrix(self) -> np.ndarray:
-        """Net-change matrix: column j equals output minus input of transition j."""
-        return self.output_matrix() - self.input_matrix()
+        """Net-change matrix: column j equals output minus input of transition j,
+        as a (species x transitions) integer matrix."""
+        kernel = self.mass_action
+        return (kernel.outputs - kernel.inputs).T.copy()
 
     def petri_bipartite(self) -> PetriBipartite:
         """Species/transition bipartite multigraph with edge multiplicities."""
@@ -293,13 +292,10 @@ def validate_classical(c, k: int) -> np.ndarray:
 def validate_counts(n, k: int) -> CountVector:
     """A pure state as a :class:`CountVector` of length k.
 
-    A negative, fractional or non-finite count raises ``E_VALUE``, a wrong
-    length ``E_DIM``.
+    A count that is negative, fractional, not finite or at least 2**63
+    raises ``E_VALUE``, a wrong length ``E_DIM``.
     """
-    try:
-        n = CountVector(n)
-    except (ValueError, OverflowError) as exc:  # int() of NaN, of inf
-        raise InvalidValue(str(exc)) from None
+    n = CountVector(n)
     if len(n) != k:
         raise DimensionMismatch(f"state has length {len(n)}, expected {k}")
     return n

@@ -46,14 +46,6 @@ _DRAW_BLOCK = 2**12  # jumps per numpy block of uniforms after the first
 _MAX_HIST_JUMPS = 2**26
 
 
-def _start_state(net: Network, n0) -> tuple[int, ...]:
-    """``n0`` as a state tuple; a negative, fractional or huge count raises ``E_VALUE``."""
-    state = tuple(validate_counts(n0, net.num_species))
-    if max(state, default=0) >= 2**63:  # paths store states as int64
-        raise InvalidValue("start counts must be below 2**63, the int64 range of stored states")
-    return state
-
-
 def _draw_blocks(seed, jumps: int):
     """The uniforms ``random.Random(seed).random()`` returns, two per jump
     for ``jumps`` jumps, as blocks of ``(log(1.0 - u), v)`` pairs; each
@@ -140,7 +132,8 @@ class _Records(dict):
 
 @dataclass(frozen=True)
 class JumpTrajectory:
-    """Piecewise-constant jump path: times (starting at 0) and integer states."""
+    """Piecewise-constant jump path: times (starting at 0) and one row of
+    counts in 0..2**63 - 1 per time; any other states raise ``E_VALUE``."""
 
     times: np.ndarray
     states: np.ndarray
@@ -148,7 +141,14 @@ class JumpTrajectory:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=np.int64)
+        try:
+            states = np.asarray(self.states, dtype=np.int64)
+        except OverflowError:
+            raise InvalidValue("path states must be counts below 2**63, the int64 range") from None
+        if len(states) != len(times):
+            raise InvalidValue(f"{len(states)} state rows for {len(times)} times")
+        if states.min(initial=0) < 0:
+            raise InvalidValue("path states must be nonnegative counts")
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -169,8 +169,6 @@ class JumpTrajectory:
         from ._pathcsv import csv_rows  # here, so that ``import crnkit`` does not compile it
 
         times, states = self.times, self.states
-        if states.shape[1]:  # rows stop at the shorter of the two, as a zip would
-            times, states = times[: len(states)], states[: len(times)]
         header = "t," + ",".join(species) + "\n"
         blocks = (
             csv_rows(times[i : i + _CSV_BLOCK], states[i : i + _CSV_BLOCK])
@@ -197,7 +195,7 @@ def simulate(net: Network, n0, t_end: float, seed: int = 0) -> JumpTrajectory:
     if not 0 < t_end < math.inf:
         raise InvalidValue(f"t_end must be finite and positive, got {t_end}")
     table = _Records(net)
-    record = table[_start_state(net, n0)]
+    record = table[tuple(validate_counts(n0, net.num_species))]
     k = net.num_species
     t = 0.0
     times, states = np.zeros(1), np.empty((0, k), np.int64)
@@ -282,7 +280,7 @@ def stationary_histogram(
     if sample_interval < math.ulp(burn_in + sample_count * sample_interval):
         raise InvalidValue(f"sample_interval {sample_interval!r} is below the sample-time spacing")
     table = _Records(net)
-    record = table[_start_state(net, n0)]
+    record = table[tuple(validate_counts(n0, net.num_species))]
     counts: dict[tuple[int, ...], int] = {}
     t = 0.0
     next_sample = float(burn_in)
@@ -319,13 +317,15 @@ def compare_to_poisson(hist: Histogram, c) -> PoissonComparison:
 
     Both distributions are restricted to the histogram's bounding box and
     renormalized there before the comparison.  Also reports the empirical
-    per-species means.  A histogram of no species raises ``E_VALUE``.
+    per-species means.  A histogram of no species raises ``E_VALUE``, and
+    one whose box holds more than ``fock._MAX_STATES`` states ``E_BUDGET``.
     """
-    from .fock import _coherent_weights
+    from .fock import _check_box_size, _coherent_weights
     k = len(hist.caps)
     c = validate_classical(c, k)
     if not k:
         raise InvalidValue("a Poisson comparison needs at least one species")
+    _check_box_size(hist.caps)
     reference = _coherent_weights(c, hist.caps)
     if not reference.sum() > 0.0:
         raise InvalidValue(f"every product-Poisson weight of c underflows on the box {hist.caps}")

@@ -20,6 +20,7 @@ from crnkit import (
     PopulationExplosion,
     SymmetryOverflow,
     Transition,
+    TruncationBox,
     coherent_state,
     conserved_quantities,
     format_network,
@@ -272,6 +273,12 @@ def ordered_selection_count(counts, needs) -> int:
 def interior_mask(box, margin):
     """Flat mask of the box states at least ``margin`` below every cap, from the state array."""
     return np.all(box.states() <= np.array(box.caps) - margin, axis=1)
+
+
+def sigma_box(c, margin: int, nsigma: float) -> TruncationBox:
+    """The box with caps ceil(c_i + nsigma sqrt(c_i)) + margin, at least 1:
+    ``default_box`` at ``nsigma`` standard deviations instead of ten."""
+    return TruncationBox(tuple(max(math.ceil(ci + nsigma * math.sqrt(ci)) + margin, 1) for ci in c))
 
 
 def max_abs(op) -> float:

@@ -19,7 +19,6 @@ from crnkit import (
     commutator,
     complex_balance_report,
     conserved_quantities,
-    default_box,
     find_equilibrium,
     format_network,
     hamiltonian,
@@ -35,7 +34,14 @@ from crnkit import (
     structure_report,
 )
 
-from support import balanced_reversible_network, dense_ladders, interior_mask, max_abs, random_network
+from support import (
+    balanced_reversible_network,
+    dense_ladders,
+    interior_mask,
+    max_abs,
+    random_network,
+    sigma_box,
+)
 
 
 def check(name: str, ok: bool, detail: str = ""):
@@ -72,7 +78,7 @@ def test_c02_residual_truncation_scaling(net_bd, net_diatomic):
     for name, net, c in (("bd", net_bd, [3.0]), ("dia", net_diatomic, [0.5, 1.0])):
         margin = network_margin(net)
         values = [
-            ack_residual(net, c, default_box(c, margin, nsigma=m, floor=1)).interior_l1
+            ack_residual(net, c, sigma_box(c, margin, m)).interior_l1
             for m in (3.0, 5.0, 10.0)
         ]
         results[name] = values

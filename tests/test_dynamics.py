@@ -152,6 +152,16 @@ class TestIntegrateRate:
         assert [float(v) for v in lines[1].split(",")] == [0.0, 1.0, 0.0]
 
 
+class TestTrajectory:
+    def test_rejects_ragged_arrays(self):
+        with pytest.raises(ValueError, match="matching leading length"):
+            dynamics.Trajectory([0.0, 1.0], [[1.0]])
+
+    def test_rejects_times_that_do_not_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dynamics.Trajectory([0.0, 1.0, 1.0], [[1.0], [2.0], [3.0]])
+
+
 class TestFindEquilibrium:
     def test_diatomic_satisfies_both_conditions(self, net_diatomic):
         c = find_equilibrium(net_diatomic, [1.0, 0.0], tol=1e-9)
@@ -209,6 +219,54 @@ class TestFindEquilibrium:
         assert time.process_time() - start < 0.1
         assert np.abs(x - expected).max() <= atol
         assert np.abs(rate_vector_field(net, x)).max() <= 1e-9 * (1.0 + np.abs(x).max())
+
+    def test_clamped_step_that_stalls_ends_in_e_noconv(self, monkeypatch):
+        # a step lands within the roundoff clamp below 0 and is set to 0 there;
+        # the source 0 -> S3 keeps |f| near 977, so the search ends in E_NOCONV
+        net = parse_network(
+            "species: S0 S1 S2 S3\n"
+            "2 S1 + S3 <-> 3 S0 @ 47.20481881985352, 7.769042516106988\n"
+            "S2 <-> 0 @ 0.7421226146435351, 0.9684819657197182\n"
+            "2 S1 <-> 3 S0 + S3 @ 0.04010781545616135, 0.002385094142367463\n"
+            "0 -> S3 @ 977.2526736521054\n"
+        )
+        clamped = []
+        clamp = dynamics._clamp_state
+
+        def spy(x):
+            clamped.append(x.min() < 0)
+            return clamp(x)
+
+        monkeypatch.setattr(dynamics, "_clamp_state", spy)
+        with pytest.raises(NoConvergence):
+            find_equilibrium(net, [1e-9, 0.0, 2.1373300975899365, 1e-9], tol=1e-6)
+        assert any(clamped)
+
+    def test_singular_step_after_growth_ends_in_e_explode(self, monkeypatch):
+        # the autocatalytic 2 S1 -> S0 + 3 S1 drives |f| up; steps that would
+        # leave the orthant are halved, and the search stops at a singular
+        # backward-Euler matrix with |f| above its start
+        net = parse_network(
+            "species: S0 S1\n"
+            "2 S0 <-> S0 @ 0.03827116068710408, 80.24202235196583\n"
+            "S0 + 2 S1 <-> 2 S1 @ 15.084080652306191, 0.6842740948875449\n"
+            "0 <-> 3 S0 @ 0.13991503658040116, 1.9696800025952792\n"
+            "2 S1 -> S0 + 3 S1 @ 0.012176344522478953\n"
+        )
+        singular = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(True)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        with pytest.raises(PopulationExplosion, match="field norm grew"):
+            find_equilibrium(net, [75.57364124513177, 1.033145439159036], tol=1e-12)
+        assert singular
 
     def test_unbounded_growth_ends_fast_in_e_explode(self):
         net = parse_network("A -> 2 A @ 0.5")

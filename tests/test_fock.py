@@ -62,6 +62,7 @@ from support import (
     max_abs,
     ordered_selection_count,
     random_network,
+    sigma_box,
     with_extreme_rates,
 )
 
@@ -89,9 +90,10 @@ class TestTruncationBox:
         with pytest.raises(ValueError):
             TruncationBox((0,))
 
-    @pytest.mark.parametrize("cap", [2.7, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("cap", [2.7, -1, math.nan, math.inf, 2**63])
     def test_cap_that_is_no_count_is_typed_error(self, cap):
-        # int() floored 2.7 to the cap 2, NaN raised a bare ValueError, inf an OverflowError
+        # int() floored 2.7 to the cap 2, NaN raised a bare ValueError, inf an
+        # OverflowError; 2**63 is no int64 count, so E_VALUE comes before E_BUDGET
         with pytest.raises(InvalidValue):
             TruncationBox((cap,))
 
@@ -180,6 +182,11 @@ class TestLadderOperators:
     def test_wrong_matrix_shape(self):
         with pytest.raises(DimensionMismatch):
             SparseOperator(TruncationBox((3,)), sp.csr_matrix((3, 3)))
+
+    def test_apply_to_vector_of_wrong_shape(self):
+        op = number_operator(0, TruncationBox((3,)))
+        with pytest.raises(DimensionMismatch):
+            op.apply(np.ones(3))
 
     def test_box_mismatch(self):
         with pytest.raises(BoxMismatch):
@@ -455,6 +462,10 @@ class TestMixedState:
         with pytest.raises(InvalidValue):
             MixedState(TruncationBox((2,)), np.array([math.nan, 0.0, 0.0]))
 
+    def test_rejects_weights_of_wrong_shape(self):
+        with pytest.raises(InvalidValue, match="expected \\(3,\\)"):
+            MixedState(TruncationBox((2,)), np.array([0.5, 0.5]))
+
     def test_rejects_excess_mass(self):
         box = TruncationBox((2,))
         with pytest.raises(ValueError):
@@ -477,6 +488,11 @@ class TestEvolveMaster:
         psi0 = pure_state(box, (2,))
         psi = evolve_master(h, psi0, 0.0)
         assert np.array_equal(psi.weights, psi0.weights)
+
+    def test_state_on_another_box(self, decay_net):
+        h = hamiltonian(decay_net, TruncationBox((3,)))
+        with pytest.raises(BoxMismatch):
+            evolve_master(h, pure_state(TruncationBox((4,)), (1,)), 1.0)
 
     def test_single_particle_decay_closed_form(self, decay_net):
         box = TruncationBox((3,))
@@ -787,7 +803,7 @@ class TestAckResidual:
         for net, c in ((net_bd, [3.0]), (net_diatomic, [0.5, 1.0])):
             margin = network_margin(net)
             values = [
-                ack_residual(net, c, default_box(c, margin, nsigma=m, floor=1)).interior_l1
+                ack_residual(net, c, sigma_box(c, margin, m)).interior_l1
                 for m in (3.0, 5.0, 10.0)
             ]
             assert values[1] <= values[0] + 1e-14

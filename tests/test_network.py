@@ -7,6 +7,7 @@ from crnkit import (
     ComplexGraph,
     CountVector,
     DimensionMismatch,
+    InvalidValue,
     Network,
     Transition,
 )
@@ -25,6 +26,16 @@ class TestCountVector:
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
             CountVector((1.5,))
+
+    @pytest.mark.parametrize("entry", [2**63, 2.0**63, 2**70, float("nan"), float("inf")])
+    def test_rejects_what_int64_cannot_hold(self, entry):
+        # the kernels hold counts as int64; 2**63 once passed here and
+        # overflowed later, inf raised a bare OverflowError
+        with pytest.raises(InvalidValue):
+            CountVector((1, entry))
+
+    def test_largest_int64_count(self):
+        assert CountVector((2**63 - 1,)) == (2**63 - 1,)
 
     def test_tuple_semantics(self):
         cv = CountVector((1, 0, 2))
@@ -48,6 +59,10 @@ class TestTransition:
         with pytest.raises(DimensionMismatch):
             Transition(CountVector((1,)), CountVector((0, 1)), 1.0)
 
+    def test_rejects_count_past_int64(self):
+        with pytest.raises(InvalidValue):
+            Transition((2**63,), (0,), 1.0)
+
     def test_label_not_compared(self):
         a = Transition(CountVector((1,)), CountVector((0,)), 2.0, "x")
         b = Transition(CountVector((1,)), CountVector((0,)), 2.0, "y")
@@ -67,6 +82,10 @@ class TestNetworkValidation:
         tr = Transition(CountVector((1,)), CountVector((0,)), 1.0)
         with pytest.raises(DimensionMismatch):
             Network(("A", "B"), (tr,))
+
+    def test_rejects_what_is_no_transition(self):
+        with pytest.raises(TypeError):
+            Network(("A",), (((1,), (0,), 1.0),))
 
     def test_self_loop_is_kept(self):
         tr = Transition(CountVector((1,)), CountVector((1,)), 1.0)
@@ -120,6 +139,10 @@ class TestComplexGraph:
         with pytest.raises(ValueError):
             ComplexGraph((CountVector((0,)),), (((0, 1, 0)),))
 
+    def test_rejects_duplicate_vertices(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ComplexGraph((CountVector((1,)), CountVector((1,))), ())
+
 
 class TestStoichiometricMatrix:
     def test_diatomic_columns(self, net_diatomic):
@@ -137,6 +160,10 @@ class TestStoichiometricMatrix:
             [[1, 0, -1, 0], [0, -1, 0, 2], [0, 0, -1, 1], [0, 0, 1, -1]]
         )
         assert (net_catalyst.stoichiometric_matrix() == expected).all()
+
+    def test_int64_in_c_order(self, net_catalyst):
+        gamma = net_catalyst.stoichiometric_matrix()
+        assert gamma.dtype == np.int64 and gamma.flags.c_contiguous and gamma.flags.writeable
 
     def test_columns_match_transitions(self):
         rng = random.Random(5)
@@ -174,10 +201,10 @@ class TestPetriBipartite:
         rng = random.Random(11)
         nets = [net_catalyst, net_bd, net_diatomic] + [random_network(rng) for _ in range(20)]
         for net in nets:
-            i_mat, o_mat = net.input_matrix(), net.output_matrix()
+            kernel = net.mass_action
             rebuilt = tuple(
-                Transition(CountVector(i_mat[:, j]), CountVector(o_mat[:, j]), tr.rate)
-                for j, tr in enumerate(net.transitions)
+                Transition(CountVector(i), CountVector(o), tr.rate)
+                for i, o, tr in zip(kernel.inputs, kernel.outputs, net.transitions)
             )
             assert Network(net.species, rebuilt) == Network(net.species, net.transitions)
 

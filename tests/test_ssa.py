@@ -189,6 +189,37 @@ _EDGE_TIMES = [
 ]
 
 
+class TestJumpTrajectoryCounts:
+    """A path holds one row of int64 counts per time, each non-negative."""
+
+    @pytest.mark.parametrize("times, states", [
+        ([0.0], [[-3]]),
+        ([0.0], [[2**63]]),
+        ([0.0], [[1], [2]]),
+        ([0.0, 0.5, 1.25], [[1], [2]]),
+        ([0.0], []),
+    ])
+    def test_rejects_what_is_no_path_of_counts(self, times, states):
+        # 2**63 raised a bare OverflowError, -3 printed as "0.0,-3", and the
+        # CSV cut rows to the shorter of times and states
+        with pytest.raises(InvalidValue):
+            ssa.JumpTrajectory(times, states, seed=0)
+
+    def test_largest_int64_count(self):
+        traj = ssa.JumpTrajectory([0.0, 0.5], [[2**63 - 1], [0]], seed=0)
+        assert traj.to_csv(["A"]) == f"t,A\n0.0,{2**63 - 1}\n0.5,0\n"
+
+    def test_no_species(self):
+        traj = ssa.JumpTrajectory([0.0, 1.5], np.zeros((2, 0)), seed=0)
+        assert traj.to_csv([]) == "t,\n0.0\n1.5\n"
+
+    def test_start_count_past_int64(self, net_bd):
+        with pytest.raises(InvalidValue, match="below 2\\*\\*63"):
+            simulate(net_bd, (2**63,), 1.0)
+        with pytest.raises(InvalidValue, match="below 2\\*\\*63"):
+            stationary_histogram(net_bd, (2**63,), 0.0, 3, 1.0)
+
+
 class TestPathCsv:
     """The block writer against ``repr`` and ``str``, lane by lane."""
 
@@ -207,16 +238,11 @@ class TestPathCsv:
         states[:, 1] = np.arange(len(times)) * 997
         assert block_rows(times, states) == row_by_row_rows(times, states)
 
-    def test_signed_times_and_counts(self):
+    def test_signed_and_non_finite_times(self):
+        # counts are never negative (JumpTrajectory refuses them), times may be
         times = np.array([-0.0, -1.5, -1.2345678901234567e-300, math.inf, -math.inf, math.nan])
-        states = np.array([[-1], [-(2**63)], [7], [0], [-10], [2**62]], dtype=np.int64)
+        states = np.array([[1], [2**63 - 1], [7], [0], [10], [2**62]], dtype=np.int64)
         assert block_rows(times, states) == row_by_row_rows(times, states)
-
-    def test_rows_stop_at_the_shorter_array(self):
-        traj = ssa.JumpTrajectory(np.array([0.0, 0.5, 1.25]), np.array([[1], [2]]), seed=0)
-        assert traj.to_csv(["A"]) == "t,A\n0.0,1\n0.5,2\n"
-        traj = ssa.JumpTrajectory(np.array([0.0]), np.array([[1], [2]]), seed=0)
-        assert traj.to_csv(["A"]) == "t,A\n0.0,1\n"
 
     def test_no_species(self):
         times = np.array([0.0, 0.25, 3.0])
@@ -391,6 +417,14 @@ class TestCompareToPoisson:
         hist = Histogram({(0,): 3, (1,): 2}, 5, (1,))
         with pytest.raises(InvalidValue, match="underflows on the box \\(1,\\)"):
             compare_to_poisson(hist, [1000.0])
+
+    def test_box_budget_before_the_weights(self):
+        # 4097**2 = 16,785,409 states, just over fock._MAX_STATES = 2**24:
+        # refused before the box-sized weights are allocated
+        hist = Histogram({(4096, 4096): 1}, 1, (4096, 4096))
+        assert 4097**2 > fock._MAX_STATES
+        with pytest.raises(BudgetExceeded, match="exceeds 16777216 states"):
+            compare_to_poisson(hist, [1.0, 1.0])
 
     def test_no_species_is_typed_error(self):
         hist = stationary_histogram(parse_network("0 -> 0 @ 1"), (), 1.0, 5, 1.0)
