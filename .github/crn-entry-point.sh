@@ -24,6 +24,9 @@ crn rate "$tmp/bd.crn" --x0 0 --t-end 5
 # scipy is for the Fock-space side only: crnkit.cli loads none of it,
 # and crn master imports crnkit.fock when it runs
 python -c "import sys, crnkit.cli; sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+# numpy is for the float results only: crn analyze is exact on Python ints
+# and loads none of it
+python -c "import sys, crnkit.cli; crnkit.cli.run(['analyze', sys.argv[1]]); sys.exit('numpy' in sys.modules)" "$tmp/bd.crn" > /dev/null
 crn master "$tmp/bd.crn" --n0 0 --caps 15 --t-end 1
 printf 'A -> A @ 1\n' > "$tmp/loop.crn"
 crn parse "$tmp/loop.crn" 2> "$tmp/err.txt"

@@ -41,36 +41,32 @@ from .structure import (
     linkage_classes,
     structure_report,
 )
-from .dynamics import Trajectory, find_equilibrium, integrate_rate, rate_vector_field
-from .ssa import (
-    Histogram,
-    JumpTrajectory,
-    PoissonComparison,
-    compare_to_poisson,
-    simulate,
-    stationary_histogram,
-)
 
 __version__ = "0.1.0"
 
 
-# Fock-space names load crnkit.fock, the one module needing scipy, on first read.
-_FOCK_NAMES = frozenset("""
-    AckReport MixedState SparseOperator TruncationBox ack_residual annihilation
-    apply_symmetry coherent_state commutator creation default_box evolve_master
-    hamiltonian linear_observable master_residual network_margin noether_report
-    number_operator poisson_logpmf project_onto pure_state
-""".split())
+# Float-side names, loaded on first read: dynamics and ssa bring numpy, fock
+# scipy too, so `import crnkit` loads neither.
+_LAZY = {name: module for module, names in {
+    "dynamics": "Trajectory find_equilibrium integrate_rate rate_vector_field",
+    "ssa": "Histogram JumpTrajectory PoissonComparison compare_to_poisson simulate "
+           "stationary_histogram",
+    "fock": """AckReport MixedState SparseOperator TruncationBox ack_residual annihilation
+        apply_symmetry coherent_state commutator creation default_box evolve_master
+        hamiltonian linear_observable master_residual network_margin noether_report
+        number_operator poisson_logpmf project_onto pure_state""",
+}.items() for name in names.split()}
 
 
 def __getattr__(name):  # PEP 562: reached only by names not yet bound here
-    if name != "fock" and name not in _FOCK_NAMES:
+    module = _LAZY.get(name, name)
+    if module not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    fock = importlib.import_module(".fock", __name__)  # binds the name fock here too
-    if name != "fock":
-        globals()[name] = getattr(fock, name)
+    loaded = importlib.import_module(f".{module}", __name__)  # binds the module's name here too
+    if name != module:
+        globals()[name] = getattr(loaded, name)
     return globals()[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | _FOCK_NAMES | {"fock"})
+    return sorted(set(globals()) | _LAZY.keys() | set(_LAZY.values()))

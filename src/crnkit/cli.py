@@ -4,7 +4,8 @@ Every subcommand reads a ``.crn`` file and writes CSV or JSON to stdout or
 ``--out``.  JSON reports carry ``schema_version`` and a ``generated_at``
 timestamp; everything else is a pure function of the inputs and the seed.
 Exit codes: 0 success, 1 domain errors (and a failed balance check),
-2 usage errors.
+2 usage errors.  Each subcommand imports the float modules it needs when it
+runs, so ``crn parse`` and ``crn analyze`` load no numpy.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
-from .dynamics import find_equilibrium, integrate_rate, rate_vector_field
 from .errors import CrnError, InvalidValue
 from .parser import ParseError, format_network, parse_network_report
-from .ssa import simulate, stationary_histogram
 from .structure import complex_balance_report, structure_report
 
 __all__ = ["run", "main"]
@@ -92,6 +89,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    from .dynamics import integrate_rate
     net = _read_network(args.input)
     tol = {} if args.tol is None else {"rtol": args.tol}
     traj = integrate_rate(net, args.x0, args.t_end, step=args.dt, **tol)
@@ -100,9 +98,10 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
+    from .dynamics import find_equilibrium, rate_vector_field
     net = _read_network(args.input)
     state = find_equilibrium(net, args.x0, tol=args.tol)
-    residual = float(np.abs(rate_vector_field(net, state)).max(initial=0.0))
+    residual = float(abs(rate_vector_field(net, state)).max(initial=0.0))
     _emit_json(
         {
             "x0": list(args.x0),
@@ -150,6 +149,7 @@ def _cmd_ack(args) -> int:
 
 
 def _cmd_ssa(args) -> int:
+    from .ssa import simulate, stationary_histogram
     net = _read_network(args.input)
     if args.histogram:
         hist = stationary_histogram(

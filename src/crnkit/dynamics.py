@@ -1,4 +1,5 @@
-"""Deterministic mass-action dynamics.
+"""Deterministic mass-action dynamics, with the kernel :class:`MassAction`
+and :func:`validate_classical` that the master equation and the SSA share.
 
 The rate vector field is the sum over transitions of
 rate * (output - input) * x^input, with the 0**0 == 1 convention so the
@@ -23,11 +24,12 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     InvalidValue,
+    NegativeConcentration,
     NegativeState,
     NoConvergence,
     PopulationExplosion,
 )
-from .network import Network, validate_classical
+from .network import Network
 
 __all__ = [
     "rate_vector_field",
@@ -41,6 +43,70 @@ _MAX_RATE_STEPS = 2**14  # tries of integrate_rate; about 2 s on small networks
 _ZONNEVELD_A = np.array([5.0, 7.0, 13.0, -1.0]) / 32.0  # the fifth stage, at c = 3/4
 _ZONNEVELD_E = np.array([2 / 3, -2.0, -2.0, -2.0, 16 / 3])  # RK4 minus third-order weights
 _MAX_STEPS = 200  # step budget of find_equilibrium; converging networks tried took <= 54
+
+
+class MassAction:
+    """Mass-action kernel: the transitions as (transitions x species) arrays.
+
+    ``inputs`` s and ``outputs`` t hold the complexes, ``change`` is t - s as
+    floats and ``rates`` the rate constants r.  The rate equation is
+    sum_tau r(tau) (t - s) x^s and the master-equation generator is
+    sum_tau r(tau) (a+^t - a+^s) a^s, where a^s on a pure state n gives the
+    falling factorial of n; both are read from these arrays.  The monomial
+    uses 0**0 == 1, so the empty complex contributes r(tau).
+    """
+
+    def __init__(self, net: Network):
+        shape = (net.num_transitions, net.num_species)
+        self.inputs = np.array([tr.input for tr in net.transitions], dtype=np.int64).reshape(shape)
+        self.outputs = np.array([tr.output for tr in net.transitions], dtype=np.int64).reshape(shape)
+        self.change = (self.outputs - self.inputs).astype(float)
+        self.rates = np.array([tr.rate for tr in net.transitions], dtype=float)
+        for array in (self.inputs, self.outputs, self.change, self.rates):
+            array.setflags(write=False)
+
+    def flux(self, x: np.ndarray) -> np.ndarray:
+        """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
+        return self.rates * (x ** self.inputs).prod(axis=1)
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """Rate-equation vector field sum_tau r(tau) (t - s) x^s."""
+        return self.flux(x) @ self.change
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Exact derivative of :meth:`field`, using d(x^s)/dx_i = s_i x^(s - e_i)."""
+        k = x.size
+        # factors[tau, i, l] is x_l^s_l, except d/dx_i of it on the diagonal l == i
+        factors = np.repeat((x ** self.inputs)[:, None, :], k, axis=1)
+        diag = np.arange(k)
+        factors[:, diag, diag] = self.inputs * x ** np.maximum(self.inputs - 1, 0)
+        return self.change.T @ (self.rates[:, None] * factors.prod(axis=2))
+
+    def falling(self, counts, j: int):
+        """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
+
+        ``counts[i]`` holds the counts of species i: a column of a state
+        array, a scalar, or one axis of an open grid (``np.ix_``), since the
+        factors broadcast.  Zero whenever some n_i < s_i, since the product
+        then passes through 0; 1.0 for the empty complex.
+        """
+        values = 1.0
+        for i, need in enumerate(self.inputs[j].tolist()):
+            for m in range(need):
+                values = values * (counts[i] - m)
+        return values
+
+
+def validate_classical(c, k: int) -> np.ndarray:
+    """A classical state as a float array of shape (k,), finite and nonnegative."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (k,):
+        raise DimensionMismatch(f"classical state has shape {c.shape}, expected ({k},)")
+    if not np.isfinite(c).all():
+        raise InvalidValue("classical state entries must be finite")
+    if (c < 0).any():
+        raise NegativeConcentration("classical state entries must be nonnegative")
+    return c
 
 
 def rate_vector_field(net: Network, x) -> np.ndarray:
@@ -62,9 +128,9 @@ class Trajectory:
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
         if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.shape[0]:
-            raise ValueError("times and states must have matching leading length")
+            raise InvalidValue("times and states must have matching leading length")
         if times.size and (np.diff(times) <= 0).any():
-            raise ValueError("times must be strictly increasing")
+            raise InvalidValue("times must be strictly increasing")
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "times", times)

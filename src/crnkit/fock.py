@@ -49,6 +49,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import dia_matvec
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
+from .dynamics import validate_classical
 from .errors import (
     BoxMismatch,
     BudgetExceeded,
@@ -58,7 +59,7 @@ from .errors import (
     PopulationExplosion,
     SymmetryOverflow,
 )
-from .network import Network, validate_classical, validate_counts
+from .network import Network, validate_counts
 from .structure import _rank_and_laws, conserved_quantities
 
 __all__ = [
@@ -905,7 +906,7 @@ def _occupied_sectors(box: TruncationBox, rows, cols, vals, weights):
     starts, ends = np.unravel_index(cols, shape), np.unravel_index(rows, shape)
     key = np.ravel_multi_index(tuple(e - s + cap for e, s, cap in zip(ends, starts, box.caps)), digits)
     changes = np.column_stack(np.unravel_index(_distinct(key), digits)) - box.caps
-    laws = _rank_and_laws(changes)[1]
+    laws = _rank_and_laws(changes.tolist(), box.k)[1]
     if not laws:
         return None
     inside = np.ones(box.size, dtype=bool)

@@ -8,6 +8,8 @@ nonnegative integer vectors in species order (:class:`CountVector`).
 Everything here is immutable after construction, and the derived views
 (complex graph, stoichiometric matrix, bipartite Petri graph) are pure
 functions of the network, so values can be shared freely across threads.
+The model is plain Python ints: numpy loads with the float kernel
+(:attr:`Network.mass_action`), not with this module.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 
-import numpy as np
-
-from .errors import DimensionMismatch, InvalidValue, NegativeConcentration
+from .errors import DimensionMismatch, InvalidValue
 
 __all__ = [
     "CountVector",
@@ -27,8 +27,6 @@ __all__ = [
     "Network",
     "ComplexGraph",
     "PetriBipartite",
-    "MassAction",
-    "validate_classical",
     "validate_counts",
 ]
 
@@ -90,7 +88,7 @@ class Transition:
         object.__setattr__(self, "output", CountVector(self.output))
         object.__setattr__(self, "rate", float(self.rate))
         if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate constant must be positive and finite, got {self.rate}")
+            raise InvalidValue(f"rate constant must be positive and finite, got {self.rate}")
         if len(self.input) != len(self.output):
             raise DimensionMismatch(
                 f"input complex has length {len(self.input)}, output {len(self.output)}"
@@ -112,11 +110,11 @@ class ComplexGraph:
         object.__setattr__(self, "vertices", tuple(CountVector(v) for v in self.vertices))
         object.__setattr__(self, "edges", tuple((int(a), int(b), int(t)) for a, b, t in self.edges))
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("complex graph vertices must be distinct")
+            raise InvalidValue("complex graph vertices must be distinct")
         n = len(self.vertices)
         for a, b, _ in self.edges:
             if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge endpoint out of range: ({a}, {b})")
+                raise InvalidValue(f"edge endpoint out of range: ({a}, {b})")
 
 
 @dataclass(frozen=True)
@@ -164,13 +162,13 @@ class Network:
         object.__setattr__(self, "species", species)
         object.__setattr__(self, "transitions", tuple(self.transitions))
         if any(not s for s in species):
-            raise ValueError("species names must be nonempty")
+            raise InvalidValue("species names must be nonempty")
         if len(set(species)) != len(species):
-            raise ValueError("species names must be unique")
+            raise InvalidValue("species names must be unique")
         k = len(species)
         for j, tr in enumerate(self.transitions):
             if not isinstance(tr, Transition):
-                raise TypeError(f"transitions[{j}] is not a Transition")
+                raise InvalidValue(f"transitions[{j}] is not a Transition")
             if len(tr.input) != k:
                 raise DimensionMismatch(
                     f"transition {j} has complexes of length {len(tr.input)}, expected {k}"
@@ -200,13 +198,15 @@ class Network:
         return ComplexGraph(vertices, edges)
 
     @cached_property
-    def mass_action(self) -> "MassAction":
-        """The compiled mass-action kernel, built once per network."""
+    def mass_action(self):
+        """The compiled :class:`crnkit.dynamics.MassAction` kernel, built once
+        per network; its first use imports the float side, and numpy."""
+        from .dynamics import MassAction
         return MassAction(self)
 
-    def stoichiometric_matrix(self) -> np.ndarray:
+    def stoichiometric_matrix(self):
         """Net-change matrix: column j equals output minus input of transition j,
-        as a (species x transitions) integer matrix."""
+        as a (species x transitions) int64 numpy array."""
         kernel = self.mass_action
         return (kernel.outputs - kernel.inputs).T.copy()
 
@@ -223,70 +223,6 @@ class Network:
                 if mult:
                     output_edges.append((j, i, mult))
         return PetriBipartite(self.species, labels, tuple(input_edges), tuple(output_edges))
-
-
-class MassAction:
-    """Mass-action kernel: the transitions as (transitions x species) arrays.
-
-    ``inputs`` s and ``outputs`` t hold the complexes, ``change`` is t - s as
-    floats and ``rates`` the rate constants r.  The rate equation is
-    sum_tau r(tau) (t - s) x^s and the master-equation generator is
-    sum_tau r(tau) (a+^t - a+^s) a^s, where a^s on a pure state n gives the
-    falling factorial of n; both are read from these arrays.  The monomial
-    uses 0**0 == 1, so the empty complex contributes r(tau).
-    """
-
-    def __init__(self, net: Network):
-        shape = (net.num_transitions, net.num_species)
-        self.inputs = np.array([tr.input for tr in net.transitions], dtype=np.int64).reshape(shape)
-        self.outputs = np.array([tr.output for tr in net.transitions], dtype=np.int64).reshape(shape)
-        self.change = (self.outputs - self.inputs).astype(float)
-        self.rates = np.array([tr.rate for tr in net.transitions], dtype=float)
-        for array in (self.inputs, self.outputs, self.change, self.rates):
-            array.setflags(write=False)
-
-    def flux(self, x: np.ndarray) -> np.ndarray:
-        """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
-        return self.rates * (x ** self.inputs).prod(axis=1)
-
-    def field(self, x: np.ndarray) -> np.ndarray:
-        """Rate-equation vector field sum_tau r(tau) (t - s) x^s."""
-        return self.flux(x) @ self.change
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact derivative of :meth:`field`, using d(x^s)/dx_i = s_i x^(s - e_i)."""
-        k = x.size
-        # factors[tau, i, l] is x_l^s_l, except d/dx_i of it on the diagonal l == i
-        factors = np.repeat((x ** self.inputs)[:, None, :], k, axis=1)
-        diag = np.arange(k)
-        factors[:, diag, diag] = self.inputs * x ** np.maximum(self.inputs - 1, 0)
-        return self.change.T @ (self.rates[:, None] * factors.prod(axis=2))
-
-    def falling(self, counts, j: int):
-        """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
-
-        ``counts[i]`` holds the counts of species i: a column of a state
-        array, a scalar, or one axis of an open grid (``np.ix_``), since the
-        factors broadcast.  Zero whenever some n_i < s_i, since the product
-        then passes through 0; 1.0 for the empty complex.
-        """
-        values = 1.0
-        for i, need in enumerate(self.inputs[j].tolist()):
-            for m in range(need):
-                values = values * (counts[i] - m)
-        return values
-
-
-def validate_classical(c, k: int) -> np.ndarray:
-    """A classical state as a float array of shape (k,), finite and nonnegative."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (k,):
-        raise DimensionMismatch(f"classical state has shape {c.shape}, expected ({k},)")
-    if not np.isfinite(c).all():
-        raise InvalidValue("classical state entries must be finite")
-    if (c < 0).any():
-        raise NegativeConcentration("classical state entries must be nonnegative")
-    return c
 
 
 def validate_counts(n, k: int) -> CountVector:

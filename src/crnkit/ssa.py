@@ -22,8 +22,9 @@ from operator import add
 
 import numpy as np
 
+from .dynamics import validate_classical
 from .errors import BudgetExceeded, InvalidValue, PopulationExplosion
-from .network import Network, validate_classical, validate_counts
+from .network import Network, validate_counts
 
 __all__ = [
     "JumpTrajectory",
@@ -142,9 +143,15 @@ class JumpTrajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         try:
-            states = np.asarray(self.states, dtype=np.int64)
-        except OverflowError:
-            raise InvalidValue("path states must be counts below 2**63, the int64 range") from None
+            with np.errstate(invalid="ignore"):  # NaN cast from a float array; refused below
+                states = np.asarray(self.states, dtype=np.int64)
+            # an int64 array is kept as it is; other states must convert exactly,
+            # so 1.5 is not floored to 1 nor a uint64 2**63 wrapped below 0
+            whole = states is self.states or np.array_equal(states, self.states)
+        except (OverflowError, ValueError):  # 2**63 and up, NaN or inf, in a list
+            whole = False
+        if not whole:
+            raise InvalidValue("path states must be whole counts below 2**63, the int64 range")
         if len(states) != len(times):
             raise InvalidValue(f"{len(states)} state rows for {len(times)} times")
         if states.min(initial=0) < 0:
@@ -244,12 +251,12 @@ class Histogram:
     def __post_init__(self):
         object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
         if sum(self.counts.values()) != self.total:
-            raise ValueError("histogram counts must sum to the sample total")
+            raise InvalidValue("histogram counts must sum to the sample total")
         for state in self.counts:
             if len(state) != len(self.caps) or any(
                 v < 0 or v > cap for v, cap in zip(state, self.caps)
             ):
-                raise ValueError(f"state {state} outside the histogram box {self.caps}")
+                raise InvalidValue(f"state {state} outside the histogram box {self.caps}")
 
     def to_csv(self, species) -> str:
         lines = [",".join(species) + ",count,frequency"]

@@ -3,19 +3,19 @@
 Linkage classes, weak reversibility, deficiency, integer conservation laws
 and the complex-balance test.  Deficiency and conservation laws are
 integer-valued certificates, so rank and null space come from one exact
-integer elimination over Python ints; floats only enter the balance test,
-which is a numerical statement about a given state.
+integer elimination over Python ints, and this module loads no numpy; floats
+only enter the balance test, which is a numerical statement about a given
+state and imports numpy when it runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import sub
 
 from .errors import InvalidValue, PopulationExplosion
-from .network import ComplexGraph, CountVector, Network, validate_classical
+from .network import ComplexGraph, CountVector, Network
 
 __all__ = [
     "linkage_classes",
@@ -31,10 +31,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # exact integer elimination
 
-def _rank_and_laws(changes: np.ndarray) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rank and canonical integer left null space of an (m, k) integer array
-    of state changes, by fraction-free Gauss-Jordan elimination over Python
-    ints (Bareiss 1968), one row at a time.
+def _rank_and_laws(changes, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Rank and canonical integer left null space of ``changes``, rows of k
+    Python ints (the state changes), by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968), one row at a time.
 
     A law w has w . row = 0 for every row.  ``pivots`` maps each pivot
     column c to its reduced row p_c, zero in every other pivot column.  A
@@ -46,9 +46,8 @@ def _rank_and_laws(changes: np.ndarray) -> tuple[int, tuple[tuple[int, ...], ...
     at each c, made coprime with its first nonzero entry positive.  RREF is
     unique up to row scaling, so this is the sorted basis of a rational RREF.
     """
-    k = changes.shape[1]
     pivots: dict[int, list[int]] = {}
-    for row in changes.tolist():
+    for row in changes:
         for c, pivot in pivots.items():
             if b := row[c]:
                 row = _primitive([pivot[c] * x - b * y for x, y in zip(row, pivot)])
@@ -86,7 +85,12 @@ def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
     transition.  Vectors are coprime, their first nonzero entry is positive,
     and the basis is sorted lexicographically.
     """
-    return _rank_and_laws(net.stoichiometric_matrix().T)[1]
+    return _rank_and_laws(_changes(net), net.num_species)[1]
+
+
+def _changes(net: Network) -> list[tuple[int, ...]]:
+    """Output minus input of each transition, in Python ints."""
+    return [tuple(map(sub, tr.output, tr.input)) for tr in net.transitions]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +166,7 @@ def structure_report(net: Network) -> StructureReport:
     graph = net.complex_graph()
     out, into = _adjacency(graph)
     classes = _classes(out, into)
-    rank, basis = _rank_and_laws(net.stoichiometric_matrix().T)
+    rank, basis = _rank_and_laws(_changes(net), net.num_species)
     defect = len(graph.vertices) - len(classes) - rank
     assert defect >= 0, "deficiency must be nonnegative"
     assert len(basis) == net.num_species - rank
@@ -224,6 +228,8 @@ def complex_balance_report(net: Network, c, tol: float = 1e-9) -> BalanceReport:
     |consumption - production| <= tol * (1 + max complex throughput).  A
     flux or sum beyond the float range raises ``E_EXPLODE``.
     """
+    import numpy as np
+    from .dynamics import validate_classical
     c = validate_classical(c, net.num_species)
     if not 0 < tol < math.inf:
         raise InvalidValue(f"tol must be positive and finite, got {tol}")

@@ -27,7 +27,7 @@ from crnkit import (
     network_margin,
     poisson_logpmf,
 )
-from crnkit.network import validate_classical
+from crnkit.dynamics import validate_classical
 
 _NAME_START = string.ascii_letters + "_"
 _NAME_REST = string.ascii_letters + string.digits + "_"

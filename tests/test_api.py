@@ -17,8 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crnkit.__path__))
 
 
-def test_lazy_names_are_the_fock_exports():
-    assert crnkit._FOCK_NAMES == set(crnkit.fock.__all__)
+def test_lazy_names_are_the_float_modules_exports():
+    assert crnkit._LAZY == {
+        name: module
+        for module in ("dynamics", "ssa", "fock")
+        for name in importlib.import_module(f"crnkit.{module}").__all__
+    }
 
 
 def test_every_package_name_resolves():

@@ -186,6 +186,43 @@ print(json.dumps(seen))
     }
 
 
+def test_discrete_layer_leaves_numpy_unloaded(bd_file):
+    # parsing and the structure report are exact on Python ints: they load no
+    # numpy, and the first float result (a rate, the stoichiometric matrix,
+    # a balance report) loads it
+    code = f"""
+import contextlib, io, json, sys
+def numpy_loaded():
+    return any(m == "numpy" or m.startswith("numpy.") for m in sys.modules)
+import crnkit, crnkit.cli
+seen = {{"import": numpy_loaded()}}
+for command in ("parse", "parse --dot", "analyze"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[command] = [crnkit.cli.run([*command.split(), {bd_file!r}]), numpy_loaded()]
+net = crnkit.parse_network("A + B <-> C @ 1, 2\\n0 -> A @ 3")
+seen["library"] = [crnkit.structure_report(net).deficiency, crnkit.conserved_quantities(net),
+                   numpy_loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["rate"] = [crnkit.cli.run(["rate", {bd_file!r}, "--x0", "0", "--t-end", "1"]),
+                    numpy_loaded()]
+print(json.dumps(seen))
+"""
+    assert json.loads(_fresh_python(code)) == {
+        "import": False,
+        "parse": [0, False],
+        "parse --dot": [0, False],
+        "analyze": [0, False],
+        "library": [0, [[0, 1, 1]], False],
+        "rate": [0, True],
+    }
+    for call in ("net.stoichiometric_matrix()", "crnkit.complex_balance_report(net, [1.0])"):
+        code = (
+            "import sys, crnkit; net = crnkit.parse_network('0 <-> A @ 3, 1'); "
+            f"before = 'numpy' in sys.modules; {call}; print(before, 'numpy' in sys.modules)"
+        )
+        assert _fresh_python(code) == "False True", call
+
+
 def test_fock_module_loads_on_first_read_from_the_package():
     code = (
         "import sys, crnkit; fock = crnkit.fock; "

@@ -7,6 +7,7 @@ import pytest
 from crnkit import (
     BudgetExceeded,
     DimensionMismatch,
+    InvalidValue,
     NegativeConcentration,
     NegativeState,
     Network,
@@ -154,11 +155,11 @@ class TestIntegrateRate:
 
 class TestTrajectory:
     def test_rejects_ragged_arrays(self):
-        with pytest.raises(ValueError, match="matching leading length"):
+        with pytest.raises(InvalidValue, match="matching leading length"):
             dynamics.Trajectory([0.0, 1.0], [[1.0]])
 
     def test_rejects_times_that_do_not_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(InvalidValue, match="strictly increasing"):
             dynamics.Trajectory([0.0, 1.0, 1.0], [[1.0], [2.0], [3.0]])
 
 

@@ -52,7 +52,7 @@ class TestCountVector:
 class TestTransition:
     def test_rejects_nonpositive_rate(self):
         for rate in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidValue):
                 Transition(CountVector((1,)), CountVector((0,)), rate)
 
     def test_rejects_length_mismatch(self):
@@ -71,11 +71,11 @@ class TestTransition:
 
 class TestNetworkValidation:
     def test_duplicate_species(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             Network(("A", "A"))
 
     def test_empty_species_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             Network(("A", ""))
 
     def test_transition_length_mismatch(self):
@@ -84,7 +84,7 @@ class TestNetworkValidation:
             Network(("A", "B"), (tr,))
 
     def test_rejects_what_is_no_transition(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidValue):
             Network(("A",), (((1,), (0,), 1.0),))
 
     def test_self_loop_is_kept(self):
@@ -136,11 +136,11 @@ class TestComplexGraph:
         assert [t for _, _, t in g.edges] == [0, 1, 2, 3]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             ComplexGraph((CountVector((0,)),), (((0, 1, 0)),))
 
     def test_rejects_duplicate_vertices(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(InvalidValue, match="distinct"):
             ComplexGraph((CountVector((1,)), CountVector((1,))), ())
 
 

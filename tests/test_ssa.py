@@ -198,10 +198,15 @@ class TestJumpTrajectoryCounts:
         ([0.0], [[1], [2]]),
         ([0.0, 0.5, 1.25], [[1], [2]]),
         ([0.0], []),
+        ([0.0], [[1.5]]),
+        ([0.0], [[float("nan")]]),
+        ([0.0], np.array([[np.nan]])),
+        ([0.0], np.array([[2**63]], dtype=np.uint64)),
     ])
     def test_rejects_what_is_no_path_of_counts(self, times, states):
-        # 2**63 raised a bare OverflowError, -3 printed as "0.0,-3", and the
-        # CSV cut rows to the shorter of times and states
+        # 2**63 raised a bare OverflowError, -3 printed as "0.0,-3", 1.5
+        # printed as the count 1, NaN raised numpy's bare ValueError, and
+        # the CSV cut rows to the shorter of times and states
         with pytest.raises(InvalidValue):
             ssa.JumpTrajectory(times, states, seed=0)
 
@@ -371,9 +376,9 @@ class TestStationaryHistogram:
             stationary_histogram(Network(("A",)), (2,), 1.0, 200, 0.5, seed=6)
 
     def test_counts_sum_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             Histogram({(0,): 3}, 4, (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             Histogram({(2,): 3}, 3, (1,))
 
     def test_csv_export(self, net_bd):
