@@ -20,7 +20,13 @@ for j in range(50):
     print(f"X{a} + X{b} -> X{c} + X{d} @ 1.{j}")' > "$tmp/scan.crn"
 crn analyze "$tmp/scan.crn" > "$tmp/analyze.json"
 test "$(grep -v '"generated_at"' "$tmp/analyze.json" | sha256sum | cut -d' ' -f1)" = c16d3c1e44024d23086a1238958e8d26160f65a8cafed101f52aaded85b5e6ce
-crn rate "$tmp/bd.crn" --x0 0 --t-end 5
+# the step-controlled RK4 loop is crn rate's one route: the digest pins its
+# bytes, and a fixed-step --dt is a usage error (exit 2)
+crn rate "$tmp/bd.crn" --x0 0 --t-end 5 > "$tmp/rate.csv"
+test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = 07a2574969df4301374bffa62be064b416e6221e29ce7ce8c33329d8bf8ddac9
+status=0
+crn rate "$tmp/bd.crn" --x0 0 --t-end 5 --dt 0.05 2> /dev/null || status=$?
+test "$status" -eq 2
 # scipy is for the Fock-space side only: crnkit.cli loads none of it,
 # and crn master imports crnkit.fock when it runs
 python -c "import sys, crnkit.cli; sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"

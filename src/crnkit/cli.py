@@ -92,7 +92,7 @@ def _cmd_rate(args) -> int:
     from .dynamics import integrate_rate
     net = _read_network(args.input)
     tol = {} if args.tol is None else {"rtol": args.tol}
-    traj = integrate_rate(net, args.x0, args.t_end, step=args.dt, **tol)
+    traj = integrate_rate(net, args.x0, args.t_end, **tol)
     _write(traj.to_csv(net.species), args.out)
     return 0
 
@@ -196,10 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("rate", _cmd_rate, "integrate the rate equation to CSV")
     p.add_argument("--x0", type=_floats, required=True, help="initial concentrations, comma separated")
     p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=None,
-                   help="fixed RK4 step; without it the step adapts to --tol")
     p.add_argument("--tol", type=float, default=None,
-                   help="keep each adaptive step's error below 1e-12 + tol*max|x| (default 3e-8)")
+                   help="keep each step's error below 1e-12 + tol*max|x| (default 3e-8)")
 
     p = add("equilibrium", _cmd_equilibrium, "pseudo-transient continuation to an equilibrium; JSON")
     p.add_argument("--x0", type=_floats, required=True)

@@ -4,14 +4,14 @@ and :func:`validate_classical` that the master equation and the SSA share.
 The rate vector field is the sum over transitions of
 rate * (output - input) * x^input, with the 0**0 == 1 convention so the
 empty complex contributes a constant source term.  Integration is classic
-RK4, on a fixed grid or step-controlled by an embedded error estimate,
-within a step budget.  Equilibria come from pseudo-transient continuation,
-which ends as Newton iteration.
+RK4, step-controlled by an embedded error estimate, within a step budget.
+Equilibria come from pseudo-transient continuation, which ends as Newton
+iteration.
 
 Trajectories must stay in the nonnegative orthant: entries in
 [-1e-12, 0) are treated as roundoff and clamped to zero, anything lower
-aborts with ``E_NEG`` (the step was too large).  A state that stops being
-finite (finite-time blow-up) aborts with ``E_EXPLODE``.
+aborts with ``E_NEG`` (the tolerance let a step overshoot).  A state that
+stops being finite (finite-time blow-up) aborts with ``E_EXPLODE``.
 """
 
 from __future__ import annotations
@@ -148,8 +148,7 @@ def _clamp_state(x: np.ndarray) -> np.ndarray:
     if low < 0:
         if low < -_CLAMP:
             raise NegativeState(
-                f"state entry reached {low:.3e}; below the roundoff clamp, "
-                "reduce the step size"
+                f"state entry reached {low:.3e}; below the roundoff clamp, lower the tolerance"
             )
         x = np.where(x < 0, 0.0, x)
     return x
@@ -173,57 +172,42 @@ def _default_step(kernel, x0: np.ndarray) -> float:
     return min(0.01, 0.1 / lipschitz)
 
 
-def integrate_rate(
-    net: Network, x0, t_end: float, step: float | None = None, rtol: float = 3e-8
-) -> Trajectory:
+def integrate_rate(net: Network, x0, t_end: float, rtol: float = 3e-8) -> Trajectory:
     """Integrate the rate equation from ``x0`` over [0, t_end] with classic RK4.
 
-    With ``step`` h the rows are at h, 2h, ... and t_end.  Without it the
-    step starts at min(0.01, 0.1/L), L a Lipschitz estimate at x0, and is
+    The step starts at min(0.01, 0.1/L), L a Lipschitz estimate at x0, and is
     kept when Zonneveld's embedded fifth stage (Hairer-Norsett-Wanner I,
     Table II.4.1) puts its error at most 1e-12 + rtol*max|x|.  More than
     ``_MAX_RATE_STEPS`` steps or tries is ``E_BUDGET``; a step too small to
     move t is a finite-time blow-up, ``E_EXPLODE``.
     """
     x0 = validate_classical(x0, net.num_species)
-    if not (0 < t_end < np.inf and 0 < rtol < np.inf and (step is None or 0 < step < np.inf)):
-        raise InvalidValue(f"t_end, step, rtol must be finite and > 0: {t_end}, {step}, {rtol}")
-    if step is not None and not t_end / step <= _MAX_RATE_STEPS:
-        raise BudgetExceeded(f"t_end / step exceeds the budget of {_MAX_RATE_STEPS} steps")
+    if not (0 < t_end < np.inf and 0 < rtol < np.inf):
+        raise InvalidValue(f"t_end and rtol must be finite and > 0: {t_end}, {rtol}")
     field = net.mass_action.field
     times, states, x = [0.0], [x0], x0
     with np.errstate(over="ignore", invalid="ignore"):
-        if step is not None:
-            h, n_full = float(step), int(t_end / step)
-            grid = [((i + 1) * h, h) for i in range(n_full)]
-            if n_full == 0 or t_end - n_full * h > 1e-12 * max(1.0, t_end):
-                grid.append((t_end, t_end - n_full * h))
-            for t, dt in grid:
-                x = _clamp_state(_rk4_step(field, x, dt)[0])
+        t, h = 0.0, _default_step(net.mass_action, x0)
+        for _ in range(_MAX_RATE_STEPS):
+            h = min(h, t_end - t)
+            last = h == t_end - t
+            x_new, stages = _rk4_step(field, x, h)
+            k5 = field(x + h * (_ZONNEVELD_A @ stages))
+            err = h * np.abs(_ZONNEVELD_E @ (*stages, k5)).max(initial=0.0)
+            tol = 1e-12 + rtol * x.max(initial=0.0)
+            if err <= tol:
+                t = t_end if last else t + h
+                x = _clamp_state(x_new)
                 times.append(t)
                 states.append(x)
+                if last:
+                    break
+            # a NaN err passes no comparison, so max() keeps 0.2 and the step shrinks
+            h *= min(5.0, max(0.2, 0.9 * float(tol / err) ** 0.25)) if err else 5.0
+            if t + h == t:
+                raise PopulationExplosion(f"the step fell below the float spacing of t={t:.6g}")
         else:
-            t, h = 0.0, _default_step(net.mass_action, x0)
-            for _ in range(_MAX_RATE_STEPS):
-                h = min(h, t_end - t)
-                last = h == t_end - t
-                x_new, stages = _rk4_step(field, x, h)
-                k5 = field(x + h * (_ZONNEVELD_A @ stages))
-                err = h * np.abs(_ZONNEVELD_E @ (*stages, k5)).max(initial=0.0)
-                tol = 1e-12 + rtol * x.max(initial=0.0)
-                if err <= tol:
-                    t = t_end if last else t + h
-                    x = _clamp_state(x_new)
-                    times.append(t)
-                    states.append(x)
-                    if last:
-                        break
-                # a NaN err passes no comparison, so max() keeps 0.2 and the step shrinks
-                h *= min(5.0, max(0.2, 0.9 * float(tol / err) ** 0.25)) if err else 5.0
-                if t + h == t:
-                    raise PopulationExplosion(f"the step fell below the float spacing of t={t:.6g}")
-            else:
-                raise BudgetExceeded(f"t_end not reached in {_MAX_RATE_STEPS} steps")
+            raise BudgetExceeded(f"t_end not reached in {_MAX_RATE_STEPS} steps")
     times, states = np.array(times), np.array(states)
     blown = ~np.isfinite(states).all(axis=1)
     if blown.any():

@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import CrnError
+from .errors import CrnError, InvalidValue
 from .network import CountVector, Network, Transition, _count_vector
 
 __all__ = [
@@ -271,7 +271,7 @@ def format_network(net: Network) -> str:
     """Canonical ``.crn`` text; ``parse_network(format_network(n))`` equals ``n``."""
     for name in net.species:
         if not _NAME_RE.fullmatch(name):
-            raise ValueError(f"species name {name!r} is not representable in the .crn format")
+            raise InvalidValue(f"species name {name!r} is not representable in the .crn format")
     lines = []
     if net.species:
         lines.append("species: " + " ".join(net.species))

@@ -18,6 +18,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat, starmap
+from numbers import Integral
 from operator import add
 
 import numpy as np
@@ -242,7 +243,7 @@ def simulate(net: Network, n0, t_end: float, seed: int = 0) -> JumpTrajectory:
 
 @dataclass(frozen=True)
 class Histogram:
-    """State counts inside a bounding box; counts sum to ``total``."""
+    """State counts inside a bounding box: sample tallies, positive ints summing to ``total``."""
 
     counts: dict[tuple[int, ...], int]
     total: int
@@ -250,8 +251,9 @@ class Histogram:
 
     def __post_init__(self):
         object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
-        if sum(self.counts.values()) != self.total:
-            raise InvalidValue("histogram counts must sum to the sample total")
+        if not (all(isinstance(v, Integral) and v >= 1 for v in self.counts.values())
+                and sum(self.counts.values()) == self.total >= 1):
+            raise InvalidValue("histogram counts must be positive integers summing to the total >= 1")
         for state in self.counts:
             if len(state) != len(self.caps) or any(
                 v < 0 or v > cap for v, cap in zip(state, self.caps)

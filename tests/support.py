@@ -27,7 +27,7 @@ from crnkit import (
     network_margin,
     poisson_logpmf,
 )
-from crnkit.dynamics import validate_classical
+from crnkit.dynamics import _rk4_step, validate_classical
 
 _NAME_START = string.ascii_letters + "_"
 _NAME_REST = string.ascii_letters + string.digits + "_"
@@ -259,6 +259,19 @@ def balanced_reversible_network(rng: random.Random) -> tuple[Network, np.ndarray
         transitions.append(Transition(inp, out, forward))
         transitions.append(Transition(out, inp, backward))
     return Network(species, tuple(transitions)), c
+
+
+def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
+    """Largest error of classic RK4 on the fixed grid h, 2h, ... <= t_end,
+    against the birth-death closed form 3 (1 - e^-t) from x = 0.
+
+    The steps are ``dynamics._rk4_step``, the kernel of ``integrate_rate``,
+    so the observed order is that of the integrator's own step."""
+    x, err = np.zeros(1), 0.0
+    for i in range(1, int(t_end / h + 1e-9) + 1):
+        x = _rk4_step(net_bd.mass_action.field, x, h)[0]
+        err = max(err, abs(float(x[0]) - 3.0 * (1.0 - math.exp(-i * h))))
+    return err
 
 
 def ordered_selection_count(counts, needs) -> int:

@@ -1,9 +1,11 @@
 """The public surface: lazy names, module exports, the names the benchmark
 wraps, and the README's example."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import pkgutil
 import re
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import crnkit
+from crnkit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crnkit.__path__))
@@ -80,18 +83,29 @@ def crnkit_owners():
 def test_removed_names_table_is_not_empty():
     names = removed_names()
     assert "TruncationBox.state_at(i)" in names and "SparseOperator.max_abs()" in names
-    assert "simulate(..., max_count=)" in names
+    assert "simulate(..., max_count=)" in names and "crn rate --dt" in names
 
 
 @pytest.mark.parametrize("entry", removed_names())
 def test_removed_name_does_not_resolve(entry):
-    # a parameter row reads `func(..., name=)`; a dotted row from `crnkit.`
-    # is a full path; `Class.attr` names an attribute of a class that
-    # still exists; a bare name resolves nowhere in the package
+    # a parameter row reads `func(..., name=)`; an option row reads
+    # `crn command --flag`, which the subcommand's usage no longer names; a
+    # dotted row from `crnkit.` is a full path; `Class.attr` names an
+    # attribute of a class that still exists; a bare name resolves nowhere
+    # in the package
     parameter = re.fullmatch(r"(\w+)\(\.\.\., (\w+)=\)", entry)
     if parameter:
         func, name = parameter.groups()
         assert name not in inspect.signature(getattr(crnkit, func)).parameters
+        return
+    option = re.fullmatch(r"crn (\w+) (--[\w-]+)", entry)
+    if option:
+        command, flag = option.groups()
+        usage = io.StringIO()
+        with contextlib.redirect_stdout(usage):
+            assert cli.run([command, "--help"]) == 0
+        assert "--out" in usage.getvalue()  # every subcommand takes --out
+        assert not re.search(rf"{flag}\b", usage.getvalue())
         return
     path = re.sub(r"\(.*\)$", "", entry)
     if path.startswith("crnkit."):

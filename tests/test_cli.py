@@ -122,6 +122,41 @@ def test_golden_analyze_output_bytes(tmp_path, capsys, text, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of strip_timestamp(stdout), recorded while `crn rate` could still
+# choose a fixed RK4 grid; the step-controlled loop, its only route now, must
+# not move a byte.  The 6x6 network takes 189 accepted steps to t = 1.
+_SPARSE_6X6 = _sparse_text(11, 6, 6)
+
+
+@pytest.mark.parametrize(
+    "text, args, digest",
+    [
+        (BD, ["rate", "--x0", "0", "--t-end", "5"],
+         "07a2574969df4301374bffa62be064b416e6221e29ce7ce8c33329d8bf8ddac9"),
+        (DIATOMIC, ["rate", "--x0", "1,0", "--t-end", "5"],
+         "3f83345d88c696497c4f5baabab6cc1b7d74d115904c627e4a68ad413726ca72"),
+        (_SPARSE_6X6, ["rate", "--x0", "1,1,1,1,1,1", "--t-end", "1"],
+         "0f762d0d1a734c04de5d95b5119c400bbbbb9ed02f95d6539e3514a173d5ae35"),
+        (BD, ["equilibrium", "--x0", "0"],
+         "716275c57c61093cb730b882a9543877b7061664eacac36187f2edab54178d85"),
+        (DIATOMIC, ["equilibrium", "--x0", "1,0"],
+         "1056d18a59db349add4631f9ba8fafed733f51bb155766aea16925f37c04e88d"),
+        (_SPARSE_6X6, ["equilibrium", "--x0", "1,1,1,1,1,1"],
+         "721d67233f08fce4d98591d984898596b7aa92577ac335507582de9e038220a2"),
+    ],
+    ids=["rate-bd", "rate-dia", "rate-sparse", "equilibrium-bd", "equilibrium-dia",
+         "equilibrium-sparse"],
+)
+def test_golden_rate_equilibrium_output_bytes(tmp_path, capsys, text, args, digest):
+    path = tmp_path / "net.crn"
+    path.write_text(text)
+    assert run([args[0], str(path), *args[1:]]) == 0
+    out = capsys.readouterr().out
+    if args[0] == "equilibrium":
+        out = strip_timestamp(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _fresh_python(code: str) -> str:
     """Last stdout line of ``code`` run in a new interpreter that imports this crnkit."""
     src = os.path.dirname(os.path.dirname(crnkit.__file__))
@@ -329,12 +364,16 @@ class TestAckCommand:
 
 
 class TestRateAndEquilibrium:
-    def test_rate_csv(self, bd_file, capsys):
-        assert run(["rate", bd_file, "--x0", "0", "--t-end", "5", "--dt", "0.05"]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
+    def test_rate_csv(self, bd_file, tmp_path):
+        # --out gets the bytes of the golden stdout digest
+        target = tmp_path / "rate.csv"
+        assert run(["rate", bd_file, "--x0", "0", "--t-end", "5", "--out", str(target)]) == 0
+        lines = target.read_text().strip().split("\n")
         assert lines[0] == "t,A"
         final = float(lines[-1].split(",")[1])
         assert abs(final - 3.0 * (1 - 2.718281828459045 ** -5.0)) < 1e-5
+        digest = "07a2574969df4301374bffa62be064b416e6221e29ce7ce8c33329d8bf8ddac9"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     def test_rate_default_route(self, bd_file, capsys):
         assert run(["rate", bd_file, "--x0", "0", "--t-end", "5"]) == 0
@@ -342,6 +381,7 @@ class TestRateAndEquilibrium:
         assert rows[0] == [0.0, 0.0] and rows[-1][0] == 5.0
         assert abs(rows[-1][1] - 3.0 * (1 - 2.718281828459045 ** -5.0)) < 1e-6
         assert run(["rate", bd_file, "--x0", "0", "--method", "rk45"]) == 2
+        assert run(["rate", bd_file, "--x0", "0", "--dt", "0.05"]) == 2
 
     def test_equilibrium_json(self, dia_file, capsys):
         code, doc = run_json(["equilibrium", dia_file, "--x0", "1,0"], capsys)
@@ -716,7 +756,7 @@ class TestCrnTextFuzz:
                 _strict_json(out.getvalue())
 
 
-_RATE_OPTIONS = {"--t-end": _REALS, "--dt": _REALS, "--tol": _REALS}
+_RATE_OPTIONS = {"--t-end": _REALS, "--tol": _REALS}
 
 
 class TestRateAndEquilibriumFuzz:

@@ -7,6 +7,7 @@ import pytest
 
 from crnkit import (
     CountVector,
+    InvalidValue,
     Network,
     ParseError,
     Transition,
@@ -216,8 +217,11 @@ class TestFormatting:
         assert "@ 2.5" in format_network(net)
 
     def test_unrepresentable_species_rejected(self):
-        with pytest.raises(ValueError):
-            format_network(Network(("not a name",)))
+        # a coded E_VALUE, which is still a ValueError
+        for name in ("not a name", "1A", "A-B", "A\nB"):
+            with pytest.raises(InvalidValue, match="not representable in the .crn format") as info:
+                format_network(Network(("B", name)))
+            assert info.value.code == "E_VALUE" and isinstance(info.value, ValueError)
 
 
 class TestRoundTrip:

@@ -380,6 +380,12 @@ class TestStationaryHistogram:
             Histogram({(0,): 3}, 4, (1,))
         with pytest.raises(InvalidValue):
             Histogram({(2,): 3}, 3, (1,))
+        # counts are sample tallies: a zero total divided the frequencies by
+        # zero, and counts of -1 or 0.5 were printed as frequencies
+        for counts, total in [({(0,): 0}, 0), ({(0,): -1, (1,): 2}, 1),
+                              ({(0,): 0.5, (1,): 0.5}, 1), ({(0,): 2.0}, 2), ({}, 0)]:
+            with pytest.raises(InvalidValue, match="positive integers"):
+                Histogram(counts, total, (1,))
 
     def test_csv_export(self, net_bd):
         hist = stationary_histogram(net_bd, (0,), 5.0, 200, 0.5, seed=10)
