@@ -23,7 +23,7 @@ test "$(grep -v '"generated_at"' "$tmp/analyze.json" | sha256sum | cut -d' ' -f1
 # the step-controlled RK4 loop is crn rate's one route: the digest pins its
 # bytes, and a fixed-step --dt is a usage error (exit 2)
 crn rate "$tmp/bd.crn" --x0 0 --t-end 5 > "$tmp/rate.csv"
-test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = 07a2574969df4301374bffa62be064b416e6221e29ce7ce8c33329d8bf8ddac9
+test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = 4f2b1c49c7d4a84516c1d310b110efcd3f7c24da61b57a9325d20d17c7177d0e
 status=0
 crn rate "$tmp/bd.crn" --x0 0 --t-end 5 --dt 0.05 2> /dev/null || status=$?
 test "$status" -eq 2

@@ -3,10 +3,12 @@ and :func:`validate_classical` that the master equation and the SSA share.
 
 The rate vector field is the sum over transitions of
 rate * (output - input) * x^input, with the 0**0 == 1 convention so the
-empty complex contributes a constant source term.  Integration is classic
-RK4, step-controlled by an embedded error estimate, within a step budget.
-Equilibria come from pseudo-transient continuation, which ends as Newton
-iteration.
+empty complex contributes a constant source term.  The field, its Jacobian
+and the RK4 loop run on Python floats in a fixed order of operations, with
+no numpy ufunc and no BLAS call, so ``crn rate`` prints the same bytes on
+every CPU.  Integration is classic RK4, step-controlled by an embedded error
+estimate, within a step budget.  Equilibria come from pseudo-transient
+continuation, which ends as Newton iteration; it keeps numpy's LAPACK calls.
 
 Trajectories must stay in the nonnegative orthant: entries in
 [-1e-12, 0) are treated as roundoff and clamped to zero, anything lower
@@ -16,7 +18,9 @@ stops being finite (finite-time blow-up) aborts with ``E_EXPLODE``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +44,12 @@ __all__ = [
 
 _CLAMP = 1e-12
 _MAX_RATE_STEPS = 2**14  # tries of integrate_rate; about 2 s on small networks
-_ZONNEVELD_A = np.array([5.0, 7.0, 13.0, -1.0]) / 32.0  # the fifth stage, at c = 3/4
-_ZONNEVELD_E = np.array([2 / 3, -2.0, -2.0, -2.0, 16 / 3])  # RK4 minus third-order weights
 _MAX_STEPS = 200  # step budget of find_equilibrium; converging networks tried took <= 54
 
 
 class MassAction:
-    """Mass-action kernel: the transitions as (transitions x species) arrays.
+    """Mass-action kernel: the transitions as (transitions x species) arrays,
+    and once more as one sparse table.
 
     ``inputs`` s and ``outputs`` t hold the complexes, ``change`` is t - s as
     floats and ``rates`` the rate constants r.  The rate equation is
@@ -54,6 +57,13 @@ class MassAction:
     sum_tau r(tau) (a+^t - a+^s) a^s, where a^s on a pure state n gives the
     falling factorial of n; both are read from these arrays.  The monomial
     uses 0**0 == 1, so the empty complex contributes r(tau).
+
+    ``table`` holds one entry (r, gather, moves) per transition: ``gather``
+    lists the species of s, each repeated s_i times, and ``moves`` the pairs
+    (i, t_i - s_i) with t_i != s_i.  The empty complex gathers nothing, so
+    0**0 == 1 holds by construction.  :meth:`field` and :meth:`jacobian` read
+    the table on Python floats in a fixed order, so their bits do not depend
+    on the CPU; :meth:`flux` keeps numpy's ``power``.
     """
 
     def __init__(self, net: Network):
@@ -65,22 +75,67 @@ class MassAction:
         for array in (self.inputs, self.outputs, self.change, self.rates):
             array.setflags(write=False)
 
+    @cached_property
+    def table(self) -> tuple:
+        """Built on first use: the master equation and the SSA never read it."""
+        return tuple(
+            (
+                rate,
+                tuple(i for i, need in enumerate(inputs) for _ in range(need)),
+                tuple((i, c) for i, c in enumerate(change) if c),
+            )
+            for rate, inputs, change in zip(
+                self.rates.tolist(), self.inputs.tolist(), self.change.tolist()
+            )
+        )
+
     def flux(self, x: np.ndarray) -> np.ndarray:
         """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
         return self.rates * (x ** self.inputs).prod(axis=1)
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        """Rate-equation vector field sum_tau r(tau) (t - s) x^s."""
-        return self.flux(x) @ self.change
+    def field(self, x) -> np.ndarray:
+        """Rate-equation vector field sum_tau r(tau) (t - s) x^s, from :meth:`field_floats`."""
+        return np.array(self.field_floats(np.asarray(x, dtype=float).tolist()))
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact derivative of :meth:`field`, using d(x^s)/dx_i = s_i x^(s - e_i)."""
-        k = x.size
-        # factors[tau, i, l] is x_l^s_l, except d/dx_i of it on the diagonal l == i
-        factors = np.repeat((x ** self.inputs)[:, None, :], k, axis=1)
-        diag = np.arange(k)
-        factors[:, diag, diag] = self.inputs * x ** np.maximum(self.inputs - 1, 0)
-        return self.change.T @ (self.rates[:, None] * factors.prod(axis=2))
+    def jacobian(self, x) -> np.ndarray:
+        """Exact derivative of :meth:`field`, from :meth:`jacobian_floats`."""
+        k = len(x)
+        return np.array(self.jacobian_floats(np.asarray(x, dtype=float).tolist())).reshape(k, k)
+
+    def field_floats(self, x: list[float]) -> list[float]:
+        """The field at the state ``x``, a list of floats, as a list.
+
+        Each flux is ((r x_a) x_a) x_b ... along ``gather``; then, transition
+        by transition, out[i] += (t_i - s_i) * flux for each move.
+        """
+        out = [0.0] * len(x)
+        for flux, gather, moves in self.table:
+            for i in gather:
+                flux *= x[i]
+            for i, c in moves:
+                out[i] += c * flux
+        return out
+
+    def jacobian_floats(self, x: list[float]) -> list[list[float]]:
+        """Exact Jacobian of :meth:`field_floats` at ``x``, as rows.
+
+        d(r x^s)/dx_l = s_l r x^(s - e_l) is (r s_l) times the gathered
+        factors but the first x_l, in ``gather`` order; then, transition by
+        transition and species by species, jac[i][l] += (t_i - s_i) * slope.
+        """
+        k = len(x)
+        jac = [[0.0] * k for _ in range(k)]
+        for rate, gather, moves in self.table:
+            for p, l in enumerate(gather):
+                if p and gather[p - 1] == l:
+                    continue
+                slope = rate * gather.count(l)
+                for q, m in enumerate(gather):
+                    if q != p:
+                        slope *= x[m]
+                for i, c in moves:
+                    jac[i][l] += c * slope
+        return jac
 
     def falling(self, counts, j: int):
         """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
@@ -138,35 +193,46 @@ class Trajectory:
 
     def to_csv(self, species) -> str:
         lines = ["t," + ",".join(species)]
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
+        for t, row in zip(self.times.tolist(), self.states.tolist()):
+            lines.append(",".join(map(repr, [t] + row)))
         return "\n".join(lines) + "\n"
 
 
-def _clamp_state(x: np.ndarray) -> np.ndarray:
-    low = x.min(initial=0.0)
+def _clamp_state(x):
+    """``x`` (a list or a 1-D array), or a list with its entries in [-1e-12, 0)
+    set to 0.0; an entry lower than that raises ``E_NEG``."""
+    low = min(x, default=0.0)
     if low < 0:
         if low < -_CLAMP:
             raise NegativeState(
                 f"state entry reached {low:.3e}; below the roundoff clamp, lower the tolerance"
             )
-        x = np.where(x < 0, 0.0, x)
+        x = [0.0 if v < 0 else v for v in x]
     return x
 
 
-def _rk4_step(field, x: np.ndarray, h: float):
+def _rk4_step(field, x: list[float], h: float):
+    half = 0.5 * h
     k1 = field(x)
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
-    k4 = field(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+    k2 = field([v + half * a for v, a in zip(x, k1)])
+    k3 = field([v + half * b for v, b in zip(x, k2)])
+    k4 = field([v + h * c for v, c in zip(x, k3)])
+    sixth = h / 6.0
+    x_new = [v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    return x_new, (k1, k2, k3, k4)
 
 
-def _default_step(kernel, x0: np.ndarray) -> float:
-    # crude Lipschitz estimate: infinity norm of the Jacobian at x0
-    lipschitz = float(np.abs(kernel.jacobian(x0)).sum(axis=1).max(initial=0.0))
-    if not np.isfinite(lipschitz):
-        raise PopulationExplosion("the rate field overflows at the initial state")
+def _default_step(kernel, x0: list[float]) -> float:
+    # crude Lipschitz estimate: infinity norm of the Jacobian at x0, its rows
+    # summed left to right (builtin sum() compensates from Python 3.12 on)
+    lipschitz = 0.0
+    for row in kernel.jacobian_floats(x0):
+        norm = 0.0
+        for v in row:
+            norm += abs(v)
+        if not math.isfinite(norm):
+            raise PopulationExplosion("the rate field overflows at the initial state")
+        lipschitz = max(lipschitz, norm)
     if lipschitz <= 0:
         return 0.01
     return min(0.01, 0.1 / lipschitz)
@@ -179,35 +245,46 @@ def integrate_rate(net: Network, x0, t_end: float, rtol: float = 3e-8) -> Trajec
     kept when Zonneveld's embedded fifth stage (Hairer-Norsett-Wanner I,
     Table II.4.1) puts its error at most 1e-12 + rtol*max|x|.  More than
     ``_MAX_RATE_STEPS`` steps or tries is ``E_BUDGET``; a step too small to
-    move t is a finite-time blow-up, ``E_EXPLODE``.
+    move t is a finite-time blow-up, ``E_EXPLODE``.  The loop runs on lists
+    of Python floats (:meth:`MassAction.field_floats`), every combination of
+    stages written out left to right; numpy only checks ``x0`` and holds the
+    returned :class:`Trajectory`.
     """
     x0 = validate_classical(x0, net.num_species)
-    if not (0 < t_end < np.inf and 0 < rtol < np.inf):
+    if not (0 < t_end < math.inf and 0 < rtol < math.inf):
         raise InvalidValue(f"t_end and rtol must be finite and > 0: {t_end}, {rtol}")
-    field = net.mass_action.field
-    times, states, x = [0.0], [x0], x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        t, h = 0.0, _default_step(net.mass_action, x0)
-        for _ in range(_MAX_RATE_STEPS):
-            h = min(h, t_end - t)
-            last = h == t_end - t
-            x_new, stages = _rk4_step(field, x, h)
-            k5 = field(x + h * (_ZONNEVELD_A @ stages))
-            err = h * np.abs(_ZONNEVELD_E @ (*stages, k5)).max(initial=0.0)
-            tol = 1e-12 + rtol * x.max(initial=0.0)
-            if err <= tol:
-                t = t_end if last else t + h
-                x = _clamp_state(x_new)
-                times.append(t)
-                states.append(x)
-                if last:
-                    break
-            # a NaN err passes no comparison, so max() keeps 0.2 and the step shrinks
-            h *= min(5.0, max(0.2, 0.9 * float(tol / err) ** 0.25)) if err else 5.0
-            if t + h == t:
-                raise PopulationExplosion(f"the step fell below the float spacing of t={t:.6g}")
-        else:
-            raise BudgetExceeded(f"t_end not reached in {_MAX_RATE_STEPS} steps")
+    kernel = net.mass_action
+    field = kernel.field_floats
+    x = x0.tolist()
+    times, states = [0.0], [x]
+    t, h = 0.0, _default_step(kernel, x)
+    for _ in range(_MAX_RATE_STEPS):
+        h = min(h, t_end - t)
+        last = h == t_end - t
+        x_new, (k1, k2, k3, k4) = _rk4_step(field, x, h)
+        # the fifth stage, at c = 3/4, weighs the stages by (5, 7, 13, -1)/32;
+        # the error is RK4's minus the third-order weights, (2/3, -2, -2, -2, 16/3)
+        k5 = field([v + h * (0.15625 * a + 0.21875 * b + 0.40625 * c - 0.03125 * d)
+                    for v, a, b, c, d in zip(x, k1, k2, k3, k4)])
+        errs = [abs(2 / 3 * a - 2.0 * b - 2.0 * c - 2.0 * d + 16 / 3 * e)
+                for a, b, c, d, e in zip(k1, k2, k3, k4, k5)]
+        # max() keeps a NaN only when it comes first, so a NaN stage is looked for
+        err = math.nan if any(map(math.isnan, errs)) else h * max(errs, default=0.0)
+        tol = 1e-12 + rtol * max(x, default=0.0)
+        if err <= tol:
+            t = t_end if last else t + h
+            x = _clamp_state(x_new)
+            times.append(t)
+            states.append(x)
+            if last:
+                break
+        # a NaN err passes no comparison, so max() keeps 0.2 and the step shrinks;
+        # the fourth root is two square roots, which round alike on every CPU
+        h *= min(5.0, max(0.2, 0.9 * math.sqrt(math.sqrt(tol / err)))) if err else 5.0
+        if t + h == t:
+            raise PopulationExplosion(f"the step fell below the float spacing of t={t:.6g}")
+    else:
+        raise BudgetExceeded(f"t_end not reached in {_MAX_RATE_STEPS} steps")
     times, states = np.array(times), np.array(states)
     blown = ~np.isfinite(states).all(axis=1)
     if blown.any():
@@ -243,7 +320,7 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
     u_mat, sing, _ = np.linalg.svd(net.stoichiometric_matrix().astype(float), full_matrices=False)
     basis = u_mat[:, : int((sing > sing.max(initial=0.0) * 1e-12).sum())]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dt = _default_step(kernel, x)
+        dt = _default_step(kernel, x.tolist())
         fx = kernel.field(x)
         norm = start = np.abs(fx).max(initial=0.0)
         for _ in range(_MAX_STEPS):
@@ -267,7 +344,7 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
             while (x + step).min() < -_CLAMP:
                 step *= 0.5
                 dt *= 0.5
-            candidate = _clamp_state(x + step)
+            candidate = np.asarray(_clamp_state(x + step), dtype=float)
             f_new = kernel.field(candidate)
             norm_new = np.abs(f_new).max()
             if not norm_new < norm and norm <= tol * scale and growth <= 0:

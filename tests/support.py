@@ -265,13 +265,31 @@ def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
     """Largest error of classic RK4 on the fixed grid h, 2h, ... <= t_end,
     against the birth-death closed form 3 (1 - e^-t) from x = 0.
 
-    The steps are ``dynamics._rk4_step``, the kernel of ``integrate_rate``,
-    so the observed order is that of the integrator's own step."""
-    x, err = np.zeros(1), 0.0
+    The steps are ``dynamics._rk4_step`` on the list field, the kernel of
+    ``integrate_rate``, so the observed order is that of the integrator's
+    own step."""
+    x, err = [0.0], 0.0
     for i in range(1, int(t_end / h + 1e-9) + 1):
-        x = _rk4_step(net_bd.mass_action.field, x, h)[0]
-        err = max(err, abs(float(x[0]) - 3.0 * (1.0 - math.exp(-i * h))))
+        x = _rk4_step(net_bd.mass_action.field_floats, x, h)[0]
+        err = max(err, abs(x[0] - 3.0 * (1.0 - math.exp(-i * h))))
     return err
+
+
+def dense_field(kernel, x: np.ndarray) -> np.ndarray:
+    """Oracle of ``MassAction.field``: sum_tau r (t - s) x^s from the
+    kernel's dense arrays, with numpy's pow and a BLAS product."""
+    return kernel.rates * (x ** kernel.inputs).prod(axis=1) @ kernel.change
+
+
+def dense_jacobian(kernel, x: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of :func:`dense_field` via an m x k x k tensor, with
+    d(x^s)/dx_i = s_i x^(s - e_i)."""
+    k = x.size
+    # factors[tau, i, l] is x_l^s_l, except d/dx_i of it on the diagonal l == i
+    factors = np.repeat((x ** kernel.inputs)[:, None, :], k, axis=1)
+    diag = np.arange(k)
+    factors[:, diag, diag] = kernel.inputs * x ** np.maximum(kernel.inputs - 1, 0)
+    return kernel.change.T @ (kernel.rates[:, None] * factors.prod(axis=2))
 
 
 def ordered_selection_count(counts, needs) -> int:

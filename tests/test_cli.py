@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import random
 import string
 import subprocess
@@ -122,30 +123,32 @@ def test_golden_analyze_output_bytes(tmp_path, capsys, text, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# SHA-256 of strip_timestamp(stdout), recorded while `crn rate` could still
-# choose a fixed RK4 grid; the step-controlled loop, its only route now, must
-# not move a byte.  The 6x6 network takes 189 accepted steps to t = 1.
+# SHA-256 of strip_timestamp(stdout).  `crn rate` and the field and Jacobian
+# of `crn equilibrium` read MassAction.table on Python floats in a fixed order,
+# so the rate digests hold on every CPU; equilibrium-sparse still goes through
+# LAPACK's svd, eigvals and solve.  The 6x6 network takes 189 accepted steps
+# to t = 1.
 _SPARSE_6X6 = _sparse_text(11, 6, 6)
+_RATE_EQUILIBRIUM_GOLDEN = {
+    "rate-bd": (BD, ["rate", "--x0", "0", "--t-end", "5"],
+                "4f2b1c49c7d4a84516c1d310b110efcd3f7c24da61b57a9325d20d17c7177d0e"),
+    "rate-dia": (DIATOMIC, ["rate", "--x0", "1,0", "--t-end", "5"],
+                 "ddbbacf3b2e1c7a5d81f00ef384b2617fa828e3f2f8ff52141971ce4ff326457"),
+    "rate-sparse": (_SPARSE_6X6, ["rate", "--x0", "1,1,1,1,1,1", "--t-end", "1"],
+                    "68d1708b5fcc4f4f12bff6a378921bc4b129e4e1dd574ffd813541a811127af0"),
+    "equilibrium-bd": (BD, ["equilibrium", "--x0", "0"],
+                       "716275c57c61093cb730b882a9543877b7061664eacac36187f2edab54178d85"),
+    "equilibrium-dia": (DIATOMIC, ["equilibrium", "--x0", "1,0"],
+                        "1056d18a59db349add4631f9ba8fafed733f51bb155766aea16925f37c04e88d"),
+    "equilibrium-sparse": (_SPARSE_6X6, ["equilibrium", "--x0", "1,1,1,1,1,1"],
+                           "faf7677cf7b13f41c716f20b21d7ddc81f47d1ac6262f3d224c93bf6ba65b10d"),
+}
 
 
 @pytest.mark.parametrize(
     "text, args, digest",
-    [
-        (BD, ["rate", "--x0", "0", "--t-end", "5"],
-         "07a2574969df4301374bffa62be064b416e6221e29ce7ce8c33329d8bf8ddac9"),
-        (DIATOMIC, ["rate", "--x0", "1,0", "--t-end", "5"],
-         "3f83345d88c696497c4f5baabab6cc1b7d74d115904c627e4a68ad413726ca72"),
-        (_SPARSE_6X6, ["rate", "--x0", "1,1,1,1,1,1", "--t-end", "1"],
-         "0f762d0d1a734c04de5d95b5119c400bbbbb9ed02f95d6539e3514a173d5ae35"),
-        (BD, ["equilibrium", "--x0", "0"],
-         "716275c57c61093cb730b882a9543877b7061664eacac36187f2edab54178d85"),
-        (DIATOMIC, ["equilibrium", "--x0", "1,0"],
-         "1056d18a59db349add4631f9ba8fafed733f51bb155766aea16925f37c04e88d"),
-        (_SPARSE_6X6, ["equilibrium", "--x0", "1,1,1,1,1,1"],
-         "721d67233f08fce4d98591d984898596b7aa92577ac335507582de9e038220a2"),
-    ],
-    ids=["rate-bd", "rate-dia", "rate-sparse", "equilibrium-bd", "equilibrium-dia",
-         "equilibrium-sparse"],
+    list(_RATE_EQUILIBRIUM_GOLDEN.values()),
+    ids=list(_RATE_EQUILIBRIUM_GOLDEN),
 )
 def test_golden_rate_equilibrium_output_bytes(tmp_path, capsys, text, args, digest):
     path = tmp_path / "net.crn"
@@ -157,8 +160,34 @@ def test_golden_rate_equilibrium_output_bytes(tmp_path, capsys, text, args, dige
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _fresh_python(code: str) -> str:
-    """Last stdout line of ``code`` run in a new interpreter that imports this crnkit."""
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="an x86-64 OpenBLAS core")
+def test_golden_rate_bytes_on_the_oldest_openblas_core(tmp_path):
+    # OpenBLAS's Prescott kernels (SSE3, no AVX) stand in for a CPU unlike
+    # this one; the variable acts on the child process only
+    cases = [case for key, case in _RATE_EQUILIBRIUM_GOLDEN.items() if key.startswith("rate-")]
+    calls = []
+    for i, (text, args, _) in enumerate(cases):
+        path = tmp_path / f"{i}.crn"
+        path.write_text(text)
+        calls.append((str(path), args))
+    code = (
+        "import contextlib, hashlib, io, json\n"
+        "from crnkit.cli import run\n"
+        "digests = []\n"
+        f"for path, args in {calls!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        run([args[0], path, *args[1:]])\n"
+        "    digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        "print(json.dumps(digests))\n"
+    )
+    digests = json.loads(_fresh_python(code, OPENBLAS_CORETYPE="Prescott"))
+    assert digests == [digest for _, _, digest in cases]
+
+
+def _fresh_python(code: str, **env: str) -> str:
+    """Last stdout line of ``code`` run in a new interpreter that imports this
+    crnkit, with ``env`` added to its environment."""
     src = os.path.dirname(os.path.dirname(crnkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -166,7 +195,7 @@ def _fresh_python(code: str) -> str:
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
     return done.stdout.splitlines()[-1]
 
@@ -372,7 +401,7 @@ class TestRateAndEquilibrium:
         assert lines[0] == "t,A"
         final = float(lines[-1].split(",")[1])
         assert abs(final - 3.0 * (1 - 2.718281828459045 ** -5.0)) < 1e-5
-        digest = "07a2574969df4301374bffa62be064b416e6221e29ce7ce8c33329d8bf8ddac9"
+        digest = "4f2b1c49c7d4a84516c1d310b110efcd3f7c24da61b57a9325d20d17c7177d0e"
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     def test_rate_default_route(self, bd_file, capsys):

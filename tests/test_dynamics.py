@@ -1,11 +1,14 @@
+import math
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from crnkit import (
     BudgetExceeded,
+    CountVector,
     DimensionMismatch,
     InvalidValue,
     NegativeConcentration,
@@ -13,6 +16,7 @@ from crnkit import (
     Network,
     NoConvergence,
     PopulationExplosion,
+    Transition,
     complex_balance_report,
     conserved_quantities,
     find_equilibrium,
@@ -22,7 +26,13 @@ from crnkit import (
 )
 from crnkit import dynamics
 
-from support import balanced_reversible_network, bd_rk4_grid_error, random_network
+from support import (
+    balanced_reversible_network,
+    bd_rk4_grid_error,
+    dense_field,
+    dense_jacobian,
+    random_network,
+)
 
 
 def bd_closed_form(times, kappa=3.0, gamma=1.0):
@@ -64,6 +74,41 @@ class TestRateVectorField:
                 # size of the field's terms, for entries whose exact value is 0
                 scale = (np.abs(kernel.change).T @ kernel.flux(x + 1.0)).max(initial=0.0)
                 np.testing.assert_allclose(jac, central, rtol=1e-6, atol=1e-6 * scale)
+
+    def test_table_gathers_each_species_by_its_multiplicity(self, net_catalyst):
+        # the empty complex gathers nothing; moves skip the unchanged C
+        assert net_catalyst.mass_action.table == (
+            (1.0, (), ((0, 1.0),)),
+            (2.0, (1,), ((1, -1.0),)),
+            (0.5, (0, 2), ((0, -1.0), (2, -1.0), (3, 1.0))),
+            (1.25, (3,), ((1, 2.0), (2, 1.0), (3, -1.0))),
+        )
+        assert parse_network("3 A + B -> 0 @ 2").mass_action.table[0][1] == (0, 0, 0, 1)
+
+    def test_table_kernel_matches_the_dense_formulas(self):
+        # random complexes with multiplicities up to 3, one source 0 -> X0 each,
+        # and x with zero entries; the table rounds in another order than
+        # numpy's pow and BLAS, so the bound is 8 ulp of the sum of |terms|
+        rng = random.Random(31)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            net = random_network(rng, max_coeff=3)
+            k = net.num_species
+            source = Transition(CountVector([0] * k), CountVector([1] + [0] * (k - 1)), 2.5)
+            kernel = Network(net.species, net.transitions + (source,)).mass_action
+            magnitude = SimpleNamespace(
+                rates=kernel.rates, inputs=kernel.inputs, change=np.abs(kernel.change)
+            )
+            for _ in range(3):
+                x = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in range(k)])
+                assert np.all(
+                    np.abs(kernel.field(x) - dense_field(kernel, x))
+                    <= 8 * eps * dense_field(magnitude, x)
+                )
+                assert np.all(
+                    np.abs(kernel.jacobian(x) - dense_jacobian(kernel, x))
+                    <= 8 * eps * dense_jacobian(magnitude, x)
+                )
 
     def test_zero_at_balanced_states(self):
         rng = random.Random(71)
@@ -131,6 +176,28 @@ class TestIntegrateRate:
         net = parse_network("2 A -> 3 A @ 1")
         with pytest.raises(PopulationExplosion):
             integrate_rate(net, [1.0], 2.0)
+
+    def test_non_finite_stage_rejects_the_step(self, monkeypatch):
+        # at the equilibrium (1, 1) every error entry is 0, so the first try
+        # would pass; its fifth stage gets a NaN in the second entry, which
+        # max() over the error entries passes over, since it does not come first
+        net = parse_network("Z0 <-> Z1 @ 8, 8")
+        kernel, calls = net.mass_action, []
+        field = kernel.field_floats
+
+        def poisoned(x):
+            calls.append(x)
+            out = field(x)
+            if len(calls) == 5:
+                out[1] = math.nan
+            return out
+
+        monkeypatch.setattr(kernel, "field_floats", poisoned)
+        traj = integrate_rate(net, [1.0, 1.0], 1.0)
+        # the first try, 0.1 over the Jacobian's norm 16, is retried with a
+        # fifth of its step and never accepted
+        assert traj.times[1] == 0.1 / 16 * 0.2
+        assert (traj.states == 1.0).all()
 
     def test_trajectory_shape_and_csv(self, net_diatomic):
         traj = integrate_rate(net_diatomic, [1.0, 0.0], 1.0)
