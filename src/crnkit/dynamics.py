@@ -45,6 +45,7 @@ __all__ = [
 _CLAMP = 1e-12
 _MAX_RATE_STEPS = 2**14  # tries of integrate_rate; about 2 s on small networks
 _MAX_STEPS = 200  # step budget of find_equilibrium; converging networks tried took <= 54
+_SQUARING_ABOVE = 8  # a larger stoichiometric coefficient is raised by binary powering
 
 
 class MassAction:
@@ -58,9 +59,9 @@ class MassAction:
     falling factorial of n; both are read from these arrays.  The monomial
     uses 0**0 == 1, so the empty complex contributes r(tau).
 
-    ``table`` holds one entry (r, gather, moves) per transition: ``gather``
-    lists the species of s, each repeated s_i times, and ``moves`` the pairs
-    (i, t_i - s_i) with t_i != s_i.  The empty complex gathers nothing, so
+    ``table`` holds one entry (r, factors, moves) per transition:
+    ``factors`` the pairs (i, s_i) with s_i > 0 and ``moves`` the pairs
+    (i, t_i - s_i) with t_i != s_i.  The empty complex has no factor, so
     0**0 == 1 holds by construction.  :meth:`field` and :meth:`jacobian` read
     the table on Python floats in a fixed order, so their bits do not depend
     on the CPU; :meth:`flux` keeps numpy's ``power``.
@@ -81,7 +82,7 @@ class MassAction:
         return tuple(
             (
                 rate,
-                tuple(i for i, need in enumerate(inputs) for _ in range(need)),
+                tuple((i, need) for i, need in enumerate(inputs) if need),
                 tuple((i, c) for i, c in enumerate(change) if c),
             )
             for rate, inputs, change in zip(
@@ -105,13 +106,17 @@ class MassAction:
     def field_floats(self, x: list[float]) -> list[float]:
         """The field at the state ``x``, a list of floats, as a list.
 
-        Each flux is ((r x_a) x_a) x_b ... along ``gather``; then, transition
-        by transition, out[i] += (t_i - s_i) * flux for each move.
+        Each flux is ((r x_a) x_a) x_b ... over ``factors``, one factor at a
+        time (see :func:`_times_power`); then, transition by transition,
+        out[i] += (t_i - s_i) * flux for each move.
         """
         out = [0.0] * len(x)
-        for flux, gather, moves in self.table:
-            for i in gather:
-                flux *= x[i]
+        for flux, factors, moves in self.table:
+            for i, need in factors:
+                if need == 1:
+                    flux *= x[i]
+                else:
+                    flux = _times_power(flux, x[i], need)
             for i, c in moves:
                 out[i] += c * flux
         return out
@@ -119,20 +124,17 @@ class MassAction:
     def jacobian_floats(self, x: list[float]) -> list[list[float]]:
         """Exact Jacobian of :meth:`field_floats` at ``x``, as rows.
 
-        d(r x^s)/dx_l = s_l r x^(s - e_l) is (r s_l) times the gathered
-        factors but the first x_l, in ``gather`` order; then, transition by
+        d(r x^s)/dx_l = s_l r x^(s - e_l) is (r s_l) times the factors of
+        x^(s - e_l), in ``factors`` order as in the field; then, transition by
         transition and species by species, jac[i][l] += (t_i - s_i) * slope.
         """
         k = len(x)
         jac = [[0.0] * k for _ in range(k)]
-        for rate, gather, moves in self.table:
-            for p, l in enumerate(gather):
-                if p and gather[p - 1] == l:
-                    continue
-                slope = rate * gather.count(l)
-                for q, m in enumerate(gather):
-                    if q != p:
-                        slope *= x[m]
+        for rate, factors, moves in self.table:
+            for l, need_l in factors:
+                slope = rate * need_l
+                for m, need in factors:
+                    slope = _times_power(slope, x[m], need - 1 if m == l else need)
                 for i, c in moves:
                     jac[i][l] += c * slope
         return jac
@@ -150,6 +152,28 @@ class MassAction:
             for m in range(need):
                 values = values * (counts[i] - m)
         return values
+
+
+def _times_power(acc: float, v: float, n: int) -> float:
+    """acc * v**n with float multiplies only, so its bits do not depend on the CPU.
+
+    Up to ``_SQUARING_ABOVE`` factors are multiplied in one at a time,
+    ((acc v) v) ...; a larger n multiplies acc by v**n from binary powering,
+    about 2 log2(n) multiplies.  Both err by at most about (n - 1) roundings
+    of v**n, the condition number of v**n in v.
+    """
+    if n <= _SQUARING_ABOVE:
+        for _ in range(n):
+            acc *= v
+        return acc
+    power = 1.0
+    while True:
+        if n & 1:
+            power *= v
+        n >>= 1
+        if not n:
+            return acc * power
+        v *= v
 
 
 def validate_classical(c, k: int) -> np.ndarray:
@@ -198,9 +222,9 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _clamp_state(x):
-    """``x`` (a list or a 1-D array), or a list with its entries in [-1e-12, 0)
-    set to 0.0; an entry lower than that raises ``E_NEG``."""
+def _clamp_state(x: list[float]) -> list[float]:
+    """``x`` with its entries in [-1e-12, 0) set to 0.0; an entry lower than
+    that raises ``E_NEG``."""
     low = min(x, default=0.0)
     if low < 0:
         if low < -_CLAMP:
@@ -344,7 +368,7 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
             while (x + step).min() < -_CLAMP:
                 step *= 0.5
                 dt *= 0.5
-            candidate = np.asarray(_clamp_state(x + step), dtype=float)
+            candidate = np.array(_clamp_state((x + step).tolist()))
             f_new = kernel.field(candidate)
             norm_new = np.abs(f_new).max()
             if not norm_new < norm and norm <= tol * scale and growth <= 0:

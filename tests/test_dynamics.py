@@ -75,15 +75,39 @@ class TestRateVectorField:
                 scale = (np.abs(kernel.change).T @ kernel.flux(x + 1.0)).max(initial=0.0)
                 np.testing.assert_allclose(jac, central, rtol=1e-6, atol=1e-6 * scale)
 
-    def test_table_gathers_each_species_by_its_multiplicity(self, net_catalyst):
-        # the empty complex gathers nothing; moves skip the unchanged C
+    def test_table_pairs_each_input_species_with_its_multiplicity(self, net_catalyst):
+        # the empty complex has no factor; moves skip the unchanged C
         assert net_catalyst.mass_action.table == (
             (1.0, (), ((0, 1.0),)),
-            (2.0, (1,), ((1, -1.0),)),
-            (0.5, (0, 2), ((0, -1.0), (2, -1.0), (3, 1.0))),
-            (1.25, (3,), ((1, 2.0), (2, 1.0), (3, -1.0))),
+            (2.0, ((1, 1),), ((1, -1.0),)),
+            (0.5, ((0, 1), (2, 1)), ((0, -1.0), (2, -1.0), (3, 1.0))),
+            (1.25, ((3, 1),), ((1, 2.0), (2, 1.0), (3, -1.0))),
         )
-        assert parse_network("3 A + B -> 0 @ 2").mass_action.table[0][1] == (0, 0, 0, 1)
+        assert parse_network("3 A + B -> 0 @ 2").mass_action.table[0][1] == ((0, 3), (1, 1))
+
+    def test_large_coefficient_matches_the_dense_formulas(self):
+        # one factor pair per species, whatever its coefficient: up to
+        # _SQUARING_ABOVE factors are multiplied in one at a time, more by
+        # binary powering, whose error grows with m as x^m's condition number
+        eps = np.finfo(float).eps
+        for m in (dynamics._SQUARING_ABOVE, dynamics._SQUARING_ABOVE + 1, 1000, 10**12, 2**63 - 1):
+            kernel = parse_network(f"{m} A -> B @ 1.5\n0 -> A @ 1").mass_action
+            assert kernel.table[0][1] == ((0, m),)
+            magnitude = SimpleNamespace(
+                rates=kernel.rates, inputs=kernel.inputs, change=np.abs(kernel.change)
+            )
+            near_one = 1.0 - math.log(m) / m
+            for a in (0.0, 0.5, near_one, 1.0, 1.0 + 1.0 / m):
+                x = np.array([a, 2.0])
+                bound = (m + 8) * eps
+                assert np.all(
+                    np.abs(kernel.field(x) - dense_field(kernel, x))
+                    <= bound * dense_field(magnitude, x)
+                )
+                assert np.all(
+                    np.abs(kernel.jacobian(x) - dense_jacobian(kernel, x))
+                    <= bound * dense_jacobian(magnitude, x)
+                )
 
     def test_table_kernel_matches_the_dense_formulas(self):
         # random complexes with multiplicities up to 3, one source 0 -> X0 each,
@@ -176,6 +200,31 @@ class TestIntegrateRate:
         net = parse_network("2 A -> 3 A @ 1")
         with pytest.raises(PopulationExplosion):
             integrate_rate(net, [1.0], 2.0)
+
+    def test_large_coefficient_follows_the_dense_field(self, monkeypatch):
+        # m A -> 0 against 0 -> A from 0.5: x^m underflows until x nears
+        # m^(-1/m), so the first quarter is exact; to t = 1 the run meets the
+        # stiff approach to that equilibrium.  x^m is m factors' worth of
+        # rounding, so the state follows the dense field's within m ulp
+        for m, t_end in ((10**4, 1.0), (10**12, 0.25)):
+            net = parse_network(f"{m} A -> 0 @ 1\n0 -> A @ 1")
+            traj = integrate_rate(net, [0.5], t_end)
+            kernel = net.mass_action
+
+            def dense_floats(x):
+                # rejected tries past x = 1 overflow x^m, in both fields
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return dense_field(kernel, np.array(x)).tolist()
+
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "field_floats", dense_floats)
+                dense = integrate_rate(net, [0.5], t_end)
+            assert traj.times.shape == dense.times.shape
+            assert np.abs(traj.states - dense.states).max() <= m * np.finfo(float).eps
+            if t_end == 0.25:
+                assert traj.states[-1, 0] == 0.75
+        (c,) = find_equilibrium(parse_network("10000 A -> 0 @ 1\n0 -> A @ 1"), [0.5])
+        assert abs(c - math.exp(-math.log(1e4) / 1e4)) <= 1e4 * np.finfo(float).eps
 
     def test_non_finite_stage_rejects_the_step(self, monkeypatch):
         # at the equilibrium (1, 1) every error entry is 0, so the first try
@@ -292,7 +341,7 @@ class TestFindEquilibrium:
         clamp = dynamics._clamp_state
 
         def spy(x):
-            clamped.append(x.min() < 0)
+            clamped.append(min(x) < 0)
             return clamp(x)
 
         monkeypatch.setattr(dynamics, "_clamp_state", spy)
