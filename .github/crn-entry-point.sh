@@ -73,10 +73,10 @@ printf 'X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n' > "$tmp/dimer.crn"
 crn master "$tmp/dimer.crn" --n0 0,1 --caps 40,40 --t-end 2 > "$tmp/master.csv" 2> "$tmp/err.txt"
 test ! -s "$tmp/err.txt"
 test "$(sed 1d "$tmp/master.csv" | cut -d, -f1,2)" = "0,1"
-# the symmetry demo on the certify benchmark's 199,268-state box runs the
-# masked exp and the where= divide in blocks of rows; its reference holds
-# subnormal weights, which the relative error leaves out, and no numpy
-# warning may print
+# the symmetry demo on the certify benchmark's 199,268-state box multiplies
+# out the tilted 1-D Poisson tables and runs the where= divide in blocks of
+# rows; its reference holds subnormal weights, which the relative error
+# leaves out, and no numpy warning may print
 crn noether "$tmp/dimer.crn" --c 1250,50 --s 0.01 > "$tmp/noether.json" 2> "$tmp/err.txt"
 test ! -s "$tmp/err.txt"
 python -c 'import json, sys

@@ -18,12 +18,15 @@ that structure instead of a states x species array.  Each ladder operator
 shifts the flat index by one stride, so every operator is banded: it is
 built as one array per diagonal (scipy's DIA layout).  Master evolution
 steps on such a band of plain arrays; the public operators are CSR.
-Per-state tables (coherent weights, w . n) are outer sums of 1-D ones,
-and the interior is a sub-box, read as slices of the grid.
+Per-state tables are outer products (coherent weights) or outer sums
+(w . n) of 1-D ones, and the interior is a sub-box, read as slices of the
+grid.
 
-Coherent states carry the untruncated product-Poisson weights (computed
-through log-gamma, no factorial overflow) without renormalization; the
-lost tail mass is reported alongside.  The certificates assemble no
+Coherent states carry the untruncated product-Poisson weights without
+renormalization; the lost tail mass is reported alongside.  Each species'
+1-D table is ``math.exp`` of its log-gamma log-pmf, entry by entry (no
+factorial overflow), and the box's weights are their products, so no
+SIMD-dispatched exp runs over the box.  The certificates assemble no
 generator: a coherent state is an eigenvector of every annihilation
 monomial, so H psi_c is a sum of shifted copies of the coherent grid,
 one per complex, corrected on the slabs by the caps where truncate-pair
@@ -88,8 +91,7 @@ __all__ = [
 
 _DBL_MAX = np.finfo(float).max
 _LOG_DBL_MAX = 709.0
-_EXP_ZERO = -750.0  # exp is exactly 0.0 below this: e^-750 is about 2^-1082
-_EXP_BLOCK = 2**15  # lanes per block of the masked exp, the residual's scaled copies and the symmetry's passes
+_EXP_BLOCK = 2**15  # lanes per block of the residual's scaled copies and of the relative error's divide
 _TINY = np.finfo(float).tiny  # the smallest normal float
 _POISSON_TAIL = 1e-14  # right-tail mass dropped by evolve_master
 _MAX_MATVECS = 10**6  # evolve_master's mat-vec budget
@@ -396,16 +398,12 @@ def _commutator_max_abs(net: Network, box: TruncationBox, w) -> float:
 # ---------------------------------------------------------------------------
 # product structure of the box
 
-def _outer_sum(tables) -> np.ndarray:
-    """tables[0][n_0] + tables[1][n_1] + ... per box state, flat, added in species order."""
-    return reduce(np.add.outer, tables).ravel()
-
-
-def _weight_vector(w, k: int) -> np.ndarray:
-    """``w`` as an int64 vector of shape (k,); ``E_DIM`` for a wrong length, ``E_VALUE``
-    for an entry that is fractional, non-finite or beyond the int64 range."""
-    if np.shape(w) != (k,):
-        raise DimensionMismatch(f"weight vector shape {np.shape(w)}, expected ({k},)")
+def _checked_weights(w, box: TruncationBox) -> list[int]:
+    """``w`` as a list of ints; ``E_DIM`` for a wrong length, ``E_VALUE`` for an
+    entry that is fractional, non-finite or beyond the int64 range, or when
+    sum |w_i| cap_i reaches 2**63, where int64 w . n could wrap."""
+    if np.shape(w) != (box.k,):
+        raise DimensionMismatch(f"weight vector shape {np.shape(w)}, expected ({box.k},)")
     entries = np.asarray(w, dtype=object).tolist()
     try:
         ints = [int(v) for v in entries]
@@ -413,21 +411,16 @@ def _weight_vector(w, k: int) -> np.ndarray:
         ints = None
     if ints != entries or not all(-(2**63) <= v < 2**63 for v in ints):
         raise InvalidValue(f"weight vector entries must be int64 integers, got {entries}")
-    return np.array(ints, dtype=np.int64)
-
-
-def _checked_weights(w, box: TruncationBox) -> list[int]:
-    """``w`` as a list of ints (:func:`_weight_vector`), ``E_VALUE`` when sum |w_i| cap_i
-    reaches 2**63, where int64 w . n could wrap."""
-    w = _weight_vector(w, box.k).tolist()
-    if sum(abs(wi) * cap for wi, cap in zip(w, box.caps)) >= 2**63:
-        raise InvalidValue(f"w . n leaves the int64 range on the box {box.caps} for w = {w}")
-    return w
+    if sum(abs(wi) * cap for wi, cap in zip(ints, box.caps)) >= 2**63:
+        raise InvalidValue(f"w . n leaves the int64 range on the box {box.caps} for w = {ints}")
+    return ints
 
 
 def _sector_values(w, box: TruncationBox) -> np.ndarray:
-    """w . n per box state for an integer weight vector ``w`` (:func:`_checked_weights`)."""
-    return _outer_sum([wi * np.arange(cap + 1) for wi, cap in zip(_checked_weights(w, box), box.caps)])
+    """w . n per box state for an integer weight vector ``w`` (:func:`_checked_weights`),
+    flat: the outer sum of the 1-D tables w_i n_i, added in species order."""
+    tables = [wi * np.arange(cap + 1) for wi, cap in zip(_checked_weights(w, box), box.caps)]
+    return reduce(np.add.outer, tables).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -442,62 +435,29 @@ def poisson_logpmf(k, mu):
     return xlogy(k, mu) - gammaln(k + 1) - mu
 
 
-def _log_poisson_tables(c, caps) -> list[np.ndarray]:
-    """log Pois(n_i; c_i) for n_i = 0 .. cap_i, one 1-D table per species."""
-    return [poisson_logpmf(np.arange(cap + 1.0), mean) for cap, mean in zip(caps, c)]
+def _poisson_table(mean: float, cap: int, tilt: float | None = None) -> np.ndarray:
+    """Pois(n; mean) for n = 0 .. cap, each entry ``math.exp`` of its log-pmf.
+
+    With ``tilt``, the log table gets tilt * n added and its largest entry
+    subtracted before the exp, so the table is e^(tilt n) Pois(n; mean)
+    scaled to a largest entry of 1.  ``math.exp`` is libm's scalar exp,
+    which numpy's CPU-feature dispatch does not reach.
+    """
+    n = np.arange(cap + 1.0)
+    logs = poisson_logpmf(n, mean)
+    if tilt is not None:
+        logs += tilt * n
+        logs -= logs.max()
+    return np.fromiter(map(math.exp, logs.tolist()), float, cap + 1)
 
 
 def _coherent_weights(c, caps) -> np.ndarray:
-    """Product-Poisson weight per state of the box with ``caps``: exp of the
-    outer sum of the 1-D log tables, bit for bit, as a new writable array.
-
-    A log weight below the float range is -inf, a weight of 0.  A box far
-    from its mean can hold half its lanes below ``_EXP_ZERO``;
-    :func:`_masked_exp` sets those to 0.0 without calling exp, from the
-    least and the largest log weight of each row of the first species.
-    No table entry is above 0, so a lane near the cut adds terms no larger
-    than the cut, and its bound is off by their roundoff only.
+    """Product-Poisson weight per state of the box with ``caps``, as a new
+    writable array: the outer product of the 1-D :func:`_poisson_table`
+    of each species, multiplied in species order.  A product below the
+    float range is 0.0.
     """
-    tables = _log_poisson_tables(c, caps)
-    with np.errstate(over="ignore"):
-        weights = _outer_sum(tables)
-        low = tables[0] + sum(float(t.min()) for t in tables[1:])
-        high = tables[0] + sum(float(t.max()) for t in tables[1:])
-    return _masked_exp(weights, low, high)
-
-
-def _masked_exp(logs: np.ndarray, low, high) -> np.ndarray:
-    """exp of the flat log weights ``logs``, in place and bit for bit.
-
-    ``low`` and ``high`` bound the lanes of each row of the first species
-    from below and from above.  Below about -708 exp leaves its fast path,
-    and below ``_EXP_ZERO`` it is exactly 0.0, so those lanes are set to
-    0.0 without calling it.  The work goes in blocks of ``_EXP_BLOCK``
-    lanes: a block whose rows lie wholly below the cut is filled with 0.0,
-    one wholly above takes the plain exp, and only the rest a masked exp,
-    which costs more per lane.  When no row reaches below the cut, one
-    plain in-place exp does it all.  A plain exp is exp whatever the
-    bounds say, and so is a masked one; only the 0.0 fill needs ``high``
-    to hold, up to roundoff well under the 5 between the cut and about
-    -745, where exp becomes 0.0.
-    """
-    if low.min() >= _EXP_ZERO:
-        return np.exp(logs, out=logs)
-    width = logs.size // low.size
-    above = np.empty(min(_EXP_BLOCK, logs.size), dtype=bool)
-    for start in range(0, logs.size, _EXP_BLOCK):
-        block = logs[start : start + _EXP_BLOCK]
-        rows = slice(start // width, (start + block.size - 1) // width + 1)
-        if high[rows].max() < _EXP_ZERO:
-            block.fill(0.0)
-        elif low[rows].min() >= _EXP_ZERO:
-            np.exp(block, out=block)
-        else:
-            keep = above[: block.size]
-            np.greater_equal(block, _EXP_ZERO, out=keep)
-            np.exp(block, out=block, where=keep)
-            block[~keep] = 0.0
-    return logs
+    return reduce(np.multiply.outer, [_poisson_table(mean, cap) for mean, cap in zip(c, caps)]).ravel()
 
 
 def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
@@ -700,57 +660,39 @@ def apply_symmetry(c, w, s: float, box: TruncationBox) -> tuple[MixedState, np.n
 
     Returns the renormalized state together with the predicted means
     c_i * exp(s * w_i); the state equals the coherent state of those means
-    on the box, up to the renormalization constant.  A non-finite ``s``,
-    or means whose log weights all fall below the float range, raise
-    ``E_VALUE``.
+    on the box, up to the renormalization constant.  A non-finite ``s``
+    raises ``E_VALUE``, and so does a ``w`` whose w . n could leave the
+    int64 range on the box (:func:`_checked_weights`).
     """
-    c = validate_classical(c, box.k)
-    w = _weight_vector(w, box.k)
-    return _symmetry(c, w, s, box, _sector_values(w, box))
+    return _symmetry(validate_classical(c, box.k), _checked_weights(w, box), s, box)
 
 
-def _symmetry(c, w, s: float, box: TruncationBox, sector_values):
-    """:func:`apply_symmetry` of a validated ``c`` and ``w``, from w . n per state.
+def _symmetry(c, w: list[int], s: float, box: TruncationBox):
+    """:func:`apply_symmetry` of a validated ``c`` and ``w``.
 
-    The largest |w . n| on the box comes from the caps, as an exact
-    integer.  s (w . n) is added into the log weights of ``c`` (the outer
-    sum of the 1-D tables) ``_EXP_BLOCK`` lanes at a time, then the
-    largest log weight is subtracted and :func:`_masked_exp` takes the exp
-    in place.  The helper's lower bound for a row of the first species is
-    that of the 1-D tables less |s| max|w . n|.  It gets no upper bound:
-    the s w_i n_i terms can cancel large table entries, so a row's bound
-    may be off by more than the cut's margin, and a masked exp is exact
-    whatever the bound.  Each lane gets the float operations of the
-    whole-array route, in its order, and the weights are the log weights'
-    own buffer.
+    exp(s O_w) psi_c is a product over species, as psi_c is: species i
+    weighs e^(s w_i n_i) Pois(n_i; c_i).  Each 1-D table is tilted and
+    scaled to a largest entry of 1 (:func:`_poisson_table`), so no weight
+    overflows, and their outer product, multiplied in species order as
+    :func:`_coherent_weights` multiplies, is then normalized.  The largest
+    |w . n| on the box comes from the caps, as an exact integer; beyond
+    e^709 the state spans more than double precision, ``E_OVERFLOW``.
     """
     if not np.isfinite(s):
         raise InvalidValue(f"s must be finite, got {s}")
-    ends = [wi * cap for wi, cap in zip(w.tolist(), box.caps)]  # w_i n_i at n_i = cap_i
+    ends = [wi * cap for wi, cap in zip(w, box.caps)]  # w_i n_i at n_i = cap_i
     span = max(sum(v for v in ends if v > 0), -sum(v for v in ends if v < 0))
     s = float(s)
     if span * abs(s) > _LOG_DBL_MAX:
         raise SymmetryOverflow(
             f"exp(s*O) spans e^{span * abs(s):.1f}, beyond double precision"
         )
-    tables = _log_poisson_tables(c, box.caps)
-    with np.errstate(over="ignore"):  # a sum below the float range is -inf, a weight of 0
-        logs = _outer_sum(tables)
-    top = -np.inf
-    for start in range(0, logs.size, _EXP_BLOCK):
-        block = logs[start : start + _EXP_BLOCK]
-        block += s * sector_values[start : start + _EXP_BLOCK]
-        top = max(top, block.max())
-    if top == -np.inf:
-        raise InvalidValue(f"every coherent weight of c underflows on the box {box.caps}")
-    logs -= top
-    with np.errstate(over="ignore"):
-        low = tables[0] + (sum(float(t.min()) for t in tables[1:]) - abs(s) * span - top)
-    weights = _masked_exp(logs, low, np.full(low.shape, np.inf))
+    tables = [_poisson_table(mean, cap, s * wi) for mean, cap, wi in zip(c, box.caps, w)]
+    weights = reduce(np.multiply.outer, tables).ravel()
     weights /= weights.sum()
     weights.setflags(write=False)  # MixedState adopts it without a copy
     with np.errstate(over="ignore"):  # an overflowing mean is inf, which coherent_state refuses
-        predicted = np.exp(s * w.astype(float)) * c
+        predicted = np.exp(s * np.array(w, dtype=float)) * c
     return MixedState(box, weights), predicted
 
 
@@ -808,7 +750,7 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
         return doc
     w = basis[0]
     values = _sector_values(w, box)
-    psi_sym, predicted = _symmetry(c, _weight_vector(w, box.k), s, box, values)
+    psi_sym, predicted = _symmetry(c, list(w), s, box)
     reference, _ = coherent_state(predicted, box)
     margin = network_margin(net)
     inside = _interior(box, margin)
@@ -981,7 +923,7 @@ def evolve_master(H: SparseOperator, psi0: MixedState, t: float) -> MixedState:
     terms = _poisson_isf(_POISSON_TAIL, mean)  # NaN when the mean is out of range
     if not terms <= _MAX_MATVECS:
         raise BudgetExceeded(f"Lambda*t = {mean:.4g} needs over {_MAX_MATVECS} mat-vecs")
-    weights = np.exp(poisson_logpmf(np.arange(int(terms) + 1), mean))
+    weights = _poisson_table(mean, int(terms))
     weights /= weights.sum()
     mat, vec = H.matrix, psi0.weights
     entries = np.repeat(np.arange(H.box.size), np.diff(mat.indptr)), mat.indices, mat.data

@@ -18,7 +18,7 @@ import crnkit
 from crnkit import cli, dynamics, fock, format_network, ssa
 from crnkit.cli import run
 
-from support import random_network, sparse_network, with_extreme_rates
+from support import POISSON_COMPARISONS, random_network, sparse_network, with_extreme_rates
 
 DIATOMIC = "X1 -> 2 X2 @ 2\n2 X2 -> X1 @ 1\n"
 BD = "species: A\n0 -> A @ 3\nA -> 0 @ 1\n"
@@ -69,25 +69,29 @@ def strip_timestamp(text: str) -> str:
 # rows were re-recorded when the residual came from the coherent-state
 # identity instead of a generator mat-vec: their interior and full
 # residuals, roundoff of 4.3e-16 and 1.7e-15 before, are now exactly 0.0.
-@pytest.mark.parametrize(
-    "text, args, digest",
-    [
-        (DIATOMIC, ["ack", "--c", "0.5,1"],
-         "5f63633c699455abdafd8f1e5b1b42b48427db5f6d880abf93581e8f28e4435a"),
-        (DIATOMIC, ["ack", "--c", "1,1"],
-         "57cea05b053bdd382ba6544e1f267f307f8a0b22447387e590e83264a4671418"),
-        (BD, ["ack", "--c", "3"],
-         "7a68c1a053937849fbb1844f517052f5a922f2c26cd68bcbf08872c4ec3ca1e1"),
-        (DIATOMIC, ["noether", "--c", "0.5,1"],
-         "7a9372755987735d81222a127bdb953b12271bdc5bbad33bab2100278b427572"),
-        (DIATOMIC, ["master", "--c", "0.5,1", "--caps", "8,8", "--t-end", "1"],
-         "dc9663ee8522e5e123e36b58bc8144b14188891ea0ef8d9389cceb2baf55d5fe"),
-        (DIATOMIC, ["master", "--n0", "15,5", "--caps", "40,40", "--t-end", "2"],
-         "fa4c1e7bd4c3f644db72a472af33e29c3f30fb5156da897d942f91890839f3cf"),
-        (ASSOCIATION, ["master", "--n0", "3,2,1", "--caps", "8,8,8"],
-         "88007af4d9bcdeb57e03e0e776efbb319c755e4d5f6fc08ebd86345f14406497"),
-    ],
+# The ack (1,1), noether and coherent-start master rows were re-recorded
+# when the weights became products of 1-D tables, each entry math.exp of
+# its log-pmf, in place of numpy's exp of their outer sum: a few last
+# digits moved, and the other rows kept their bytes.
+_FOCK_GOLDEN = (
+    (DIATOMIC, ["ack", "--c", "0.5,1"],
+     "5f63633c699455abdafd8f1e5b1b42b48427db5f6d880abf93581e8f28e4435a"),
+    (DIATOMIC, ["ack", "--c", "1,1"],
+     "d41365527a1fd2a5693029fc60486210c257e56c0cd91e67d0fc317a03e0263a"),
+    (BD, ["ack", "--c", "3"],
+     "7a68c1a053937849fbb1844f517052f5a922f2c26cd68bcbf08872c4ec3ca1e1"),
+    (DIATOMIC, ["noether", "--c", "0.5,1"],
+     "3110b2b8c16a4794a66577d0fdcfa488bfb5056859bd081b0f4dcda411e7578a"),
+    (DIATOMIC, ["master", "--c", "0.5,1", "--caps", "8,8", "--t-end", "1"],
+     "8017c4b25288a21ffb492947c5b0ba58447d231bf8f4f4598a292708fa192c02"),
+    (DIATOMIC, ["master", "--n0", "15,5", "--caps", "40,40", "--t-end", "2"],
+     "fa4c1e7bd4c3f644db72a472af33e29c3f30fb5156da897d942f91890839f3cf"),
+    (ASSOCIATION, ["master", "--n0", "3,2,1", "--caps", "8,8,8"],
+     "88007af4d9bcdeb57e03e0e776efbb319c755e4d5f6fc08ebd86345f14406497"),
 )
+
+
+@pytest.mark.parametrize("text, args, digest", _FOCK_GOLDEN)
 def test_golden_fock_output_bytes(tmp_path, capsys, text, args, digest):
     path = tmp_path / "net.crn"
     path.write_text(text)
@@ -183,6 +187,59 @@ def test_golden_rate_bytes_on_the_oldest_openblas_core(tmp_path):
     )
     digests = json.loads(_fresh_python(code, OPENBLAS_CORETYPE="Prescott"))
     assert digests == [digest for _, _, digest in cases]
+
+
+def _numpy_cpu_features() -> dict:
+    """numpy's map of CPU feature name to whether its dispatch may use it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="numpy's x86-64 AVX512 kernels")
+def test_golden_fock_bytes_with_numpy_avx512_dispatch_off(tmp_path):
+    # the Poisson weights take math.exp, not numpy's dispatched exp, so the
+    # fock digests and the Poisson comparisons hold with numpy's AVX512
+    # kernels off; the variable acts on the child process only, which names
+    # only features this numpy knows and uses here, and checks they are off
+    features = _numpy_cpu_features()
+    names = [name for name in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if features.get(name)]
+    if not names:
+        pytest.skip("numpy dispatches no AVX512 kernel on this CPU")
+    calls = []
+    for i, (text, args, _) in enumerate(_FOCK_GOLDEN):
+        path = tmp_path / f"{i}.crn"
+        path.write_text(text)
+        calls.append((str(path), args))
+    comparisons = [(text, n0, hist_args, c) for text, n0, hist_args, c, *_ in POISSON_COMPARISONS]
+    code = f"""
+import contextlib, hashlib, io, json
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from crnkit import compare_to_poisson, parse_network, stationary_histogram
+from crnkit.cli import run
+seen = {{"on": [name for name in {names!r} if __cpu_features__[name]], "fock": [], "compare": []}}
+for path, args in {calls!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run([args[0], path, *args[1:]])
+    kept = [line for line in out.getvalue().splitlines() if '"generated_at"' not in line]
+    seen["fock"].append(hashlib.sha256("\\n".join(kept).encode()).hexdigest())
+for text, n0, hist_args, c in {comparisons!r}:
+    result = compare_to_poisson(stationary_histogram(parse_network(text), n0, *hist_args), c)
+    seen["compare"].append([repr(result.tv_distance), result.per_species_means.tobytes().hex()])
+print(json.dumps(seen))
+"""
+    seen = json.loads(_fresh_python(code, NPY_DISABLE_CPU_FEATURES=" ".join(names)))
+    assert seen == {
+        "on": [],
+        "fock": [digest for _, _, digest in _FOCK_GOLDEN],
+        "compare": [[tv, means] for *_, tv, means in POISSON_COMPARISONS],
+    }
 
 
 def _fresh_python(code: str, **env: str) -> str:

@@ -328,15 +328,12 @@ class TestFindEquilibrium:
         assert np.abs(rate_vector_field(net, x)).max() <= 1e-9 * (1.0 + np.abs(x).max())
 
     def test_clamped_step_that_stalls_ends_in_e_noconv(self, monkeypatch):
-        # a step lands within the roundoff clamp below 0 and is set to 0 there;
-        # the source 0 -> S3 keeps |f| near 977, so the search ends in E_NOCONV
-        net = parse_network(
-            "species: S0 S1 S2 S3\n"
-            "2 S1 + S3 <-> 3 S0 @ 47.20481881985352, 7.769042516106988\n"
-            "S2 <-> 0 @ 0.7421226146435351, 0.9684819657197182\n"
-            "2 S1 <-> 3 S0 + S3 @ 0.04010781545616135, 0.002385094142367463\n"
-            "0 -> S3 @ 977.2526736521054\n"
-        )
+        # A's first backward-Euler step overshoots 0 by far more than roundoff:
+        # y_A = -A k (B + r dt) / (1/dt + k B) = -(21/11) A at B = 0.1, k = 500,
+        # r = 1000 and the first dt, about 0.1/(k B) = 0.002, so A = 5e-13 lands at
+        # -4.5e-13, within the roundoff clamp below 0, on any BLAS core; B is
+        # never consumed, so |f| stays at r and the search ends in E_NOCONV
+        net = parse_network("species: A B\nA + B -> B @ 500\n0 -> B @ 1000\n")
         clamped = []
         clamp = dynamics._clamp_state
 
@@ -346,7 +343,7 @@ class TestFindEquilibrium:
 
         monkeypatch.setattr(dynamics, "_clamp_state", spy)
         with pytest.raises(NoConvergence):
-            find_equilibrium(net, [1e-9, 0.0, 2.1373300975899365, 1e-9], tol=1e-6)
+            find_equilibrium(net, [5e-13, 0.1], tol=1e-6)
         assert any(clamped)
 
     def test_singular_step_after_growth_ends_in_e_explode(self, monkeypatch):
