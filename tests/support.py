@@ -332,6 +332,18 @@ def poisson_weights(c, caps) -> np.ndarray:
     return exp_product(poisson.logpmf(states, np.asarray(c, dtype=float)))
 
 
+def symmetry_weights(c, w, s, box) -> np.ndarray:
+    """exp(s O_w) psi_c per state of ``box``, normalized, from the state array:
+    species i weighs e^(s w_i n_i) Pois(n_i; c_i), scaled to a largest weight
+    of 1, and the species are multiplied in order (:func:`exp_product`)."""
+    states = box.states()
+    logs = poisson.logpmf(states, c) + (float(s) * np.array(w, dtype=float)) * states
+    logs -= logs.max(axis=0)
+    weights = exp_product(logs)
+    weights /= weights.sum()
+    return weights
+
+
 # stationary_histogram runs compared with a product-Poisson law by
 # compare_to_poisson, and their pinned results: (network, n0, (burn_in,
 # samples, interval, seed), c, the histogram's caps, repr of the TV distance,
@@ -370,12 +382,7 @@ def full_array_noether_report(net, c, box, s, lam=None):
         raise InvalidValue(f"s must be finite, got {s}")
     if float(np.abs(values).max(initial=0.0)) * abs(float(s)) > fock._LOG_DBL_MAX:
         raise SymmetryOverflow("exp(s*O) leaves double precision")
-    # species i weighs e^(s w_i n_i) Pois(n_i; c_i), scaled to a largest weight of 1
-    states = box.states()
-    logs = poisson.logpmf(states, c) + (float(s) * np.array(w, dtype=float)) * states
-    logs -= logs.max(axis=0)
-    got = exp_product(logs)
-    got /= got.sum()
+    got = symmetry_weights(c, w, s, box)
     MixedState(box, got)
     with np.errstate(over="ignore"):
         predicted = np.exp(float(s) * np.array(w, dtype=float)) * c

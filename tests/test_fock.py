@@ -64,6 +64,7 @@ from support import (
     poisson_weights,
     random_network,
     sigma_box,
+    symmetry_weights,
     with_extreme_rates,
 )
 
@@ -442,6 +443,19 @@ class TestPoissonHelpers:
     @pytest.mark.parametrize("mean", [math.inf, math.nan])
     def test_isf_is_nan_out_of_range(self, mean):
         assert math.isnan(fock._poisson_isf(1e-14, mean))
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_table_is_math_exp_of_the_logpmf(self, mean):
+        # the one table every Poisson weight array is built from, plain and
+        # tilted by e^(tilt n) and scaled to a largest entry of exactly 1
+        cap = int(mean + 20 * math.sqrt(mean)) + 30
+        n = np.arange(cap + 1)
+        logs = poisson.logpmf(n, mean)
+        assert np.array_equal(fock._poisson_table(mean, cap), [math.exp(v) for v in logs])
+        tilted = logs - 0.3 * n
+        tilted -= tilted.max()
+        table = fock._poisson_table(mean, cap, -0.3)
+        assert table.max() == 1.0 and np.array_equal(table, [math.exp(v) for v in tilted])
 
 
 class TestCoherentState:
@@ -1071,6 +1085,16 @@ class TestSymmetry:
         box = TruncationBox((25, 25))
         with pytest.raises(SymmetryOverflow):
             apply_symmetry([0.5, 1.0], (2, 1), 50.0, box)
+
+    @pytest.mark.parametrize("c, w, s", [((1250.0, 50.0), (2, 1), 0.01), ((1250.0, 50.0), (2, 1), -0.02),
+                                         ((30.0, 20.0, 12.0), (2, 1, 1), -2.44), ((5000.0, 100.0), (2, 1), 0.0)])
+    def test_weights_match_state_array_route(self, c, w, s):
+        # the certify benchmark's default boxes, up to 1.16M states: the
+        # outer product of tilted tables keeps the bytes of the per-state
+        # products, and of their sum, in the same state order
+        box = default_box(c, 2)
+        psi, _ = apply_symmetry(c, w, s, box)
+        assert psi.weights.tobytes() == symmetry_weights(c, w, s, box).tobytes()
 
     @staticmethod
     def mask_route_error(net, c, box, s):
