@@ -20,6 +20,10 @@ for j in range(50):
     print(f"X{a} + X{b} -> X{c} + X{d} @ 1.{j}")' > "$tmp/scan.crn"
 crn analyze "$tmp/scan.crn" > "$tmp/analyze.json"
 test "$(grep -v '"generated_at"' "$tmp/analyze.json" | sha256sum | cut -d' ' -f1)" = c16d3c1e44024d23086a1238958e8d26160f65a8cafed101f52aaded85b5e6ce
+# crn rate on the same network: each RK4 try runs as code generated for its
+# 22 species and 50 transitions; the 152 lines are those of the table loop
+crn rate "$tmp/scan.crn" --x0 1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 --t-end 1 > "$tmp/rate.csv"
+test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = a3bfe17ce11915ac6f9299bf0f407da23f7053b1ec7a60b21e90f1576b6689da
 # the step-controlled RK4 loop is crn rate's one route: the digest pins its
 # bytes, and a fixed-step --dt is a usage error (exit 2)
 crn rate "$tmp/bd.crn" --x0 0 --t-end 5 > "$tmp/rate.csv"

@@ -7,8 +7,11 @@ empty complex contributes a constant source term.  The field, its Jacobian
 and the RK4 loop run on Python floats in a fixed order of operations, with
 no numpy ufunc and no BLAS call, so ``crn rate`` prints the same bytes on
 every CPU.  Integration is classic RK4, step-controlled by an embedded error
-estimate, within a step budget.  Equilibria come from pseudo-transient
-continuation, which ends as Newton iteration; it keeps numpy's LAPACK calls.
+estimate, within a step budget; each try of a step runs as straight-line
+code generated once per network (:attr:`MassAction.unrolled`), which makes
+the table loop's float operations in the same order.  Equilibria come from
+pseudo-transient continuation, which ends as Newton iteration; it keeps the
+table loop and numpy's LAPACK calls.
 
 Trajectories must stay in the nonnegative orthant: entries in
 [-1e-12, 0) are treated as roundoff and clamped to zero, anything lower
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,7 +47,7 @@ __all__ = [
 ]
 
 _CLAMP = 1e-12
-_MAX_RATE_STEPS = 2**14  # tries of integrate_rate; about 2 s on small networks
+_MAX_RATE_STEPS = 2**14  # tries of integrate_rate; about 0.1 s at 3 species, 0.7 s at 40
 _MAX_STEPS = 200  # step budget of find_equilibrium; converging networks tried took <= 54
 _SQUARING_ABOVE = 8  # a larger stoichiometric coefficient is raised by binary powering
 
@@ -64,7 +68,8 @@ class MassAction:
     (i, t_i - s_i) with t_i != s_i.  The empty complex has no factor, so
     0**0 == 1 holds by construction.  :meth:`field` and :meth:`jacobian` read
     the table on Python floats in a fixed order, so their bits do not depend
-    on the CPU; :meth:`flux` keeps numpy's ``power``.
+    on the CPU; :meth:`flux` keeps numpy's ``power``.  :attr:`unrolled` is
+    the same field, and one RK4 try on it, as generated code.
     """
 
     def __init__(self, net: Network):
@@ -89,6 +94,23 @@ class MassAction:
                 self.rates.tolist(), self.inputs.tolist(), self.change.tolist()
             )
         )
+
+    @cached_property
+    def unrolled(self) -> SimpleNamespace:
+        """The field and one RK4 try as straight-line code, compiled on first use.
+
+        ``field(x0, ..., x{k-1})`` returns :meth:`field_floats` of the state
+        as a list, by the same float operations in the same order.
+        ``try_step(field, x, h)`` takes one classic RK4 step of h from the
+        list ``x`` on the ``field`` it is passed, with Zonneveld's fifth
+        stage, and returns the new state and the error entries, both lists
+        (see :func:`integrate_rate`); it reads no rate, so a process compiles
+        it once per species count.  On a network of 3 species and 8 transitions the field
+        compiles in about 0.15 ms, a first try in 0.27 ms more, and a try
+        then takes 3 us where the table loop takes 14, so the code pays for
+        itself from about 15 tries on, 40 when the try is compiled too.
+        """
+        return _unroll(self.table, self.inputs.shape[1])
 
     def flux(self, x: np.ndarray) -> np.ndarray:
         """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
@@ -176,6 +198,82 @@ def _times_power(acc: float, v: float, n: int) -> float:
         v *= v
 
 
+def _unroll(table: tuple, k: int) -> SimpleNamespace:
+    """:attr:`MassAction.unrolled` of ``table`` over k species.
+
+    ``field`` is Python source run through ``compile``/``exec``, as
+    ``collections.namedtuple`` builds its classes.  The source holds only
+    ints, identifiers made here and ``repr`` of the change floats; the rates
+    r0, r1, ... come in through the namespace, whose builtins are ``abs``
+    alone, so no species name or other input text reaches it.  Every factor
+    and every move is its own statement: a chained product or sum of some
+    thousands of terms overflows the compiler's recursion limit.  The first
+    move of species i is o_i = 0.0 + c * flux, which rounds as adding to
+    the table loop's 0.0 does; a change of 1 or -1 adds or subtracts the
+    flux, which rounds as adding 1.0 * flux or -1.0 * flux does.  A
+    transition that moves nothing is left out, as its flux is never read.
+    """
+    lines = [f"def field({', '.join(f'x{i}' for i in range(k))}):"]
+    moved = set()
+    for j, (_, factors, moves) in enumerate(table):
+        if not moves:
+            continue
+        flux = f"r{j}"
+        for i, need in factors:
+            if need > _SQUARING_ABOVE:
+                lines.append(f"    f = power({flux}, x{i}, {need})")
+            else:
+                lines.append(f"    f = {flux} * x{i}")
+                lines += [f"    f *= x{i}"] * (need - 1)
+            flux = "f"
+        for i, c in moves:
+            sign = "-" if c == -1.0 else "+"
+            term = flux if c in (1.0, -1.0) else f"{c!r} * {flux}"
+            target = f"o{i} {sign}=" if i in moved else f"o{i} = 0.0 {sign}"
+            lines.append(f"    {target} {term}")
+            moved.add(i)
+    lines.append(f"    return [{', '.join(f'o{i}' if i in moved else '0.0' for i in range(k))}]")
+    namespace = {f"r{j}": rate for j, (rate, _, _) in enumerate(table)}
+    namespace["power"] = _times_power
+    return SimpleNamespace(field=_define("field", lines, namespace), try_step=_try_step(k))
+
+
+@lru_cache(maxsize=32)
+def _try_step(k: int):
+    """``try_step`` of :attr:`MassAction.unrolled` over k species, shared by
+    every network of k species: it reads no rate and no table."""
+
+    def entries(form: str) -> str:
+        return ", ".join(form.format(i=i) for i in range(k))
+
+    # the fifth stage, at c = 3/4, weighs the stages by (5, 7, 13, -1)/32;
+    # the error is RK4's minus the third-order weights, (2/3, -2, -2, -2, 16/3)
+    fifth = "x{i} + h * (0.15625 * a{i} + 0.21875 * b{i} + 0.40625 * c{i} - 0.03125 * d{i})"
+    error = "abs(2 / 3 * a{i} - 2.0 * b{i} - 2.0 * c{i} - 2.0 * d{i} + 16 / 3 * e{i})"
+    lines = [
+        "def try_step(field, x, h):",
+        f"    [{entries('x{i}')}] = x",
+        "    half = 0.5 * h",
+        f"    [{entries('a{i}')}] = field({entries('x{i}')})",
+        f"    [{entries('b{i}')}] = field({entries('x{i} + half * a{i}')})",
+        f"    [{entries('c{i}')}] = field({entries('x{i} + half * b{i}')})",
+        f"    [{entries('d{i}')}] = field({entries('x{i} + h * c{i}')})",
+        f"    [{entries('e{i}')}] = field({entries(fifth)})",
+        "    sixth = h / 6.0",
+        f"    return ([{entries('x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}],",
+        f"            [{entries(error)}])",
+    ]
+    return _define("try_step", lines, {})
+
+
+def _define(name: str, lines: list[str], namespace: dict):
+    """The function ``name`` that the source ``lines`` define, executed in
+    ``namespace`` with ``abs`` as the only builtin."""
+    namespace["__builtins__"] = {"abs": abs}
+    exec(compile("\n".join(lines) + "\n", f"<crnkit.dynamics {name}>", "exec"), namespace)
+    return namespace[name]
+
+
 def validate_classical(c, k: int) -> np.ndarray:
     """A classical state as a float array of shape (k,), finite and nonnegative."""
     c = np.asarray(c, dtype=float)
@@ -235,17 +333,6 @@ def _clamp_state(x: list[float]) -> list[float]:
     return x
 
 
-def _rk4_step(field, x: list[float], h: float):
-    half = 0.5 * h
-    k1 = field(x)
-    k2 = field([v + half * a for v, a in zip(x, k1)])
-    k3 = field([v + half * b for v, b in zip(x, k2)])
-    k4 = field([v + h * c for v, c in zip(x, k3)])
-    sixth = h / 6.0
-    x_new = [v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
-    return x_new, (k1, k2, k3, k4)
-
-
 def _default_step(kernel, x0: list[float]) -> float:
     # crude Lipschitz estimate: infinity norm of the Jacobian at x0, its rows
     # summed left to right (builtin sum() compensates from Python 3.12 on)
@@ -270,28 +357,25 @@ def integrate_rate(net: Network, x0, t_end: float, rtol: float = 3e-8) -> Trajec
     Table II.4.1) puts its error at most 1e-12 + rtol*max|x|.  More than
     ``_MAX_RATE_STEPS`` steps or tries is ``E_BUDGET``; a step too small to
     move t is a finite-time blow-up, ``E_EXPLODE``.  The loop runs on lists
-    of Python floats (:meth:`MassAction.field_floats`), every combination of
-    stages written out left to right; numpy only checks ``x0`` and holds the
-    returned :class:`Trajectory`.
+    of Python floats: each try is :attr:`MassAction.unrolled`'s ``try_step``
+    on its ``field``, the table's field (:meth:`MassAction.field_floats`) as
+    straight-line code, every combination of stages written out left to
+    right; numpy only checks ``x0`` and holds the returned
+    :class:`Trajectory`.
     """
     x0 = validate_classical(x0, net.num_species)
     if not (0 < t_end < math.inf and 0 < rtol < math.inf):
         raise InvalidValue(f"t_end and rtol must be finite and > 0: {t_end}, {rtol}")
     kernel = net.mass_action
-    field = kernel.field_floats
     x = x0.tolist()
     times, states = [0.0], [x]
     t, h = 0.0, _default_step(kernel, x)
+    unrolled = kernel.unrolled
+    field, try_step = unrolled.field, unrolled.try_step
     for _ in range(_MAX_RATE_STEPS):
         h = min(h, t_end - t)
         last = h == t_end - t
-        x_new, (k1, k2, k3, k4) = _rk4_step(field, x, h)
-        # the fifth stage, at c = 3/4, weighs the stages by (5, 7, 13, -1)/32;
-        # the error is RK4's minus the third-order weights, (2/3, -2, -2, -2, 16/3)
-        k5 = field([v + h * (0.15625 * a + 0.21875 * b + 0.40625 * c - 0.03125 * d)
-                    for v, a, b, c, d in zip(x, k1, k2, k3, k4)])
-        errs = [abs(2 / 3 * a - 2.0 * b - 2.0 * c - 2.0 * d + 16 / 3 * e)
-                for a, b, c, d, e in zip(k1, k2, k3, k4, k5)]
+        x_new, errs = try_step(field, x, h)
         # max() keeps a NaN only when it comes first, so a NaN stage is looked for
         err = math.nan if any(map(math.isnan, errs)) else h * max(errs, default=0.0)
         tol = 1e-12 + rtol * max(x, default=0.0)

@@ -6,6 +6,7 @@ import random
 import string
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,9 +26,10 @@ from crnkit import (
     coherent_state,
     conserved_quantities,
     format_network,
+    integrate_rate,
     network_margin,
 )
-from crnkit.dynamics import _rk4_step, validate_classical
+from crnkit.dynamics import validate_classical
 
 _NAME_START = string.ascii_letters + "_"
 _NAME_REST = string.ascii_letters + string.digits + "_"
@@ -261,16 +263,46 @@ def balanced_reversible_network(rng: random.Random) -> tuple[Network, np.ndarray
     return Network(species, tuple(transitions)), c
 
 
+def reference_try(field, x: list[float], h: float):
+    """Reference of ``MassAction.unrolled``'s ``try_step``: one classic RK4
+    step of h from the list ``x`` on the list field ``field`` (such as
+    ``MassAction.field_floats``), Zonneveld's fifth stage and the error
+    entries, each combination of stages a list comprehension written out
+    left to right.  Returns the new state and the error entries."""
+    half = 0.5 * h
+    k1 = field(x)
+    k2 = field([v + half * a for v, a in zip(x, k1)])
+    k3 = field([v + half * b for v, b in zip(x, k2)])
+    k4 = field([v + h * c for v, c in zip(x, k3)])
+    sixth = h / 6.0
+    x_new = [v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    k5 = field([v + h * (0.15625 * a + 0.21875 * b + 0.40625 * c - 0.03125 * d)
+                for v, a, b, c, d in zip(x, k1, k2, k3, k4)])
+    errs = [abs(2 / 3 * a - 2.0 * b - 2.0 * c - 2.0 * d + 16 / 3 * e)
+            for a, b, c, d, e in zip(k1, k2, k3, k4, k5)]
+    return x_new, errs
+
+
+def table_loop_rate(net: Network, x0, t_end: float, rtol: float = 3e-8):
+    """``integrate_rate`` with every try taken by :func:`reference_try` on
+    ``MassAction.field_floats``, the table loop, on a copy of ``net``."""
+    copy = Network(net.species, net.transitions)
+    kernel = copy.mass_action
+    kernel.unrolled = SimpleNamespace(field=kernel.field_floats, try_step=reference_try)
+    return integrate_rate(copy, x0, t_end, rtol)
+
+
 def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
     """Largest error of classic RK4 on the fixed grid h, 2h, ... <= t_end,
     against the birth-death closed form 3 (1 - e^-t) from x = 0.
 
-    The steps are ``dynamics._rk4_step`` on the list field, the kernel of
+    The steps are ``MassAction.unrolled``'s ``try_step``, the kernel of
     ``integrate_rate``, so the observed order is that of the integrator's
     own step."""
+    unrolled = net_bd.mass_action.unrolled
     x, err = [0.0], 0.0
     for i in range(1, int(t_end / h + 1e-9) + 1):
-        x = _rk4_step(net_bd.mass_action.field_floats, x, h)[0]
+        x = unrolled.try_step(unrolled.field, x, h)[0]
         err = max(err, abs(x[0] - 3.0 * (1.0 - math.exp(-i * h))))
     return err
 

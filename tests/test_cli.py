@@ -461,6 +461,31 @@ class TestRateAndEquilibrium:
         digest = "4f2b1c49c7d4a84516c1d310b110efcd3f7c24da61b57a9325d20d17c7177d0e"
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
+    def test_rate_bytes_do_not_depend_on_species_names(self, tmp_path, capsys):
+        # names of the generated code's identifiers and of builtins: the
+        # code holds none of the input text, so only the header differs
+        names = ["f", "h", "half", "x0", "o1", "field", "power", "abs", "__import__"]
+        form = (
+            "{0} + {1} <-> {2} @ 1.5, 0.5\n2 {3} <-> {4} @ 2, 1\n{5} + {6} <-> {7} @ 0.25, 3\n"
+            "{8} <-> {0} @ 1, 1.25\n{2} + {7} -> {3} + {5} @ 0.75\n"
+        )
+        outs = []
+        for species in (names, [f"S{i}" for i in range(9)]):
+            path = tmp_path / "net.crn"
+            path.write_text(f"species: {' '.join(species)}\n" + form.format(*species))
+            assert run(["rate", str(path), "--x0", ",".join(["1"] * 9), "--t-end", "2"]) == 0
+            header, rows = capsys.readouterr().out.split("\n", 1)
+            assert header == "t," + ",".join(species)
+            outs.append(rows)
+        assert outs[0] == outs[1] and outs[0].count("\n") > 10
+
+    def test_rate_on_no_species(self, tmp_path, capsys):
+        # no stage has an entry, so every try is kept and the step grows fivefold
+        path = tmp_path / "zero.crn"
+        path.write_text("0 -> 0 @ 1\n")
+        assert run(["rate", str(path), "--x0", "", "--t-end", "1"]) == 0
+        assert capsys.readouterr().out == "t,\n0.0\n0.01\n0.060000000000000005\n0.31\n1.0\n"
+
     def test_rate_default_route(self, bd_file, capsys):
         assert run(["rate", bd_file, "--x0", "0", "--t-end", "5"]) == 0
         rows = [[float(v) for v in line.split(",")] for line in capsys.readouterr().out.split("\n")[1:-1]]

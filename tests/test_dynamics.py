@@ -9,6 +9,7 @@ import pytest
 from crnkit import (
     BudgetExceeded,
     CountVector,
+    CrnError,
     DimensionMismatch,
     InvalidValue,
     NegativeConcentration,
@@ -32,6 +33,10 @@ from support import (
     dense_field,
     dense_jacobian,
     random_network,
+    random_rate,
+    reference_try,
+    sparse_network,
+    table_loop_rate,
 )
 
 
@@ -211,14 +216,19 @@ class TestIntegrateRate:
             traj = integrate_rate(net, [0.5], t_end)
             kernel = net.mass_action
 
-            def dense_floats(x):
+            calls = []
+
+            def dense_args(*x):
+                calls.append(x)
                 # rejected tries past x = 1 overflow x^m, in both fields
                 with np.errstate(over="ignore", invalid="ignore"):
                     return dense_field(kernel, np.array(x)).tolist()
 
+            # the field that integrate_rate passes to each try
             with monkeypatch.context() as patch:
-                patch.setattr(kernel, "field_floats", dense_floats)
+                patch.setattr(kernel.unrolled, "field", dense_args)
                 dense = integrate_rate(net, [0.5], t_end)
+            assert len(calls) >= 5 * (dense.times.size - 1)
             assert traj.times.shape == dense.times.shape
             assert np.abs(traj.states - dense.states).max() <= m * np.finfo(float).eps
             if t_end == 0.25:
@@ -232,16 +242,16 @@ class TestIntegrateRate:
         # max() over the error entries passes over, since it does not come first
         net = parse_network("Z0 <-> Z1 @ 8, 8")
         kernel, calls = net.mass_action, []
-        field = kernel.field_floats
+        field = kernel.unrolled.field
 
-        def poisoned(x):
+        def poisoned(*x):
             calls.append(x)
-            out = field(x)
+            out = field(*x)
             if len(calls) == 5:
                 out[1] = math.nan
             return out
 
-        monkeypatch.setattr(kernel, "field_floats", poisoned)
+        monkeypatch.setattr(kernel.unrolled, "field", poisoned)
         traj = integrate_rate(net, [1.0, 1.0], 1.0)
         # the first try, 0.1 over the Jacobian's norm 16, is retried with a
         # fifth of its step and never accepted
@@ -257,6 +267,95 @@ class TestIntegrateRate:
         assert lines[0] == "t,X1,X2"
         assert len(lines) == len(traj.times) + 1
         assert [float(v) for v in lines[1].split(",")] == [0.0, 1.0, 0.0]
+
+
+def _bits(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+def _outcome(integrate):
+    """A trajectory's bytes, or the type and message of the error it ends in."""
+    try:
+        traj = integrate()
+    except CrnError as exc:
+        return type(exc), str(exc)
+    return traj.times.tobytes(), traj.states.tobytes()
+
+
+class TestUnrolledTry:
+    """``MassAction.unrolled`` against the table loop it replaces in
+    ``integrate_rate``: the same floats, bit for bit."""
+
+    @staticmethod
+    def assert_try_matches(kernel, x, h):
+        # the field's signed zeros too, which x_new and errs can hide
+        unrolled = kernel.unrolled
+        assert _bits(unrolled.field(*x)) == _bits(kernel.field_floats(x))
+        x_new, errs = unrolled.try_step(unrolled.field, x, h)
+        ref_new, ref_errs = reference_try(kernel.field_floats, x, h)
+        assert (_bits(x_new), _bits(errs)) == (_bits(ref_new), _bits(ref_errs))
+
+    def test_seeded_networks_with_zero_entries(self):
+        # random complexes with a source 0 -> X0 added, and networks of the
+        # benchmark's scan shape, at x with zero entries (-0.0 is a valid
+        # start); steps up to 1 with rates up to 1e7 take some tries past
+        # the float range, into inf and NaN entries
+        rng = random.Random(97)
+        for n in range(320):
+            if n % 2:
+                net = random_network(rng, max_coeff=3)
+                k = net.num_species
+                source = Transition(CountVector([0] * k), CountVector([1] + [0] * (k - 1)), 2.5)
+                net = Network(net.species, net.transitions + (source,))
+            else:
+                net = sparse_network(rng, rng.randint(1, 8), rng.randint(1, 12))
+            for _ in range(3):
+                x = [rng.choice((0.0, -0.0, rng.uniform(0.1, 3.0))) for _ in net.species]
+                self.assert_try_matches(net.mass_action, x, rng.choice((1e-3, 0.01, 0.1, 1.0)))
+
+    @pytest.mark.parametrize("m", [dynamics._SQUARING_ABOVE, 9, 10**12])
+    def test_multiplicities_on_both_sides_of_binary_powering(self, m):
+        kernel = parse_network(f"{m} A + B -> 2 C @ 1.5\nC -> A @ 0.5\n0 -> B @ 1").mass_action
+        for a in (0.0, 0.5, 1.0 - math.log(m) / m, 1.0):
+            self.assert_try_matches(kernel, [a, 2.0, 0.25], 0.01)
+
+    def test_no_species(self):
+        unrolled = parse_network("0 -> 0 @ 1").mass_action.unrolled
+        assert unrolled.field() == []
+        assert unrolled.try_step(unrolled.field, [], 0.01) == ([], [])
+
+    def test_trajectories_match_the_table_loop(self):
+        # whole runs on scan-shaped networks, two of which end in E_BUDGET
+        # after 2**14 tries, and on the 22-species, 50-transition network of
+        # the entry-point script
+        rng = random.Random(5)
+        cases = []
+        for _ in range(6):
+            net = sparse_network(rng, 3, 8)
+            cases.append((net, [rng.choice((0.0, rng.uniform(0.5, 2.0))) for _ in range(3)]))
+        lines = ["species: " + " ".join(f"X{i}" for i in range(22))]
+        for j in range(50):
+            a, b = (7 * j + 3) % 22, (5 * j + 1) % 22
+            c, d = a + 4 if a < 18 else a - 16, b + 8 if b < 14 else b - 12
+            lines.append(f"X{a} + X{b} -> X{c} + X{d} @ 1.{j}")
+        cases.append((parse_network("\n".join(lines)), [1.0] * 22))
+        outcomes = [_outcome(lambda: integrate_rate(net, x0, 1.0)) for net, x0 in cases]
+        assert outcomes == [_outcome(lambda: table_loop_rate(net, x0, 1.0)) for net, x0 in cases]
+        assert [first for first, _ in outcomes].count(BudgetExceeded) == 2
+
+    def test_species_moved_by_5000_transitions(self):
+        # A is moved 5,000 times: one statement per move, where a chained
+        # sum of that many terms would overflow the compiler's recursion limit
+        rng = random.Random(3)
+        forms = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 0), (1, 0)), ((1, 1), (2, 0))]
+        net = Network(("A", "B"), tuple(
+            Transition(CountVector(forms[j % 4][0]), CountVector(forms[j % 4][1]), random_rate(rng))
+            for j in range(5000)
+        ))
+        assert sum(1 for _, _, moves in net.mass_action.table if moves[0][0] == 0) == 5000
+        traj = integrate_rate(net, [1.0, 0.5], 1e-9)
+        assert traj.times.size > 2
+        assert _outcome(lambda: traj) == _outcome(lambda: table_loop_rate(net, [1.0, 0.5], 1e-9))
 
 
 class TestTrajectory:
