@@ -20,7 +20,7 @@ for j in range(50):
     print(f"X{a} + X{b} -> X{c} + X{d} @ 1.{j}")' > "$tmp/scan.crn"
 crn analyze "$tmp/scan.crn" > "$tmp/analyze.json"
 test "$(grep -v '"generated_at"' "$tmp/analyze.json" | sha256sum | cut -d' ' -f1)" = c16d3c1e44024d23086a1238958e8d26160f65a8cafed101f52aaded85b5e6ce
-# crn rate on the same network: each RK4 try runs as code generated for its
+# crn rate on the same network: its RK4 loop runs as code generated for its
 # 22 species and 50 transitions; the 152 lines are those of the table loop
 crn rate "$tmp/scan.crn" --x0 1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 --t-end 1 > "$tmp/rate.csv"
 test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = a3bfe17ce11915ac6f9299bf0f407da23f7053b1ec7a60b21e90f1576b6689da
@@ -111,6 +111,12 @@ grep -q '^error\[E_VALUE\]: ' "$tmp/err.txt"
 printf '0 -> 0 @ 1\n' > "$tmp/zero.crn"
 crn ssa "$tmp/zero.crn" --n0= --t-end 3 > "$tmp/path.csv" 2> "$tmp/err.txt"
 test "$(head -n 1 "$tmp/path.csv")" = "t,"
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+grep -q '^warning\[E_SELF_LOOP\]: 1:1: ' "$tmp/err.txt"
+# crn rate on no species: the RK4 loop generated for zero species steps t
+# alone; the digest pins its bytes, and stderr holds only that warning
+crn rate "$tmp/zero.crn" --x0= --t-end 1 > "$tmp/rate.csv" 2> "$tmp/err.txt"
+test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = 902e9570c38a5c3e370b14e3c0a74ce7586ed855ee8db515b8c218ee1e5480ef
 test "$(wc -l < "$tmp/err.txt")" -eq 1
 grep -q '^warning\[E_SELF_LOOP\]: 1:1: ' "$tmp/err.txt"
 crn ssa "$tmp/bd.crn" --n0 0 --histogram --samples 2000 --seed 3 > "$tmp/hist.csv" 2> "$tmp/err.txt"

@@ -6,14 +6,14 @@ import random
 import string
 from fractions import Fraction
 from functools import reduce
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.stats import poisson
 
-from crnkit import fock
+from crnkit import dynamics, fock
 from crnkit import (
+    BudgetExceeded,
     CountVector,
     EmptySector,
     InvalidValue,
@@ -26,7 +26,6 @@ from crnkit import (
     coherent_state,
     conserved_quantities,
     format_network,
-    integrate_rate,
     network_margin,
 )
 from crnkit.dynamics import validate_classical
@@ -264,8 +263,8 @@ def balanced_reversible_network(rng: random.Random) -> tuple[Network, np.ndarray
 
 
 def reference_try(field, x: list[float], h: float):
-    """Reference of ``MassAction.unrolled``'s ``try_step``: one classic RK4
-    step of h from the list ``x`` on the list field ``field`` (such as
+    """One try of ``integrate_rate``'s loop: one classic RK4 step of h from
+    the list ``x`` on the list field ``field`` (such as
     ``MassAction.field_floats``), Zonneveld's fifth stage and the error
     entries, each combination of stages a list comprehension written out
     left to right.  Returns the new state and the error entries."""
@@ -283,26 +282,58 @@ def reference_try(field, x: list[float], h: float):
     return x_new, errs
 
 
-def table_loop_rate(net: Network, x0, t_end: float, rtol: float = 3e-8):
-    """``integrate_rate`` with every try taken by :func:`reference_try` on
-    ``MassAction.field_floats``, the table loop, on a copy of ``net``."""
-    copy = Network(net.species, net.transitions)
-    kernel = copy.mass_action
-    kernel.unrolled = SimpleNamespace(field=kernel.field_floats, try_step=reference_try)
-    return integrate_rate(copy, x0, t_end, rtol)
+def table_loop_rate(net: Network, x0, t_end: float, rtol: float = 3e-8, field=None):
+    """Reference of ``integrate_rate``: its step-controlled loop on lists of
+    floats, every try :func:`reference_try` on ``field``, by default
+    ``MassAction.field_floats`` (the table loop).  It reads
+    ``dynamics._MAX_RATE_STEPS`` when called, and ends in the same typed
+    errors with the same messages."""
+    x0 = validate_classical(x0, net.num_species)
+    if not (0 < t_end < math.inf and 0 < rtol < math.inf):
+        raise InvalidValue(f"t_end and rtol must be finite and > 0: {t_end}, {rtol}")
+    kernel = net.mass_action
+    field = field or kernel.field_floats
+    x = x0.tolist()
+    times, states = [0.0], [x]
+    t, h = 0.0, dynamics._default_step(kernel, x)
+    for _ in range(dynamics._MAX_RATE_STEPS):
+        h = min(h, t_end - t)
+        last = h == t_end - t
+        x_new, errs = reference_try(field, x, h)
+        # max() keeps a NaN only when it comes first, so a NaN stage is looked for
+        err = math.nan if any(map(math.isnan, errs)) else h * max(errs, default=0.0)
+        tol = 1e-12 + rtol * max(x, default=0.0)
+        if err <= tol:
+            t = t_end if last else t + h
+            x = dynamics._clamp_state(x_new)
+            times.append(t)
+            states.append(x)
+            if last:
+                break
+        h *= min(5.0, max(0.2, 0.9 * math.sqrt(math.sqrt(tol / err)))) if err else 5.0
+        if t + h == t:
+            raise PopulationExplosion(f"the step fell below the float spacing of t={t:.6g}")
+    else:
+        raise BudgetExceeded(f"t_end not reached in {dynamics._MAX_RATE_STEPS} steps")
+    times, states = np.array(times), np.array(states)
+    blown = ~np.isfinite(states).all(axis=1)
+    if blown.any():
+        at = times[blown.argmax()]
+        raise PopulationExplosion(f"the rate equation left the finite range by t={at:.6g}")
+    return dynamics.Trajectory(times, states)
 
 
 def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
     """Largest error of classic RK4 on the fixed grid h, 2h, ... <= t_end,
     against the birth-death closed form 3 (1 - e^-t) from x = 0.
 
-    The steps are ``MassAction.unrolled``'s ``try_step``, the kernel of
-    ``integrate_rate``, so the observed order is that of the integrator's
-    own step."""
-    unrolled = net_bd.mass_action.unrolled
+    The steps are :func:`reference_try`, the try of ``integrate_rate``'s
+    loop, on ``MassAction.unrolled``, the field that loop calls, so the
+    observed order is that of the integrator's own step."""
+    field = net_bd.mass_action.unrolled
     x, err = [0.0], 0.0
     for i in range(1, int(t_end / h + 1e-9) + 1):
-        x = unrolled.try_step(unrolled.field, x, h)[0]
+        x = reference_try(lambda x: field(*x), x, h)[0]
         err = max(err, abs(x[0] - 3.0 * (1.0 - math.exp(-i * h))))
     return err
 

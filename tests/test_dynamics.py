@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -34,7 +35,6 @@ from support import (
     dense_jacobian,
     random_network,
     random_rate,
-    reference_try,
     sparse_network,
     table_loop_rate,
 )
@@ -224,9 +224,9 @@ class TestIntegrateRate:
                 with np.errstate(over="ignore", invalid="ignore"):
                     return dense_field(kernel, np.array(x)).tolist()
 
-            # the field that integrate_rate passes to each try
+            # the field that integrate_rate calls for each stage
             with monkeypatch.context() as patch:
-                patch.setattr(kernel.unrolled, "field", dense_args)
+                patch.setattr(kernel, "unrolled", dense_args)
                 dense = integrate_rate(net, [0.5], t_end)
             assert len(calls) >= 5 * (dense.times.size - 1)
             assert traj.times.shape == dense.times.shape
@@ -242,7 +242,7 @@ class TestIntegrateRate:
         # max() over the error entries passes over, since it does not come first
         net = parse_network("Z0 <-> Z1 @ 8, 8")
         kernel, calls = net.mass_action, []
-        field = kernel.unrolled.field
+        field = kernel.unrolled
 
         def poisoned(*x):
             calls.append(x)
@@ -251,7 +251,7 @@ class TestIntegrateRate:
                 out[1] = math.nan
             return out
 
-        monkeypatch.setattr(kernel.unrolled, "field", poisoned)
+        monkeypatch.setattr(kernel, "unrolled", poisoned)
         traj = integrate_rate(net, [1.0, 1.0], 1.0)
         # the first try, 0.1 over the Jacobian's norm 16, is retried with a
         # fifth of its step and never accepted
@@ -282,24 +282,49 @@ def _outcome(integrate):
     return traj.times.tobytes(), traj.states.tobytes()
 
 
-class TestUnrolledTry:
-    """``MassAction.unrolled`` against the table loop it replaces in
-    ``integrate_rate``: the same floats, bit for bit."""
+# A network of k species for each ending of integrate_rate: the lines act on
+# its first species A, which starts at the given x0; species 2..k are each in
+# a birth-death pair and start at 1.  Rows: lines, x0 of A, t_end, rtol, and
+# the ending (E_BUDGET with the budget cut to 50 tries).
+_ENDINGS = {
+    "trajectory": ("A -> 2 A @ 0.5\n2 A -> A @ 0.25", 0.5, 1.0, 3e-8, "trajectory"),
+    # a tolerance this loose accepts a step that overshoots zero
+    "E_NEG": ("2 A -> 0 @ 1", 10.0, 1.0, 1e3, "NegativeState"),
+    "E_BUDGET": ("A <-> 0 @ 1, 1", 1.0, 1e300, 3e-8, "BudgetExceeded"),
+    # dx/dt = x^2 blows up at t = 1; the step shrinks until t stops moving
+    "E_EXPLODE step": ("2 A -> 3 A @ 1", 1.0, 2.0, 3e-8,
+                       "PopulationExplosion: the step fell below the float spacing"),
+    # the first step, 0.01, adds 1e298 to the largest float: an accepted row of inf
+    "E_EXPLODE row": ("0 -> A @ 1e300", sys.float_info.max, 1.0, 3e-8,
+                      "PopulationExplosion: the rate equation left the finite range"),
+}
 
-    @staticmethod
-    def assert_try_matches(kernel, x, h):
-        # the field's signed zeros too, which x_new and errs can hide
-        unrolled = kernel.unrolled
-        assert _bits(unrolled.field(*x)) == _bits(kernel.field_floats(x))
-        x_new, errs = unrolled.try_step(unrolled.field, x, h)
-        ref_new, ref_errs = reference_try(kernel.field_floats, x, h)
-        assert (_bits(x_new), _bits(errs)) == (_bits(ref_new), _bits(ref_errs))
+
+def _ending_case(k: int, ending: str):
+    lines, a, t_end, rtol, expected = _ENDINGS[ending]
+    if not k:
+        return parse_network("0 -> 0 @ 1"), [], t_end, rtol, expected
+    names = ["A"] + [f"P{i}" for i in range(1, k)]
+    pairs = "".join(f"P{i} <-> 0 @ 1.{i}, 0.5\n" for i in range(1, k))
+    net = parse_network(f"species: {' '.join(names)}\n{lines}\n{pairs}")
+    return net, [a] + [1.0] * (k - 1), t_end, rtol, expected
+
+
+def _ending(outcome) -> str:
+    first, second = outcome
+    return "trajectory" if isinstance(first, bytes) else f"{first.__name__}: {second}"
+
+
+class TestGeneratedCode:
+    """``MassAction.unrolled`` against the table loop, and ``integrate_rate``
+    against the loop on lists that it replaces (``support.table_loop_rate``):
+    the same floats, bit for bit."""
 
     def test_seeded_networks_with_zero_entries(self):
         # random complexes with a source 0 -> X0 added, and networks of the
         # benchmark's scan shape, at x with zero entries (-0.0 is a valid
-        # start); steps up to 1 with rates up to 1e7 take some tries past
-        # the float range, into inf and NaN entries
+        # start); the field's signed zeros too, which a run can hide.  The
+        # table built from the count vectors is the one the dense arrays give
         rng = random.Random(97)
         for n in range(320):
             if n % 2:
@@ -309,20 +334,105 @@ class TestUnrolledTry:
                 net = Network(net.species, net.transitions + (source,))
             else:
                 net = sparse_network(rng, rng.randint(1, 8), rng.randint(1, 12))
+            kernel = net.mass_action
             for _ in range(3):
                 x = [rng.choice((0.0, -0.0, rng.uniform(0.1, 3.0))) for _ in net.species]
-                self.assert_try_matches(net.mass_action, x, rng.choice((1e-3, 0.01, 0.1, 1.0)))
+                assert _bits(kernel.unrolled(*x)) == _bits(kernel.field_floats(x))
+            assert kernel.table == tuple(
+                (rate, tuple((i, s) for i, s in enumerate(inputs) if s),
+                 tuple((i, c) for i, c in enumerate(change) if c))
+                for rate, inputs, change in zip(
+                    kernel.rates.tolist(), kernel.inputs.tolist(), kernel.change.tolist()
+                )
+            )
 
     @pytest.mark.parametrize("m", [dynamics._SQUARING_ABOVE, 9, 10**12])
     def test_multiplicities_on_both_sides_of_binary_powering(self, m):
         kernel = parse_network(f"{m} A + B -> 2 C @ 1.5\nC -> A @ 0.5\n0 -> B @ 1").mass_action
-        for a in (0.0, 0.5, 1.0 - math.log(m) / m, 1.0):
-            self.assert_try_matches(kernel, [a, 2.0, 0.25], 0.01)
+        for x in ([a, 2.0, 0.25] for a in (0.0, 0.5, 1.0 - math.log(m) / m, 1.0)):
+            assert _bits(kernel.unrolled(*x)) == _bits(kernel.field_floats(x))
 
     def test_no_species(self):
-        unrolled = parse_network("0 -> 0 @ 1").mass_action.unrolled
-        assert unrolled.field() == []
-        assert unrolled.try_step(unrolled.field, [], 0.01) == ([], [])
+        net = parse_network("0 -> 0 @ 1")
+        assert net.mass_action.unrolled() == []
+        traj = integrate_rate(net, [], 1.0)
+        assert traj.states.shape == (traj.times.size, 0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 22])
+    def test_every_ending_at_each_species_count(self, k, monkeypatch):
+        # the generator writes k = 0, 1 and 2 or more apart: no max() of
+        # one float, no unpack of one name into a tuple
+        endings = ["trajectory", "E_BUDGET"] if not k else list(_ENDINGS)
+        for ending in endings:
+            net, x0, t_end, rtol, expected = _ending_case(k, ending)
+            with monkeypatch.context() as patch:
+                if ending == "E_BUDGET":
+                    patch.setattr(dynamics, "_MAX_RATE_STEPS", 50)
+                outcome = _outcome(lambda: integrate_rate(net, x0, t_end, rtol))
+                assert outcome == _outcome(lambda: table_loop_rate(net, x0, t_end, rtol))
+            assert _ending(outcome).startswith(expected), (k, ending)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 22])
+    def test_nan_stage_at_each_species_count(self, k, monkeypatch):
+        # the first try's fifth stage gets a NaN in its last entry, which
+        # max() over the error entries passes over unless it comes first;
+        # the try is rejected and retried with a fifth of its step
+        def poison(field):
+            calls = []
+
+            def poisoned(x):
+                calls.append(x)
+                out = field(x)
+                if len(calls) == 5:
+                    out[-1] = math.nan
+                return out
+            return poisoned
+
+        net, x0, t_end, rtol, _ = _ending_case(k, "trajectory")
+        plain = integrate_rate(net, x0, t_end, rtol)
+        kernel = net.mass_action
+        field = poison(lambda x, unrolled=kernel.unrolled: unrolled(*x))
+        monkeypatch.setattr(kernel, "unrolled", lambda *x: field(list(x)))
+        traj = integrate_rate(net, x0, t_end, rtol)
+        reference = table_loop_rate(net, x0, t_end, rtol, field=poison(kernel.field_floats))
+        assert _outcome(lambda: traj) == _outcome(lambda: reference)
+        assert traj.times[1] == plain.times[1] * 0.2
+
+    def test_species_named_like_generated_identifiers(self):
+        # the generated source holds no species name, so names that are its
+        # own identifiers or builtins change no bit
+        names = ("x0", "r0", "f", "o1", "abs", "max", "exec", "__import__")
+        lines = [f"S{i} -> S{(i + 1) % 8} @ 1.{i}" for i in range(8)]
+        lines += ["S0 + S3 -> 2 S5 @ 0.7", "2 S6 -> S7 @ 0.3", "0 -> S2 @ 2"]
+        net = parse_network("\n".join(lines))
+        named = Network(names, net.transitions)
+        rng = random.Random(11)
+        for _ in range(3):
+            x0 = [rng.choice((0.0, rng.uniform(0.5, 2.0))) for _ in names]
+            outcome = _outcome(lambda: integrate_rate(named, x0, 1.0))
+            assert _ending(outcome) == "trajectory"
+            assert outcome == _outcome(lambda: table_loop_rate(net, x0, 1.0))
+
+    def test_namespaces_hold_only_the_builtins_their_source_names(self):
+        # with no species there is no error entry, so no abs()
+        for k, names in ((0, {"max", "min", "range"}), (1, {"abs", "max", "min", "range"}),
+                         (3, {"abs", "max", "min", "range"})):
+            assert set(dynamics._rate_loop(k).__globals__["__builtins__"]) == names
+        field = parse_network("9 A + B -> 2 C @ 1.5\nC -> A @ 0.5").mass_action.unrolled
+        assert field.__globals__["__builtins__"] == {}
+
+    def test_rate_run_builds_no_dense_array(self):
+        # a chain of 2,000 species: the dense (transitions x species) arrays
+        # would hold 4M counts each, and the rate side reads none of them
+        k = 2000
+        lines = ["species: " + " ".join(f"S{i}" for i in range(k))]
+        lines += [f"S{i} -> S{i + 1} @ 1" for i in range(k - 1)]
+        net = parse_network("\n".join(lines))
+        traj = integrate_rate(net, [1.0] * k, 1e-3)
+        assert traj.times[-1] == 1e-3
+        kernel = net.mass_action
+        assert not {"inputs", "outputs", "change", "rates"} & set(vars(kernel))
+        assert not kernel.inputs.flags.writeable and kernel.inputs.shape == (k - 1, k)
 
     def test_trajectories_match_the_table_loop(self):
         # whole runs on scan-shaped networks, two of which end in E_BUDGET
