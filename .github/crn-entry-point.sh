@@ -24,6 +24,12 @@ test "$(grep -v '"generated_at"' "$tmp/analyze.json" | sha256sum | cut -d' ' -f1
 # 22 species and 50 transitions; the 152 lines are those of the table loop
 crn rate "$tmp/scan.crn" --x0 1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 --t-end 1 > "$tmp/rate.csv"
 test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = a3bfe17ce11915ac6f9299bf0f407da23f7053b1ec7a60b21e90f1576b6689da
+# crn equilibrium on the same network: each step moves the 18 pivot species
+# of the exact elimination, and the law map moves the other four; the
+# Cholesky test fails on every step, so the Hessenberg QR runs on the
+# reduced Jacobian, which splits into two blocks of 9
+crn equilibrium "$tmp/scan.crn" --x0 1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 > "$tmp/equilibrium.json"
+test "$(grep -v '"generated_at"' "$tmp/equilibrium.json" | sha256sum | cut -d' ' -f1)" = 31446209e1d53c21ac5caea719e2f1a51f0065ad080291d71e998070a4463adc
 # the step-controlled RK4 loop is crn rate's one route: the digest pins its
 # bytes, and a fixed-step --dt is a usage error (exit 2)
 crn rate "$tmp/bd.crn" --x0 0 --t-end 5 > "$tmp/rate.csv"

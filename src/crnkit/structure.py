@@ -33,18 +33,37 @@ __all__ = [
 
 def _rank_and_laws(changes, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Rank and canonical integer left null space of ``changes``, rows of k
-    Python ints (the state changes), by fraction-free Gauss-Jordan
-    elimination (Bareiss 1968), one row at a time.
+    Python ints (the state changes), from :func:`_pivot_rows`.
 
-    A law w has w . row = 0 for every row.  ``pivots`` maps each pivot
-    column c to its reduced row p_c, zero in every other pivot column.  A
-    row is cleared in each pivot column c as a*row - b*p_c (a = p_c[c],
-    b = row[c]) over its gcd; a row left nonzero makes its first nonzero
-    column a pivot, cleared likewise from the earlier p_c.  At k pivots the
-    remaining rows cannot add to the rank and are skipped.  Free column f
-    gives the null vector with L = lcm|p_c[c]| at f and -p_c[f] * L / p_c[c]
-    at each c, made coprime with its first nonzero entry positive.  RREF is
+    A law w has w . row = 0 for every row.  Free column f gives the null
+    vector with L = lcm|p_c[c]| at f and -p_c[f] * L / p_c[c] at each pivot
+    column c, made coprime with its first nonzero entry positive.  RREF is
     unique up to row scaling, so this is the sorted basis of a rational RREF.
+    """
+    pivots = _pivot_rows(changes, k)
+    scale = math.lcm(*(row[c] for c, row in pivots.items()))
+    basis = []
+    for free in sorted(set(range(k)) - pivots.keys()):
+        vec = [0] * k
+        vec[free] = scale
+        for c, row in pivots.items():
+            vec[c] = -row[free] * (scale // row[c])
+        basis.append(tuple(_primitive(vec, sign=next(v for v in vec if v))))
+    return len(pivots), tuple(sorted(basis))
+
+
+def _pivot_rows(changes, k: int) -> dict[int, list[int]]:
+    """The reduced row echelon form of ``changes``, rows of k Python ints,
+    by fraction-free Gauss-Jordan elimination (Bareiss 1968), one row at a
+    time.
+
+    The result maps each pivot column c to its reduced row p_c, zero in
+    every other pivot column, so every row of ``changes`` is
+    sum_c (row[c] / p_c[c]) p_c.  A row is cleared in each pivot column c as
+    a*row - b*p_c (a = p_c[c], b = row[c]) over its gcd; a row left nonzero
+    makes its first nonzero column a pivot, cleared likewise from the
+    earlier p_c.  At k pivots the remaining rows cannot add to the rank and
+    are skipped.
     """
     pivots: dict[int, list[int]] = {}
     for row in changes:
@@ -61,15 +80,7 @@ def _rank_and_laws(changes, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
         pivots[lead] = row
         if len(pivots) == k:
             break
-    scale = math.lcm(*(row[c] for c, row in pivots.items()))
-    basis = []
-    for free in sorted(set(range(k)) - pivots.keys()):
-        vec = [0] * k
-        vec[free] = scale
-        for c, row in pivots.items():
-            vec[c] = -row[free] * (scale // row[c])
-        basis.append(tuple(_primitive(vec, sign=next(v for v in vec if v))))
-    return len(pivots), tuple(sorted(basis))
+    return pivots
 
 
 def _primitive(row: list[int], sign: int = 1) -> list[int]:

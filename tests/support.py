@@ -19,6 +19,7 @@ from crnkit import (
     InvalidValue,
     MixedState,
     Network,
+    NoConvergence,
     PopulationExplosion,
     SymmetryOverflow,
     Transition,
@@ -321,6 +322,56 @@ def table_loop_rate(net: Network, x0, t_end: float, rtol: float = 3e-8, field=No
         at = times[blown.argmax()]
         raise PopulationExplosion(f"the rate equation left the finite range by t={at:.6g}")
     return dynamics.Trajectory(times, states)
+
+
+def lapack_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
+    """Reference of ``find_equilibrium``: the same pseudo-transient
+    continuation on numpy arrays, in the coordinates of an orthonormal basis
+    B of range(Gamma) from LAPACK's ``svd``, with the growth from
+    ``eigvals`` of B^T J B and each step from ``solve``.  It ends in the
+    same typed errors; its bits depend on the OpenBLAS core."""
+    x = validate_classical(x0, net.num_species).copy()
+    if not 0 < tol < np.inf:
+        raise InvalidValue(f"tol must be positive and finite, got {tol}")
+    kernel = net.mass_action
+    u_mat, sing, _ = np.linalg.svd(net.stoichiometric_matrix().astype(float), full_matrices=False)
+    basis = u_mat[:, : int((sing > sing.max(initial=0.0) * 1e-12).sum())]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dt = dynamics._default_step(kernel, x.tolist())
+        fx = kernel.field(x)
+        norm = start = np.abs(fx).max(initial=0.0)
+        for _ in range(dynamics._MAX_STEPS):
+            if not (np.isfinite(norm) and np.isfinite(x).all()):
+                raise PopulationExplosion("the rate field left the finite range")
+            scale = 1.0 + np.abs(x).max(initial=0.0)
+            if norm <= 1e-14 * scale:
+                return x
+            jac = basis.T @ np.array(kernel.jacobian_floats(x.tolist())) @ basis
+            if not np.isfinite(jac).all():
+                raise PopulationExplosion("the Jacobian left the finite range")
+            growth = np.linalg.eigvals(jac).real.max(initial=0.0)
+            if growth > 0:
+                dt = min(dt, 0.5 / growth)
+            try:
+                step = basis @ np.linalg.solve(np.eye(len(jac)) / dt - jac, basis.T @ fx)
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(step).all():
+                break
+            while (x + step).min() < -dynamics._CLAMP:
+                step *= 0.5
+                dt *= 0.5
+            candidate = np.array(dynamics._clamp_state((x + step).tolist()))
+            f_new = kernel.field(candidate)
+            norm_new = np.abs(f_new).max()
+            if not norm_new < norm and norm <= tol * scale and growth <= 0:
+                return x
+            ratio = norm / norm_new
+            dt *= max(ratio, 2.0) if ratio > 1 or growth > 0 else ratio
+            x, fx, norm = candidate, f_new, norm_new
+    if not norm <= start:
+        raise PopulationExplosion(f"field norm grew from {start:.3e} to {norm:.3e}")
+    raise NoConvergence(f"field norm {norm:.3e} still above tolerance")
 
 
 def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
