@@ -27,7 +27,7 @@ test "$(sha256sum < "$tmp/rate.csv" | cut -d' ' -f1)" = a3bfe17ce11915ac6f9299bf
 # crn equilibrium on the same network: each step moves the 18 pivot species
 # of the exact elimination, and the law map moves the other four; the
 # Cholesky test fails on every step, so the Hessenberg QR runs on the
-# reduced Jacobian, which splits into two blocks of 9
+# 18 x 18 reduced Jacobian
 crn equilibrium "$tmp/scan.crn" --x0 1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 > "$tmp/equilibrium.json"
 test "$(grep -v '"generated_at"' "$tmp/equilibrium.json" | sha256sum | cut -d' ' -f1)" = 31446209e1d53c21ac5caea719e2f1a51f0065ad080291d71e998070a4463adc
 # the step-controlled RK4 loop is crn rate's one route: the digest pins its

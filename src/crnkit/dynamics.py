@@ -44,7 +44,7 @@ from .errors import (
     PopulationExplosion,
 )
 from .network import Network
-from .structure import _pivot_rows, _reach
+from .structure import _pivot_rows
 
 __all__ = [
     "rate_vector_field",
@@ -179,40 +179,30 @@ class MassAction:
         return out
 
     def jacobian_floats(self, x: list[float]) -> list[list[float]]:
-        """Exact Jacobian of :meth:`field_floats` at ``x``, as rows: from
-        :meth:`_slopes`, transition by transition and species by species,
-        jac[i][l] += (t_i - s_i) * slope."""
-        k = len(x)
-        jac = [[0.0] * k for _ in range(k)]
-        for l, slope, moves in self._slopes(x):
-            for i, c in moves:
-                jac[i][l] += c * slope
-        return jac
+        """Exact Jacobian of :meth:`field_floats` at ``x``, as dense rows
+        holding the values of :meth:`jacobian_entries` and 0.0 elsewhere."""
+        columns = range(len(x))
+        return [[row.get(l, 0.0) for l in columns] for row in self.jacobian_entries(x)]
 
-    def jacobian_entries(self, x: list[float]) -> dict:
-        """The entries of :meth:`jacobian_floats` at ``x`` that some
-        transition writes, as {(i, l): value}, by the same float operations
-        in the same order, with no dense row."""
-        entries: dict = {}
-        get = entries.get
-        for l, slope, moves in self._slopes(x):
-            for i, c in moves:
-                entries[i, l] = get((i, l), 0.0) + c * slope
-        return entries
+    def jacobian_entries(self, x: list[float]) -> list[dict]:
+        """The Jacobian entries at ``x`` that some transition writes, as one
+        dict {l: value} per row i, with no dense row.
 
-    def _slopes(self, x: list[float]):
-        """(l, d(r x^s)/dx_l, moves) for each transition and each species l
-        of its input complex, in table order.
-
-        d(r x^s)/dx_l = s_l r x^(s - e_l) is (r s_l) times the factors of
-        x^(s - e_l), in ``factors`` order as in the field.
+        Transition by transition and species l of its input complex by
+        species, the slope d(r x^s)/dx_l = s_l r x^(s - e_l) is (r s_l)
+        times the factors of x^(s - e_l) in ``factors`` order, as in the
+        field; then entry (i, l) += (t_i - s_i) * slope for each move.
         """
+        rows: list[dict] = [{} for _ in x]
         for rate, factors, moves in self.table:
             for l, need_l in factors:
                 slope = rate * need_l
                 for m, need in factors:
                     slope = _times_power(slope, x[m], need - 1 if m == l else need)
-                yield l, slope, moves
+                for i, c in moves:
+                    row = rows[i]
+                    row[l] = row.get(l, 0.0) + c * slope
+        return rows
 
     def falling(self, counts, j: int):
         """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
@@ -447,13 +437,14 @@ def _clamp_state(x: list[float]) -> list[float]:
 
 def _default_step(kernel, x0: list[float]) -> float:
     # crude Lipschitz estimate: infinity norm of the Jacobian at x0, each row's
-    # |entries| summed in increasing column order (builtin sum() compensates
-    # from Python 3.12 on); a zero entry left out adds 0.0, which is exact
-    rows: dict = {}
-    for (i, _), v in sorted(kernel.jacobian_entries(x0).items()):
-        rows[i] = rows.get(i, 0.0) + abs(v)
+    # |entries| added left to right in increasing column order (builtin sum()
+    # compensates from Python 3.12 on); a zero entry left out adds 0.0, which
+    # is exact
     lipschitz = 0.0
-    for norm in rows.values():
+    for row in kernel.jacobian_entries(x0):
+        norm = 0.0
+        for _, v in sorted(row.items()):
+            norm += abs(v)
         if not math.isfinite(norm):
             raise PopulationExplosion("the rate field overflows at the initial state")
         lipschitz = max(lipschitz, norm)
@@ -587,18 +578,18 @@ def _spread(spread: tuple, y: list[float]) -> list[float]:
 def _reduced_jacobian(kernel, x: list[float]) -> list[list[float]]:
     """The Jacobian of the pivots' field in the pivots' coordinates, P J B
     with B the map :func:`_spread`: J itself when every species is a pivot,
-    else each pivot's row of J times B, its nonzero entries taken in
-    increasing column order."""
+    else each pivot's row of J times B, its nonzero entries
+    (:meth:`MassAction.jacobian_entries`) taken in increasing column order."""
     pivots, spread = kernel.reduction
-    jac = kernel.jacobian_floats(x)
     if len(pivots) == len(x):
-        return jac
+        return kernel.jacobian_floats(x)
+    rows = kernel.jacobian_entries(x)
     reduced = []
     for p in pivots:
         row = [0.0] * len(pivots)
-        for v, pairs in zip(jac[p], spread):
+        for l, v in sorted(rows[p].items()):
             if v:
-                for b, c in pairs:
+                for b, c in spread[l]:
                     row[b] += v * c
         reduced.append(row)
     return reduced
@@ -659,34 +650,6 @@ def _eliminate(m: list[list[float]], b: list[float]) -> list[float] | None:
 def _largest_real_part(a: list[list[float]]) -> float:
     """The largest real part of an eigenvalue of the square matrix ``a``
     (rows of finite floats, at least one), which is left unchanged.
-
-    A permutation puts ``a`` in block upper triangular form whose diagonal
-    blocks are the strongly connected components of the graph i -> j of its
-    nonzero entries, so its eigenvalues are those of the blocks, each found
-    by :func:`_block_largest_real_part`.  A Jacobian of mass action often
-    splits: the 18 pivots of the entry-point script's network form two
-    blocks of 9, which take a quarter of the QR's work.
-    """
-    indices = range(len(a))
-    out = [[*compress(indices, row)] for row in a]
-    into = [[*compress(indices, column)] for column in zip(*a)]
-    placed: set[int] = set()
-    best = -math.inf
-    for v in range(len(a)):
-        if v not in placed:
-            block = _reach(out, v) & _reach(into, v)
-            placed |= block
-            if len(block) < len(a):
-                block = sorted(block)
-                block = [[a[i][j] for j in block] for i in block]
-            else:
-                block = a
-            best = max(best, _block_largest_real_part(block))
-    return best
-
-
-def _block_largest_real_part(a: list[list[float]]) -> float:
-    """:func:`_largest_real_part` of one block ``a``, unchanged.
 
     ``a`` is scaled by a power of 2 to a largest |entry| in [0.5, 1), which
     is exact, reduced to upper Hessenberg form (:func:`_hessenberg`), and
@@ -802,7 +765,9 @@ def _block_largest_real_part(a: list[list[float]]) -> float:
                 row[k2] -= p * r
                 row[k1] -= p * q
                 row[k] -= p
-    return math.ldexp(best, e)
+    # times 2.0 last: a real part beyond the float range gives inf, where
+    # ldexp would raise OverflowError
+    return math.ldexp(best, e - 1) * 2.0
 
 
 def _hessenberg(h: list[list[float]]) -> list[list[float]]:
