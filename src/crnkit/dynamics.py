@@ -6,11 +6,11 @@ rate * (output - input) * x^input, with the 0**0 == 1 convention so the
 empty complex contributes a constant source term.  The field, its Jacobian
 and the RK4 loop run on Python floats in a fixed order of operations, with
 no numpy ufunc and no BLAS call, so ``crn rate`` prints the same bytes on
-every CPU.  Integration is classic RK4, step-controlled by an embedded error
-estimate, within a step budget.  The field runs as straight-line code
-generated once per network (:attr:`MassAction.unrolled`), and the whole
-step-controlled loop as code generated once per species count, both with
-the table loop's float operations in the same order.  Equilibria come from
+every CPU.  The field and its exact Jacobian, the one kernel of both
+subcommands, are straight-line code generated once per network structure
+and bound to the rates (:attr:`MassAction.compiled`).  Integration is
+classic RK4, step-controlled by an embedded error estimate, within a step
+budget, as a loop generated once per species count.  Equilibria come from
 pseudo-transient continuation, which ends as Newton iteration, in the
 coordinates of the pivot species of the exact elimination of the changes;
 its linear algebra (a Cholesky test, Gaussian elimination and a Hessenberg
@@ -74,11 +74,11 @@ class MassAction:
     ``table`` holds one entry (r, factors, moves) per transition:
     ``factors`` the pairs (i, s_i) with s_i > 0 and ``moves`` the pairs
     (i, t_i - s_i) with t_i != s_i.  The empty complex has no factor, so
-    0**0 == 1 holds by construction.  :meth:`field_floats` and
-    :meth:`jacobian_entries` read the table on Python floats in a fixed
-    order, so their bits do not depend on the CPU; :meth:`flux` keeps
-    numpy's ``power``.  :attr:`unrolled` is the same field as generated
-    code, and :attr:`reduction` the coordinates of :func:`find_equilibrium`.
+    0**0 == 1 holds by construction.  :attr:`compiled` is the field and its
+    exact Jacobian, generated from the table's structure, on Python floats
+    in a fixed order, so their bits do not depend on the CPU; :meth:`flux`
+    keeps numpy's ``power``.  :attr:`reduction` holds the coordinates of
+    :func:`find_equilibrium`.
     """
 
     def __init__(self, net: Network):
@@ -140,69 +140,17 @@ class MassAction:
         return _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), self._k))
 
     @cached_property
-    def unrolled(self):
-        """The field as straight-line code, compiled on first use.
-
-        ``unrolled(x0, ..., x{k-1})`` returns :meth:`field_floats` of the
-        state as a list, by the same float operations in the same order;
-        :func:`integrate_rate` calls it for every stage.  On a network of 3
-        species and 8 transitions it compiles in about 0.2 ms, and a call
-        then takes 0.7 us where :meth:`field_floats` takes 3.7, so the code
-        pays for itself from about 70 calls on, 14 tries of 5 stages.
-        """
-        return _unroll(self.table, self._k)
+    def compiled(self) -> tuple:
+        """(field, jacobian) of :func:`_emit`, bound to this network's rates:
+        ``field(x0, ..., x{k-1})`` is the field as a list and ``jacobian``
+        its exact Jacobian, one tuple of (column, value) pairs per row in
+        increasing column order, for the entries some transition writes."""
+        structure = tuple((factors, moves) for _, factors, moves in self.table)
+        return _emit(structure, self._k)(tuple(rate for rate, _, _ in self.table))
 
     def flux(self, x: np.ndarray) -> np.ndarray:
         """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
         return self.rates * (x ** self.inputs).prod(axis=1)
-
-    def field(self, x) -> np.ndarray:
-        """Rate-equation vector field sum_tau r(tau) (t - s) x^s, from :meth:`field_floats`."""
-        return np.array(self.field_floats(np.asarray(x, dtype=float).tolist()))
-
-    def field_floats(self, x: list[float]) -> list[float]:
-        """The field at the state ``x``, a list of floats, as a list.
-
-        Each flux is ((r x_a) x_a) x_b ... over ``factors``, one factor at a
-        time (see :func:`_times_power`); then, transition by transition,
-        out[i] += (t_i - s_i) * flux for each move.
-        """
-        out = [0.0] * len(x)
-        for flux, factors, moves in self.table:
-            for i, need in factors:
-                if need == 1:
-                    flux *= x[i]
-                else:
-                    flux = _times_power(flux, x[i], need)
-            for i, c in moves:
-                out[i] += c * flux
-        return out
-
-    def jacobian_floats(self, x: list[float]) -> list[list[float]]:
-        """Exact Jacobian of :meth:`field_floats` at ``x``, as dense rows
-        holding the values of :meth:`jacobian_entries` and 0.0 elsewhere."""
-        columns = range(len(x))
-        return [[row.get(l, 0.0) for l in columns] for row in self.jacobian_entries(x)]
-
-    def jacobian_entries(self, x: list[float]) -> list[dict]:
-        """The Jacobian entries at ``x`` that some transition writes, as one
-        dict {l: value} per row i, with no dense row.
-
-        Transition by transition and species l of its input complex by
-        species, the slope d(r x^s)/dx_l = s_l r x^(s - e_l) is (r s_l)
-        times the factors of x^(s - e_l) in ``factors`` order, as in the
-        field; then entry (i, l) += (t_i - s_i) * slope for each move.
-        """
-        rows: list[dict] = [{} for _ in x]
-        for rate, factors, moves in self.table:
-            for l, need_l in factors:
-                slope = rate * need_l
-                for m, need in factors:
-                    slope = _times_power(slope, x[m], need - 1 if m == l else need)
-                for i, c in moves:
-                    row = rows[i]
-                    row[l] = row.get(l, 0.0) + c * slope
-        return rows
 
     def falling(self, counts, j: int):
         """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
@@ -246,44 +194,76 @@ def _times_power(acc: float, v: float, n: int) -> float:
         v *= v
 
 
-def _unroll(table: tuple, k: int):
-    """:attr:`MassAction.unrolled` of ``table`` over k species.
+@lru_cache(maxsize=32)
+def _emit(structure: tuple, k: int):
+    """``bind(r)``, compiled once per structure, the (factors, moves) of each
+    transition of :attr:`MassAction.table` over k species, as
+    ``collections.namedtuple`` compiles its classes.  ``bind`` takes the
+    rates, in transition order, into closure cells and returns
+    :attr:`MassAction.compiled`.  The source holds only ints, identifiers
+    made here and ``repr`` of the change floats, never input text; each
+    factor and each move is its own statement, since a chained product or
+    sum of thousands of terms overflows the compiler's recursion limit.
 
-    The field is Python source run through ``compile``/``exec``, as
-    ``collections.namedtuple`` builds its classes.  The source holds only
-    ints, identifiers made here and ``repr`` of the change floats; the rates
-    r0, r1, ... come in through the namespace, so no species name or other
-    input text reaches it.  Every factor and every move is its own
-    statement: a chained product or sum of some thousands of terms overflows
-    the compiler's recursion limit.  The first move of species i is
-    o_i = 0.0 + c * flux, which rounds as adding to the table loop's 0.0
-    does; a change of 1 or -1 adds or subtracts the flux, which rounds as
-    adding 1.0 * flux or -1.0 * flux does.  A transition that moves nothing
-    is left out, as its flux is never read.
+    The float operations are those of the table loops the tests keep, in
+    the same order.  A flux is ((r x_a) x_a) x_b ..., the slope
+    d(r x^s)/dx_l is (r s_l) times the factors of x^(s - e_l), each power
+    as :func:`_times_power` forms it, and each move adds (t_i - s_i) times
+    the flux to field entry i and times the slope to Jacobian entry (i, l).
+    An entry's first write is 0.0 + c * term, which rounds as adding to the
+    loops' 0.0 does, and a change of 1 or -1 adds or subtracts the term,
+    which rounds as adding 1.0 * term or -1.0 * term does.
     """
-    lines = [f"def field({', '.join(f'x{i}' for i in range(k))}):"]
-    moved = set()
-    for j, (_, factors, moves) in enumerate(table):
+    args = ", ".join(f"x{i}" for i in range(k))
+    field, jacobian = [f"    def field({args}):"], [f"    def jacobian({args}):"]
+    written: set[str] = set()
+    columns: list[set[int]] = [set() for _ in range(k)]
+    for j, (factors, moves) in enumerate(structure):
         if not moves:
             continue
-        flux = f"r{j}"
-        for i, need in factors:
-            if need > _SQUARING_ABOVE:
-                lines.append(f"    f = power({flux}, x{i}, {need})")
-            else:
-                lines.append(f"    f = {flux} * x{i}")
-                lines += [f"    f *= x{i}"] * (need - 1)
-            flux = "f"
+        flux = _product(field, "f", f"r{j}", factors)
         for i, c in moves:
-            sign = "-" if c == -1.0 else "+"
-            term = flux if c in (1.0, -1.0) else f"{c!r} * {flux}"
-            target = f"o{i} {sign}=" if i in moved else f"o{i} = 0.0 {sign}"
-            lines.append(f"    {target} {term}")
-            moved.add(i)
-    lines.append(f"    return [{', '.join(f'o{i}' if i in moved else '0.0' for i in range(k))}]")
-    namespace = {f"r{j}": rate for j, (rate, _, _) in enumerate(table)}
-    namespace["power"] = _times_power
-    return _define("field", lines, namespace)
+            field.append(_add(f"o{i}", c, flux, written))
+        for l, need_l in factors:
+            start = f"r{j}" if need_l == 1 else f"(r{j} * {need_l})"
+            powers = [(m, need - 1 if m == l else need) for m, need in factors]
+            slope = _product(jacobian, "s", start, powers)
+            for i, c in moves:
+                jacobian.append(_add(f"j{i}_{l}", c, slope, written))
+                columns[i].add(l)
+    entries = (f"o{i}" if f"o{i}" in written else "0.0" for i in range(k))
+    field.append(f"        return [{', '.join(entries)}]")
+    rows = ("(" + "".join(f"({l}, j{i}_{l}), " for l in sorted(row)) + ")"
+            for i, row in enumerate(columns))
+    jacobian.append(f"        return ({''.join(f'{row}, ' for row in rows)})")
+    rates = ", ".join(f"r{j}" for j in range(len(structure)))
+    lines = ["def bind(r):", f"    [{rates}] = r", *field, *jacobian, "    return field, jacobian"]
+    return _define("bind", lines, {"power": _times_power})
+
+
+def _product(lines: list[str], name: str, acc: str, powers) -> str:
+    """Append to ``lines`` the statements that multiply the source expression
+    ``acc`` by x_i**n into ``name``, over the pairs (i, n) of ``powers``, as
+    :func:`_times_power` does; return what holds the product."""
+    for i, n in powers:
+        if n > _SQUARING_ABOVE:
+            lines.append(f"        {name} = power({acc}, x{i}, {n})")
+            acc = name
+        else:
+            for _ in range(n):
+                lines.append(f"        {name} = {acc} * x{i}")
+                acc = name
+    return acc
+
+
+def _add(entry: str, c: float, term: str, written: set[str]) -> str:
+    """The statement that adds c * term to ``entry``: the first for that
+    entry (``written`` records it) starts from 0.0."""
+    sign = "-" if c == -1.0 else "+"
+    term = term if c in (1.0, -1.0) else f"{c!r} * {term}"
+    line = f"{entry} {sign}= {term}" if entry in written else f"{entry} = 0.0 {sign} {term}"
+    written.add(entry)
+    return "        " + line
 
 
 @lru_cache(maxsize=32)
@@ -366,12 +346,15 @@ def _rate_loop(k: int):
 
 def _define(name: str, lines: list[str], namespace: dict):
     """The function ``name`` that the source ``lines`` define, executed in
-    ``namespace``; its builtins are those the source names, and no other."""
+    ``namespace``; its builtins are those the source names, in the
+    functions nested in it too, and no other."""
     code = compile("\n".join(lines) + "\n", f"<crnkit.dynamics {name}>", "exec")
-    (body,) = [const for const in code.co_consts if hasattr(const, "co_names")]
-    namespace["__builtins__"] = {
-        name: getattr(builtins, name) for name in body.co_names if hasattr(builtins, name)
-    }
+    names, bodies = set(), [code]
+    while bodies:
+        body = bodies.pop()
+        names.update(body.co_names)
+        bodies += [const for const in body.co_consts if hasattr(const, "co_names")]
+    namespace["__builtins__"] = {n: getattr(builtins, n) for n in names if hasattr(builtins, n)}
     exec(code, namespace)
     return namespace[name]
 
@@ -393,7 +376,7 @@ def rate_vector_field(net: Network, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.num_species,):
         raise DimensionMismatch(f"state has shape {x.shape}, expected ({net.num_species},)")
-    return net.mass_action.field(x)
+    return np.array(net.mass_action.compiled[0](*x.tolist()))
 
 
 @dataclass(frozen=True)
@@ -417,8 +400,9 @@ class Trajectory:
 
     def to_csv(self, species) -> str:
         lines = ["t," + ",".join(species)]
+        sep = "," if self.states.shape[1] else ""  # a row of no species is t alone
         for t, row in zip(self.times.tolist(), self.states.tolist()):
-            lines.append(",".join(map(repr, [t] + row)))
+            lines.append(f"{t!r}{sep}{','.join(map(repr, row))}")
         return "\n".join(lines) + "\n"
 
 
@@ -441,9 +425,9 @@ def _default_step(kernel, x0: list[float]) -> float:
     # compensates from Python 3.12 on); a zero entry left out adds 0.0, which
     # is exact
     lipschitz = 0.0
-    for row in kernel.jacobian_entries(x0):
+    for row in kernel.compiled[1](*x0):
         norm = 0.0
-        for _, v in sorted(row.items()):
+        for _, v in row:
             norm += abs(v)
         if not math.isfinite(norm):
             raise PopulationExplosion("the rate field overflows at the initial state")
@@ -463,9 +447,9 @@ def integrate_rate(net: Network, x0, t_end: float, rtol: float = 3e-8) -> Trajec
     move t is a finite-time blow-up, ``E_EXPLODE``.  The loop runs on Python
     floats, as code generated for the species count that keeps the state in
     locals, every combination of stages written out left to right; each
-    stage calls :attr:`MassAction.unrolled`, the table's field
-    (:meth:`MassAction.field_floats`) as straight-line code.  numpy only
-    checks ``x0`` and holds the returned :class:`Trajectory`.
+    stage calls the generated field of :attr:`MassAction.compiled`, whose
+    Jacobian gives L.  numpy only checks ``x0`` and holds the returned
+    :class:`Trajectory`.
     """
     x0 = validate_classical(x0, net.num_species)
     if not (0 < t_end < math.inf and 0 < rtol < math.inf):
@@ -473,7 +457,7 @@ def integrate_rate(net: Network, x0, t_end: float, rtol: float = 3e-8) -> Trajec
     kernel = net.mass_action
     x = x0.tolist()
     h = _default_step(kernel, x)
-    times, states = _rate_loop(len(x))(kernel.unrolled, x, h, t_end, rtol, _MAX_RATE_STEPS)
+    times, states = _rate_loop(len(x))(kernel.compiled[0], x, h, t_end, rtol, _MAX_RATE_STEPS)
     times, states = np.array(times), np.array(states)
     blown = ~np.isfinite(states).all(axis=1)
     if blown.any():
@@ -489,7 +473,8 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
     steps (I/dt - J_red) y = f_P(x) in the coordinates of the pivot species
     P of the exact elimination of the changes (:attr:`MassAction.reduction`),
     whose moves fix every other species' move.  J_red is the exact Jacobian
-    of f_P in those coordinates, J itself when there is no conservation law.
+    of f_P in those coordinates, J itself when there is no conservation law;
+    f and J come from the generated kernel, :attr:`MassAction.compiled`.
     A step is halved with dt until x >= -1e-12.  dt starts at the default
     RK4 step and grows by switched evolution relaxation, dt *= |f_old|/|f_new|,
     at least doubling while |f| falls, so the loop ends as Newton iteration.
@@ -513,8 +498,9 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
         raise InvalidValue(f"tol must be positive and finite, got {tol}")
     kernel = net.mass_action
     pivots, spread = kernel.reduction
+    field = kernel.compiled[0]
     dt = _default_step(kernel, x)
-    fx = kernel.field_floats(x)
+    fx = field(*x)
     norm = start = _sup_norm(fx)
     for _ in range(_MAX_STEPS):
         size = _sup_norm(x)
@@ -543,7 +529,7 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
             step = [0.5 * v for v in step]
             dt *= 0.5
         candidate = _clamp_state(list(map(add, x, step)))
-        f_new = kernel.field_floats(candidate)
+        f_new = field(*candidate)
         norm_new = _sup_norm(f_new)
         if not norm_new < norm and norm <= tol * scale and growth <= 0:
             return np.array(x)
@@ -577,17 +563,21 @@ def _spread(spread: tuple, y: list[float]) -> list[float]:
 
 def _reduced_jacobian(kernel, x: list[float]) -> list[list[float]]:
     """The Jacobian of the pivots' field in the pivots' coordinates, P J B
-    with B the map :func:`_spread`: J itself when every species is a pivot,
-    else each pivot's row of J times B, its nonzero entries
-    (:meth:`MassAction.jacobian_entries`) taken in increasing column order."""
+    with B the map :func:`_spread`, as dense rows: J itself when every
+    species is a pivot, else each pivot's row of J times B, its nonzero
+    entries taken in increasing column order."""
     pivots, spread = kernel.reduction
+    rows = kernel.compiled[1](*x)
     if len(pivots) == len(x):
-        return kernel.jacobian_floats(x)
-    rows = kernel.jacobian_entries(x)
+        dense = [[0.0] * len(x) for _ in x]
+        for row, pairs in zip(dense, rows):
+            for l, v in pairs:
+                row[l] = v
+        return dense
     reduced = []
     for p in pivots:
         row = [0.0] * len(pivots)
-        for l, v in sorted(rows[p].items()):
+        for l, v in rows[p]:
             if v:
                 for b, c in spread[l]:
                     row[b] += v * c
@@ -665,8 +655,13 @@ def _largest_real_part(a: list[list[float]]) -> float:
         return 0.0
     e = math.frexp(top)[1]
     h = _hessenberg([[math.ldexp(v, -e) for v in row] for row in a])
-    # a subdiagonal entry within the rounding of the sum of |entries| is 0
-    negligible = 2.220446049250313e-16 * sum(map(abs, chain.from_iterable(h)))
+    # a subdiagonal entry within the rounding of the sum of |entries| is 0;
+    # the sum runs left to right, as builtin sum() does only before Python 3.12
+    total = 0.0
+    for row in h:
+        for v in row:
+            total += abs(v)
+    negligible = 2.220446049250313e-16 * total
     best, t, its, budget = -math.inf, 0.0, 0, 30 * n
     hi, sqrt = n - 1, math.sqrt
     while hi >= 0:

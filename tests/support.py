@@ -263,10 +263,58 @@ def balanced_reversible_network(rng: random.Random) -> tuple[Network, np.ndarray
     return Network(species, tuple(transitions)), c
 
 
+def field_floats(kernel, x: list[float]) -> list[float]:
+    """Reference of the generated field (``MassAction.compiled``): the
+    kernel's ``table`` read in a loop on the list of floats ``x``.
+
+    Each flux is ((r x_a) x_a) x_b ... over ``factors``, one factor at a
+    time (``dynamics._times_power``); then, transition by transition,
+    out[i] += (t_i - s_i) * flux for each move.
+    """
+    out = [0.0] * len(x)
+    for flux, factors, moves in kernel.table:
+        for i, need in factors:
+            if need == 1:
+                flux *= x[i]
+            else:
+                flux = dynamics._times_power(flux, x[i], need)
+        for i, c in moves:
+            out[i] += c * flux
+    return out
+
+
+def jacobian_entries(kernel, x: list[float]) -> list[dict]:
+    """Reference of the generated Jacobian (``MassAction.compiled``): the
+    entries at ``x`` that some transition writes, as one dict {l: value}
+    per row i, from the kernel's ``table`` read in a loop.
+
+    Transition by transition and species l of its input complex by
+    species, the slope d(r x^s)/dx_l = s_l r x^(s - e_l) is (r s_l) times
+    the factors of x^(s - e_l) in ``factors`` order, as in the field; then
+    entry (i, l) += (t_i - s_i) * slope for each move.
+    """
+    rows: list[dict] = [{} for _ in x]
+    for rate, factors, moves in kernel.table:
+        for l, need_l in factors:
+            slope = rate * need_l
+            for m, need in factors:
+                slope = dynamics._times_power(slope, x[m], need - 1 if m == l else need)
+            for i, c in moves:
+                row = rows[i]
+                row[l] = row.get(l, 0.0) + c * slope
+    return rows
+
+
+def dense_rows(entries: list[dict]) -> list[list[float]]:
+    """The rows of :func:`jacobian_entries` filled with 0.0 to a square."""
+    columns = range(len(entries))
+    return [[row.get(l, 0.0) for l in columns] for row in entries]
+
+
 def reference_try(field, x: list[float], h: float):
     """One try of ``integrate_rate``'s loop: one classic RK4 step of h from
     the list ``x`` on the list field ``field`` (such as
-    ``MassAction.field_floats``), Zonneveld's fifth stage and the error
+    :func:`field_floats`), Zonneveld's fifth stage and the error
     entries, each combination of stages a list comprehension written out
     left to right.  Returns the new state and the error entries."""
     half = 0.5 * h
@@ -286,14 +334,14 @@ def reference_try(field, x: list[float], h: float):
 def table_loop_rate(net: Network, x0, t_end: float, rtol: float = 3e-8, field=None):
     """Reference of ``integrate_rate``: its step-controlled loop on lists of
     floats, every try :func:`reference_try` on ``field``, by default
-    ``MassAction.field_floats`` (the table loop).  It reads
+    :func:`field_floats` (the table loop).  It reads
     ``dynamics._MAX_RATE_STEPS`` when called, and ends in the same typed
     errors with the same messages."""
     x0 = validate_classical(x0, net.num_species)
     if not (0 < t_end < math.inf and 0 < rtol < math.inf):
         raise InvalidValue(f"t_end and rtol must be finite and > 0: {t_end}, {rtol}")
     kernel = net.mass_action
-    field = field or kernel.field_floats
+    field = field or (lambda x: field_floats(kernel, x))
     x = x0.tolist()
     times, states = [0.0], [x]
     t, h = 0.0, dynamics._default_step(kernel, x)
@@ -338,7 +386,7 @@ def lapack_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
     basis = u_mat[:, : int((sing > sing.max(initial=0.0) * 1e-12).sum())]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dt = dynamics._default_step(kernel, x.tolist())
-        fx = kernel.field(x)
+        fx = np.array(field_floats(kernel, x.tolist()))
         norm = start = np.abs(fx).max(initial=0.0)
         for _ in range(dynamics._MAX_STEPS):
             if not (np.isfinite(norm) and np.isfinite(x).all()):
@@ -346,7 +394,7 @@ def lapack_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
             scale = 1.0 + np.abs(x).max(initial=0.0)
             if norm <= 1e-14 * scale:
                 return x
-            jac = basis.T @ np.array(kernel.jacobian_floats(x.tolist())) @ basis
+            jac = basis.T @ np.array(dense_rows(jacobian_entries(kernel, x.tolist()))) @ basis
             if not np.isfinite(jac).all():
                 raise PopulationExplosion("the Jacobian left the finite range")
             growth = np.linalg.eigvals(jac).real.max(initial=0.0)
@@ -362,7 +410,7 @@ def lapack_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
                 step *= 0.5
                 dt *= 0.5
             candidate = np.array(dynamics._clamp_state((x + step).tolist()))
-            f_new = kernel.field(candidate)
+            f_new = np.array(field_floats(kernel, candidate.tolist()))
             norm_new = np.abs(f_new).max()
             if not norm_new < norm and norm <= tol * scale and growth <= 0:
                 return x
@@ -379,9 +427,9 @@ def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
     against the birth-death closed form 3 (1 - e^-t) from x = 0.
 
     The steps are :func:`reference_try`, the try of ``integrate_rate``'s
-    loop, on ``MassAction.unrolled``, the field that loop calls, so the
-    observed order is that of the integrator's own step."""
-    field = net_bd.mass_action.unrolled
+    loop, on the generated field of ``MassAction.compiled``, the field that
+    loop calls, so the observed order is that of the integrator's own step."""
+    field = net_bd.mass_action.compiled[0]
     x, err = [0.0], 0.0
     for i in range(1, int(t_end / h + 1e-9) + 1):
         x = reference_try(lambda x: field(*x), x, h)[0]
@@ -390,7 +438,7 @@ def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
 
 
 def dense_field(kernel, x: np.ndarray) -> np.ndarray:
-    """Oracle of ``MassAction.field``: sum_tau r (t - s) x^s from the
+    """Oracle of the rate field: sum_tau r (t - s) x^s from the
     kernel's dense arrays, with numpy's pow and a BLAS product."""
     return kernel.rates * (x ** kernel.inputs).prod(axis=1) @ kernel.change
 

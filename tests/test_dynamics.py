@@ -34,6 +34,9 @@ from support import (
     bd_rk4_grid_error,
     dense_field,
     dense_jacobian,
+    dense_rows,
+    field_floats,
+    jacobian_entries,
     lapack_equilibrium,
     random_network,
     random_rate,
@@ -44,6 +47,22 @@ from support import (
 
 def bd_closed_form(times, kappa=3.0, gamma=1.0):
     return (kappa / gamma) * (1.0 - np.exp(-gamma * np.asarray(times)))
+
+
+def _field(kernel, x) -> np.ndarray:
+    """The generated field at ``x``, as an array."""
+    return np.array(kernel.compiled[0](*np.asarray(x, dtype=float).tolist()))
+
+
+def _jacobian(kernel, x) -> np.ndarray:
+    """The generated Jacobian at ``x``, as a dense array with 0.0 where no
+    transition writes."""
+    rows = kernel.compiled[1](*np.asarray(x, dtype=float).tolist())
+    dense = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for l, v in row:
+            dense[i, l] = v
+    return dense
 
 
 class TestRateVectorField:
@@ -71,12 +90,12 @@ class TestRateVectorField:
             kernel = net.mass_action
             for _ in range(3):
                 x = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in net.species])
-                jac = np.array(kernel.jacobian_floats(x.tolist()))
+                jac = _jacobian(kernel, x)
                 central = np.empty_like(jac)
                 for i in range(x.size):
                     step = np.zeros(x.size)
                     step[i] = 1e-5 * max(1.0, x[i])
-                    diff = kernel.field(x + step) - kernel.field(x - step)
+                    diff = _field(kernel, x + step) - _field(kernel, x - step)
                     central[:, i] = diff / (2 * step[i])
                 # size of the field's terms, for entries whose exact value is 0
                 scale = (np.abs(kernel.change).T @ kernel.flux(x + 1.0)).max(initial=0.0)
@@ -108,11 +127,11 @@ class TestRateVectorField:
                 x = np.array([a, 2.0])
                 bound = (m + 8) * eps
                 assert np.all(
-                    np.abs(kernel.field(x) - dense_field(kernel, x))
+                    np.abs(_field(kernel, x) - dense_field(kernel, x))
                     <= bound * dense_field(magnitude, x)
                 )
                 assert np.all(
-                    np.abs(kernel.jacobian_floats(x.tolist()) - dense_jacobian(kernel, x))
+                    np.abs(_jacobian(kernel, x) - dense_jacobian(kernel, x))
                     <= bound * dense_jacobian(magnitude, x)
                 )
 
@@ -133,11 +152,11 @@ class TestRateVectorField:
             for _ in range(3):
                 x = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in range(k)])
                 assert np.all(
-                    np.abs(kernel.field(x) - dense_field(kernel, x))
+                    np.abs(_field(kernel, x) - dense_field(kernel, x))
                     <= 8 * eps * dense_field(magnitude, x)
                 )
                 assert np.all(
-                    np.abs(kernel.jacobian_floats(x.tolist()) - dense_jacobian(kernel, x))
+                    np.abs(_jacobian(kernel, x) - dense_jacobian(kernel, x))
                     <= 8 * eps * dense_jacobian(magnitude, x)
                 )
 
@@ -228,7 +247,7 @@ class TestIntegrateRate:
 
             # the field that integrate_rate calls for each stage
             with monkeypatch.context() as patch:
-                patch.setattr(kernel, "unrolled", dense_args)
+                patch.setattr(kernel, "compiled", (dense_args, kernel.compiled[1]))
                 dense = integrate_rate(net, [0.5], t_end)
             assert len(calls) >= 5 * (dense.times.size - 1)
             assert traj.times.shape == dense.times.shape
@@ -244,7 +263,7 @@ class TestIntegrateRate:
         # max() over the error entries passes over, since it does not come first
         net = parse_network("Z0 <-> Z1 @ 8, 8")
         kernel, calls = net.mass_action, []
-        field = kernel.unrolled
+        field, jacobian = kernel.compiled
 
         def poisoned(*x):
             calls.append(x)
@@ -253,7 +272,7 @@ class TestIntegrateRate:
                 out[1] = math.nan
             return out
 
-        monkeypatch.setattr(kernel, "unrolled", poisoned)
+        monkeypatch.setattr(kernel, "compiled", (poisoned, jacobian))
         traj = integrate_rate(net, [1.0, 1.0], 1.0)
         # the first try, 0.1 over the Jacobian's norm 16, is retried with a
         # fifth of its step and never accepted
@@ -273,6 +292,18 @@ class TestIntegrateRate:
 
 def _bits(values) -> list[str]:
     return [v.hex() for v in values]
+
+
+def _assert_generated_bits(kernel, x: list[float]):
+    """The generated field and Jacobian at ``x`` are the table loops'
+    (``support.field_floats`` and ``support.jacobian_entries``), bit for
+    bit, and the Jacobian holds the entries the loop writes, in increasing
+    column order."""
+    field, jacobian = kernel.compiled
+    assert _bits(field(*x)) == _bits(field_floats(kernel, x))
+    assert [[(l, v.hex()) for l, v in row] for row in jacobian(*x)] == [
+        [(l, v.hex()) for l, v in sorted(row.items())] for row in jacobian_entries(kernel, x)
+    ]
 
 
 def _outcome(integrate):
@@ -329,7 +360,7 @@ def _entry_point_network() -> Network:
 
 
 class TestGeneratedCode:
-    """``MassAction.unrolled`` against the table loop, and ``integrate_rate``
+    """``MassAction.compiled`` against the table loops, and ``integrate_rate``
     against the loop on lists that it replaces (``support.table_loop_rate``):
     the same floats, bit for bit."""
 
@@ -350,7 +381,7 @@ class TestGeneratedCode:
             kernel = net.mass_action
             for _ in range(3):
                 x = [rng.choice((0.0, -0.0, rng.uniform(0.1, 3.0))) for _ in net.species]
-                assert _bits(kernel.unrolled(*x)) == _bits(kernel.field_floats(x))
+                _assert_generated_bits(kernel, x)
             assert kernel.table == tuple(
                 (rate, tuple((i, s) for i, s in enumerate(inputs) if s),
                  tuple((i, c) for i, c in enumerate(change) if c))
@@ -363,11 +394,12 @@ class TestGeneratedCode:
     def test_multiplicities_on_both_sides_of_binary_powering(self, m):
         kernel = parse_network(f"{m} A + B -> 2 C @ 1.5\nC -> A @ 0.5\n0 -> B @ 1").mass_action
         for x in ([a, 2.0, 0.25] for a in (0.0, 0.5, 1.0 - math.log(m) / m, 1.0)):
-            assert _bits(kernel.unrolled(*x)) == _bits(kernel.field_floats(x))
+            _assert_generated_bits(kernel, x)
 
     def test_no_species(self):
         net = parse_network("0 -> 0 @ 1")
-        assert net.mass_action.unrolled() == []
+        field, jacobian = net.mass_action.compiled
+        assert field() == [] and jacobian() == ()
         traj = integrate_rate(net, [], 1.0)
         assert traj.states.shape == (traj.times.size, 0)
 
@@ -404,10 +436,13 @@ class TestGeneratedCode:
         net, x0, t_end, rtol, _ = _ending_case(k, "trajectory")
         plain = integrate_rate(net, x0, t_end, rtol)
         kernel = net.mass_action
-        field = poison(lambda x, unrolled=kernel.unrolled: unrolled(*x))
-        monkeypatch.setattr(kernel, "unrolled", lambda *x: field(list(x)))
+        generated, jacobian = kernel.compiled
+        field = poison(lambda x: generated(*x))
+        monkeypatch.setattr(kernel, "compiled", (lambda *x: field(list(x)), jacobian))
         traj = integrate_rate(net, x0, t_end, rtol)
-        reference = table_loop_rate(net, x0, t_end, rtol, field=poison(kernel.field_floats))
+        reference = table_loop_rate(
+            net, x0, t_end, rtol, field=poison(lambda x: field_floats(kernel, x))
+        )
         assert _outcome(lambda: traj) == _outcome(lambda: reference)
         assert traj.times[1] == plain.times[1] * 0.2
 
@@ -431,8 +466,13 @@ class TestGeneratedCode:
         for k, names in ((0, {"max", "min", "range"}), (1, {"abs", "max", "min", "range"}),
                          (3, {"abs", "max", "min", "range"})):
             assert set(dynamics._rate_loop(k).__globals__["__builtins__"]) == names
-        field = parse_network("9 A + B -> 2 C @ 1.5\nC -> A @ 0.5").mass_action.unrolled
-        assert field.__globals__["__builtins__"] == {}
+        for function in parse_network("9 A + B -> 2 C @ 1.5\nC -> A @ 0.5").mass_action.compiled:
+            assert function.__globals__["__builtins__"] == {}
+        # the field and the Jacobian are nested in bind: a builtin that only a
+        # nested body names is found too
+        source = ["def outer():", "    def inner(v):", "        return abs(v)", "    return inner"]
+        inner = dynamics._define("outer", source, {})()
+        assert inner.__globals__["__builtins__"] == {"abs": abs} and inner(-2.0) == 2.0
 
     def test_rate_run_builds_no_dense_array(self):
         # a chain of 2,000 species: the dense (transitions x species) arrays
@@ -457,6 +497,8 @@ class TestGeneratedCode:
             net = sparse_network(rng, 3, 8)
             cases.append((net, [rng.choice((0.0, rng.uniform(0.5, 2.0))) for _ in range(3)]))
         cases.append((_entry_point_network(), [1.0] * 22))
+        for net, x0 in cases:
+            _assert_generated_bits(net.mass_action, x0)
         outcomes = [_outcome(lambda: integrate_rate(net, x0, 1.0)) for net, x0 in cases]
         assert outcomes == [_outcome(lambda: table_loop_rate(net, x0, 1.0)) for net, x0 in cases]
         assert [first for first, _ in outcomes].count(BudgetExceeded) == 2
@@ -611,7 +653,7 @@ def _reduced_jacobian_svd(net, x: np.ndarray) -> np.ndarray:
     """B^T J B at ``x``, B the reference's orthonormal basis of range(Gamma)."""
     u_mat, sing, _ = np.linalg.svd(net.stoichiometric_matrix().astype(float), full_matrices=False)
     basis = u_mat[:, : int((sing > sing.max(initial=0.0) * 1e-12).sum())]
-    return basis.T @ np.array(net.mass_action.jacobian_floats(x.tolist())) @ basis
+    return basis.T @ _jacobian(net.mass_action, x) @ basis
 
 
 def _same_class(net, a: np.ndarray, b: np.ndarray) -> bool:
@@ -757,6 +799,25 @@ class TestLargestRealPart:
         # caps dt at 0, and no OverflowError
         assert dynamics._largest_real_part([[1e308, 1e308], [1e308, 1e308]]) == math.inf
 
+    def test_the_deflation_threshold_sums_left_to_right(self):
+        # after 0.5 and 0.25 the sum of |entries| meets 274 entries of 2**-55,
+        # each below half an ulp: added left to right they vanish, while a
+        # compensated sum (builtin sum() from Python 3.12 on) keeps them.  The
+        # subdiagonal entry d lies between eps times the two sums, so it is
+        # not negligible, and the trailing block [[0, 0.25], [d, 0]] has the
+        # eigenvalue sqrt(d / 4); deflated, every eigenvalue would be 0
+        n, tiny = 24, 2.0**-55
+        a = [[tiny if j > i else 0.0 for j in range(n)] for i in range(n)]
+        a[0][1], a[n - 2][n - 1] = 0.5, 0.25
+        d = a[n - 1][n - 2] = 2.0**-52 * (0.75 + 137 * tiny)
+        naive = 0.0
+        for row in a:
+            for v in row:
+                naive += abs(v)
+        eps = np.finfo(float).eps
+        assert eps * naive < d <= eps * math.fsum(abs(v) for row in a for v in row)
+        assert dynamics._largest_real_part(a) == math.sqrt(0.25 * d)
+
     def test_leaves_its_argument_unchanged(self):
         a = np.random.default_rng(3).standard_normal((6, 6)).tolist()
         copy = [row[:] for row in a]
@@ -795,19 +856,15 @@ class TestLargestRealPart:
 class TestDefaultStep:
     def test_sparse_entries_are_the_dense_jacobian_bits(self):
         # random complexes with a source, and scan-shaped networks, at x with
-        # zero entries (-0.0 included)
+        # zero entries (-0.0 included): the generated Jacobian's pairs are the
+        # table loop's entries
         rng = random.Random(29)
         for n in range(200):
             net = random_network(rng, max_coeff=3) if n % 2 else sparse_network(rng, 5, 8)
             kernel = net.mass_action
             x = [rng.choice((0.0, -0.0, rng.uniform(0.1, 3.0))) for _ in net.species]
-            dense = kernel.jacobian_floats(x)
-            entries = kernel.jacobian_entries(x)
-            assert all(dense[i][l] == 0.0 for i, row in enumerate(dense) for l in range(len(row))
-                       if l not in entries[i])
-            assert [{l: v.hex() for l, v in row.items()} for row in entries] == [
-                {l: dense[i][l].hex() for l in row} for i, row in enumerate(entries)
-            ]
+            _assert_generated_bits(kernel, x)
+            dense = dense_rows(jacobian_entries(kernel, x))
             # the step from the dense rows, summed left to right, as it was
             # before the sparse sums: a zero entry adds 0.0, which is exact
             lipschitz = 0.0
@@ -824,7 +881,7 @@ class TestDefaultStep:
         lines = ["species: " + " ".join(f"S{i}" for i in range(k))]
         lines += [f"S{i} -> S{i + 1} @ 1" for i in range(k - 1)]
         kernel = parse_network("\n".join(lines)).mass_action
-        kernel.table  # noqa: B018  built before the count
+        kernel.compiled  # noqa: B018  generated and compiled before the count
         tracemalloc.start()
         try:
             step = dynamics._default_step(kernel, [1.0] * k)
