@@ -44,6 +44,14 @@ python -c "import sys, crnkit.cli; sys.exit(any(m == 'scipy' or m.startswith('sc
 # and loads none of it
 python -c "import sys, crnkit.cli; crnkit.cli.run(['analyze', sys.argv[1]]); sys.exit('numpy' in sys.modules)" "$tmp/bd.crn" > /dev/null
 crn master "$tmp/bd.crn" --n0 0 --caps 15 --t-end 1
+# a malformed file: the well-formed lines are read with one pattern match,
+# and the tokenizer positions each error; stderr holds exactly one coded line
+printf 'species: A B\nA -> 2 B @ 1\nA + 2.5 B -> 0 @ 1\nB -> C @ 2\n' > "$tmp/bad.crn"
+status=0
+crn analyze "$tmp/bad.crn" > "$tmp/out.json" 2> "$tmp/err.txt" || status=$?
+test "$status" -eq 1
+test ! -s "$tmp/out.json"
+test "$(cat "$tmp/err.txt")" = "error[E_SYNTAX]: 3:5: error: complex coefficient must be a positive integer [E_SYNTAX]; 4:6: error: species 'C' not declared in the species header [E_UNKNOWN_SPECIES]"
 printf 'A -> A @ 1\n' > "$tmp/loop.crn"
 crn parse "$tmp/loop.crn" 2> "$tmp/err.txt"
 test "$(wc -l < "$tmp/err.txt")" -eq 1

@@ -24,12 +24,23 @@ from .structure import complex_balance_report, structure_report
 __all__ = ["run", "main"]
 
 
+def _fields(text: str) -> list[str]:
+    """The fields of a comma-separated list: none for an empty text, and a
+    usage error for an empty field among others."""
+    fields = text.split(",")
+    if len(fields) == 1 and not text.strip():
+        return []
+    if not all(field.strip() for field in fields):
+        raise argparse.ArgumentTypeError(f"empty field in {text!r}")
+    return fields
+
+
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return [float(v) for v in _fields(text)]
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    return [int(v) for v in _fields(text)]
 
 
 def _read_network(path: str):

@@ -63,13 +63,13 @@ class MassAction:
     """Mass-action kernel: the transitions as one sparse table, and on first
     use as (transitions x species) arrays.
 
-    ``inputs`` s and ``outputs`` t hold the complexes, ``change`` is t - s as
-    floats and ``rates`` the rate constants r.  The rate equation is
-    sum_tau r(tau) (t - s) x^s and the master-equation generator is
-    sum_tau r(tau) (a+^t - a+^s) a^s, where a^s on a pure state n gives the
-    falling factorial of n; both are read from these arrays.  The monomial
-    uses 0**0 == 1, so the empty complex contributes r(tau).  The arrays are
-    built on first use and read-only: the rate side never reads them.
+    ``inputs`` s and ``outputs`` t hold the complexes and ``rates`` the
+    rate constants r.  The rate equation is sum_tau r(tau) (t - s) x^s and
+    the master-equation generator is sum_tau r(tau) (a+^t - a+^s) a^s,
+    where a^s on a pure state n gives the falling factorial of n; both are
+    read from these arrays.  The monomial uses 0**0 == 1, so the empty
+    complex contributes r(tau).  The arrays are built on first use and
+    read-only: the rate side never reads them.
 
     ``table`` holds one entry (r, factors, moves) per transition:
     ``factors`` the pairs (i, s_i) with s_i > 0 and ``moves`` the pairs
@@ -127,10 +127,6 @@ class MassAction:
     @cached_property
     def outputs(self) -> np.ndarray:
         return self._counts([tr.output for tr in self._transitions])
-
-    @cached_property
-    def change(self) -> np.ndarray:
-        return _frozen((self.outputs - self.inputs).astype(float))
 
     @cached_property
     def rates(self) -> np.ndarray:

@@ -41,16 +41,32 @@ __all__ = [
     "format_complex",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+_NAME_RE = re.compile(_NAME)
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<arrow><->|->)"
-    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<number>{_NUMBER})"
+    rf"|(?P<name>{_NAME})"
     r"|(?P<sym>[@,:+\-])"
     r"|(?P<bad>.)"
 )
+
+# The fast route reads a reaction line with one ASCII-only match.  A
+# coefficient is a digit run that _tokenize reads as a whole number token
+# (no digit, '.' or exponent follows it), so the match cannot cut the line
+# into other tokens than _tokenize does; in ``2e5 + B`` it finds no cut.
+_COEFF = r"\d+(?![\d.]|[eE][+-]?\d)"
+_TERM = rf"(?:{_COEFF}\s*)?{_NAME}"
+_COMPLEX = rf"0|{_TERM}(?:\s*\+\s*{_TERM})*"
+_LINE_RE = re.compile(
+    rf"\s*({_COMPLEX})\s*(<?->)\s*({_COMPLEX})\s*@\s*({_NUMBER})\s*(?:,\s*({_NUMBER})\s*)?",
+    re.ASCII,
+)
+_TERM_RE = re.compile(rf"(?:({_COEFF})\s*)?({_NAME})", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -193,12 +209,69 @@ def _parse_reaction(tokens, species, fixed):
     return lhs, rhs, rates
 
 
+def _read_complex(text):
+    """``{name: count}`` of a complex that ``_LINE_RE`` matched, or ``None``
+    unless every coefficient is positive and every count below 2**63."""
+    counts: dict[str, int] = {}
+    if text == "0":
+        return counts
+    for coeff, name in _TERM_RE.findall(text):
+        if not coeff:
+            counts[name] = counts.get(name, 0) + 1
+        elif len(coeff) < 20 and coeff.strip("0"):  # 20 digits or more: zero-padded, or 2**63 and up
+            counts[name] = counts.get(name, 0) + int(coeff)
+        else:
+            return None
+    return counts if max(counts.values()) < 2**63 else None
+
+
+def _read_reaction(line, species, fixed):
+    """``(lhs, rhs, rates)`` of a well-formed reaction line, as
+    :func:`_parse_reaction` reads it, or ``None`` for a line this route
+    cannot prove well formed.  The line's new species are added to
+    ``species`` only when it is accepted."""
+    match = _LINE_RE.fullmatch(line)
+    if match is None:
+        return None
+    left, arrow, right, forward, backward = match.groups()
+    if (backward is None) != (arrow == "->"):
+        return None
+    rates = [float(forward)] if backward is None else [float(forward), float(backward)]
+    if not (0.0 < min(rates) and max(rates) < math.inf):
+        return None
+    lhs, rhs = _read_complex(left), _read_complex(right)
+    if lhs is None or rhs is None:
+        return None
+    if fixed:
+        if not (lhs.keys() <= species.keys() and rhs.keys() <= species.keys()):
+            return None
+    else:
+        species.update(dict.fromkeys(lhs))
+        species.update(dict.fromkeys(rhs))
+    return lhs, rhs, rates
+
+
+def _read_header(line):
+    """The names of a well-formed ASCII ``species:`` line as a dict, or ``None``."""
+    head, colon, rest = line.partition(":")
+    names = rest.split()
+    if not (colon and head.strip() == "species" and names and line.isascii()):
+        return None
+    header = dict.fromkeys(names)
+    if len(header) < len(names) or not all(map(_NAME_RE.fullmatch, names)):
+        return None
+    return header
+
+
 def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, ...]]:
     """Parse ``text``; return ``(network, diagnostics)``.
 
     The network is ``None`` exactly when an error-level diagnostic was
     produced.  Parsing is total: every input yields either a network or at
-    least one positioned error.
+    least one positioned error.  A well-formed reaction line is read with
+    one pattern match, and a well-formed header with a split; any other
+    line goes through the tokenizer, the only code that positions a
+    diagnostic.
     """
     diagnostics: list[Diagnostic] = []
     species: dict[str, None] = {}  # insertion-ordered; a header fixes it
@@ -208,17 +281,24 @@ def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, .
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        try:
-            tokens = _tokenize(line)
-            if tokens[0][:2] == ("name", "species") and tokens[1][1] == ":":
-                species = _parse_header(tokens, fixed, bool(reactions))
-                fixed = True
+        reaction = _read_reaction(line, species, fixed)
+        if reaction is None:
+            header = None if fixed or reactions else _read_header(line)
+            if header is not None:
+                species, fixed = header, True
                 continue
-            lhs, rhs, rates = _parse_reaction(tokens, species, fixed)
-        except _LineError as exc:
-            column, message, code = exc.args
-            diagnostics.append(Diagnostic(lineno, column, code, message, "error"))
-            continue
+            try:  # the token route: every line the fast one declined, and every error
+                tokens = _tokenize(line)
+                if tokens[0][:2] == ("name", "species") and tokens[1][1] == ":":
+                    species = _parse_header(tokens, fixed, bool(reactions))
+                    fixed = True
+                    continue
+                reaction = _parse_reaction(tokens, species, fixed)
+            except _LineError as exc:
+                column, message, code = exc.args
+                diagnostics.append(Diagnostic(lineno, column, code, message, "error"))
+                continue
+        lhs, rhs, rates = reaction
         if lhs == rhs:
             diagnostics.append(
                 Diagnostic(lineno, 1, "E_SELF_LOOP",

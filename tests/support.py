@@ -437,21 +437,29 @@ def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
     return err
 
 
-def dense_field(kernel, x: np.ndarray) -> np.ndarray:
+def dense_change(kernel, magnitude: bool = False) -> np.ndarray:
+    """t - s per transition as a float (transitions x species) array, or
+    |t - s| with ``magnitude``."""
+    change = (kernel.outputs - kernel.inputs).astype(float)
+    return np.abs(change) if magnitude else change
+
+
+def dense_field(kernel, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
     """Oracle of the rate field: sum_tau r (t - s) x^s from the
-    kernel's dense arrays, with numpy's pow and a BLAS product."""
-    return kernel.rates * (x ** kernel.inputs).prod(axis=1) @ kernel.change
+    kernel's dense arrays, with numpy's pow and a BLAS product; with
+    ``magnitude``, |t - s| in place of t - s, the size of its terms."""
+    return kernel.rates * (x ** kernel.inputs).prod(axis=1) @ dense_change(kernel, magnitude)
 
 
-def dense_jacobian(kernel, x: np.ndarray) -> np.ndarray:
+def dense_jacobian(kernel, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
     """Exact Jacobian of :func:`dense_field` via an m x k x k tensor, with
-    d(x^s)/dx_i = s_i x^(s - e_i)."""
+    d(x^s)/dx_i = s_i x^(s - e_i); ``magnitude`` as there."""
     k = x.size
     # factors[tau, i, l] is x_l^s_l, except d/dx_i of it on the diagonal l == i
     factors = np.repeat((x ** kernel.inputs)[:, None, :], k, axis=1)
     diag = np.arange(k)
     factors[:, diag, diag] = kernel.inputs * x ** np.maximum(kernel.inputs - 1, 0)
-    return kernel.change.T @ (kernel.rates[:, None] * factors.prod(axis=2))
+    return dense_change(kernel, magnitude).T @ (kernel.rates[:, None] * factors.prod(axis=2))
 
 
 def ordered_selection_count(counts, needs) -> int:

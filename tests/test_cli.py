@@ -1030,6 +1030,20 @@ class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert run([]) == 2
 
+    @pytest.mark.parametrize("args, option", [
+        (["rate", "--x0", "1,,2", "--t-end", "1"], "--x0"),
+        (["ack", "--c", "1,"], "--c"),
+        (["master", "--n0", ",3", "--caps", "3,3", "--t-end", "1"], "--n0"),
+        (["master", "--n0", "1,1", "--caps", "3,,3", "--t-end", "1"], "--caps"),
+    ])
+    def test_an_empty_list_field_is_a_usage_error(self, dia_file, capsys, args, option):
+        # an empty field was dropped, so '1,,2' ran as '1,2'; an empty list
+        # is still no entries (the --caps "" case ends in E_VALUE)
+        assert run([args[0], dia_file, *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {option}: empty field in " in captured.err
+
     def test_one_parser_serves_alternating_calls(self, dia_file, bd_file, capsys):
         # the parser is built once per process; no call may leak into the next
         path = ["ssa", bd_file, "--n0", "0", "--t-end", "3", "--seed", "11"]

@@ -3,7 +3,6 @@ import random
 import sys
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from crnkit import dynamics
 from support import (
     balanced_reversible_network,
     bd_rk4_grid_error,
+    dense_change,
     dense_field,
     dense_jacobian,
     dense_rows,
@@ -98,7 +98,8 @@ class TestRateVectorField:
                     diff = _field(kernel, x + step) - _field(kernel, x - step)
                     central[:, i] = diff / (2 * step[i])
                 # size of the field's terms, for entries whose exact value is 0
-                scale = (np.abs(kernel.change).T @ kernel.flux(x + 1.0)).max(initial=0.0)
+                terms = dense_change(kernel, magnitude=True).T @ kernel.flux(x + 1.0)
+                scale = terms.max(initial=0.0)
                 np.testing.assert_allclose(jac, central, rtol=1e-6, atol=1e-6 * scale)
 
     def test_table_pairs_each_input_species_with_its_multiplicity(self, net_catalyst):
@@ -119,20 +120,17 @@ class TestRateVectorField:
         for m in (dynamics._SQUARING_ABOVE, dynamics._SQUARING_ABOVE + 1, 1000, 10**12, 2**63 - 1):
             kernel = parse_network(f"{m} A -> B @ 1.5\n0 -> A @ 1").mass_action
             assert kernel.table[0][1] == ((0, m),)
-            magnitude = SimpleNamespace(
-                rates=kernel.rates, inputs=kernel.inputs, change=np.abs(kernel.change)
-            )
             near_one = 1.0 - math.log(m) / m
             for a in (0.0, 0.5, near_one, 1.0, 1.0 + 1.0 / m):
                 x = np.array([a, 2.0])
                 bound = (m + 8) * eps
                 assert np.all(
                     np.abs(_field(kernel, x) - dense_field(kernel, x))
-                    <= bound * dense_field(magnitude, x)
+                    <= bound * dense_field(kernel, x, magnitude=True)
                 )
                 assert np.all(
                     np.abs(_jacobian(kernel, x) - dense_jacobian(kernel, x))
-                    <= bound * dense_jacobian(magnitude, x)
+                    <= bound * dense_jacobian(kernel, x, magnitude=True)
                 )
 
     def test_table_kernel_matches_the_dense_formulas(self):
@@ -146,18 +144,15 @@ class TestRateVectorField:
             k = net.num_species
             source = Transition(CountVector([0] * k), CountVector([1] + [0] * (k - 1)), 2.5)
             kernel = Network(net.species, net.transitions + (source,)).mass_action
-            magnitude = SimpleNamespace(
-                rates=kernel.rates, inputs=kernel.inputs, change=np.abs(kernel.change)
-            )
             for _ in range(3):
                 x = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in range(k)])
                 assert np.all(
                     np.abs(_field(kernel, x) - dense_field(kernel, x))
-                    <= 8 * eps * dense_field(magnitude, x)
+                    <= 8 * eps * dense_field(kernel, x, magnitude=True)
                 )
                 assert np.all(
                     np.abs(_jacobian(kernel, x) - dense_jacobian(kernel, x))
-                    <= 8 * eps * dense_jacobian(magnitude, x)
+                    <= 8 * eps * dense_jacobian(kernel, x, magnitude=True)
                 )
 
     def test_zero_at_balanced_states(self):
@@ -386,7 +381,7 @@ class TestGeneratedCode:
                 (rate, tuple((i, s) for i, s in enumerate(inputs) if s),
                  tuple((i, c) for i, c in enumerate(change) if c))
                 for rate, inputs, change in zip(
-                    kernel.rates.tolist(), kernel.inputs.tolist(), kernel.change.tolist()
+                    kernel.rates.tolist(), kernel.inputs.tolist(), dense_change(kernel).tolist()
                 )
             )
 

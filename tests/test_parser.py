@@ -4,7 +4,10 @@ import string
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crnkit import parser
 from crnkit import (
     CountVector,
     InvalidValue,
@@ -16,7 +19,7 @@ from crnkit import (
     parse_network_report,
 )
 
-from support import crn_corpus, random_network
+from support import crn_corpus, random_network, sparse_network
 
 
 def first_error(text):
@@ -188,6 +191,146 @@ def test_parse_report_digest():
             digest.update(repr((net.species, [(t.input, t.output, t.rate) for t in net.transitions])).encode())
         digest.update(repr([(d.line, d.column, d.code, d.message, d.severity) for d in diags]).encode())
     assert digest.hexdigest() == "be3513e501cbed4bffea411fe5f0d71b6d21c0370e95b0e7ba2cd3fa3fa78b2d"
+
+
+def fast_route(line, species, fixed):
+    """What :func:`parser._read_reaction` reads from ``line`` against a
+    copy of ``species``: ``(lhs items, rhs items, rates, species after)``,
+    or ``None`` when it declines, which must leave the species untouched."""
+    species = dict(species)
+    before = list(species)
+    read = parser._read_reaction(line, species, fixed)
+    if read is None:
+        assert list(species) == before
+        return None
+    lhs, rhs, rates = read
+    return list(lhs.items()), list(rhs.items()), rates, list(species)
+
+
+def token_route(line, species, fixed):
+    """The same read through :func:`parser._tokenize` and
+    :func:`parser._parse_reaction`, or the error they raise."""
+    species = dict(species)
+    try:
+        lhs, rhs, rates = parser._parse_reaction(parser._tokenize(line), species, fixed)
+    except parser._LineError as exc:
+        return exc.args
+    return list(lhs.items()), list(rhs.items()), rates, list(species)
+
+
+def assert_routes_agree(line, species, fixed):
+    fast = fast_route(line, species, fixed)
+    if fast is not None:
+        assert fast == token_route(line, species, fixed), line
+    header = parser._read_header(line)
+    if header is not None:
+        tokens = parser._tokenize(line)
+        assert tokens[0][:2] == ("name", "species") and tokens[1][1] == ":"
+        assert list(parser._parse_header(tokens, False, False)) == list(header)
+
+
+# species known before a line: none, two in the order B, A, and a header
+_CONTEXTS = (({}, False), (dict.fromkeys("BA"), False), (dict.fromkeys(("A", "B", "X1")), True))
+
+_GAP = st.sampled_from(["", " ", "\t", "  ", " \t "])
+_NAMES = st.sampled_from(["A", "B", "C", "X1", "_s", "e", "E5", "species"])
+# a coefficient: none, digits with leading zeros, digits around 2**63, or a
+# number token that is not a coefficient ("2e5A" is the number 2e5, then A)
+_COEFFICIENTS = st.one_of(
+    st.just(""),
+    st.builds(lambda zeros, c: "0" * zeros + str(c), st.integers(0, 2), st.integers(1, 12)),
+    st.integers(2**63 - 2, 2**63 + 1).map(str),
+    st.sampled_from(["0", "00", "2e5", "2.", "2E+", "1e", "3E+1", ".5"]),
+)
+# whole part, fraction and exponent, with a digit on one side of the point:
+# ".5", "5.", "1E+2", "1e-3", and 0 or inf once parsed
+_RATES = st.builds(
+    lambda whole, frac, exp: (whole or ("" if frac[1:] else "3")) + frac + exp,
+    st.sampled_from(["", "0", "1", "5", "12", "007"]),
+    st.sampled_from(["", ".", ".5", ".25", ".0"]),
+    st.sampled_from(["", "e-3", "E+2", "e5", "e999", "E-400"]),
+)
+
+
+@st.composite
+def complexes(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return "0"
+    text = ""
+    for i in range(draw(st.integers(1, 3))):  # a name may repeat: A + A
+        coeff = draw(_COEFFICIENTS)
+        if coeff and draw(st.integers(0, 9)) == 0:
+            term = coeff  # no name: "2e5 + B" is an error, not 2 e5 + B
+        else:
+            term = coeff + (draw(_GAP) if coeff else "") + draw(_NAMES)
+        text += term if i == 0 else draw(_GAP) + "+" + draw(_GAP) + term
+    return text
+
+
+@st.composite
+def reaction_lines(draw):
+    arrow = draw(st.sampled_from(["->", "<->"]))
+    count = 2 if arrow == "<->" else 1
+    if draw(st.integers(0, 9)) == 0:  # the wrong number of rates
+        count = 3 - count
+    rates = (draw(_GAP) + "," + draw(_GAP)).join(draw(_RATES) for _ in range(count))
+    gap = lambda: draw(_GAP)
+    return (f"{gap()}{draw(complexes())}{gap()}{arrow}{gap()}{draw(complexes())}"
+            f"{gap()}@{gap()}{rates}{gap()}")
+
+
+class TestFastRoute:
+    """The fast route declines a line or reads what the token route reads;
+    only the token route writes diagnostics."""
+
+    def test_corpus_lines(self):
+        for text in crn_corpus(10, 10_000):
+            for raw in text.splitlines():
+                line = raw.split("#", 1)[0]
+                if line.strip():
+                    for species, fixed in _CONTEXTS:
+                        assert_routes_agree(line, species, fixed)
+
+    @settings(max_examples=400, deadline=None)
+    @given(reaction_lines(), st.lists(_NAMES, unique=True, max_size=4), st.booleans())
+    def test_generated_lines(self, line, known, fixed):
+        assert_routes_agree(line, dict.fromkeys(known), fixed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_NAMES, max_size=4), _GAP, _GAP)
+    def test_generated_headers(self, names, gap, sep):
+        assert_routes_agree(f"{gap}species{gap}:{gap}{(sep or ' ').join(names)}{gap}", {}, False)
+
+    def test_known_declines(self):
+        # each is an error on the token route, or syntax the fast one leaves to it
+        for line in ("2e5 + B -> A @ 1", "2.A -> B @ 1", "0 A -> B @ 1", "00 -> A @ 1",
+                     "A -> B @ 0", "A -> B @ 1e999", "A -> B @ +1", "A -> B @ 1, 2",
+                     "A <-> B @ 1", "\u0661 A -> B @ 1", "A\u00a0-> B @ 1",
+                     f"{2**63} A -> B @ 1", f"{2**62} A + {2**62} A -> B @ 1"):
+            for species, fixed in _CONTEXTS:
+                assert fast_route(line, species, fixed) is None, line
+        assert fast_route("A -> C @ 1", dict.fromkeys("AB"), True) is None
+
+    def test_formatted_networks_never_tokenize(self, monkeypatch):
+        # the benchmark's networks are formatted the same way: a header,
+        # then one 'a S + b S -> ... @ repr(rate)' line per transition
+        def no_tokenizer(line):
+            raise AssertionError(f"tokenized {line!r}")
+
+        monkeypatch.setattr(parser, "_tokenize", no_tokenizer)
+        rng = random.Random(37)
+        nets = [sparse_network(rng, 14, 30), sparse_network(rng, 22, 50)]
+        nets += [random_network(rng) for _ in range(100)]
+        for net in nets:
+            text = format_network(net)
+            again, diags = parse_network_report(text)
+            assert again == net and again.species == net.species
+            assert all(d.code in ("E_EMPTY", "E_SELF_LOOP") for d in diags)
+            reversible = "\n".join(
+                line.replace(" -> ", " <-> ") + ", 2" if " -> " in line else line
+                for line in text.split("\n")
+            )
+            assert parse_network_report(reversible)[0].num_transitions == 2 * net.num_transitions
 
 
 class TestFormatting:
