@@ -44,7 +44,7 @@ from .errors import (
     PopulationExplosion,
 )
 from .network import Network
-from .structure import _pivot_rows
+from .structure import _changes, _pivot_rows
 
 __all__ = [
     "rate_vector_field",
@@ -60,25 +60,22 @@ _SQUARING_ABOVE = 8  # a larger stoichiometric coefficient is raised by binary p
 
 
 class MassAction:
-    """Mass-action kernel: the transitions as one sparse table, and on first
-    use as (transitions x species) arrays.
+    """Mass-action kernel: the transitions as one sparse table.
 
-    ``inputs`` s and ``outputs`` t hold the complexes and ``rates`` the
-    rate constants r.  The rate equation is sum_tau r(tau) (t - s) x^s and
-    the master-equation generator is sum_tau r(tau) (a+^t - a+^s) a^s,
-    where a^s on a pure state n gives the falling factorial of n; both are
-    read from these arrays.  The monomial uses 0**0 == 1, so the empty
-    complex contributes r(tau).  The arrays are built on first use and
-    read-only: the rate side never reads them.
+    With input complex s, output t and rate constant r per transition, the
+    rate equation is sum_tau r(tau) (t - s) x^s and the master-equation
+    generator is sum_tau r(tau) (a+^t - a+^s) a^s, where a^s on a pure
+    state n gives the falling factorial of n; both are read from the
+    table.
 
     ``table`` holds one entry (r, factors, moves) per transition:
     ``factors`` the pairs (i, s_i) with s_i > 0 and ``moves`` the pairs
     (i, t_i - s_i) with t_i != s_i.  The empty complex has no factor, so
     0**0 == 1 holds by construction.  :attr:`compiled` is the field and its
-    exact Jacobian, generated from the table's structure, on Python floats
-    in a fixed order, so their bits do not depend on the CPU; :meth:`flux`
-    keeps numpy's ``power``.  :attr:`reduction` holds the coordinates of
-    :func:`find_equilibrium`.
+    exact Jacobian, generated from the table's structure, and :meth:`flux`
+    a loop over the table, both on Python floats in a fixed order, so their
+    bits do not depend on the CPU.  :attr:`reduction` holds the coordinates
+    of :func:`find_equilibrium`.
     """
 
     def __init__(self, net: Network):
@@ -88,7 +85,7 @@ class MassAction:
     @cached_property
     def table(self) -> tuple:
         """Built on first use from the transitions' count vectors, with no
-        dense array: the master equation and the SSA never read it."""
+        dense array."""
         species = tuple(range(self._k))  # compress() then yields no new ints
         table = []
         for tr in self._transitions:
@@ -111,29 +108,13 @@ class MassAction:
         pivots by y moves species j by sum of coefficient * y[a] over its
         pairs; a pivot's one pair is (its own position, 1.0).
         """
-        changes = [[t - s for s, t in zip(tr.input, tr.output)] for tr in self._transitions]
-        rows = _pivot_rows(changes, self._k)
+        rows = _pivot_rows(_changes(self._transitions), self._k)
         pivots = tuple(sorted(rows))
         spread = tuple(
             tuple((a, rows[c][j] / rows[c][c]) for a, c in enumerate(pivots) if rows[c][j])
             for j in range(self._k)
         )
         return pivots, spread
-
-    @cached_property
-    def inputs(self) -> np.ndarray:
-        return self._counts([tr.input for tr in self._transitions])
-
-    @cached_property
-    def outputs(self) -> np.ndarray:
-        return self._counts([tr.output for tr in self._transitions])
-
-    @cached_property
-    def rates(self) -> np.ndarray:
-        return _frozen(np.array([tr.rate for tr in self._transitions], dtype=float))
-
-    def _counts(self, rows: list) -> np.ndarray:
-        return _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), self._k))
 
     @cached_property
     def compiled(self) -> tuple:
@@ -144,9 +125,22 @@ class MassAction:
         structure = tuple((factors, moves) for _, factors, moves in self.table)
         return _emit(structure, self._k)(tuple(rate for rate, _, _ in self.table))
 
-    def flux(self, x: np.ndarray) -> np.ndarray:
-        """Firing rate r(tau) x^s of every transition at the classical state ``x``."""
-        return self.rates * (x ** self.inputs).prod(axis=1)
+    def flux(self, x) -> list[float]:
+        """Firing rate r(tau) x^s of every transition at the classical state
+        ``x``, as r times the product of the powers x_i**s_i in species
+        order, each libm's ``pow``.  A power beyond the float range is inf,
+        so a product of 0 and inf is NaN."""
+        x = [*map(float, x)]
+        fluxes = []
+        for rate, factors, _ in self.table:
+            product = 1.0
+            for i, need in factors:
+                try:
+                    product *= x[i] ** need
+                except OverflowError:
+                    product *= math.inf
+            fluxes.append(rate * product)
+        return fluxes
 
     def falling(self, counts, j: int):
         """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
@@ -157,15 +151,10 @@ class MassAction:
         then passes through 0; 1.0 for the empty complex.
         """
         values = 1.0
-        for i, need in enumerate(self._transitions[j].input):
+        for i, need in self.table[j][1]:
             for m in range(need):
                 values = values * (counts[i] - m)
         return values
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def _times_power(acc: float, v: float, n: int) -> float:

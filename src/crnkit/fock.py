@@ -63,7 +63,7 @@ from .errors import (
     SymmetryOverflow,
 )
 from .network import Network, validate_counts
-from .structure import _rank_and_laws, conserved_quantities
+from .structure import _changes, _rank_and_laws, conserved_quantities
 
 __all__ = [
     "TruncationBox",
@@ -332,7 +332,7 @@ def _generator(net: Network, box: TruncationBox) -> sp.dia_matrix:
     with np.errstate(over="ignore"):
         for j, offset, sources in firing:
             grid = np.ix_(*(np.arange(s.start, s.stop) for s in sources))
-            flux = kernel.rates[j] * kernel.falling(grid, j)
+            flux = net.transitions[j].rate * kernel.falling(grid, j)
             for q, value in ((offsets.index(offset), flux), (zero, -flux)):
                 if q in fresh:
                     fresh.discard(q)
@@ -356,13 +356,11 @@ def _firing(net: Network, box: TruncationBox) -> list:
     """
     if box.k != net.num_species:
         raise DimensionMismatch(f"box has {box.k} species, network has {net.num_species}")
-    kernel, firing = net.mass_action, []
-    for j in range(net.num_transitions):
-        need = kernel.inputs[j].tolist()
-        delta = (kernel.outputs[j] - kernel.inputs[j]).tolist()
+    firing = []
+    for j, (tr, delta) in enumerate(zip(net.transitions, _changes(net.transitions))):
         tops = [cap - max(d, 0) for cap, d in zip(box.caps, delta)]
-        if any(delta) and all(s <= top for s, top in zip(need, tops)):
-            firing.append((j, need, delta, tops))
+        if any(delta) and all(s <= top for s, top in zip(tr.input, tops)):
+            firing.append((j, list(tr.input), list(delta), tops))
     return firing
 
 
@@ -382,16 +380,15 @@ def _commutator_max_abs(net: Network, box: TruncationBox, w) -> float:
     """
     w = _checked_weights(w, box)
     kernel, corner = net.mass_action, {}  # t - s -> flux sum at the top corner
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
-        for j, _, delta, tops in _firing(net, box):
-            flux, key = kernel.rates[j] * kernel.falling(tops, j), tuple(delta)
-            corner[key] = corner[key] + flux if key in corner else flux
-        worst = 0.0
-        for delta, flux in corner.items():
-            entry = abs(flux * float(sum(wi * d for wi, d in zip(w, delta))))
-            if not entry <= _DBL_MAX:  # NaN fails too
-                raise PopulationExplosion("a generator flux or a commutator entry overflows")
-            worst = max(worst, float(entry))
+    for j, _, delta, tops in _firing(net, box):
+        flux, key = net.transitions[j].rate * kernel.falling(tops, j), tuple(delta)
+        corner[key] = corner[key] + flux if key in corner else flux
+    worst = 0.0
+    for delta, flux in corner.items():
+        entry = abs(flux * float(sum(wi * d for wi, d in zip(w, delta))))  # inf * 0 is NaN
+        if not entry <= _DBL_MAX:  # NaN fails too
+            raise PopulationExplosion("a generator flux or a commutator entry overflows")
+        worst = max(worst, entry)
     return worst
 
 
@@ -474,8 +471,7 @@ def coherent_state(c, box: TruncationBox) -> tuple[MixedState, float]:
 
 def network_margin(net: Network) -> int:
     """Width of the boundary layer: largest input/output coefficient of any transition."""
-    kernel = net.mass_action
-    return int(max(kernel.inputs.max(initial=0), kernel.outputs.max(initial=0)))
+    return max((max(tr.input + tr.output, default=0) for tr in net.transitions), default=0)
 
 
 def _interior(box: TruncationBox, margin: int) -> tuple[slice, ...]:
@@ -578,8 +574,7 @@ def _residual_terms(net: Network, c: np.ndarray, box: TruncationBox):
     when the first term is asked for.
     """
     firing, caps = _firing(net, box), box.caps
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
-        flux = net.mass_action.flux(c).tolist()
+    flux = net.mass_action.flux(c)
     shift = {}  # complex -> production - consumption
     for j, s, delta, _ in firing:
         t = tuple(a + d for a, d in zip(s, delta))

@@ -8,8 +8,9 @@ nonnegative integer vectors in species order (:class:`CountVector`).
 Everything here is immutable after construction, and the derived views
 (complex graph, stoichiometric matrix, bipartite Petri graph) are pure
 functions of the network, so values can be shared freely across threads.
-The model is plain Python ints: numpy loads with the float kernel
-(:attr:`Network.mass_action`), not with this module.
+The model is plain Python ints: numpy loads with the float side
+(:attr:`Network.mass_action`) or the stoichiometric matrix, not with
+this module.
 """
 
 from __future__ import annotations
@@ -207,8 +208,10 @@ class Network:
     def stoichiometric_matrix(self):
         """Net-change matrix: column j equals output minus input of transition j,
         as a (species x transitions) int64 numpy array."""
-        kernel = self.mass_action
-        return (kernel.outputs - kernel.inputs).T.copy()
+        import numpy as np
+        from .structure import _changes
+        changes = np.array(_changes(self.transitions), dtype=np.int64)
+        return changes.reshape(self.num_transitions, self.num_species).T.copy()
 
     def petri_bipartite(self) -> PetriBipartite:
         """Species/transition bipartite multigraph with edge multiplicities."""

@@ -8,10 +8,11 @@ One construct per line::
     C <-> A + 2 B @ 2, 0.5  # reversible: exactly two rates, expands to two
     0 -> A @ 1e-3           # '0' is the empty complex
 
-Species names match ``[A-Za-z_][A-Za-z0-9_]*``.  Coefficients are positive
-integers below 2**63 and default to 1.  Rates are positive decimals;
-scientific notation is allowed.  Without a ``species:`` header the species
-order is first appearance; with one, any undeclared name is an error.
+Species names match ``[A-Za-z_][A-Za-z0-9_]*``.  Numbers are written in
+ASCII digits.  Coefficients are positive integers below 2**63 and default
+to 1.  Rates are positive decimals; scientific notation is allowed.
+Without a ``species:`` header the species order is first appearance; with
+one, any undeclared name is an error.
 Repeated species inside a complex accumulate (``A + A`` equals ``2 A``),
 to a count below 2**63 as well, and duplicate reaction lines are kept as
 distinct transitions.
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 _NAME_RE = re.compile(_NAME)
 
@@ -134,9 +135,12 @@ def _parse_complex(tokens, i, species, fixed):
         kind, text, column = tokens[i]
         coeff = 1
         if kind == "number":
-            if not text.isdigit() or int(text) <= 0:
+            digits = text.lstrip("0")
+            if not text.isdigit() or not digits:
                 raise _LineError(column, "complex coefficient must be a positive integer")
-            coeff = int(text)
+            # 20 significant digits are at least 10**19 > 2**63, refused below
+            # without int(), which refuses a string of over 4,300 digits
+            coeff = 2**63 if len(digits) >= 20 else int(digits)
             i += 1
         name_kind, name, name_column = tokens[i]
         if name_kind != "name":

@@ -26,6 +26,7 @@ import numpy as np
 from .dynamics import validate_classical
 from .errors import BudgetExceeded, InvalidValue, PopulationExplosion
 from .network import Network, validate_counts
+from .structure import _changes
 
 __all__ = [
     "JumpTrajectory",
@@ -92,12 +93,8 @@ class _Records(dict):
     """
 
     def __init__(self, net: Network):
-        kernel = net.mass_action
-        self.compiled = [
-            (rate, tuple((i, s) for i, s in enumerate(need) if s > 0))
-            for rate, need in zip(kernel.rates.tolist(), kernel.inputs.tolist())
-        ]
-        self.deltas = [tuple(delta) for delta in (kernel.outputs - kernel.inputs).tolist()]
+        self.compiled = [(rate, factors) for rate, factors, _ in net.mass_action.table]
+        self.deltas = _changes(net.transitions)
         self.species = net.species
 
     def __missing__(self, state):

@@ -3,9 +3,10 @@
 Linkage classes, weak reversibility, deficiency, integer conservation laws
 and the complex-balance test.  Deficiency and conservation laws are
 integer-valued certificates, so rank and null space come from one exact
-integer elimination over Python ints, and this module loads no numpy; floats
-only enter the balance test, which is a numerical statement about a given
-state and imports numpy when it runs.
+integer elimination over Python ints, and this module loads no numpy.
+Floats only enter the balance test, a numerical statement about a given
+state: its fluxes and per-complex sums are loops on Python floats, and
+only its check of the state (``validate_classical``) loads numpy.
 """
 
 from __future__ import annotations
@@ -96,12 +97,14 @@ def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
     transition.  Vectors are coprime, their first nonzero entry is positive,
     and the basis is sorted lexicographically.
     """
-    return _rank_and_laws(_changes(net), net.num_species)[1]
+    return _rank_and_laws(_changes(net.transitions), net.num_species)[1]
 
 
-def _changes(net: Network) -> list[tuple[int, ...]]:
-    """Output minus input of each transition, in Python ints."""
-    return [tuple(map(sub, tr.output, tr.input)) for tr in net.transitions]
+def _changes(transitions) -> list[tuple[int, ...]]:
+    """Output minus input of each transition, in Python ints: the one
+    source of t - s, for the structure, the equilibrium coordinates, the
+    Fock firings, the SSA jumps and the stoichiometric matrix."""
+    return [tuple(map(sub, tr.output, tr.input)) for tr in transitions]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +180,7 @@ def structure_report(net: Network) -> StructureReport:
     graph = net.complex_graph()
     out, into = _adjacency(graph)
     classes = _classes(out, into)
-    rank, basis = _rank_and_laws(_changes(net), net.num_species)
+    rank, basis = _rank_and_laws(_changes(net.transitions), net.num_species)
     defect = len(graph.vertices) - len(classes) - rank
     assert defect >= 0, "deficiency must be nonnegative"
     assert len(basis) == net.num_species - rank
@@ -239,23 +242,22 @@ def complex_balance_report(net: Network, c, tol: float = 1e-9) -> BalanceReport:
     |consumption - production| <= tol * (1 + max complex throughput).  A
     flux or sum beyond the float range raises ``E_EXPLODE``.
     """
-    import numpy as np
     from .dynamics import validate_classical
     c = validate_classical(c, net.num_species)
     if not 0 < tol < math.inf:
         raise InvalidValue(f"tol must be positive and finite, got {tol}")
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
-        flux = net.mass_action.flux(c)
+    flux = net.mass_action.flux(c)
     graph = net.complex_graph()
-    n = len(graph.vertices)
-    source, target, _ = np.array(graph.edges, dtype=np.int64).reshape(-1, 3).T
+    # each complex's sums add its fluxes in transition order, one edge each
+    production, consumption = [0.0] * len(graph.vertices), [0.0] * len(graph.vertices)
+    for source, target, j in graph.edges:
+        consumption[source] += flux[j]
+        production[target] += flux[j]
     # every flux is in one consumption sum, so a non-finite flux shows there
-    consumption = np.bincount(source, weights=flux, minlength=n)
-    production = np.bincount(target, weights=flux, minlength=n)
-    if not (np.isfinite(consumption).all() and np.isfinite(production).all()):
+    if not all(map(math.isfinite, consumption + production)):
         raise PopulationExplosion("a mass-action flux or its per-complex sum overflows at c")
     rows = tuple(
-        ComplexBalanceRow(kappa, float(p), float(q), float(q - p))
+        ComplexBalanceRow(kappa, p, q, q - p)
         for kappa, p, q in zip(graph.vertices, production, consumption)
     )
     scale = 1.0 + max((max(r.production, r.consumption) for r in rows), default=0.0)

@@ -437,29 +437,41 @@ def bd_rk4_grid_error(net_bd: Network, h: float, t_end: float = 5.0) -> float:
     return err
 
 
-def dense_change(kernel, magnitude: bool = False) -> np.ndarray:
+def dense_arrays(net) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, t, r): the input and output complexes of ``net``'s transitions
+    as (transitions x species) int64 arrays, and their rate constants."""
+    shape = (net.num_transitions, net.num_species)
+    inputs = np.array([tr.input for tr in net.transitions], dtype=np.int64).reshape(shape)
+    outputs = np.array([tr.output for tr in net.transitions], dtype=np.int64).reshape(shape)
+    return inputs, outputs, np.array([tr.rate for tr in net.transitions], dtype=float)
+
+
+def dense_change(net, magnitude: bool = False) -> np.ndarray:
     """t - s per transition as a float (transitions x species) array, or
     |t - s| with ``magnitude``."""
-    change = (kernel.outputs - kernel.inputs).astype(float)
+    inputs, outputs, _ = dense_arrays(net)
+    change = (outputs - inputs).astype(float)
     return np.abs(change) if magnitude else change
 
 
-def dense_field(kernel, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
-    """Oracle of the rate field: sum_tau r (t - s) x^s from the
-    kernel's dense arrays, with numpy's pow and a BLAS product; with
-    ``magnitude``, |t - s| in place of t - s, the size of its terms."""
-    return kernel.rates * (x ** kernel.inputs).prod(axis=1) @ dense_change(kernel, magnitude)
+def dense_field(net, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
+    """Oracle of the rate field: sum_tau r (t - s) x^s from the network's
+    dense arrays, with numpy's pow and a BLAS product; with ``magnitude``,
+    |t - s| in place of t - s, the size of its terms."""
+    inputs, _, rates = dense_arrays(net)
+    return rates * (x ** inputs).prod(axis=1) @ dense_change(net, magnitude)
 
 
-def dense_jacobian(kernel, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
+def dense_jacobian(net, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
     """Exact Jacobian of :func:`dense_field` via an m x k x k tensor, with
     d(x^s)/dx_i = s_i x^(s - e_i); ``magnitude`` as there."""
+    inputs, _, rates = dense_arrays(net)
     k = x.size
     # factors[tau, i, l] is x_l^s_l, except d/dx_i of it on the diagonal l == i
-    factors = np.repeat((x ** kernel.inputs)[:, None, :], k, axis=1)
+    factors = np.repeat((x ** inputs)[:, None, :], k, axis=1)
     diag = np.arange(k)
-    factors[:, diag, diag] = kernel.inputs * x ** np.maximum(kernel.inputs - 1, 0)
-    return dense_change(kernel, magnitude).T @ (kernel.rates[:, None] * factors.prod(axis=2))
+    factors[:, diag, diag] = inputs * x ** np.maximum(inputs - 1, 0)
+    return dense_change(net, magnitude).T @ (rates[:, None] * factors.prod(axis=2))
 
 
 def ordered_selection_count(counts, needs) -> int:
@@ -632,16 +644,16 @@ def coo_hamiltonian(net, box):
     dropped when the target leaves the box.  Returns (rows, cols, vals)."""
     states = box.states()
     caps = np.asarray(box.caps, dtype=np.int64)
-    kernel = net.mass_action
+    inputs, outputs, rates = dense_arrays(net)
     rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for j in range(net.num_transitions):
-        fall = np.broadcast_to(kernel.falling(states.T, j), states.shape[:1])
+        fall = np.broadcast_to(net.mass_action.falling(states.T, j), states.shape[:1])
         active = np.flatnonzero(fall > 0)
-        targets = states[active] + (kernel.outputs[j] - kernel.inputs[j])
+        targets = states[active] + (outputs[j] - inputs[j])
         inside = np.all((targets >= 0) & (targets <= caps), axis=1)
         src = active[inside]
         tgt = np.ravel_multi_index(targets[inside].T, box.shape)
-        flux = kernel.rates[j] * fall[src]
+        flux = rates[j] * fall[src]
         rows.extend((tgt, src))
         cols.extend((src, src))
         vals.extend((flux, -flux))
@@ -668,11 +680,10 @@ def csr_uniformization(H, psi0, t):
 
 
 def _direct_prepare(net):
-    kernel = net.mass_action
-    deltas = (kernel.outputs - kernel.inputs).tolist()
+    inputs, outputs, rates = dense_arrays(net)
     return [
         (rate, tuple((i, s) for i, s in enumerate(need) if s > 0), tuple(delta))
-        for rate, need, delta in zip(kernel.rates.tolist(), kernel.inputs.tolist(), deltas)
+        for rate, need, delta in zip(rates.tolist(), inputs.tolist(), (outputs - inputs).tolist())
     ]
 
 

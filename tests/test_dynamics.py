@@ -25,12 +25,14 @@ from crnkit import (
     integrate_rate,
     parse_network,
     rate_vector_field,
+    simulate,
 )
 from crnkit import dynamics
 
 from support import (
     balanced_reversible_network,
     bd_rk4_grid_error,
+    dense_arrays,
     dense_change,
     dense_field,
     dense_jacobian,
@@ -98,7 +100,7 @@ class TestRateVectorField:
                     diff = _field(kernel, x + step) - _field(kernel, x - step)
                     central[:, i] = diff / (2 * step[i])
                 # size of the field's terms, for entries whose exact value is 0
-                terms = dense_change(kernel, magnitude=True).T @ kernel.flux(x + 1.0)
+                terms = dense_change(net, magnitude=True).T @ kernel.flux(x + 1.0)
                 scale = terms.max(initial=0.0)
                 np.testing.assert_allclose(jac, central, rtol=1e-6, atol=1e-6 * scale)
 
@@ -118,19 +120,20 @@ class TestRateVectorField:
         # binary powering, whose error grows with m as x^m's condition number
         eps = np.finfo(float).eps
         for m in (dynamics._SQUARING_ABOVE, dynamics._SQUARING_ABOVE + 1, 1000, 10**12, 2**63 - 1):
-            kernel = parse_network(f"{m} A -> B @ 1.5\n0 -> A @ 1").mass_action
+            net = parse_network(f"{m} A -> B @ 1.5\n0 -> A @ 1")
+            kernel = net.mass_action
             assert kernel.table[0][1] == ((0, m),)
             near_one = 1.0 - math.log(m) / m
             for a in (0.0, 0.5, near_one, 1.0, 1.0 + 1.0 / m):
                 x = np.array([a, 2.0])
                 bound = (m + 8) * eps
                 assert np.all(
-                    np.abs(_field(kernel, x) - dense_field(kernel, x))
-                    <= bound * dense_field(kernel, x, magnitude=True)
+                    np.abs(_field(kernel, x) - dense_field(net, x))
+                    <= bound * dense_field(net, x, magnitude=True)
                 )
                 assert np.all(
-                    np.abs(_jacobian(kernel, x) - dense_jacobian(kernel, x))
-                    <= bound * dense_jacobian(kernel, x, magnitude=True)
+                    np.abs(_jacobian(kernel, x) - dense_jacobian(net, x))
+                    <= bound * dense_jacobian(net, x, magnitude=True)
                 )
 
     def test_table_kernel_matches_the_dense_formulas(self):
@@ -143,16 +146,17 @@ class TestRateVectorField:
             net = random_network(rng, max_coeff=3)
             k = net.num_species
             source = Transition(CountVector([0] * k), CountVector([1] + [0] * (k - 1)), 2.5)
-            kernel = Network(net.species, net.transitions + (source,)).mass_action
+            net = Network(net.species, net.transitions + (source,))
+            kernel = net.mass_action
             for _ in range(3):
                 x = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in range(k)])
                 assert np.all(
-                    np.abs(_field(kernel, x) - dense_field(kernel, x))
-                    <= 8 * eps * dense_field(kernel, x, magnitude=True)
+                    np.abs(_field(kernel, x) - dense_field(net, x))
+                    <= 8 * eps * dense_field(net, x, magnitude=True)
                 )
                 assert np.all(
-                    np.abs(_jacobian(kernel, x) - dense_jacobian(kernel, x))
-                    <= 8 * eps * dense_jacobian(kernel, x, magnitude=True)
+                    np.abs(_jacobian(kernel, x) - dense_jacobian(net, x))
+                    <= 8 * eps * dense_jacobian(net, x, magnitude=True)
                 )
 
     def test_zero_at_balanced_states(self):
@@ -238,7 +242,7 @@ class TestIntegrateRate:
                 calls.append(x)
                 # rejected tries past x = 1 overflow x^m, in both fields
                 with np.errstate(over="ignore", invalid="ignore"):
-                    return dense_field(kernel, np.array(x)).tolist()
+                    return dense_field(net, np.array(x)).tolist()
 
             # the field that integrate_rate calls for each stage
             with monkeypatch.context() as patch:
@@ -377,11 +381,12 @@ class TestGeneratedCode:
             for _ in range(3):
                 x = [rng.choice((0.0, -0.0, rng.uniform(0.1, 3.0))) for _ in net.species]
                 _assert_generated_bits(kernel, x)
+            inputs, _, rates = dense_arrays(net)
             assert kernel.table == tuple(
-                (rate, tuple((i, s) for i, s in enumerate(inputs) if s),
+                (rate, tuple((i, s) for i, s in enumerate(need) if s),
                  tuple((i, c) for i, c in enumerate(change) if c))
-                for rate, inputs, change in zip(
-                    kernel.rates.tolist(), kernel.inputs.tolist(), dense_change(kernel).tolist()
+                for rate, need, change in zip(
+                    rates.tolist(), inputs.tolist(), dense_change(net).tolist()
                 )
             )
 
@@ -470,17 +475,21 @@ class TestGeneratedCode:
         assert inner.__globals__["__builtins__"] == {"abs": abs} and inner(-2.0) == 2.0
 
     def test_rate_run_builds_no_dense_array(self):
-        # a chain of 2,000 species: the dense (transitions x species) arrays
-        # would hold 4M counts each, and the rate side reads none of them
+        # a chain of 2,000 species: a dense (transitions x species) array
+        # would hold 4M entries, and the kernel keeps only its sparse table
         k = 2000
         lines = ["species: " + " ".join(f"S{i}" for i in range(k))]
         lines += [f"S{i} -> S{i + 1} @ 1" for i in range(k - 1)]
         net = parse_network("\n".join(lines))
         traj = integrate_rate(net, [1.0] * k, 1e-3)
         assert traj.times[-1] == 1e-3
+        path = simulate(net, [3] + [0] * (k - 1), 1.0, seed=1)
+        assert path.states.sum(axis=1).tolist() == [3] * len(path.times)
+        report = complex_balance_report(net, [1.0] * k)
+        assert [r.residual for r in report.rows] == [-1.0] + [0.0] * (k - 2) + [1.0]
         kernel = net.mass_action
-        assert not {"inputs", "outputs", "change", "rates"} & set(vars(kernel))
-        assert not kernel.inputs.flags.writeable and kernel.inputs.shape == (k - 1, k)
+        assert not {"inputs", "outputs", "rates"} & set(dir(kernel))
+        assert set(vars(kernel)) == {"_transitions", "_k", "table", "compiled"}
 
     def test_trajectories_match_the_table_loop(self):
         # whole runs on scan-shaped networks, two of which end in E_BUDGET

@@ -12,7 +12,7 @@ from crnkit import (
     Transition,
 )
 
-from support import random_network
+from support import dense_arrays, random_network
 
 
 class TestCountVector:
@@ -201,10 +201,10 @@ class TestPetriBipartite:
         rng = random.Random(11)
         nets = [net_catalyst, net_bd, net_diatomic] + [random_network(rng) for _ in range(20)]
         for net in nets:
-            kernel = net.mass_action
+            inputs, outputs, _ = dense_arrays(net)
             rebuilt = tuple(
                 Transition(CountVector(i), CountVector(o), tr.rate)
-                for i, o, tr in zip(kernel.inputs, kernel.outputs, net.transitions)
+                for i, o, tr in zip(inputs, outputs, net.transitions)
             )
             assert Network(net.species, rebuilt) == Network(net.species, net.transitions)
 

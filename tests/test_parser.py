@@ -131,6 +131,13 @@ class TestDiagnostics:
         codes = {"E_SYNTAX", "E_RATE", "E_UNKNOWN_SPECIES"}
         assert first_error(text).code in codes
 
+    @pytest.mark.parametrize("text, column", [("\u0663 A -> B @ 1", 1), ("A -> B @ \u0661", 10)])
+    def test_non_ascii_digits_are_unexpected_characters(self, text, column):
+        # Arabic-Indic three and one: numbers are ASCII digits only
+        diag = first_error(text)
+        assert (diag.code, diag.column) == ("E_SYNTAX", column)
+        assert diag.message == f"unexpected character {text[column - 1]!r}"
+
     def test_coefficient_bound_position(self):
         # the kernels hold complexes as int64, so a count of 2**63 is refused
         # at the term that reaches it
@@ -138,6 +145,10 @@ class TestDiagnostics:
         assert (diag.code, diag.column) == ("E_SYNTAX", 6)
         diag = first_error("A + 9223372036854775807 A -> 0 @ 1")
         assert (diag.code, diag.column) == ("E_SYNTAX", 5)
+        # past int()'s 4,300-digit limit too, with the same diagnostic
+        diag = first_error("A -> " + "1" * 5000 + " B @ 1")
+        assert (diag.code, diag.column, diag.message) == (
+            "E_SYNTAX", 6, "complex coefficient must be below 2**63")
         assert parse_network("9223372036854775807 A -> 0 @ 1").transitions[0].input == (2**63 - 1,)
 
     def test_parse_error_carries_diagnostics(self):

@@ -254,7 +254,9 @@ class TestComplexBalance:
         for _ in range(40):
             net = random_network(rng)
             c = np.array([rng.choice((0.0, rng.uniform(0.1, 3.0))) for _ in net.species])
-            flux = [tr.rate * float(np.prod(c ** np.array(tr.input))) for tr in net.transitions]
+            # each power is Python's float pow, libm's, as the kernel's flux takes it
+            flux = [tr.rate * math.prod(ci ** s for ci, s in zip(c.tolist(), tr.input))
+                    for tr in net.transitions]
             expected = []
             for kappa in net.complexes():
                 out = sum(f for f, tr in zip(flux, net.transitions) if tr.input == kappa)
