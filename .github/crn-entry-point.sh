@@ -66,6 +66,14 @@ crn ack "$tmp/dia.crn" --c 1e300,1 --caps 3,3 2> "$tmp/err.txt" || status=$?
 test "$status" -eq 1
 test "$(wc -l < "$tmp/err.txt")" -eq 1
 grep -q '^error\[E_EXPLODE\]: ' "$tmp/err.txt"
+# a symmetry span of about e^1e300: exit 1 with one coded line, its exponent
+# in four significant digits rather than 300
+status=0
+crn noether "$tmp/dia.crn" --c 1,1 --s 1e300 2> "$tmp/err.txt" || status=$?
+test "$status" -eq 1
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+test "$(grep -c '^error\[E_OVERFLOW\]: ' "$tmp/err.txt")" -eq 1
+test "$(wc -c < "$tmp/err.txt")" -lt 200
 # the certificates on a complex-balanced c (k1 c1^2 = k2 c2) exit 0 with strict JSON
 crn ack "$tmp/dia.crn" --c 1,0.5 > "$tmp/ack.json"
 python -m json.tool "$tmp/ack.json" > /dev/null

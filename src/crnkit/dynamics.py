@@ -70,7 +70,8 @@ class MassAction:
 
     ``table`` holds one entry (r, factors, moves) per transition:
     ``factors`` the pairs (i, s_i) with s_i > 0 and ``moves`` the pairs
-    (i, t_i - s_i) with t_i != s_i.  The empty complex has no factor, so
+    (i, t_i - s_i) with t_i != s_i, both in Python ints; the SSA jumps
+    by the moves.  The empty complex has no factor, so
     0**0 == 1 holds by construction.  :attr:`compiled` is the field and its
     exact Jacobian, generated from the table's structure, and :meth:`flux`
     a loop over the table, both on Python floats in a fixed order, so their
@@ -85,7 +86,8 @@ class MassAction:
     @cached_property
     def table(self) -> tuple:
         """Built on first use from the transitions' count vectors, with no
-        dense array."""
+        dense array; a move is the int t_i - s_i, which a float operand
+        converts as ``float()`` does."""
         species = tuple(range(self._k))  # compress() then yields no new ints
         table = []
         for tr in self._transitions:
@@ -93,7 +95,7 @@ class MassAction:
             need = [*compress(species, s)]
             factors = tuple((i, s[i]) for i in need)
             held = sorted({*need, *compress(species, t)})
-            moves = tuple((i, float(t[i] - s[i])) for i in held if t[i] != s[i])
+            moves = tuple((i, t[i] - s[i]) for i in held if t[i] != s[i])
             table.append((tr.rate, factors, moves))
         return tuple(table)
 
@@ -185,8 +187,8 @@ def _emit(structure: tuple, k: int):
     transition of :attr:`MassAction.table` over k species, as
     ``collections.namedtuple`` compiles its classes.  ``bind`` takes the
     rates, in transition order, into closure cells and returns
-    :attr:`MassAction.compiled`.  The source holds only ints, identifiers
-    made here and ``repr`` of the change floats, never input text; each
+    :attr:`MassAction.compiled`.  The source holds only ints (the changes
+    among them), identifiers made here and ``0.0``, never input text; each
     factor and each move is its own statement, since a chained product or
     sum of thousands of terms overflows the compiler's recursion limit.
 
@@ -196,8 +198,9 @@ def _emit(structure: tuple, k: int):
     as :func:`_times_power` forms it, and each move adds (t_i - s_i) times
     the flux to field entry i and times the slope to Jacobian entry (i, l).
     An entry's first write is 0.0 + c * term, which rounds as adding to the
-    loops' 0.0 does, and a change of 1 or -1 adds or subtracts the term,
-    which rounds as adding 1.0 * term or -1.0 * term does.
+    loops' 0.0 does; the int c times a float rounds as float(c) times it
+    does, and a change of 1 or -1 adds or subtracts the term, which rounds
+    as adding 1.0 * term or -1.0 * term does.
     """
     args = ", ".join(f"x{i}" for i in range(k))
     field, jacobian = [f"    def field({args}):"], [f"    def jacobian({args}):"]
@@ -241,11 +244,11 @@ def _product(lines: list[str], name: str, acc: str, powers) -> str:
     return acc
 
 
-def _add(entry: str, c: float, term: str, written: set[str]) -> str:
+def _add(entry: str, c: int, term: str, written: set[str]) -> str:
     """The statement that adds c * term to ``entry``: the first for that
     entry (``written`` records it) starts from 0.0."""
-    sign = "-" if c == -1.0 else "+"
-    term = term if c in (1.0, -1.0) else f"{c!r} * {term}"
+    sign = "-" if c == -1 else "+"
+    term = term if c in (1, -1) else f"{c} * {term}"
     line = f"{entry} {sign}= {term}" if entry in written else f"{entry} = 0.0 {sign} {term}"
     written.add(entry)
     return "        " + line
@@ -507,7 +510,7 @@ def find_equilibrium(net: Network, x0, tol: float = 1e-9) -> np.ndarray:
         y = _eliminate(matrix, [fx[p] for p in pivots])
         if y is None:
             break
-        step = y if len(pivots) == len(x) else _spread(spread, y)
+        step = _spread(spread, y)
         if not _sup_norm(step) < math.inf:
             break
         while min(map(add, x, step)) < -_CLAMP:
@@ -548,17 +551,11 @@ def _spread(spread: tuple, y: list[float]) -> list[float]:
 
 def _reduced_jacobian(kernel, x: list[float]) -> list[list[float]]:
     """The Jacobian of the pivots' field in the pivots' coordinates, P J B
-    with B the map :func:`_spread`, as dense rows: J itself when every
-    species is a pivot, else each pivot's row of J times B, its nonzero
-    entries taken in increasing column order."""
+    with B the map :func:`_spread`, as dense rows: each pivot's row of J
+    times B, its nonzero entries taken in increasing column order.  With
+    every species a pivot, B is the identity, and the rows are J's."""
     pivots, spread = kernel.reduction
     rows = kernel.compiled[1](*x)
-    if len(pivots) == len(x):
-        dense = [[0.0] * len(x) for _ in x]
-        for row, pairs in zip(dense, rows):
-            for l, v in pairs:
-                row[l] = v
-        return dense
     reduced = []
     for p in pivots:
         row = [0.0] * len(pivots)

@@ -255,27 +255,14 @@ def _read_reaction(line, species, fixed):
     return lhs, rhs, rates
 
 
-def _read_header(line):
-    """The names of a well-formed ASCII ``species:`` line as a dict, or ``None``."""
-    head, colon, rest = line.partition(":")
-    names = rest.split()
-    if not (colon and head.strip() == "species" and names and line.isascii()):
-        return None
-    header = dict.fromkeys(names)
-    if len(header) < len(names) or not all(map(_NAME_RE.fullmatch, names)):
-        return None
-    return header
-
-
 def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, ...]]:
     """Parse ``text``; return ``(network, diagnostics)``.
 
     The network is ``None`` exactly when an error-level diagnostic was
     produced.  Parsing is total: every input yields either a network or at
     least one positioned error.  A well-formed reaction line is read with
-    one pattern match, and a well-formed header with a split; any other
-    line goes through the tokenizer, the only code that positions a
-    diagnostic.
+    one pattern match; any other line, a header included, goes through the
+    tokenizer, the only code that positions a diagnostic.
     """
     diagnostics: list[Diagnostic] = []
     species: dict[str, None] = {}  # insertion-ordered; a header fixes it
@@ -287,11 +274,7 @@ def parse_network_report(text: str) -> tuple[Network | None, tuple[Diagnostic, .
             continue
         reaction = _read_reaction(line, species, fixed)
         if reaction is None:
-            header = None if fixed or reactions else _read_header(line)
-            if header is not None:
-                species, fixed = header, True
-                continue
-            try:  # the token route: every line the fast one declined, and every error
+            try:  # the token route: headers, every line the fast one declined, and every error
                 tokens = _tokenize(line)
                 if tokens[0][:2] == ("name", "species") and tokens[1][1] == ":":
                     species = _parse_header(tokens, fixed, bool(reactions))

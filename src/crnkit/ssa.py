@@ -19,14 +19,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat, starmap
 from numbers import Integral
-from operator import add
 
 import numpy as np
 
 from .dynamics import validate_classical
 from .errors import BudgetExceeded, InvalidValue, PopulationExplosion
 from .network import Network, validate_counts
-from .structure import _changes
 
 __all__ = [
     "JumpTrajectory",
@@ -41,8 +39,8 @@ _MEMO_STATES = 2**16
 _MAX_COUNT = 10**6  # per species; a count above it raises ``E_EXPLODE``
 _MAX_JUMPS = 2**21  # jumps per stored path; ``crn ssa`` then peaks near 90 MB
 _CSV_BLOCK = 2**15  # rows per block of the path CSV
-# jumps drawn by random() itself: numpy's generator costs ≈0.15 ms to build,
-# and random() ≈40 ns a double more than its blocks, so it pays from ≈2k jumps
+# jumps drawn by random() itself: numpy's generator costs ≈0.15 ms to build and
+# set, and random() ≈40-70 ns a double more than its blocks, so it pays from ≈2k jumps
 _FIRST_BLOCK = 2**11
 _DRAW_BLOCK = 2**12  # jumps per numpy block of uniforms after the first
 # samples, and jumps, per histogram: over 100x the ~6e5 jumps of 1e5 birth-death samples
@@ -57,10 +55,10 @@ def _draw_blocks(seed, jumps: int):
     The first block, of up to ``_FIRST_BLOCK`` jumps, calls ``random()``
     itself as it is read, so a short path draws only what it uses and
     loads no numpy.random.  Later blocks of ``_DRAW_BLOCK`` jumps come from
-    numpy's legacy MT19937 set to the generator's state after the first
-    (``_mtstate.random_state``), which returns the same doubles a block at
-    a time.  The log stays ``math.log``, as numpy's differs from it in the
-    last bit on some lanes.
+    numpy's legacy ``RandomState`` (whose stream NEP 19 freezes), its
+    MT19937 set to the generator's state after the first, which returns
+    the same doubles a block at a time.  The log stays ``math.log``, as
+    numpy's differs from it in the last bit on some lanes.
     """
     generator = random.Random(seed)
     first = min(_FIRST_BLOCK, jumps)
@@ -69,9 +67,11 @@ def _draw_blocks(seed, jumps: int):
     jumps -= first
     if jumps <= 0:
         return
-    from ._mtstate import random_state
+    from numpy.random import MT19937, RandomState
 
-    rng = random_state(generator)
+    _, key, _ = generator.getstate()
+    rng = RandomState(MT19937(0))  # a fixed seed draws no OS entropy; set_state overwrites it
+    rng.set_state(("MT19937", key[:-1], key[-1]))
     while jumps > 0:
         size = min(_DRAW_BLOCK, jumps)
         u = rng.random_sample(2 * size)
@@ -87,14 +87,16 @@ class _Records(dict):
     scan would.
 
     A slot holds the successor's record, so a jump follows it without
-    hashing; ``link`` fills it, checking ``_MAX_COUNT``, on its first firing.
+    hashing; ``link`` fills it on its first firing, adding the transition's
+    sparse moves of :attr:`MassAction.table` and checking ``_MAX_COUNT``.
     Past ``_MEMO_STATES`` records every slot is unlinked, then the table
     cleared, so evicted records are not kept alive by their neighbours.
     """
 
     def __init__(self, net: Network):
-        self.compiled = [(rate, factors) for rate, factors, _ in net.mass_action.table]
-        self.deltas = _changes(net.transitions)
+        table = net.mass_action.table
+        self.compiled = [(rate, factors) for rate, factors, _ in table]
+        self.moves = [moves for _, _, moves in table]
         self.species = net.species
 
     def __missing__(self, state):
@@ -121,7 +123,10 @@ class _Records(dict):
         return record
 
     def link(self, record, chosen: int, t: float):
-        successor = tuple(map(add, record[3], self.deltas[chosen]))
+        successor = [*record[3]]
+        for i, change in self.moves[chosen]:
+            successor[i] += change
+        successor = tuple(successor)
         for name, count in zip(self.species, successor):
             if count > _MAX_COUNT:
                 raise PopulationExplosion(f"species {name} exceeded {_MAX_COUNT} at t={t:.6g}")

@@ -103,7 +103,7 @@ def conserved_quantities(net: Network) -> tuple[tuple[int, ...], ...]:
 def _changes(transitions) -> list[tuple[int, ...]]:
     """Output minus input of each transition, in Python ints: the one
     source of t - s, for the structure, the equilibrium coordinates, the
-    Fock firings, the SSA jumps and the stoichiometric matrix."""
+    Fock firings and the stoichiometric matrix."""
     return [tuple(map(sub, tr.output, tr.input)) for tr in transitions]
 
 

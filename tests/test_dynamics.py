@@ -491,6 +491,22 @@ class TestGeneratedCode:
         assert not {"inputs", "outputs", "rates"} & set(dir(kernel))
         assert set(vars(kernel)) == {"_transitions", "_k", "table", "compiled"}
 
+    def test_ssa_path_on_the_chain_holds_no_dense_moves(self):
+        # the jumps add the kernel table's sparse moves; a tuple of k changes
+        # per transition would take 2,000 x 2,000 references, about 31 MB
+        k = 2000
+        lines = ["species: " + " ".join(f"S{i}" for i in range(k))]
+        lines += [f"S{i} -> S{i + 1} @ 1" for i in range(k - 1)]
+        net = parse_network("\n".join(lines))
+        tracemalloc.start()
+        try:
+            path = simulate(net, [3] + [0] * (k - 1), 1.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.num_jumps > 0
+        assert peak < 4e6
+
     def test_trajectories_match_the_table_loop(self):
         # whole runs on scan-shaped networks, two of which end in E_BUDGET
         # after 2**14 tries, and on the 22-species, 50-transition network of
