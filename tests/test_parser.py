@@ -302,6 +302,30 @@ class TestFastRoute:
     def test_generated_lines(self, line, known, fixed):
         assert_routes_agree(line, dict.fromkeys(known), fixed)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_NAMES, max_size=4), _GAP, _GAP)
+    def test_generated_headers(self, names, gap, sep):
+        # every header takes the token route: unique names are the species
+        # in order; a repeat is positioned at its second occurrence
+        sep = sep or " "
+        prefix = f"{gap}species{gap}:{gap}"
+        header = prefix + sep.join(names) + gap
+        body = f"{names[0]} -> 0 @ 1" if names else "A -> 0 @ 1"
+        net, diags = parse_network_report(f"{header}\n{body}\n")
+        if not names:
+            assert net is None
+            assert [(d.line, d.message) for d in diags] == [
+                (1, "at least one species name expected after 'species:'")]
+        elif len(set(names)) < len(names):
+            i = next(i for i, name in enumerate(names) if name in names[:i])
+            column = len(prefix) + sum(len(name) + len(sep) for name in names[:i]) + 1
+            assert net is None
+            assert [(d.line, d.column, d.message) for d in diags] == [
+                (1, column, f"duplicate species {names[i]!r} in header")]
+        else:
+            assert diags == ()
+            assert net.species == tuple(names)
+
     def test_known_declines(self):
         # each is an error on the token route, or syntax the fast one leaves to it
         for line in ("2e5 + B -> A @ 1", "2.A -> B @ 1", "0 A -> B @ 1", "00 -> A @ 1",
