@@ -88,6 +88,15 @@ for cmd in ack noether; do
     python -c "$strict" < "$tmp/$cmd.json"
     test ! -s "$tmp/err.txt"
 done
+# a flux of 2184e306 at the caps, beyond the float range: the law n_A + n_B
+# makes every commutator entry a flux times the integer 0, so crn noether
+# forms no flux for it, exits 0 and states 0.0
+printf 'species: A B\nA <-> B @ 1e306, 1e306\n3 A -> 2 A + B @ 1e306\n' > "$tmp/flux.crn"
+crn noether "$tmp/flux.crn" --c 1,1 > "$tmp/noether.json"
+python -c "$strict" < "$tmp/noether.json"
+python -c 'import json, sys
+found = json.load(sys.stdin)["commutator_max_abs"]
+sys.exit(0 if found == [0.0] else f"commutator_max_abs is {found}")' < "$tmp/noether.json"
 # uniformization on the banded step, at the evolve benchmark's shape:
 # a scipy or numpy warning would print here, so stderr must stay empty
 crn master "$tmp/dia.crn" --n0 15,5 --caps 40,40 --t-end 2 > "$tmp/master.csv" 2> "$tmp/err.txt"
@@ -128,6 +137,14 @@ crn ssa "$tmp/bd.crn" --n0 9223372036854775808 --t-end 1e-30 2> "$tmp/err.txt" |
 test "$status" -eq 1
 test "$(wc -l < "$tmp/err.txt")" -eq 1
 grep -q '^error\[E_VALUE\]: ' "$tmp/err.txt"
+# a start count of 2**1024: the one coded line quotes it in six digits,
+# not all 309
+status=0
+crn ssa "$tmp/bd.crn" --n0 "$(python -c 'print(2**1024)')" 2> "$tmp/err.txt" || status=$?
+test "$status" -eq 1
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+grep -q '^error\[E_VALUE\]: ' "$tmp/err.txt"
+test "$(wc -c < "$tmp/err.txt")" -lt 200
 # a network of no species: the path is the header "t," and one time per
 # row, and stderr holds only the self-loop warning
 printf '0 -> 0 @ 1\n' > "$tmp/zero.crn"

@@ -147,10 +147,10 @@ class MassAction:
     def falling(self, counts, j: int):
         """prod_i n_i (n_i - 1) ... (n_i - s_i + 1) of transition j.
 
-        ``counts[i]`` holds the counts of species i: a column of a state
-        array, a scalar, or one axis of an open grid (``np.ix_``), since the
-        factors broadcast.  Zero whenever some n_i < s_i, since the product
-        then passes through 0; 1.0 for the empty complex.
+        ``counts[i]`` holds the counts of species i: one axis of the
+        generator's open grid (``np.ix_``) or a column of a state array,
+        since the factors broadcast.  Zero whenever some n_i < s_i, since
+        the product then passes through 0; 1.0 for the empty complex.
         """
         values = 1.0
         for i, need in self.table[j][1]:

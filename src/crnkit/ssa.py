@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import validate_classical
 from .errors import BudgetExceeded, InvalidValue, PopulationExplosion
-from .network import Network, validate_counts
+from .network import Network, _quoted, validate_counts
 
 __all__ = [
     "JumpTrajectory",
@@ -287,7 +287,7 @@ def stationary_histogram(
             "sample_count positive"
         )
     if sample_count > _MAX_HIST_JUMPS:
-        raise BudgetExceeded(f"{sample_count} samples exceed the budget of {_MAX_HIST_JUMPS}")
+        raise BudgetExceeded(f"{_quoted(sample_count)} samples exceed the budget of {_MAX_HIST_JUMPS}")
     if sample_interval < math.ulp(burn_in + sample_count * sample_interval):
         raise InvalidValue(f"sample_interval {sample_interval!r} is below the sample-time spacing")
     table = _Records(net)
